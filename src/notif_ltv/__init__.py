@@ -63,11 +63,9 @@ from .sim import (
 from .solver import (
     NEVER_SEND,
     PolicyTable,
-    find_threshold,
     q_send,
-    q_skip,
     solve_policy,
-    state_value,
+    state_values,
 )
 
 __version__ = "0.1.0"
@@ -80,10 +78,10 @@ __all__ = [
     "Treatment", "TreatmentResult", "USER_TYPES", "UserBaseline", "UserLog",
     "advance_streak", "apply_calibration", "apply_kappa", "build_dataset",
     "clamp_streak", "decide_heuristic", "decide_no_filter", "decide_rl",
-    "estimate_baseline", "estimate_factors", "events_to_jsonl", "find_threshold",
+    "estimate_baseline", "estimate_factors", "events_to_jsonl",
     "fit_behavior_model", "fit_isotonic", "fit_sim_calibration", "flatten",
-    "generate_population", "monotone_project", "pav", "q_send", "q_skip",
+    "generate_population", "monotone_project", "pav", "q_send",
     "ramp_factor_table", "read_log", "refresh", "run_experiment", "simulate_pass",
-    "solve_policy", "split_halves", "state_value", "streak_after_skip",
+    "solve_policy", "split_halves", "state_values", "streak_after_skip",
     "summarize_types", "warmup_events",
 ]

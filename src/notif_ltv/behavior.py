@@ -213,14 +213,20 @@ class BehaviorModel:
     """Everything the solver needs about user behavior.
 
     factors is the kappa-corrected table; type_mean_open is the mean
-    calibrated score of sent notifications per type; shares record how the
-    estimation population was distributed over types.
+    calibrated score of sent notifications per type, a probability in
+    [0, 1]; shares record how the estimation population was distributed
+    over types.
     """
 
     factors: FactorTable
     kappa: float
     type_mean_open: dict[int, float]
     type_population_share: dict[int, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        bad = {c: v for c, v in self.type_mean_open.items() if not 0.0 <= v <= 1.0}
+        if bad:
+            raise ValueError(f"mean open rates must lie in [0, 1], got {bad}")
 
     @property
     def types(self) -> tuple[int, ...]:

@@ -131,24 +131,19 @@ def cmd_solve(args) -> int:
     cfg = _load_json(args.config, "config") if args.config else {}
     gamma = float(_resolve(args.gamma, cfg, "gamma", 0.9))
     horizon = int(_resolve(args.horizon, cfg, "horizon", 250))
-    tolerance = float(_resolve(args.tolerance, cfg, "threshold_tolerance", 1e-6))
     if not 0.0 <= gamma < 1.0:
         raise ValidationError(f"gamma must be in [0, 1), got {gamma}")
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    if tolerance <= 0:
-        raise ValidationError(f"threshold_tolerance must be > 0, got {tolerance}")
 
     if not os.path.exists(args.model):
         raise DataError(f"model file not found: {args.model}")
     model = BehaviorModel.load(args.model)
     solver_config = SolverConfig(gamma=gamma, horizon=horizon, kappa=model.kappa,
-                                 streak_bounds=model.factors.bounds,
-                                 threshold_tolerance=tolerance)
+                                 streak_bounds=model.factors.bounds)
     table = solve_policy(model, solver_config)
 
-    resolved = {"model": args.model, "gamma": gamma, "horizon": horizon,
-                "threshold_tolerance": tolerance}
+    resolved = {"model": args.model, "gamma": gamma, "horizon": horizon}
     payload = table.to_dict()
     payload["provenance"] = _provenance("solve", resolved, {"model": args.model})
     _write_json(args.out, payload)
@@ -225,6 +220,8 @@ def _build_treatment(entry: dict, base_dir: str) -> Treatment:
 
 
 def cmd_simulate(args) -> int:
+    if args.threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {args.threads}")
     sim_cfg_dict = _load_json(args.sim_config, "simulation config")
     if args.seed is not None:
         sim_cfg_dict["master_seed"] = args.seed
@@ -241,14 +238,11 @@ def cmd_simulate(args) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.treatments))
     treatments = [_build_treatment(e, base_dir) for e in entries]
 
-    if args.threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {args.threads}")
-    report = run_experiment(config, treatments, threads=args.threads,
-                            keep_events=args.emit_log)
+    report = run_experiment(config, treatments, keep_events=args.emit_log)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    # thread count is an execution detail with no effect on results; keeping
-    # it out of the echo keeps reports byte-identical across thread counts
+    # --threads has no effect; keeping it out of the echo keeps reports
+    # byte-identical whatever value it is given
     resolved = {"sim_config": args.sim_config, "treatments": args.treatments,
                 "seed": config.master_seed}
     payload = report.to_dict()
@@ -297,8 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--config", help="JSON file with default parameters")
     solve.add_argument("--gamma", type=float, help="discount factor in [0, 1) (default 0.9)")
     solve.add_argument("--horizon", type=int, help="decision opportunities (default 250)")
-    solve.add_argument("--tolerance", type=float,
-                       help="binary-search resolution (default 1e-6)")
     solve.add_argument("--out", required=True, help="output policy JSON path "
                                                     "(a .csv sibling is written too)")
 
@@ -316,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--treatments", required=True, help="treatments JSON")
     simp.add_argument("--seed", type=int, help="override the config master seed")
     simp.add_argument("--threads", type=int, default=1,
-                      help="worker threads (results are identical for any count)")
+                      help="accepted for compatibility and ignored: the simulator "
+                           "runs on one thread")
     simp.add_argument("--emit-log", action="store_true", dest="emit_log",
                       help="also write each treatment's event stream as JSONL")
     simp.add_argument("--out-dir", required=True, dest="out_dir",

@@ -49,17 +49,16 @@ class SolverConfig:
     """Knobs for the long-term-value solver.
 
     gamma discounts future opens per decision opportunity; horizon is the
-    number of remaining opportunities the backward recursion unrolls;
-    kappa records the causal fraction the behavior model was scaled with;
-    threshold_tolerance is the binary-search resolution for policy
-    thresholds.
+    number of remaining opportunities the backward recursion unrolls,
+    stored as an int; kappa records the causal fraction the behavior model
+    was scaled with. Thresholds are exact roots, so there is no search
+    resolution to configure.
     """
 
     gamma: float = 0.9
     horizon: int = 250
     kappa: float = 1.0
     streak_bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS
-    threshold_tolerance: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -68,8 +67,7 @@ class SolverConfig:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError(f"kappa must be in [0, 1], got {self.kappa}")
-        if self.threshold_tolerance <= 0.0:
-            raise ValueError("threshold_tolerance must be > 0")
+        object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "streak_bounds", validate_streak_bounds(self.streak_bounds))
 
     def to_dict(self) -> dict:
@@ -78,7 +76,6 @@ class SolverConfig:
             "horizon": self.horizon,
             "kappa": self.kappa,
             "streak_bounds": list(self.streak_bounds),
-            "threshold_tolerance": self.threshold_tolerance,
         }
 
     @classmethod
@@ -88,7 +85,6 @@ class SolverConfig:
             horizon=int(d["horizon"]),
             kappa=float(d.get("kappa", 1.0)),
             streak_bounds=tuple(d.get("streak_bounds", DEFAULT_STREAK_BOUNDS)),
-            threshold_tolerance=float(d.get("threshold_tolerance", 1e-6)),
         )
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -449,14 +448,13 @@ def fit_sim_calibration(config: SimConfig,
 
 
 def run_experiment(config: SimConfig, treatments: list[Treatment],
-                   calibration: CalibrationMap | None = None, threads: int = 1,
+                   calibration: CalibrationMap | None = None,
                    keep_events: bool = False) -> ExperimentReport:
     """Run every treatment on identically-seeded populations and compare.
 
-    Users are independent state machines, so treatment runs may be spread
-    over worker threads; per-user streams are derived from (master_seed,
-    user index) and results are aggregated in user-index order, making the
-    report identical for any thread count.
+    Per-user streams are derived from (master_seed, user index) and results
+    are aggregated in user-index order, so identical inputs give identical
+    reports.
     """
     names = [t.name for t in treatments]
     if len(set(names)) != len(names):
@@ -473,16 +471,9 @@ def run_experiment(config: SimConfig, treatments: list[Treatment],
     all_events: dict[str, list[NotificationEvent]] = {}
     for treatment in treatments:
         limits = config.send_limits.with_extra_adjustment(treatment.limit_adjustment)
-
-        def worker(index, _decide=treatment.decide, _limits=limits):
-            return _simulate_user(config, index, _decide, calibration, _limits,
-                                  factors_eff, config.days, keep_events)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                stats = list(pool.map(worker, range(config.num_users)))
-        else:
-            stats = [worker(i) for i in range(config.num_users)]
+        stats = [_simulate_user(config, i, treatment.decide, calibration, limits,
+                                factors_eff, config.days, keep_events)
+                 for i in range(config.num_users)]
 
         total_sends = sum(s.sends for s in stats)
         total_opens = sum(s.opens for s in stats)

@@ -1,17 +1,18 @@
 """Finite-horizon send/skip solver.
 
-Works backward from the horizon over the (user type, streak, steps
-remaining) state space. Sending a notification with open probability p
-either extends the open streak (probability min(f*p, 1), immediate reward
-1) or breaks it; skipping keeps the streak and only discounts the future.
-Future notifications enter only through their open probability, and the
-recursion is linear in that probability, so every expectation over future
-scores collapses to the per-type mean score -- which is what makes the
-value function memoizable on (type, streak, steps).
+Works backward from the horizon over the (user type, streak) grid, one
+array step per decision opportunity. Sending a notification with open
+probability p either extends the open streak (probability min(f*p, 1),
+immediate reward 1) or breaks it; skipping keeps the streak and only
+discounts the future. Future notifications enter only through their open
+probability, and the recursion is linear in that probability, so every
+expectation over future scores collapses to the per-type mean score and
+the value function depends only on (type, streak, steps remaining).
 
 The policy itself is a table of score thresholds: for each (type, streak)
-cell, binary search finds the smallest calibrated score at which sending is
-worth at least as much as skipping.
+cell, the smallest calibrated score at which sending is worth at least as
+much as skipping. The send advantage is linear in the score below the
+probability clip, so that score is the exact root of a linear function.
 """
 
 from __future__ import annotations
@@ -19,145 +20,79 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .behavior import BehaviorModel
-from .core import SolverConfig, advance_streak, clamp_streak
-
-logger = logging.getLogger(__name__)
+from .core import SolverConfig, clamp_streak
 
 # threshold meaning "no score justifies sending"; any score compares below it
 NEVER_SEND = math.inf
 
-ValueMemo = dict
 
-
-def q_send(model: BehaviorModel, config: SolverConfig, user_type: int, streak: int,
-           p, steps: int, memo: ValueMemo):
-    """Value of sending a notification with open probability p.
-
-    p may be a scalar or a numpy array (the recursion is evaluated
-    pointwise either way). The open branch advances the streak and earns 1
-    now; the ignore branch breaks it; both continue at the discounted state
-    value of the next decision.
-    """
-    f = model.factors.factor(user_type, streak)
-    fp = f * p
-    if isinstance(fp, np.ndarray):
-        p_open = np.minimum(fp, 1.0)
-    else:
-        p_open = fp if fp < 1.0 else 1.0
-    bounds = config.streak_bounds
-    up = advance_streak(streak, 1, bounds)
-    down = advance_streak(streak, 0, bounds)
-    gamma = config.gamma
-    v_up = state_value(model, config, user_type, up, steps - 1, memo)
-    v_down = state_value(model, config, user_type, down, steps - 1, memo)
-    return p_open * (1.0 + gamma * v_up) + (1.0 - p_open) * (gamma * v_down)
-
-
-def q_skip(model: BehaviorModel, config: SolverConfig, user_type: int, streak: int,
-           steps: int, memo: ValueMemo) -> float:
-    """Value of not sending: the streak stays put, the future is discounted."""
-    return config.gamma * state_value(model, config, user_type, streak, steps - 1, memo)
-
-
-def state_value(model: BehaviorModel, config: SolverConfig, user_type: int, streak: int,
-                steps: int, memo: ValueMemo) -> float:
-    """Optimal value with `steps` decision opportunities left.
-
-    Future notifications are represented by the type-mean open probability,
-    so V depends only on (type, streak, steps). Values are filled bottom-up
-    into the memo for all streaks of the requested type, which keeps every
-    later lookup O(1) and avoids deep recursion at production horizons.
-    """
-    if steps <= 0:
-        return 0.0
+def _grid(model: BehaviorModel, config: SolverConfig):
+    """Factors over the solver's streak bounds, the type-mean open column,
+    and the column each streak moves to after an open (up) or an ignore
+    (down)."""
     lo, hi = config.streak_bounds
-    streak = clamp_streak(streak, (lo, hi))
-    key = (user_type, streak, steps)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    ybar = model.type_mean_open[user_type]
-    for k in range(1, steps + 1):
-        for s in range(lo, hi + 1):
-            cell = (user_type, s, k)
-            if cell in memo:
-                continue
-            send = q_send(model, config, user_type, s, ybar, k, memo)
-            skip = q_skip(model, config, user_type, s, k, memo)
-            memo[cell] = send if send >= skip else skip
-    return memo[key]
+    mlo, mhi = model.factors.bounds
+    if lo < mlo or hi > mhi:
+        raise ValueError(
+            f"solver bounds {config.streak_bounds} exceed model bounds {model.factors.bounds}")
+    missing = [c for c in model.types if c not in model.type_mean_open]
+    if missing:
+        raise ValueError(f"model has no mean open rate for type(s) {missing}")
+    streaks = np.arange(lo, hi + 1)
+    up = np.minimum(np.maximum(streaks, 0) + 1, hi) - lo
+    down = np.maximum(np.minimum(streaks, 0) - 1, lo) - lo
+    factors = model.factors.factors[:, lo - mlo:hi - mlo + 1]
+    ybar = np.array([[model.type_mean_open[c]] for c in model.types], dtype=float)
+    return factors, ybar, up, down
 
 
-def _advantage(model, config, user_type, streak, p, memo) -> float:
-    steps = config.horizon
-    return (q_send(model, config, user_type, streak, p, steps, memo)
-            - q_skip(model, config, user_type, streak, steps, memo))
+def _send_value(p_open, next_values, up, down, gamma):
+    return (p_open * (1.0 + gamma * next_values[:, up])
+            + (1.0 - p_open) * (gamma * next_values[:, down]))
 
 
-def find_threshold(model: BehaviorModel, config: SolverConfig, user_type: int,
-                   streak: int, memo: ValueMemo | None = None) -> float:
-    """Smallest calibrated score at which sending beats (or ties) skipping.
+def q_send(model: BehaviorModel, config: SolverConfig, next_values: np.ndarray, p):
+    """Value of sending a notification with open probability p, per cell.
 
-    The advantage of sending is linear in the score below the probability
-    clip and flat above it, hence non-decreasing whenever the open-branch
-    continuation is not catastrophically worse than the ignore branch; the
-    slope is checked and a grid scan at the tolerance resolution takes over
-    if it ever comes out negative. Returns 0 when sending always wins and
-    NEVER_SEND when even a perfect score loses.
+    next_values holds the state values one step later, shape (len(types),
+    n_streaks); p broadcasts against that grid. The open branch advances
+    the streak and earns 1 now; the ignore branch breaks it.
     """
-    if memo is None:
-        memo = {}
-    if _advantage(model, config, user_type, streak, 0.0, memo) >= 0.0:
-        return 0.0
-    if _advantage(model, config, user_type, streak, 1.0, memo) < 0.0:
-        return NEVER_SEND
+    factors, _, up, down = _grid(model, config)
+    return _send_value(np.minimum(factors * p, 1.0), next_values, up, down, config.gamma)
 
-    bounds = config.streak_bounds
+
+def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.ndarray:
+    """Optimal values with `steps` decision opportunities left, for every
+    (type, streak) cell at once: shape (len(types), n_streaks).
+
+    Future notifications are represented by the type-mean open probability.
+    Each step keeps the larger of sending and skipping, ties going to send.
+    """
+    factors, ybar, up, down = _grid(model, config)
     gamma = config.gamma
-    steps = config.horizon
-    v_up = state_value(model, config, user_type,
-                       advance_streak(streak, 1, bounds), steps - 1, memo)
-    v_down = state_value(model, config, user_type,
-                         advance_streak(streak, 0, bounds), steps - 1, memo)
-    if 1.0 + gamma * (v_up - v_down) < 0.0:
-        logger.warning(
-            "advantage slope negative for type %d streak %d; "
-            "falling back to grid scan", user_type, streak)
-        return _grid_scan(model, config, user_type, streak, memo)
-
-    lo, hi = 0.0, 1.0
-    tol = config.threshold_tolerance
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _advantage(model, config, user_type, streak, mid, memo) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _grid_scan(model, config, user_type, streak, memo) -> float:
-    n = int(math.ceil(1.0 / config.threshold_tolerance))
-    for i in range(n + 1):
-        p = i / n
-        if _advantage(model, config, user_type, streak, p, memo) >= 0.0:
-            return p
-    return NEVER_SEND
+    p_open = np.minimum(factors * ybar, 1.0)
+    values = np.zeros(factors.shape)
+    for _ in range(steps):
+        send = _send_value(p_open, values, up, down, gamma)
+        skip = gamma * values
+        values = np.where(send >= skip, send, skip)
+    return values
 
 
 @dataclass
 class PolicyTable:
     """Solved send thresholds per (user type, streak), plus the config used.
 
-    thresholds has shape (len(types), n_streaks); math.inf marks cells
-    where sending is never worthwhile.
+    thresholds has shape (len(types), n_streaks) and holds calibrated scores
+    in [0, 1]; math.inf (NEVER_SEND) marks cells where sending is never
+    worthwhile. Anything else, NaN included, is rejected.
     """
 
     config: SolverConfig
@@ -171,6 +106,9 @@ class PolicyTable:
         shape = (len(self.types), hi - lo + 1)
         if self.thresholds.shape != shape:
             raise ValueError(f"thresholds must have shape {shape}")
+        t = self.thresholds
+        if not np.all(((t >= 0.0) & (t <= 1.0)) | (t == NEVER_SEND)):
+            raise ValueError("thresholds must lie in [0, 1] or be never-send (+inf)")
         self._row_of = {c: i for i, c in enumerate(self.types)}
 
     def threshold(self, user_type: int, streak: int) -> float:
@@ -225,21 +163,25 @@ class PolicyTable:
 def solve_policy(model: BehaviorModel, config: SolverConfig) -> PolicyTable:
     """Solve one threshold per (type, streak) cell.
 
-    Deterministic: cells are visited in sorted order with one shared memo
-    per type, so identical inputs produce bit-identical tables.
+    A cell whose advantage of sending over skipping is non-negative at score
+    0 always sends (threshold 0); one whose advantage is negative even at
+    score 1 never sends. Between the two the advantage rises linearly and
+    the threshold is its root gamma (V - V_down) / (f (1 + gamma (V_up -
+    V_down))), with V, V_up and V_down the next-step values of staying,
+    opening and ignoring. Identical inputs give bit-identical tables.
     """
-    lo, hi = config.streak_bounds
-    mlo, mhi = model.factors.bounds
-    if lo < mlo or hi > mhi:
-        raise ValueError(
-            f"solver bounds {config.streak_bounds} exceed model bounds {model.factors.bounds}")
-    for c in model.types:
-        if c not in model.type_mean_open:
-            raise ValueError(f"model has no mean open rate for type {c}")
-
-    thresholds = np.empty((len(model.types), hi - lo + 1))
-    for i, c in enumerate(model.types):
-        memo: ValueMemo = {}
-        for s in range(lo, hi + 1):
-            thresholds[i, s - lo] = find_threshold(model, config, c, s, memo)
+    values = state_values(model, config, config.horizon - 1)
+    factors, _, up, down = _grid(model, config)
+    gamma = config.gamma
+    skip = gamma * values
+    always = q_send(model, config, values, 0.0) - skip >= 0.0
+    never = q_send(model, config, values, 1.0) - skip < 0.0
+    # a perfect score sends in every remaining cell; the root refines that
+    thresholds = np.where(always, 0.0, np.where(never, NEVER_SEND, 1.0))
+    v_down = values[:, down]
+    slope = factors * (1.0 + gamma * (values[:, up] - v_down))
+    root = ~always & ~never & (slope > 0.0)
+    np.divide(gamma * (values - v_down), slope, out=thresholds, where=root)
+    # rounding can push the root a hair past 1, where sending already wins
+    np.minimum(thresholds, 1.0, out=thresholds, where=root)
     return PolicyTable(config=config, types=model.types, thresholds=thresholds)

@@ -29,7 +29,6 @@ from notif_ltv import (
     decide_no_filter,
     decide_rl,
     estimate_factors,
-    find_threshold,
     fit_isotonic,
     fit_sim_calibration,
     monotone_project,
@@ -37,7 +36,7 @@ from notif_ltv import (
     read_log,
     run_experiment,
     solve_policy,
-    state_value,
+    state_values,
     warmup_events,
 )
 from notif_ltv.cli import main as cli_main
@@ -110,19 +109,19 @@ def test_c2_solver_matches_exhaustive_tree_oracle():
             ybars[c] = float(rng.uniform(0.05, 0.95))
             fmap.update({(c, s): f for s, f in fs.items() if s != 0})
         model = make_model(fmap, ybars, bounds, types=types)
-        cfg = SolverConfig(gamma=gamma, horizon=horizon, streak_bounds=bounds,
-                           threshold_tolerance=1e-6)
-        memo = {}
-        for c in types:
+        cfg = SolverConfig(gamma=gamma, horizon=horizon, streak_bounds=bounds)
+        values = state_values(model, cfg, horizon)
+        table = solve_policy(model, cfg)
+        for i, c in enumerate(types):
             for s in range(-bound, bound + 1):
                 want_v = tree_value_oracle(oracle_factors[c], ybars[c], gamma,
                                            bounds, s, horizon)
-                got_v = state_value(model, cfg, c, s, horizon, memo)
+                got_v = values[i, s + bound]
                 assert abs(got_v - want_v) <= 1e-9, f"trial {trial} V({c},{s})"
 
                 want_t = threshold_oracle(oracle_factors[c], ybars[c], gamma,
                                           bounds, s, horizon)
-                got_t = find_threshold(model, cfg, c, s, memo)
+                got_t = table.threshold(c, s)
                 if want_t is None:
                     continue  # flat advantage; no root to compare
                 if want_t == NEVER:
@@ -157,10 +156,10 @@ def test_c3_monte_carlo_expectation_matches_mean_score_value():
         delta = 0.95 * min(ybar, 1.0 - ybar, max(1.0 / f - ybar, 0.0))
         if delta <= 1e-6 or f * (ybar + delta) > 1.0:
             continue
-        memo = {}
+        nxt = state_values(model, cfg, cfg.horizon - 1)
         samples = rng.uniform(ybar - delta, ybar + delta, size=n_samples)
-        q_samples = q_send(model, cfg, 1, s, samples, cfg.horizon, memo)
-        q_mean = q_send(model, cfg, 1, s, ybar, cfg.horizon, memo)
+        q_samples = q_send(model, cfg, nxt, samples[:, None, None])[:, 0, s + bound]
+        q_mean = q_send(model, cfg, nxt, ybar)[0, s + bound]
         mc_mean = float(np.mean(q_samples))
         sem = float(np.std(q_samples)) / math.sqrt(n_samples)
         assert abs(mc_mean - q_mean) <= 3.0 * sem + 1e-12

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from notif_ltv import (
+    BehaviorModel,
     CalibrationMap,
     FactorTable,
     FlatRecord,
@@ -237,6 +238,14 @@ class TestBehaviorModel:
         loaded = type(model).load(path)
         assert np.array_equal(loaded.factors.factors, model.factors.factors)
         assert loaded.type_mean_open == model.type_mean_open
+
+    @pytest.mark.parametrize("bad", [-0.4, 1.5, float("nan")])
+    def test_rejects_mean_open_outside_unit_interval(self, bad):
+        doc = BehaviorModel(factors=FactorTable.neutral(bounds=(-2, 2), types=(1,)),
+                            kappa=1.0, type_mean_open={1: 0.3}).to_dict()
+        doc["type_mean_open"]["1"] = bad
+        with pytest.raises(ValueError):
+            BehaviorModel.from_dict(doc)
 
     def test_projection_applied_before_kappa(self):
         # one noisy positive branch; after fit, branch must be monotone and

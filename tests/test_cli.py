@@ -1,10 +1,12 @@
 """End-to-end command behavior, exit codes, and artifact determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from notif_ltv import PolicyTable, SolverConfig
 from notif_ltv.cli import main
 
 
@@ -92,6 +94,13 @@ class TestSolve:
     def test_invalid_gamma_is_validation_error(self, model_path, tmp_path):
         assert run(["solve", model_path, "--gamma", "1.0",
                     "--out", tmp_path / "p.json"]) == 1
+
+    def test_mean_open_outside_unit_interval_is_data_error(self, model_path, tmp_path):
+        doc = json.loads(model_path.read_text())
+        doc["type_mean_open"]["3"] = -0.4
+        model_path.write_text(json.dumps(doc))
+        assert run(["solve", model_path, "--out", tmp_path / "p.json"]) == 2
+        assert not (tmp_path / "p.json").exists()
 
     def test_missing_model_names_path(self, tmp_path, capsys):
         missing = tmp_path / "ghost.json"
@@ -191,6 +200,25 @@ class TestSimulate:
             {"name": "x", "policy": "no_filter"}]))
         assert run(["simulate", "--sim-config", sim_config_path,
                     "--treatments", bad, "--out-dir", tmp_path / "o"]) == 2
+
+    def test_rl_table_outside_unit_interval_is_data_error(self, sim_config_path, tmp_path):
+        table = PolicyTable(config=SolverConfig(streak_bounds=(-4, 4)), types=(1, 2),
+                            thresholds=np.full((2, 9), 0.3))
+        doc = table.to_dict()
+        doc["thresholds"]["1"][:3] = [math.nan, -0.5, 7.0]
+        (tmp_path / "policy.json").write_text(json.dumps(doc))
+        rl = tmp_path / "rl.json"
+        rl.write_text(json.dumps([
+            {"name": "heuristic", "policy": "heuristic", "baseline": True,
+             "thresholds": {"1": 0.3, "2": 0.25}},
+            {"name": "rl", "policy": "rl", "table_path": "policy.json"}]))
+        assert run(["simulate", "--sim-config", sim_config_path,
+                    "--treatments", rl, "--out-dir", tmp_path / "o"]) == 2
+
+    def test_zero_threads_fails_validation_before_reading(self, tmp_path):
+        missing = tmp_path / "nope.json"
+        assert run(["simulate", "--sim-config", missing, "--treatments", missing,
+                    "--out-dir", tmp_path / "o", "--threads", "0"]) == 1
 
     def test_unknown_policy_rejected(self, sim_config_path, tmp_path):
         bad = tmp_path / "bad.json"

@@ -82,13 +82,17 @@ class TestSolverConfig:
         {"horizon": 0},
         {"kappa": 1.5},
         {"kappa": -0.2},
-        {"threshold_tolerance": 0.0},
+        {"horizon": 2.5},
         {"streak_bounds": (0, 15)},
         {"streak_bounds": (-15, 0)},
     ])
     def test_rejects_out_of_domain_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_integral_float_horizon_is_stored_as_int(self):
+        cfg = SolverConfig(horizon=5.0)
+        assert cfg.horizon == 5 and type(cfg.horizon) is int
 
 
 class TestSendLimitConfig:

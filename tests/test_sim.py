@@ -180,13 +180,6 @@ class TestRunExperiment:
                                 calibration=identity_map())
         assert report.result("nf").reachability_proxy < 1.0
 
-    def test_thread_count_does_not_change_report(self):
-        cfg = small_config(num_users=60)
-        treatments = lambda: [Treatment("nf", decide_no_filter, baseline=True)]  # noqa: E731
-        r1 = run_experiment(cfg, treatments(), calibration=identity_map(), threads=1)
-        r4 = run_experiment(cfg, treatments(), calibration=identity_map(), threads=4)
-        assert r1.to_dict() == r4.to_dict()
-
     def test_send_limit_never_exceeded_per_user_day(self):
         cfg = small_config(passes_per_day=4,
                            send_limits=SendLimitConfig(limits={1: 2, 2: 1}))

@@ -1,4 +1,4 @@
-"""Backward recursion, threshold search, and policy table contracts."""
+"""Backward induction, threshold roots, and policy table contracts."""
 
 import math
 
@@ -9,11 +9,9 @@ from notif_ltv import (
     NEVER_SEND,
     PolicyTable,
     SolverConfig,
-    find_threshold,
     q_send,
-    q_skip,
     solve_policy,
-    state_value,
+    state_values,
 )
 from conftest import make_model
 from oracles import NEVER, threshold_oracle, tree_value_oracle
@@ -24,84 +22,80 @@ def config_for(model, **kwargs):
     return SolverConfig(**kwargs)
 
 
+def col(cfg, streak):
+    return streak - cfg.streak_bounds[0]
+
+
+def advantage(model, cfg, p):
+    """Send-minus-skip value at score p (broadcast against the grid) with
+    the full horizon left."""
+    nxt = state_values(model, cfg, cfg.horizon - 1)
+    return q_send(model, cfg, nxt, p) - cfg.gamma * nxt
+
+
 class TestQFunctions:
     def test_send_at_last_step_is_clipped_open_probability(self, small_model):
         cfg = config_for(small_model, gamma=0.9)
-        q = q_send(small_model, cfg, 1, 1, 0.5, steps=1, memo={})
-        assert q == pytest.approx(1.2 * 0.5)
+        q = q_send(small_model, cfg, state_values(small_model, cfg, 0), 0.5)
+        assert q[0, col(cfg, 1)] == pytest.approx(1.2 * 0.5)
 
     def test_send_with_zero_gamma_is_myopic(self, small_model):
         cfg = config_for(small_model, gamma=0.0)
-        q = q_send(small_model, cfg, 1, -1, 0.7, steps=5, memo={})
-        assert q == pytest.approx(min(0.8 * 0.7, 1.0))
+        q = q_send(small_model, cfg, state_values(small_model, cfg, 4), 0.7)
+        assert q[0, col(cfg, -1)] == pytest.approx(min(0.8 * 0.7, 1.0))
 
     def test_send_with_zero_score_keeps_only_ignore_branch(self, small_model):
         cfg = config_for(small_model, gamma=0.9)
-        memo = {}
-        q = q_send(small_model, cfg, 1, 0, 0.0, steps=3, memo=memo)
-        v_down = state_value(small_model, cfg, 1, -1, 2, memo)
-        assert q == pytest.approx(0.9 * v_down)
+        nxt = state_values(small_model, cfg, 2)
+        q = q_send(small_model, cfg, nxt, 0.0)
+        assert q[0, col(cfg, 0)] == pytest.approx(0.9 * nxt[0, col(cfg, -1)])
 
     def test_open_probability_clips_at_one(self):
         model = make_model({(1, 1): 3.0}, ybar=0.5, bounds=(-1, 1))
         cfg = config_for(model, gamma=0.0)
-        assert q_send(model, cfg, 1, 1, 0.9, steps=1, memo={}) == pytest.approx(1.0)
-
-    def test_skip_at_last_step_is_zero(self, small_model):
-        cfg = config_for(small_model, gamma=0.9)
-        assert q_skip(small_model, cfg, 1, 1, steps=1, memo={}) == 0.0
-
-    def test_skip_with_zero_gamma_is_zero(self, small_model):
-        cfg = config_for(small_model, gamma=0.0)
-        assert q_skip(small_model, cfg, 1, 0, steps=7, memo={}) == 0.0
-
-    def test_skip_ignores_current_notification_entirely(self, small_model):
-        # no score argument exists; value depends only on the state
-        cfg = config_for(small_model, gamma=0.9)
-        memo = {}
-        v = state_value(small_model, cfg, 1, 1, 3, memo)
-        assert q_skip(small_model, cfg, 1, 1, steps=4, memo=memo) == pytest.approx(0.9 * v)
+        q = q_send(model, cfg, state_values(model, cfg, 0), 0.9)
+        assert q[0, col(cfg, 1)] == pytest.approx(1.0)
 
     def test_q_send_accepts_vectorized_scores(self, small_model):
         cfg = config_for(small_model, gamma=0.9)
-        memo = {}
+        nxt = state_values(small_model, cfg, 3)
         ps = np.array([0.0, 0.3, 0.9])
-        vec = q_send(small_model, cfg, 1, 1, ps, steps=4, memo=memo)
-        sca = [q_send(small_model, cfg, 1, 1, float(p), 4, memo) for p in ps]
+        vec = q_send(small_model, cfg, nxt, ps[:, None, None])
+        sca = [q_send(small_model, cfg, nxt, float(p)) for p in ps]
+        assert vec.shape == (3, 1, 3)
         assert np.allclose(vec, sca, atol=0)
 
 
 class TestStateValue:
     def test_zero_steps_is_zero(self, small_model):
         cfg = config_for(small_model)
-        assert state_value(small_model, cfg, 1, 0, 0, {}) == 0.0
+        values = state_values(small_model, cfg, 0)
+        assert values.shape == (1, 3)
+        assert np.all(values == 0.0)
 
     def test_neutral_factors_make_value_streak_independent(self):
         model = make_model({}, ybar=0.4, bounds=(-5, 5))  # f == 1 everywhere
         cfg = config_for(model, gamma=0.9)
-        memo = {}
-        values = [state_value(model, cfg, 1, s, 12, memo) for s in range(-5, 6)]
+        values = state_values(model, cfg, 12)[0]
         assert max(values) - min(values) == 0.0
 
     def test_small_instance_matches_tree_oracle(self, small_model):
         cfg = config_for(small_model, gamma=0.9)
         factors = {-1: 0.8, 0: 1.0, 1: 1.2}
-        memo = {}
+        values = state_values(small_model, cfg, 3)
         for s in (-1, 0, 1):
             want = tree_value_oracle(factors, 0.5, 0.9, (-1, 1), s, 3)
-            got = state_value(small_model, cfg, 1, s, 3, memo)
-            assert got == pytest.approx(want, abs=1e-12)
+            assert values[0, col(cfg, s)] == pytest.approx(want, abs=1e-12)
 
     def test_value_bounds_and_monotone_in_steps(self, small_model):
         cfg = config_for(small_model, gamma=0.9)
-        memo = {}
-        for s in (-1, 0, 1):
-            prev = 0.0
-            for steps in range(1, 30):
-                v = state_value(small_model, cfg, 1, s, steps, memo)
-                assert 0.0 <= v <= (1 - 0.9 ** steps) / (1 - 0.9) + 1e-12
-                assert v >= prev - 1e-12
-                prev = v
+        prev = np.zeros((1, 3))
+        for steps in range(1, 30):
+            v = state_values(small_model, cfg, steps)
+            assert np.all(v >= 0.0)
+            assert np.all(v <= (1 - 0.9 ** steps) / (1 - 0.9) + 1e-12)
+            assert np.all(v >= prev - 1e-12)
+            prev = v
 
     def test_value_monotone_in_streak_for_monotone_factors(self):
         factor_map = {}
@@ -110,35 +104,35 @@ class TestStateValue:
             factor_map[(1, -s)] = 1.0 - 0.05 * s
         model = make_model(factor_map, ybar=0.35, bounds=(-5, 5))
         cfg = config_for(model, gamma=0.9)
-        memo = {}
-        values = [state_value(model, cfg, 1, s, 40, memo) for s in range(-5, 6)]
+        values = state_values(model, cfg, 40)[0]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestFindThreshold:
+    """The thresholds solve_policy finds, cell by cell."""
+
     def test_zero_gamma_sends_everything(self, small_model):
         cfg = config_for(small_model, gamma=0.0)
-        for s in (-1, 0, 1):
-            assert find_threshold(small_model, cfg, 1, s) == 0.0
+        assert np.all(solve_policy(small_model, cfg).thresholds == 0.0)
 
     def test_neutral_factors_send_everything(self):
         model = make_model({}, ybar=0.5, bounds=(-3, 3))
         cfg = config_for(model, gamma=0.9)
-        for s in range(-3, 4):
-            assert find_threshold(model, cfg, 1, s) == 0.0
+        assert np.all(solve_policy(model, cfg).thresholds == 0.0)
 
     def test_matches_closed_form_root_from_oracle_values(self, small_model):
-        cfg = config_for(small_model, gamma=0.9, horizon=3, threshold_tolerance=1e-6)
+        cfg = config_for(small_model, gamma=0.9, horizon=3)
         factors = {-1: 0.8, 0: 1.0, 1: 1.2}
+        table = solve_policy(small_model, cfg)
         for s in (-1, 0, 1):
             want = threshold_oracle(factors, 0.5, 0.9, (-1, 1), s, 3)
-            got = find_threshold(small_model, cfg, 1, s)
+            got = table.threshold(1, s)
             if want == NEVER:
                 assert got == NEVER_SEND
             elif want == 0.0:
                 assert got == 0.0
             else:
-                assert got == pytest.approx(want, abs=1e-6)
+                assert got == pytest.approx(want, abs=1e-12)
 
     def test_thresholds_never_exceed_type_mean_score(self):
         # sending at the type-mean score always beats pure waiting (the
@@ -156,10 +150,34 @@ class TestFindThreshold:
             model = make_model(fmap, ybar, (-bound, bound))
             cfg = config_for(model, gamma=float(rng.uniform(0, 0.95)),
                              horizon=int(rng.integers(1, 9)))
-            for s in range(-bound, bound + 1):
-                t = find_threshold(model, cfg, 1, s)
-                assert t != NEVER_SEND
-                assert t <= ybar + cfg.threshold_tolerance
+            thresholds = solve_policy(model, cfg).thresholds
+            assert np.all(thresholds != NEVER_SEND)
+            assert np.all(thresholds <= ybar)
+
+    @pytest.mark.parametrize("horizon", [250, 1000])
+    def test_full_scale_roots_are_the_smallest_sending_scores(self, horizon):
+        # every interior threshold t is where the advantage crosses zero:
+        # sending at t does not lose, sending just below t does
+        rng = np.random.default_rng(2024)
+        types = tuple(range(1, 7))
+        fmap = {}
+        for c in types:
+            rise = np.sort(rng.uniform(1.0, 1.6, size=15))
+            fall = np.sort(rng.uniform(0.3, 1.0, size=15))[::-1]
+            for s in range(1, 16):
+                fmap[(c, s)] = float(rise[s - 1])
+                fmap[(c, -s)] = float(fall[s - 1])
+        ybar = {c: float(rng.uniform(0.02, 0.6)) for c in types}
+        model = make_model(fmap, ybar, (-15, 15), types=types)
+        cfg = config_for(model, gamma=0.95, horizon=horizon)
+        t = solve_policy(model, cfg).thresholds
+        interior = (t > 0.0) & np.isfinite(t)
+        assert t.shape == (6, 31)
+        assert interior.sum() >= 10
+        at = advantage(model, cfg, np.where(interior, t, 0.0))
+        below = advantage(model, cfg, np.where(interior, t - 1e-9, 0.0))
+        assert np.all(at[interior] >= -1e-12)
+        assert np.all(below[interior] < 0.0)
 
 
 class TestSolvePolicy:
@@ -215,6 +233,20 @@ class TestPolicyTable:
         assert np.array_equal(loaded.thresholds, table.thresholds)
         assert loaded.config == table.config
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, 7.0, -math.inf])
+    def test_rejects_values_outside_unit_interval_or_never_send(self, bad):
+        thresholds = np.array([[0.1, 0.2, bad, 0.4, NEVER_SEND]])
+        with pytest.raises(ValueError):
+            PolicyTable(config=SolverConfig(streak_bounds=(-2, 2)), types=(1,),
+                        thresholds=thresholds)
+
+    def test_legacy_threshold_tolerance_key_still_loads(self):
+        doc = self.make_table().to_dict()
+        doc["config"]["threshold_tolerance"] = 1e-6
+        loaded = PolicyTable.from_dict(doc)
+        assert loaded.config == self.make_table().config
+        assert np.array_equal(loaded.thresholds, self.make_table().thresholds)
+
     def test_csv_has_row_per_cell(self):
         text = self.make_table().to_csv_text()
         lines = text.strip().split("\n")
@@ -248,11 +280,11 @@ class TestOracleEquivalenceSweep:
                         model_map[(c, s)] = f
             model = make_model(model_map, ybars, bounds, types=types)
             cfg = config_for(model, gamma=gamma, horizon=horizon)
-            memo = {}
-            for c in types:
+            values = state_values(model, cfg, horizon)
+            for i, c in enumerate(types):
                 for s in range(-bound, bound + 1):
                     want = tree_value_oracle(factor_maps[c], ybars[c], gamma,
                                              bounds, s, horizon)
-                    got = state_value(model, cfg, c, s, horizon, memo)
+                    got = values[i, s + bound]
                     assert got == pytest.approx(want, abs=1e-9), \
                         f"trial {trial} type {c} streak {s}"
