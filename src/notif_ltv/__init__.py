@@ -47,11 +47,13 @@ from .policy import (
     decide_rl,
 )
 from .sim import (
+    BlockState,
     ExperimentReport,
     SimConfig,
     SimUser,
     Treatment,
     TreatmentResult,
+    UserBlock,
     events_to_jsonl,
     fit_sim_calibration,
     generate_population,
@@ -71,11 +73,11 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BehaviorModel", "CalibrationMap", "DecisionContext", "DEFAULT_STREAK_BOUNDS",
+    "BehaviorModel", "BlockState", "CalibrationMap", "DecisionContext", "DEFAULT_STREAK_BOUNDS",
     "ExperimentReport", "FactorTable", "FlatRecord", "HeuristicThresholds",
     "LogParseError", "MissingTypeError", "NEVER_SEND", "NotificationEvent",
     "PolicyTable", "SendLimitConfig", "SimConfig", "SimUser", "SolverConfig",
-    "Treatment", "TreatmentResult", "USER_TYPES", "UserBaseline", "UserLog",
+    "Treatment", "TreatmentResult", "USER_TYPES", "UserBaseline", "UserBlock", "UserLog",
     "advance_streak", "apply_calibration", "apply_kappa", "build_dataset",
     "clamp_streak", "decide_heuristic", "decide_no_filter", "decide_rl",
     "estimate_baseline", "estimate_factors", "events_to_jsonl",

@@ -53,8 +53,8 @@ class FactorTable:
         shape = (len(self.types), n_streaks)
         if self.factors.shape != shape or self.counts.shape != shape:
             raise ValueError(f"factor/count arrays must have shape {shape}")
-        if np.any(self.factors <= 0.0):
-            raise ValueError("factors must be strictly positive")
+        if not np.all(np.isfinite(self.factors) & (self.factors > 0.0)):
+            raise ValueError("factors must be finite and strictly positive")
         self._row_of = {c: i for i, c in enumerate(self.types)}
 
     @classmethod

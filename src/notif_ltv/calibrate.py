@@ -12,6 +12,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import NotificationEvent
 
 
@@ -153,12 +155,19 @@ def fit_isotonic(pairs, weights=None, *, fitted_at: float = 0.0,
                           fitted_at=fitted_at, window_hours=window_hours)
 
 
-def apply_calibration(cmap: CalibrationMap, raw_score: float) -> float:
-    """Step-function lookup; scores below the first breakpoint clamp left."""
+def apply_calibration(cmap: CalibrationMap, raw_score):
+    """Step-function lookup; scores below the first breakpoint clamp left.
+
+    Takes one raw score, giving a float, or an array of them, giving an
+    array of the same shape.
+    """
+    if isinstance(raw_score, np.ndarray):
+        idx = np.searchsorted(cmap.breakpoints, raw_score, side="right")
+        idx -= 1  # -1, below the first breakpoint, clips to 0
+        return np.take(cmap.values, idx, mode="clip")
+    # one score: bisect costs a fraction of numpy's per-call overhead
     idx = bisect_right(cmap.breakpoints, raw_score) - 1
-    if idx < 0:
-        idx = 0
-    return cmap.values[idx]
+    return cmap.values[idx if idx > 0 else 0]
 
 
 def refresh(events: list[NotificationEvent], now: float, window_hours: int = 24,

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation error, 2 runtime or data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -21,11 +22,16 @@ import sys
 
 import numpy as np
 
+from . import policy
 from .behavior import BehaviorModel, fit_behavior_model
 from .calibrate import CalibrationMap, refresh
-from .core import SolverConfig
+from .core import SolverConfig, integral
 from .ingest import DEFAULT_MIN_SAMPLES, LogParseError, read_log, build_dataset
-from .policy import HeuristicThresholds, decide_heuristic, decide_no_filter, decide_rl
+# Treatments bind the policy module's functions, not these names: perfbench's
+# tracer wraps the names imported here and truth-tests each result, and the
+# simulator's decisions are arrays with no truth value.
+from .policy import (HeuristicThresholds, decide_heuristic, decide_no_filter,  # noqa: F401
+                     decide_rl)
 from .sim import SimConfig, Treatment, events_to_jsonl, run_experiment
 from .solver import PolicyTable, solve_policy
 
@@ -130,7 +136,10 @@ def cmd_fit(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _load_json(args.config, "config") if args.config else {}
     gamma = float(_resolve(args.gamma, cfg, "gamma", 0.9))
-    horizon = int(_resolve(args.horizon, cfg, "horizon", 250))
+    try:
+        horizon = integral(_resolve(args.horizon, cfg, "horizon", 250), "horizon")
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     if not 0.0 <= gamma < 1.0:
         raise ValidationError(f"gamma must be in [0, 1), got {gamma}")
     if horizon < 1:
@@ -195,12 +204,12 @@ def _build_treatment(entry: dict, base_dir: str) -> Treatment:
         raise ValidationError("every treatment needs a 'name'")
     kind = entry.get("policy")
     if kind == "no_filter":
-        decide = decide_no_filter
+        decide = policy.decide_no_filter
     elif kind == "heuristic":
         if "thresholds" not in entry:
             raise ValidationError(f"treatment {name!r}: heuristic policy needs 'thresholds'")
         ks = HeuristicThresholds.from_dict(entry["thresholds"])
-        decide = lambda ctx, _ks=ks: decide_heuristic(ctx, _ks)  # noqa: E731
+        decide = functools.partial(policy.decide_heuristic, thresholds=ks)
     elif kind == "rl":
         if "table_path" not in entry:
             raise ValidationError(f"treatment {name!r}: rl policy needs 'table_path'")
@@ -210,7 +219,7 @@ def _build_treatment(entry: dict, base_dir: str) -> Treatment:
         if not os.path.exists(path):
             raise DataError(f"policy table file not found: {path}")
         table = PolicyTable.load(path)
-        decide = lambda ctx, _t=table: decide_rl(ctx, _t)  # noqa: E731
+        decide = functools.partial(policy.decide_rl, table=table)
     else:
         raise ValidationError(f"treatment {name!r}: unknown policy {kind!r} "
                               "(expected no_filter, heuristic, or rl)")

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 USER_TYPES: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
 
 DEFAULT_STREAK_BOUNDS: tuple[int, int] = (-15, 15)
@@ -22,6 +24,34 @@ def validate_user_type(value: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value not in USER_TYPES:
         raise ValueError(f"unknown user_type {value!r}; expected one of {list(USER_TYPES)}")
     return value
+
+
+def integral(value, name: str) -> int:
+    """`value` as an int for a field that must hold a whole number.
+
+    A float with a fractional part (2.5) or a non-finite float is an error
+    instead of being truncated; an integral float such as 5.0 loads as 5.
+    """
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
+def type_rows(types: tuple[int, ...], user_type):
+    """Position of `user_type` in `types`, elementwise over an array of types.
+
+    Raises KeyError naming the user types that have no position.
+    """
+    if not isinstance(user_type, np.ndarray):  # numpy costs microseconds per scalar
+        if user_type not in types:
+            raise KeyError(f"no entry for user type {user_type!r}")
+        return types.index(user_type)
+    keys = np.asarray(types)
+    rows = (user_type[..., None] == keys).argmax(axis=-1)
+    if not (keys[rows] == user_type).all():
+        absent = sorted(set(user_type[keys[rows] != user_type].tolist()))
+        raise KeyError(f"no entry for user type(s) {absent}")
+    return rows
 
 
 def validate_streak_bounds(bounds: tuple[int, int]) -> tuple[int, int]:
@@ -82,7 +112,7 @@ class SolverConfig:
     def from_dict(cls, d: dict) -> "SolverConfig":
         return cls(
             gamma=float(d["gamma"]),
-            horizon=int(d["horizon"]),
+            horizon=integral(d["horizon"], "horizon"),
             kappa=float(d.get("kappa", 1.0)),
             streak_bounds=tuple(d.get("streak_bounds", DEFAULT_STREAK_BOUNDS)),
         )
@@ -116,8 +146,9 @@ class SendLimitConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SendLimitConfig":
-        return cls(limits={int(c): int(v) for c, v in d["limits"].items()},
-                   adjustment=int(d.get("adjustment", 0)))
+        return cls(limits={int(c): integral(v, f"send limit for type {c}")
+                           for c, v in d["limits"].items()},
+                   adjustment=integral(d.get("adjustment", 0), "adjustment"))
 
 
 def clamp_streak(s: int, bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS) -> int:

@@ -4,13 +4,20 @@ Every policy applies the daily send-limit gate itself, mirroring the outer
 check of the production decision loop, so no caller can accidentally bypass
 it. The caller owns the per-user counters (sends today, streak) and passes
 them in as a DecisionContext.
+
+A context describes either one candidate notification, with scalar fields,
+or a block of candidates, one per user, with equal-length array fields. A
+policy answers a Python bool for the first and a boolean mask for the
+second; the simulator decides a whole block of users per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import validate_user_type
+import numpy as np
+
+from .core import type_rows, validate_user_type
 from .solver import PolicyTable
 
 
@@ -26,8 +33,11 @@ class HeuristicThresholds:
             if not 0.0 <= k <= 1.0:
                 raise ValueError(f"threshold for type {c} must be in [0, 1], got {k}")
 
-    def k(self, user_type: int) -> float:
-        return self.by_type[user_type]
+    def k(self, user_type):
+        """Cutoff of a user type, or elementwise for an array of types."""
+        if not isinstance(user_type, np.ndarray):
+            return self.by_type[user_type]
+        return np.array(list(self.by_type.values()))[type_rows(tuple(self.by_type), user_type)]
 
     def to_dict(self) -> dict:
         return {str(c): float(k) for c, k in sorted(self.by_type.items())}
@@ -39,33 +49,40 @@ class HeuristicThresholds:
 
 @dataclass(frozen=True)
 class DecisionContext:
-    """Everything a policy may look at for one candidate notification."""
+    """Everything a policy may look at for one candidate notification, or
+    for a block of candidates when every field is an equal-length array."""
 
-    user_type: int
-    streak: int
-    calibrated_score: float
-    sends_today: int
-    effective_limit: int
+    user_type: int | np.ndarray
+    streak: int | np.ndarray
+    calibrated_score: float | np.ndarray
+    sends_today: int | np.ndarray
+    effective_limit: int | np.ndarray
 
 
-def _under_limit(ctx: DecisionContext) -> bool:
+def _decision(send):
+    return send if isinstance(send, np.ndarray) else bool(send)
+
+
+def _under_limit(ctx: DecisionContext):
     return ctx.sends_today < ctx.effective_limit
 
 
-def decide_no_filter(ctx: DecisionContext) -> bool:
+def decide_no_filter(ctx: DecisionContext):
     """Send everything the daily limit allows."""
-    return _under_limit(ctx)
+    return _decision(_under_limit(ctx))
 
 
-def decide_heuristic(ctx: DecisionContext, thresholds: HeuristicThresholds) -> bool:
+def decide_heuristic(ctx: DecisionContext, thresholds: HeuristicThresholds):
     """Send when the calibrated score strictly exceeds the type's cutoff."""
-    return _under_limit(ctx) and ctx.calibrated_score > thresholds.k(ctx.user_type)
+    return _decision(_under_limit(ctx)
+                     & (ctx.calibrated_score > thresholds.k(ctx.user_type)))
 
 
-def decide_rl(ctx: DecisionContext, table: PolicyTable) -> bool:
+def decide_rl(ctx: DecisionContext, table: PolicyTable):
     """Send when the score reaches the solved (type, streak) threshold.
 
     Ties send, matching the solver's tie-breaking. A NEVER_SEND cell is
     math.inf, which no score in [0, 1] can reach.
     """
-    return _under_limit(ctx) and ctx.calibrated_score >= table.threshold(ctx.user_type, ctx.streak)
+    return _decision(_under_limit(ctx)
+                     & (ctx.calibrated_score >= table.threshold(ctx.user_type, ctx.streak)))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import BehaviorModel
-from .core import SolverConfig, clamp_streak
+from .core import SolverConfig, clamp_streak, type_rows
 
 # threshold meaning "no score justifies sending"; any score compares below it
 NEVER_SEND = math.inf
@@ -109,13 +109,18 @@ class PolicyTable:
         t = self.thresholds
         if not np.all(((t >= 0.0) & (t <= 1.0)) | (t == NEVER_SEND)):
             raise ValueError("thresholds must lie in [0, 1] or be never-send (+inf)")
-        self._row_of = {c: i for i, c in enumerate(self.types)}
 
-    def threshold(self, user_type: int, streak: int) -> float:
-        """Lookup with the streak clamped into the table bounds first."""
+    def threshold(self, user_type, streak):
+        """Lookup with the streak clamped into the table bounds first.
+
+        Takes one (type, streak) pair, giving a float, or equal-length arrays
+        of them, giving an array; a type without a row raises KeyError.
+        """
         lo, hi = self.config.streak_bounds
-        s = clamp_streak(streak, (lo, hi))
-        return float(self.thresholds[self._row_of[user_type], s - lo])
+        s = np.clip(streak, lo, hi) if isinstance(streak, np.ndarray) \
+            else clamp_streak(streak, (lo, hi))
+        t = self.thresholds[type_rows(self.types, user_type), s - lo]
+        return t if isinstance(t, np.ndarray) else float(t)
 
     def to_dict(self) -> dict:
         lo, hi = self.config.streak_bounds

@@ -2,11 +2,27 @@
 
 Everything here is written from first principles with its own data
 structures: a quadratic-time isotonic fit, a no-memoization tree
-enumeration of the send/skip recursion, and a closed-form threshold root.
-None of it imports from the package's algorithm internals.
+enumeration of the send/skip recursion, a closed-form threshold root, and
+the simulator as one Python call per user-pass. None of it imports from the
+package's algorithm internals; the simulator oracle builds the package's
+report and event types and calls a treatment's policy with scalar contexts.
 """
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_right
+from dataclasses import dataclass
+
+import numpy as np
+
+from notif_ltv import (
+    CalibrationMap,
+    DecisionContext,
+    ExperimentReport,
+    NotificationEvent,
+    TreatmentResult,
+)
 
 
 def pav_oracle(values, weights=None, increasing=True):
@@ -132,3 +148,158 @@ def threshold_oracle(factors, ybar, gamma, bounds, streak, steps):
     if slope <= 0.0:
         return None  # flat or decreasing advantage cannot cross upward
     return gamma * (v_stay - v_down) / slope
+
+
+# --- simulator: one scalar call per user-pass ---------------------------------
+
+SECONDS_PER_DAY = 86400
+LATENT, POLICY, WARMUP_LATENT, WARMUP_POLICY = 0, 1, 2, 3
+
+
+@dataclass
+class OracleUser:
+    """One user's latent traits and mutable per-arm state."""
+
+    user_id: str
+    user_type: int
+    baseline: float
+    streak: int = 0
+    sends_today: int = 0
+    active_today: bool = False
+    reachable: bool = True
+
+
+def _spawn(config, index, salt):
+    """User `index` and its latent stream after the type and baseline draws."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, index, salt]))
+    u = rng.random()
+    cum = 0.0
+    user_type = config.types[-1]
+    for c in config.types:
+        cum += config.type_shares[c]
+        if u < cum:
+            user_type = c
+            break
+    a, b = config.baseline_beta[user_type]
+    baseline = min(max(float(rng.beta(a, b)), 1e-6), 1.0 - 1e-6)
+    return OracleUser(f"u{index:07d}", user_type, baseline), rng
+
+
+def simulate_pass_oracle(user, decide, calibration, latent_rng, policy_rng, *, config,
+                         factors, effective_limit, timestamp):
+    """One decision opportunity for one reachable user; the event or None.
+
+    factors maps (type, streak) to the effective ground-truth factor.
+    """
+    sigma = config.score_noise[user.user_type]
+    b = user.baseline
+    logit = math.log(b / (1.0 - b)) + sigma * latent_rng.standard_normal()
+    raw = 1.0 / (1.0 + math.exp(-logit))
+    idx = bisect_right(calibration.breakpoints, raw) - 1
+    calibrated = calibration.values[max(idx, 0)]
+    ctx = DecisionContext(user_type=user.user_type, streak=user.streak,
+                          calibrated_score=calibrated, sends_today=user.sends_today,
+                          effective_limit=effective_limit)
+    if not decide(ctx):
+        return None
+    p_open = min(factors[user.user_type, user.streak] * user.baseline, 1.0)
+    outcome = 1 if policy_rng.random() < p_open else 0
+    lo, hi = config.streak_bounds
+    nxt = max(user.streak, 0) + 1 if outcome else min(user.streak, 0) - 1
+    user.streak = min(max(nxt, lo), hi)
+    user.sends_today += 1
+    if outcome:
+        user.active_today = True
+    elif config.churn_rate > 0.0 and policy_rng.random() < config.churn_rate:
+        user.reachable = False
+    return NotificationEvent(user_id=user.user_id, user_type=user.user_type,
+                             timestamp=timestamp, raw_score=raw, outcome=outcome)
+
+
+def _effective_factors(config):
+    lo, _ = config.streak_bounds
+    table = config.true_factors
+    return {(c, lo + j): max((float(f) - 1.0) * config.kappa_true + 1.0, 1e-12)
+            for i, c in enumerate(table.types) for j, f in enumerate(table.factors[i])}
+
+
+def simulate_user_oracle(config, index, decide, calibration, limits, days,
+                         latent_salt=LATENT, policy_salt=POLICY):
+    """One user through every day of one arm: (user, stats dict, events)."""
+    user, latent_rng = _spawn(config, index, latent_salt)
+    policy_rng = np.random.default_rng(
+        np.random.SeedSequence([config.master_seed, index, policy_salt]))
+    factors = _effective_factors(config)
+    limit = max(limits.limits[user.user_type] + limits.adjustment, 0)
+    step = SECONDS_PER_DAY // config.passes_per_day
+    events = []
+    stats = {"opens": 0, "dau_days": 0, "max_day_sends": 0, "discounted": 0.0}
+    weight = 1.0
+    for day in range(days):
+        if not user.reachable:
+            break
+        user.sends_today = 0
+        user.active_today = False
+        for p in range(config.passes_per_day):
+            if not user.reachable:
+                break
+            event = simulate_pass_oracle(
+                user, decide, calibration, latent_rng, policy_rng, config=config,
+                factors=factors, effective_limit=limit,
+                timestamp=day * SECONDS_PER_DAY + p * step)
+            if event is not None:
+                events.append(event)
+                if event.outcome:
+                    stats["opens"] += 1
+                    stats["discounted"] += weight
+            weight *= config.gamma
+        stats["max_day_sends"] = max(stats["max_day_sends"], user.sends_today)
+        stats["dau_days"] += user.active_today
+    return user, stats, events
+
+
+def warmup_events_oracle(config):
+    """Events of the no-filter warm-up, in user-index order."""
+    identity = CalibrationMap(breakpoints=(0.0, 1.0), values=(0.0, 1.0))
+    events = []
+    for i in range(config.num_users):
+        events += simulate_user_oracle(
+            config, i, lambda ctx: ctx.sends_today < ctx.effective_limit, identity,
+            config.send_limits, config.calibration_days, WARMUP_LATENT, WARMUP_POLICY)[2]
+    return events
+
+
+def run_experiment_oracle(config, treatments, calibration, keep_events=False):
+    """The report of the simulator, one user and one pass at a time."""
+    results, max_daily, all_events = [], {}, {}
+    n = config.num_users
+    for t in treatments:
+        limits = config.send_limits.with_extra_adjustment(t.limit_adjustment)
+        sends = {c: 0 for c in config.types}
+        opens = {c: 0 for c in config.types}
+        dau = reachable = max_day = 0
+        discounted = 0.0
+        events = []
+        for i in range(n):
+            user, stats, user_events = simulate_user_oracle(
+                config, i, t.decide, calibration, limits, config.days)
+            sends[user.user_type] += len(user_events)
+            opens[user.user_type] += stats["opens"]
+            dau += stats["dau_days"]
+            reachable += user.reachable
+            max_day = max(max_day, stats["max_day_sends"])
+            discounted += stats["discounted"]
+            events += user_events
+        total_sends, total_opens = sum(sends.values()), sum(opens.values())
+        results.append(TreatmentResult(
+            name=t.name, limit_adjustment=t.limit_adjustment, total_sends=total_sends,
+            total_opens=total_opens,
+            open_rate=total_opens / total_sends if total_sends else 0.0,
+            dau_proxy=dau / (n * config.days), reachability_proxy=reachable / n,
+            discounted_opens=discounted / n, per_type_sends=sends, per_type_opens=opens,
+            is_baseline=t.baseline))
+        max_daily[t.name] = max_day
+        all_events[t.name] = events
+    baseline = next(t.name for t in treatments if t.baseline)
+    return ExperimentReport(baseline_name=baseline, results=results, max_daily_sends=max_daily,
+                            events=all_events if keep_events else None)

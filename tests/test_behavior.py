@@ -239,6 +239,13 @@ class TestBehaviorModel:
         assert np.array_equal(loaded.factors.factors, model.factors.factors)
         assert loaded.type_mean_open == model.type_mean_open
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_factor_table_rejects_non_finite_or_non_positive_factors(self, bad):
+        doc = FactorTable.neutral(bounds=(-2, 2), types=(1,)).to_dict()
+        doc["factors"]["1"][3] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            FactorTable.from_dict(doc)
+
     @pytest.mark.parametrize("bad", [-0.4, 1.5, float("nan")])
     def test_rejects_mean_open_outside_unit_interval(self, bad):
         doc = BehaviorModel(factors=FactorTable.neutral(bounds=(-2, 2), types=(1,)),

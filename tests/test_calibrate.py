@@ -114,6 +114,21 @@ class TestApplyCalibration:
         ys = [apply_calibration(cmap, x) for x in xs]
         assert all(b >= a for a, b in zip(ys, ys[1:]))
 
+    @given(st.data())
+    def test_array_matches_elementwise_scalar_calls(self, data):
+        """Scores below the first breakpoint and exactly on breakpoints included."""
+        n = data.draw(st.integers(1, 6))
+        bps = sorted(data.draw(st.sets(st.floats(0.05, 1, allow_nan=False),
+                                       min_size=n, max_size=n)))
+        vals = sorted(data.draw(st.lists(st.floats(0, 1, allow_nan=False),
+                                         min_size=n, max_size=n)))
+        cmap = CalibrationMap(breakpoints=tuple(bps), values=tuple(vals))
+        scores = data.draw(st.lists(st.one_of(st.floats(0, 1), st.sampled_from(bps),
+                                              st.floats(0, 0.05)), min_size=1, max_size=30))
+        got = apply_calibration(cmap, np.array(scores).reshape(1, -1))
+        assert got.shape == (1, len(scores))
+        assert got[0].tolist() == [apply_calibration(cmap, x) for x in scores]
+
 
 class TestRefresh:
     def make_events(self, times, score=0.5, outcome=1):

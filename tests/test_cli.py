@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from notif_ltv import PolicyTable, SolverConfig
+from notif_ltv import PolicyTable, SolverConfig, ramp_factor_table
 from notif_ltv.cli import main
 
 
@@ -101,6 +101,19 @@ class TestSolve:
         model_path.write_text(json.dumps(doc))
         assert run(["solve", model_path, "--out", tmp_path / "p.json"]) == 2
         assert not (tmp_path / "p.json").exists()
+
+    def test_non_finite_factor_is_data_error(self, model_path, tmp_path):
+        doc = json.loads(model_path.read_text())
+        doc["factors"]["2"][4] = math.nan
+        model_path.write_text(json.dumps(doc))
+        assert run(["solve", model_path, "--out", tmp_path / "p.json"]) == 2
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("horizon, code", [(2.5, 1), (5.0, 0)])
+    def test_config_horizon_must_be_integral(self, model_path, tmp_path, horizon, code):
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"horizon": horizon}))
+        assert run(["solve", model_path, "--config", cfg, "--out", tmp_path / "p.json"]) == code
 
     def test_missing_model_names_path(self, tmp_path, capsys):
         missing = tmp_path / "ghost.json"
@@ -219,6 +232,28 @@ class TestSimulate:
         missing = tmp_path / "nope.json"
         assert run(["simulate", "--sim-config", missing, "--treatments", missing,
                     "--out-dir", tmp_path / "o", "--threads", "0"]) == 1
+
+    def test_non_finite_true_factor_is_validation_error(self, sim_config_path,
+                                                       treatments_path, tmp_path):
+        doc = json.loads(sim_config_path.read_text())
+        table = ramp_factor_table((-4, 4), {1: (0.7, 1.2), 2: (0.8, 1.1)}).to_dict()
+        table["factors"]["2"][6] = math.nan
+        del doc["factor_ramps"]
+        doc["true_factors"] = table
+        sim_config_path.write_text(json.dumps(doc))
+        assert run(["simulate", "--sim-config", sim_config_path, "--treatments",
+                    treatments_path, "--out-dir", tmp_path / "o"]) == 1
+
+    @pytest.mark.parametrize("key, value", [("days", 2.5), ("send_limits",
+                                            {"limits": {"1": 2, "2": 1.5}})])
+    def test_fractional_integer_field_is_validation_error(self, sim_config_path,
+                                                          treatments_path, tmp_path,
+                                                          key, value):
+        doc = json.loads(sim_config_path.read_text())
+        doc[key] = value
+        sim_config_path.write_text(json.dumps(doc))
+        assert run(["simulate", "--sim-config", sim_config_path, "--treatments",
+                    treatments_path, "--out-dir", tmp_path / "o"]) == 1
 
     def test_unknown_policy_rejected(self, sim_config_path, tmp_path):
         bad = tmp_path / "bad.json"

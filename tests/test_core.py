@@ -94,6 +94,11 @@ class TestSolverConfig:
         cfg = SolverConfig(horizon=5.0)
         assert cfg.horizon == 5 and type(cfg.horizon) is int
 
+    def test_from_dict_rejects_fractional_horizon(self):
+        with pytest.raises(ValueError, match="horizon"):
+            SolverConfig.from_dict({"gamma": 0.9, "horizon": 2.5})
+        assert SolverConfig.from_dict({"gamma": 0.9, "horizon": 5.0}).horizon == 5
+
 
 class TestSendLimitConfig:
     def test_effective_limit_adds_adjustment(self):
@@ -116,3 +121,14 @@ class TestSendLimitConfig:
     def test_rejects_unknown_type(self):
         with pytest.raises(ValueError):
             SendLimitConfig(limits={7: 3})
+
+    @pytest.mark.parametrize("doc", [{"limits": {"1": 2.5}},
+                                     {"limits": {"1": 2}, "adjustment": -0.5},
+                                     {"limits": {"1": float("inf")}}])
+    def test_from_dict_rejects_fractional_values(self, doc):
+        with pytest.raises(ValueError):
+            SendLimitConfig.from_dict(doc)
+
+    def test_from_dict_loads_integral_floats(self):
+        cfg = SendLimitConfig.from_dict({"limits": {"1": 3.0}, "adjustment": -1.0})
+        assert cfg.limits == {1: 3} and cfg.adjustment == -1

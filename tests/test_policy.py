@@ -1,5 +1,7 @@
 """Decision-gate semantics shared by the simulator and the CLI."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -111,3 +113,37 @@ def test_all_policies_respect_send_limit(scores, limit):
             if decide(ctx(score=score, sends=sends, limit=limit)):
                 sends += 1
         assert sends <= limit
+
+
+# table over streaks -3..3 for types 1 and 2, with never-send cells
+ARRAY_TABLE = PolicyTable(
+    config=SolverConfig(streak_bounds=(-3, 3)), types=(1, 2),
+    thresholds=np.array([[NEVER_SEND, 0.7, 0.5, 0.3, 0.2, 0.1, 0.0],
+                         [NEVER_SEND, NEVER_SEND, 0.9, 0.6, 0.4, 0.25, 0.25]]))
+ARRAY_KS = HeuristicThresholds(by_type={1: 0.3, 2: 0.6})
+# scores exactly on a cutoff or a threshold, plus anything in [0, 1]
+SCORES = st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.6, 0.7, 1.0]))
+
+
+@given(st.lists(st.tuples(st.sampled_from([1, 2]), st.integers(-8, 8), SCORES,
+                          st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=40))
+def test_array_contexts_match_elementwise_scalar_calls(rows):
+    """Streaks run past the table bounds and limits include 0."""
+    types, streaks, scores, sends, limits = (np.array(col) for col in zip(*rows))
+    block = DecisionContext(user_type=types, streak=streaks, calibrated_score=scores,
+                            sends_today=sends, effective_limit=limits)
+    for decide in (decide_no_filter, partial(decide_heuristic, thresholds=ARRAY_KS),
+                   partial(decide_rl, table=ARRAY_TABLE)):
+        mask = decide(block)
+        assert mask.dtype == bool and mask.shape == types.shape
+        assert mask.tolist() == [decide(ctx(*row)) for row in rows]
+    assert ARRAY_TABLE.threshold(types, streaks).tolist() == \
+        [ARRAY_TABLE.threshold(c, s) for c, s in zip(types.tolist(), streaks.tolist())]
+    assert ARRAY_KS.k(types).tolist() == [ARRAY_KS.k(c) for c in types.tolist()]
+
+
+def test_array_lookups_reject_types_without_a_row():
+    with pytest.raises(KeyError, match=r"\[3\]"):
+        ARRAY_TABLE.threshold(np.array([1, 3]), np.array([0, 0]))
+    with pytest.raises(KeyError):
+        ARRAY_KS.k(np.array([2, 5]))

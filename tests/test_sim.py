@@ -1,22 +1,33 @@
 """Synthetic population determinism, pass mechanics, and harness metrics."""
 
+from functools import partial
+
 import numpy as np
 import pytest
+from oracles import run_experiment_oracle, warmup_events_oracle
 
 from notif_ltv import (
+    NEVER_SEND,
     CalibrationMap,
+    HeuristicThresholds,
+    PolicyTable,
     SendLimitConfig,
     SimConfig,
+    SolverConfig,
     Treatment,
+    decide_heuristic,
     decide_no_filter,
+    decide_rl,
     events_to_jsonl,
+    fit_isotonic,
     fit_sim_calibration,
     generate_population,
     ramp_factor_table,
     run_experiment,
     simulate_pass,
+    warmup_events,
 )
-from notif_ltv.sim import SimUser, _spawn_user
+from notif_ltv.sim import BLOCK_USERS, BlockState, UserBlock
 
 
 def small_config(**overrides):
@@ -68,6 +79,16 @@ class TestGeneratePopulation:
         with pytest.raises(ValueError):
             small_config(num_users=0)
 
+    @pytest.mark.parametrize("key", ["num_users", "days", "passes_per_day",
+                                     "calibration_days", "master_seed"])
+    def test_from_dict_rejects_fractional_integer_fields(self, key):
+        doc = small_config().to_dict()
+        doc[key] = 2.5
+        with pytest.raises(ValueError, match=key):
+            SimConfig.from_dict(doc)
+        doc[key] = 3.0
+        assert getattr(SimConfig.from_dict(doc), key) == 3
+
     def test_degenerate_share_assigns_single_type(self):
         cfg = small_config(type_shares={1: 1.0, 2: 0.0})
         assert {u.user_type for u in generate_population(cfg)} == {1}
@@ -78,36 +99,39 @@ class TestGeneratePopulation:
 
 
 class TestSimulatePass:
-    def run_pass(self, user, decide, cfg, limit=5):
-        _, latent = _spawn_user(cfg, user.index, 0)
-        policy_rng = np.random.default_rng(7)
-        return simulate_pass(user, decide, identity_map(), latent, policy_rng,
-                             config=cfg, factors=cfg.true_factors,
-                             effective_limit=limit, timestamp=0)
+    def run_pass(self, decide, cfg, *, streak=0, sends_today=0, limit=5):
+        """One pass of a one-user block (type 1, baseline 0.4)."""
+        block = UserBlock(index=np.array([0]), rows=np.array([0]), user_type=np.array([1]),
+                          baseline=np.array([0.4]), raw_scores=np.array([[0.5]]),
+                          uniforms=np.random.default_rng(7).random((1, 2)))
+        state = BlockState.start(block, np.array([limit]))
+        state.streak[:] = streak
+        state.sends_today[:] = sends_today
+        sent, opened = simulate_pass(state, decide, np.array([0.5]),
+                                     factors=cfg.true_factors.factors,
+                                     bounds=cfg.streak_bounds, churn_rate=cfg.churn_rate)
+        return state, sent, opened
 
     def test_no_filter_under_limit_always_sends(self):
         cfg = small_config()
-        user = SimUser("u0", 0, 1, 0.4)
-        event = self.run_pass(user, decide_no_filter, cfg)
-        assert event is not None
-        assert user.sends_today == 1
+        state, sent, _ = self.run_pass(decide_no_filter, cfg)
+        assert sent.tolist() == [0]
+        assert state.sends_today[0] == 1
 
     def test_at_limit_no_event_and_streak_unchanged(self):
         cfg = small_config()
-        user = SimUser("u0", 0, 1, 0.4, streak=3, sends_today=5)
-        event = self.run_pass(user, decide_no_filter, cfg, limit=5)
-        assert event is None
-        assert user.streak == 3
-        assert user.sends_today == 5
+        state, sent, _ = self.run_pass(decide_no_filter, cfg, streak=3, sends_today=5, limit=5)
+        assert sent.size == 0
+        assert state.streak[0] == 3
+        assert state.sends_today[0] == 5
 
     def test_outcome_advances_streak(self):
         cfg = small_config()
-        user = SimUser("u0", 0, 1, 0.4, streak=-2)
-        event = self.run_pass(user, decide_no_filter, cfg)
-        if event.outcome:
-            assert user.streak == 1
+        state, _, opened = self.run_pass(decide_no_filter, cfg, streak=-2)
+        if opened[0]:
+            assert state.streak[0] == 1
         else:
-            assert user.streak == -3
+            assert state.streak[0] == -3
 
     def test_neutral_kappa_true_means_baseline_open_rate(self):
         # with kappa_true=0 the effective factor table is all ones, so the
@@ -264,3 +288,42 @@ def test_report_table_and_csv_render():
     csv_text = report.to_per_type_csv()
     assert csv_text.startswith("treatment,user_type,sends,opens")
     assert len(csv_text.strip().split("\n")) == 1 + 2 * 2  # two treatments x two types
+
+
+def test_array_simulator_matches_scalar_oracle():
+    """Reports, event streams and the warm-up equal the one-call-per-user-pass
+    oracle exactly, on a run with churn, limit adjustments of +1 and -1 (the
+    latter taking type 1's limit to 0), the heuristic, an rl table with
+    never-send cells and narrower streak bounds, and no_filter, over more
+    than two blocks of users."""
+    cfg = small_config(num_users=2 * BLOCK_USERS + 37, days=3, passes_per_day=3,
+                       churn_rate=0.15, send_limits=SendLimitConfig(limits={1: 1, 2: 3}))
+    thresholds = np.random.default_rng(5).uniform(0.0, 0.6, size=(2, 5))
+    thresholds[1, :2] = NEVER_SEND  # type 2 stops after any ignore
+    table = PolicyTable(config=SolverConfig(streak_bounds=(-2, 2)), types=(1, 2),
+                        thresholds=thresholds)
+    ks = HeuristicThresholds(by_type={1: 0.2, 2: 0.35})
+    treatments = [
+        Treatment("heuristic", partial(decide_heuristic, thresholds=ks), baseline=True),
+        Treatment("no_filter_plus1", decide_no_filter, limit_adjustment=1),
+        Treatment("no_filter_minus1", decide_no_filter, limit_adjustment=-1),
+        Treatment("rl", partial(decide_rl, table=table)),
+    ]
+    warmup = warmup_events(cfg)
+    assert warmup == warmup_events_oracle(cfg)
+    calibration = fit_isotonic([(e.raw_score, e.outcome) for e in warmup], window_hours=24)
+    assert fit_sim_calibration(cfg) == calibration
+
+    report = run_experiment(cfg, treatments, keep_events=True)
+    want = run_experiment_oracle(cfg, treatments, calibration, keep_events=True)
+    assert report.to_dict() == want.to_dict()
+    assert report.max_daily_sends == want.max_daily_sends
+    assert report.events == want.events
+
+    # the run exercises what it claims to
+    assert min(r.reachability_proxy for r in report.results) < 1.0
+    assert report.result("no_filter_minus1").per_type_sends[1] == 0
+    assert report.result("no_filter_minus1").per_type_sends[2] > 0
+    rl_type2 = [e for e in report.events["rl"] if e.user_type == 2]
+    assert 0 < len(rl_type2) < len([e for e in report.events["no_filter_plus1"]
+                                    if e.user_type == 2])
