@@ -28,17 +28,7 @@ from .core import (
     clamp_streak,
     streak_after_skip,
 )
-from .ingest import (
-    FlatRecord,
-    LogParseError,
-    UserBaseline,
-    UserLog,
-    build_dataset,
-    estimate_baseline,
-    flatten,
-    read_log,
-    split_halves,
-)
+from .ingest import LogParseError, RecordSet, SendLog, build_dataset, read_log
 from .policy import (
     DecisionContext,
     HeuristicThresholds,
@@ -74,16 +64,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BehaviorModel", "BlockState", "CalibrationMap", "DecisionContext", "DEFAULT_STREAK_BOUNDS",
-    "ExperimentReport", "FactorTable", "FlatRecord", "HeuristicThresholds",
+    "ExperimentReport", "FactorTable", "HeuristicThresholds",
     "LogParseError", "MissingTypeError", "NEVER_SEND", "NotificationEvent",
-    "PolicyTable", "SendLimitConfig", "SimConfig", "SimUser", "SolverConfig",
-    "Treatment", "TreatmentResult", "USER_TYPES", "UserBaseline", "UserBlock", "UserLog",
+    "PolicyTable", "RecordSet", "SendLimitConfig", "SendLog", "SimConfig", "SimUser",
+    "SolverConfig", "Treatment", "TreatmentResult", "USER_TYPES", "UserBlock",
     "advance_streak", "apply_calibration", "apply_kappa", "build_dataset",
     "clamp_streak", "decide_heuristic", "decide_no_filter", "decide_rl",
-    "estimate_baseline", "estimate_factors", "events_to_jsonl",
-    "fit_behavior_model", "fit_isotonic", "fit_sim_calibration", "flatten",
+    "estimate_factors", "events_to_jsonl",
+    "fit_behavior_model", "fit_isotonic", "fit_sim_calibration",
     "generate_population", "monotone_project", "pav", "q_send",
     "ramp_factor_table", "read_log", "refresh", "run_experiment", "simulate_pass",
-    "solve_policy", "split_halves", "state_values", "streak_after_skip",
+    "solve_policy", "state_values", "streak_after_skip",
     "summarize_types", "warmup_events",
 ]

@@ -7,6 +7,10 @@ type c. Factors are estimated as a ratio of observed opens to the opens the
 baselines alone would predict, projected onto a monotone shape (rising with
 positive streaks, falling with negative ones), and finally shrunk toward 1
 by the causal fraction kappa, since the raw estimate is correlational.
+
+Records arrive as the columns of a `RecordSet`. The per-cell and per-type
+sums (`np.add.at`, `np.bincount`) add in record order, so they equal a
+loop over the records bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrate import CalibrationMap, apply_calibration, pav
-from .core import DEFAULT_STREAK_BOUNDS, USER_TYPES, validate_streak_bounds
-from .ingest import FlatRecord
+from .core import DEFAULT_STREAK_BOUNDS, USER_TYPES, type_rows, validate_streak_bounds
+from .ingest import RecordSet
 
 # keeps estimated factors strictly positive even for all-ignore cells
 _FACTOR_FLOOR = 1e-12
@@ -103,7 +107,7 @@ class FactorTable:
                    counts=np.array([d["counts"][str(c)] for c in types], dtype=np.int64))
 
 
-def estimate_factors(records: list[FlatRecord],
+def estimate_factors(records: RecordSet,
                      bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS,
                      types: tuple[int, ...] = USER_TYPES) -> FactorTable:
     """Ratio estimator for the streak factors.
@@ -114,20 +118,17 @@ def estimate_factors(records: list[FlatRecord],
     predict. Cells with no records stay at the neutral factor 1, and the
     streak-0 column is pinned to 1 regardless of data.
     """
-    if not records:
+    if len(records) == 0:
         raise ValueError("cannot estimate factors from an empty record set")
     bounds = validate_streak_bounds(bounds)
     n_streaks = bounds[1] - bounds[0] + 1
-    row_of = {c: i for i, c in enumerate(types)}
+    cell = (type_rows(types, records.user_type), records.streak - bounds[0])
     opens = np.zeros((len(types), n_streaks))
     expected = np.zeros((len(types), n_streaks))
     counts = np.zeros((len(types), n_streaks), dtype=np.int64)
-    for rec in records:
-        row = row_of[rec.user_type]
-        col = rec.streak - bounds[0]
-        opens[row, col] += rec.outcome
-        expected[row, col] += rec.baseline_rate
-        counts[row, col] += 1
+    np.add.at(opens, cell, records.outcome)
+    np.add.at(expected, cell, records.baseline_rate)
+    np.add.at(counts, cell, 1)
     factors = np.ones((len(types), n_streaks))
     populated = expected > 0.0
     factors[populated] = np.maximum(opens[populated] / expected[populated], _FACTOR_FLOOR)
@@ -173,7 +174,7 @@ def apply_kappa(table: FactorTable, kappa: float) -> FactorTable:
     return table.replace_factors(np.maximum(scaled, _FACTOR_FLOOR))
 
 
-def summarize_types(records: list[FlatRecord],
+def summarize_types(records: RecordSet,
                     calibration: CalibrationMap | None = None,
                     types: tuple[int, ...] = USER_TYPES,
                     ) -> tuple[dict[int, float], dict[int, float]]:
@@ -182,29 +183,28 @@ def summarize_types(records: list[FlatRecord],
     The mean score stands in for the open probability of a typical future
     notification for that type, which is all the solver needs about the
     score distribution. With calibration=None the raw scores are taken as
-    already calibrated. Every requested type must have records.
+    already calibrated. Every requested type must have records; records of
+    other types are ignored. A type's share is its count of distinct users
+    over the sum of those counts.
     """
-    if not records:
+    if len(records) == 0:
         raise ValueError("cannot summarize an empty record set")
-    score_sum = {c: 0.0 for c in types}
-    score_n = {c: 0 for c in types}
-    users: dict[int, set] = {c: set() for c in types}
-    for rec in records:
-        c = rec.user_type
-        if c not in score_sum:
-            continue
-        score = rec.raw_score if calibration is None \
-            else apply_calibration(calibration, rec.raw_score)
-        score_sum[c] += score
-        score_n[c] += 1
-        users[c].add(rec.user_id)
-    missing = [c for c in types if score_n[c] == 0]
+    listed = np.isin(records.user_type, types)
+    rows = type_rows(types, records.user_type[listed])
+    scores = records.raw_score[listed]
+    if calibration is not None:
+        scores = apply_calibration(calibration, scores)
+    score_sum = np.bincount(rows, weights=scores, minlength=len(types))
+    score_n = np.bincount(rows, minlength=len(types))
+    missing = [c for c, n in zip(types, score_n) if n == 0]
     if missing:
         raise MissingTypeError(f"no records for user type(s) {missing}")
-    mean_open = {c: min(max(score_sum[c] / score_n[c], _MEAN_OPEN_EPS), 1.0 - _MEAN_OPEN_EPS)
-                 for c in types}
-    total_users = sum(len(users[c]) for c in types)
-    shares = {c: len(users[c]) / total_users for c in types}
+    user_rows = np.unique(records.user[listed] * len(types) + rows) % len(types)
+    users = np.bincount(user_rows, minlength=len(types)).tolist()
+    total_users = sum(users)
+    mean_open = {c: min(max(total / n, _MEAN_OPEN_EPS), 1.0 - _MEAN_OPEN_EPS)
+                 for c, total, n in zip(types, score_sum.tolist(), score_n.tolist())}
+    shares = {c: n / total_users for c, n in zip(types, users)}
     return mean_open, shares
 
 
@@ -261,7 +261,7 @@ class BehaviorModel:
             return cls.from_dict(json.load(fh))
 
 
-def fit_behavior_model(records: list[FlatRecord], kappa: float,
+def fit_behavior_model(records: RecordSet, kappa: float,
                        calibration: CalibrationMap | None = None,
                        bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS,
                        types: tuple[int, ...] = USER_TYPES) -> BehaviorModel:

@@ -4,17 +4,20 @@ The fit pools duplicate raw scores, runs weighted pool-adjacent-violators
 over the pooled means, and keeps the resulting non-decreasing step function
 as the calibration map. Application is a piecewise-constant lookup: a raw
 score takes the value of the greatest breakpoint at or below it, and scores
-below the first breakpoint clamp to the first value.
+below the first breakpoint clamp to the first value. `refresh` refits on
+the sends of a `SendLog` inside a trailing time window, selected with a
+mask over its timestamp column.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NotificationEvent
+from .ingest import SendLog
 
 
 def pav(values, weights=None, *, increasing: bool = True) -> list[float]:
@@ -106,53 +109,37 @@ class CalibrationMap:
         )
 
 
-def fit_isotonic(pairs, weights=None, *, fitted_at: float = 0.0,
-                 window_hours: int = 24) -> CalibrationMap:
+def fit_isotonic(pairs, *, fitted_at: float = 0.0, window_hours: int = 24) -> CalibrationMap:
     """Fit the calibration map from (raw_score, outcome) pairs.
 
-    Duplicate raw scores are pooled into one point (weighted mean outcome)
-    before the monotone fit, so breakpoints come out strictly ascending.
-    Requires at least two pairs; raw scores must lie in [0, 1].
+    pairs is a sequence of pairs or an array of shape (n, 2). Duplicate raw
+    scores are pooled into one point (mean outcome, weighted by the number
+    of pairs pooled) before the monotone fit, so breakpoints come out
+    strictly ascending. Requires at least two pairs; raw scores must lie in
+    [0, 1].
     """
-    pairs = list(pairs)
+    pairs = np.asarray(pairs, dtype=float)
     if len(pairs) < 2:
         raise ValueError(f"need at least 2 pairs to fit calibration, got {len(pairs)}")
-    if weights is None:
-        weights = [1.0] * len(pairs)
-    else:
-        weights = [float(w) for w in weights]
-        if len(weights) != len(pairs):
-            raise ValueError("weights must match pairs in length")
-    for score, _ in pairs:
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"raw scores must lie in [0, 1], got {score}")
+    scores, outcomes = pairs[:, 0], pairs[:, 1]
+    outside = ~((scores >= 0.0) & (scores <= 1.0))
+    if outside.any():
+        raise ValueError(f"raw scores must lie in [0, 1], got {scores[outside][0]}")
 
-    order = sorted(range(len(pairs)), key=lambda i: pairs[i][0])
-    breakpoints: list[float] = []
-    pooled_vals: list[float] = []
-    pooled_wts: list[float] = []
-    i = 0
-    while i < len(order):
-        score = pairs[order[i]][0]
-        wy = 0.0
-        w = 0.0
-        j = i
-        while j < len(order) and pairs[order[j]][0] == score:
-            idx = order[j]
-            wy += float(pairs[idx][1]) * weights[idx]
-            w += weights[idx]
-            j += 1
-        breakpoints.append(float(score))
-        pooled_vals.append(wy / w if w > 0 else
-                           sum(float(pairs[order[k]][1]) for k in range(i, j)) / (j - i))
-        pooled_wts.append(w)
-        i = j
-
-    fitted = pav(pooled_vals, pooled_wts, increasing=True)
+    # a stable sort keeps tied scores in input order, so bincount adds each
+    # tie group's outcomes in the order of a left-to-right pass over the pairs
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    first_of_group = np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1]))
+    group = np.cumsum(first_of_group) - 1
+    counts = np.bincount(group)
+    pooled = np.bincount(group, weights=outcomes[order]) / counts
+    fitted = pav(pooled.tolist(), counts.tolist(), increasing=True)
     # monotone fit of 0/1 outcomes stays inside [0, 1] up to float noise
     fitted = [min(max(v, 0.0), 1.0) for v in fitted]
-    return CalibrationMap(breakpoints=tuple(breakpoints), values=tuple(fitted),
-                          fitted_at=fitted_at, window_hours=window_hours)
+    return CalibrationMap(breakpoints=tuple(sorted_scores[first_of_group].tolist()),
+                          values=tuple(fitted), fitted_at=fitted_at,
+                          window_hours=window_hours)
 
 
 def apply_calibration(cmap: CalibrationMap, raw_score):
@@ -170,16 +157,22 @@ def apply_calibration(cmap: CalibrationMap, raw_score):
     return cmap.values[idx if idx > 0 else 0]
 
 
-def refresh(events: list[NotificationEvent], now: float, window_hours: int = 24,
-            previous: CalibrationMap | None = None) -> CalibrationMap | None:
-    """Refit on events with timestamp in (now - window, now].
+def window_mask(timestamp: np.ndarray, now, window_hours: int) -> np.ndarray:
+    """Which int64 timestamps lie in (now - window_hours, now]. The bounds are
+    floored to integers: against a float, numpy rounds int64 above 2**53."""
+    start = math.floor(now - window_hours * 3600)
+    return (timestamp > start) & (timestamp <= math.floor(now))
 
-    Keeps the previous map when fewer than two events fall inside the
+
+def refresh(log: SendLog, now, window_hours: int = 24,
+            previous: CalibrationMap | None = None) -> CalibrationMap | None:
+    """Refit on the sends of `log` in the window (now - window_hours, now].
+
+    Keeps the previous map when fewer than two sends fall inside the
     window (availability over freshness for a periodic job).
     """
-    window_start = now - window_hours * 3600.0
-    recent = [e for e in events if window_start < e.timestamp <= now]
-    if len(recent) < 2:
+    recent = window_mask(log.timestamp, now, window_hours)
+    if np.count_nonzero(recent) < 2:
         return previous
-    return fit_isotonic([(e.raw_score, e.outcome) for e in recent],
-                        fitted_at=now, window_hours=window_hours)
+    return fit_isotonic(np.column_stack((log.raw_score[recent], log.outcome[recent])),
+                        fitted_at=float(now), window_hours=window_hours)

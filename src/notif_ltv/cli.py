@@ -24,7 +24,7 @@ import numpy as np
 
 from . import policy
 from .behavior import BehaviorModel, fit_behavior_model
-from .calibrate import CalibrationMap, refresh
+from .calibrate import CalibrationMap, refresh, window_mask
 from .core import SolverConfig, integral
 from .ingest import DEFAULT_MIN_SAMPLES, LogParseError, read_log, build_dataset
 # Treatments bind the policy module's functions, not these names: perfbench's
@@ -86,6 +86,13 @@ def _resolve(cli_value, file_config: dict, key: str, default):
     return default
 
 
+def _integral(value, name: str) -> int:
+    try:
+        return integral(value, name)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def _read_log_checked(path):
     if not os.path.exists(path):
         raise DataError(f"log file not found: {path}")
@@ -100,7 +107,8 @@ def cmd_fit(args) -> int:
     kappa = float(raw_kappa)
     if not 0.0 <= kappa <= 1.0:
         raise ValidationError(f"kappa must be in [0, 1], got {kappa}")
-    min_samples = int(_resolve(args.min_samples, cfg, "min_samples", DEFAULT_MIN_SAMPLES))
+    min_samples = _integral(_resolve(args.min_samples, cfg, "min_samples", DEFAULT_MIN_SAMPLES),
+                            "min_samples")
     if min_samples < 1:
         raise ValidationError(f"min_samples must be >= 1, got {min_samples}")
 
@@ -108,9 +116,9 @@ def cmd_fit(args) -> int:
     if args.calibration:
         calibration = CalibrationMap.from_dict(_load_json(args.calibration, "calibration"))
 
-    logs = _read_log_checked(args.log)
-    records = build_dataset(logs, min_samples=min_samples)
-    if not records:
+    log = _read_log_checked(args.log)
+    records = build_dataset(log, min_samples=min_samples)
+    if len(records) == 0:
         raise DataError(f"no users eligible: every user has fewer than "
                         f"{min_samples} first-half sends")
     model = fit_behavior_model(records, kappa=kappa, calibration=calibration)
@@ -123,8 +131,11 @@ def cmd_fit(args) -> int:
     _write_json(args.out, payload)
 
     n_cells = model.factors.bounds[1] - model.factors.bounds[0] + 1
+    excluded = len(log.users) - len(np.unique(records.user))
     print(f"fitted behavior model on {len(records)} records "
-          f"from {sum(1 for _ in logs)} users -> {args.out}")
+          f"from {len(log.users)} users -> {args.out}")
+    print(f"  read {len(log)} sends; {excluded} users excluded with fewer than "
+          f"{min_samples} first-half sends")
     for i, c in enumerate(model.types):
         populated = int((model.factors.counts[i] > 0).sum())
         total = int(model.factors.counts[i].sum())
@@ -136,10 +147,7 @@ def cmd_fit(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _load_json(args.config, "config") if args.config else {}
     gamma = float(_resolve(args.gamma, cfg, "gamma", 0.9))
-    try:
-        horizon = integral(_resolve(args.horizon, cfg, "horizon", 250), "horizon")
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    horizon = _integral(_resolve(args.horizon, cfg, "horizon", 250), "horizon")
     if not 0.0 <= gamma < 1.0:
         raise ValidationError(f"gamma must be in [0, 1), got {gamma}")
     if horizon < 1:
@@ -176,22 +184,26 @@ def cmd_calibrate(args) -> int:
     now = _resolve(args.now, cfg, "now", None)
     if now is None:
         raise ValidationError("calibrate requires --now (or 'now' in the config file)")
-    window_hours = int(_resolve(args.window_hours, cfg, "window_hours", 24))
+    now = _integral(now, "now")
+    window_hours = _integral(_resolve(args.window_hours, cfg, "window_hours", 24),
+                             "window_hours")
     if window_hours <= 0:
         raise ValidationError(f"window_hours must be > 0, got {window_hours}")
 
-    logs = _read_log_checked(args.log)
-    events = [e for log in logs for e in log.events]
-    cmap = refresh(events, now=float(now), window_hours=window_hours, previous=None)
+    log = _read_log_checked(args.log)
+    cmap = refresh(log, now=now, window_hours=window_hours, previous=None)
     if cmap is None:
         raise DataError(f"fewer than 2 events in the {window_hours}h window ending at {now}")
 
-    resolved = {"log": args.log, "now": int(now), "window_hours": window_hours}
+    resolved = {"log": args.log, "now": now, "window_hours": window_hours}
     payload = cmap.to_dict()
     payload["provenance"] = _provenance("calibrate", resolved, {"log": args.log})
     _write_json(args.out, payload)
-    print(f"fitted calibration on window ({int(now) - window_hours * 3600}, {int(now)}] "
+    in_window = int(np.count_nonzero(window_mask(log.timestamp, now, window_hours)))
+    print(f"fitted calibration on window ({now - window_hours * 3600}, {now}] "
           f"-> {args.out}")
+    print(f"  {in_window} of {len(log)} sends in the window, "
+          f"{len(cmap.breakpoints)} distinct scores")
     print(f"  {len(cmap.breakpoints)} breakpoints, raw scores "
           f"[{cmap.breakpoints[0]:.4f}, {cmap.breakpoints[-1]:.4f}], "
           f"calibrated range [{cmap.values[0]:.4f}, {cmap.values[-1]:.4f}]")
@@ -224,7 +236,8 @@ def _build_treatment(entry: dict, base_dir: str) -> Treatment:
         raise ValidationError(f"treatment {name!r}: unknown policy {kind!r} "
                               "(expected no_filter, heuristic, or rl)")
     return Treatment(name=name, decide=decide,
-                     limit_adjustment=int(entry.get("limit_adjustment", 0)),
+                     limit_adjustment=_integral(entry.get("limit_adjustment", 0),
+                                                f"treatment {name!r}: limit_adjustment"),
                      baseline=bool(entry.get("baseline", False)))
 
 

@@ -156,13 +156,21 @@ def clamp_streak(s: int, bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS) -> int
     return lo if s < lo else hi if s > hi else s
 
 
-def advance_streak(s: int, outcome: int, bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS) -> int:
+def advance_streak(s, outcome, bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS):
     """Next streak after a *sent* notification resolves.
 
     An open extends a non-negative run (max(s, 0) + 1); an ignore extends a
     non-positive run (min(s, 0) - 1). Either way a run of the opposite sign
     restarts at +-1 rather than decrementing. The result is clamped.
+
+    Takes one streak and outcome, giving an int, or arrays of them, giving
+    an array of the broadcast shape.
     """
+    if isinstance(s, np.ndarray) or isinstance(outcome, np.ndarray):
+        lo, hi = bounds
+        return np.where(outcome, np.minimum(np.maximum(s, 0) + 1, hi),
+                        np.maximum(np.minimum(s, 0) - 1, lo))
+    # one streak: builtins cost a fraction of numpy's per-call overhead
     nxt = max(s, 0) + 1 if outcome else min(s, 0) - 1
     return clamp_streak(nxt, bounds)
 

@@ -33,7 +33,8 @@ import numpy as np
 from . import policy
 from .behavior import FactorTable, apply_kappa
 from .calibrate import CalibrationMap, apply_calibration, fit_isotonic
-from .core import NotificationEvent, SendLimitConfig, integral, validate_streak_bounds
+from .core import (NotificationEvent, SendLimitConfig, advance_streak, integral,
+                   validate_streak_bounds)
 # The warm-up calls policy.decide_no_filter, not this name: perfbench's tracer
 # wraps the name imported here and truth-tests each result, and a block's
 # decision is an array with no truth value.
@@ -424,15 +425,12 @@ def simulate_pass(state: BlockState, decide: Callable[[DecisionContext], np.ndar
                           calibrated_score=calibrated, sends_today=state.sends_today,
                           effective_limit=state.effective_limit)
     sent = np.flatnonzero(decide(ctx) & state.reachable)
-    lo, hi = bounds
     streak = state.streak[sent]
-    p_open = np.minimum(factors[state.block.rows[sent], streak - lo]
+    p_open = np.minimum(factors[state.block.rows[sent], streak - bounds[0]]
                         * state.block.baseline[sent], 1.0)
     opened = state.block.uniforms[sent, state.cursor[sent]] < p_open
     state.cursor[sent] += 1
-    # core.advance_streak over arrays: runs restart at +-1, then clamp
-    state.streak[sent] = np.where(opened, np.minimum(np.maximum(streak, 0) + 1, hi),
-                                  np.maximum(np.minimum(streak, 0) - 1, lo))
+    state.streak[sent] = advance_streak(streak, opened, bounds)
     state.sends_today[sent] += 1
     state.active_today[sent[opened]] = True
     if churn_rate > 0.0:
@@ -456,10 +454,6 @@ class _Tally:
     # sends in user-index order, then pass order: (user index, user type,
     # pass, raw score, outcome) arrays per block; None unless events are kept
     log: list[tuple[np.ndarray, ...]] | None = None
-
-    def score_outcome_pairs(self) -> list[tuple[float, int]]:
-        return [pair for _, _, _, raw, outcome in self.log
-                for pair in zip(raw.tolist(), outcome.tolist())]
 
     def events(self, passes_per_day: int) -> list[NotificationEvent]:
         step = SECONDS_PER_DAY // passes_per_day
@@ -566,11 +560,10 @@ def warmup_events(config: SimConfig) -> list[NotificationEvent]:
 def fit_sim_calibration(config: SimConfig,
                         events: list[NotificationEvent] | None = None) -> CalibrationMap:
     """Calibration fitted on warmup events (run fresh when not supplied)."""
-    if events is None:
-        pairs = _warmup(config).score_outcome_pairs()
-    else:
-        pairs = [(e.raw_score, e.outcome) for e in events]
-    return fit_isotonic(pairs, window_hours=24)
+    if events is not None:
+        return fit_isotonic([(e.raw_score, e.outcome) for e in events], window_hours=24)
+    _, _, _, raw, outcome = map(np.concatenate, zip(*_warmup(config).log))
+    return fit_isotonic(np.column_stack((raw, outcome)), window_hours=24)
 
 
 def run_experiment(config: SimConfig, treatments: list[Treatment],

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import BehaviorModel
-from .core import SolverConfig, clamp_streak, type_rows
+from .core import SolverConfig, advance_streak, clamp_streak, type_rows
 
 # threshold meaning "no score justifies sending"; any score compares below it
 NEVER_SEND = math.inf
@@ -45,8 +45,8 @@ def _grid(model: BehaviorModel, config: SolverConfig):
     if missing:
         raise ValueError(f"model has no mean open rate for type(s) {missing}")
     streaks = np.arange(lo, hi + 1)
-    up = np.minimum(np.maximum(streaks, 0) + 1, hi) - lo
-    down = np.maximum(np.minimum(streaks, 0) - 1, lo) - lo
+    up = advance_streak(streaks, 1, (lo, hi)) - lo
+    down = advance_streak(streaks, 0, (lo, hi)) - lo
     factors = model.factors.factors[:, lo - mlo:hi - mlo + 1]
     ybar = np.array([[model.type_mean_open[c]] for c in model.types], dtype=float)
     return factors, ybar, up, down

@@ -2,8 +2,9 @@
 
 Everything here is written from first principles with its own data
 structures: a quadratic-time isotonic fit, a no-memoization tree
-enumeration of the send/skip recursion, a closed-form threshold root, and
-the simulator as one Python call per user-pass. None of it imports from the
+enumeration of the send/skip recursion, a closed-form threshold root, the
+ingest dataset as a per-user split, baseline and replay, and the simulator
+as one Python call per user-pass. None of it imports from the
 package's algorithm internals; the simulator oracle builds the package's
 report and event types and calls a treatment's policy with scalar contexts.
 """
@@ -148,6 +149,37 @@ def threshold_oracle(factors, ybar, gamma, bounds, streak, steps):
     if slope <= 0.0:
         return None  # flat or decreasing advantage cannot cross upward
     return gamma * (v_stay - v_down) / slope
+
+
+# --- ingest: one user and one send at a time ----------------------------------
+
+def build_dataset_oracle(rows, min_samples, bounds):
+    """Records of a send log given as dicts in file order, as tuples
+    (user_id, user_type, streak, outcome, baseline_rate, raw_score).
+
+    Users in sorted id order, each user's sends stably sorted by timestamp
+    and cut at n // 2; a user with fewer than min_samples first-half sends
+    is excluded, and the streak replays the second half from 0.
+    """
+    by_user = {}
+    for r in rows:
+        by_user.setdefault(r["user_id"], []).append(r)
+    records = []
+    lo, hi = bounds
+    for uid in sorted(by_user):
+        sends = sorted(by_user[uid], key=lambda r: r["timestamp"])
+        cut = len(sends) // 2
+        first, second = sends[:cut], sends[cut:]
+        if len(first) < min_samples:
+            continue
+        baseline = sum(r["outcome"] for r in first) / len(first)
+        streak = 0
+        for r in second:
+            records.append((uid, r["user_type"], streak, r["outcome"], baseline,
+                            float(r["raw_score"])))
+            nxt = max(streak, 0) + 1 if r["outcome"] else min(streak, 0) - 1
+            streak = min(max(nxt, lo), hi)
+    return records
 
 
 # --- simulator: one scalar call per user-pass ---------------------------------

@@ -18,6 +18,7 @@ from notif_ltv import (
     DecisionContext,
     FactorTable,
     SendLimitConfig,
+    SendLog,
     SimConfig,
     SolverConfig,
     Treatment,
@@ -212,13 +213,9 @@ def test_c5_ingest_then_estimation_recovers_scaled_factors():
     events = report.events["nf"]
     assert len(events) >= 100_000
 
-    logs_by_user = {}
-    for e in events:
-        logs_by_user.setdefault(e.user_id, []).append(e)
-    from notif_ltv.ingest import UserLog
-    logs = [UserLog(uid, evs[0].user_type, sorted(evs, key=lambda e: e.timestamp))
-            for uid, evs in sorted(logs_by_user.items())]
-    records = build_dataset(logs, min_samples=10, bounds=bounds)
+    log = SendLog.from_rows(*zip(*[(e.user_id, e.user_type, e.timestamp, e.raw_score,
+                                    e.outcome) for e in events]))
+    records = build_dataset(log, min_samples=10, bounds=bounds)
 
     estimated = estimate_factors(records, bounds=bounds)
     effective = apply_kappa(truth, kappa_true)
@@ -226,11 +223,11 @@ def test_c5_ingest_then_estimation_recovers_scaled_factors():
         for s in range(lo, hi + 1):
             if s == 0 or estimated.count(c, s) == 0:
                 continue
-            cell = [r for r in records if r.user_type == c and r.streak == s]
+            cell = records.baseline_rate[(records.user_type == c)
+                                         & (records.streak == s)].tolist()
             f_true = effective.factor(c, s)
-            den = sum(r.baseline_rate for r in cell)
-            var = sum(min(f_true * r.baseline_rate, 1.0)
-                      * (1.0 - min(f_true * r.baseline_rate, 1.0)) for r in cell)
+            den = sum(cell)
+            var = sum(min(f_true * b, 1.0) * (1.0 - min(f_true * b, 1.0)) for b in cell)
             sigma = math.sqrt(var) / den
             err = abs(estimated.factor(c, s) - f_true)
             assert err <= 3.0 * sigma, \

@@ -1,5 +1,7 @@
 """Factor estimation, monotone projection, kappa correction, summaries."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,9 @@ from notif_ltv import (
     BehaviorModel,
     CalibrationMap,
     FactorTable,
-    FlatRecord,
     MissingTypeError,
+    RecordSet,
+    apply_calibration,
     apply_kappa,
     estimate_factors,
     fit_behavior_model,
@@ -18,9 +21,24 @@ from notif_ltv import (
 from oracles import pav_oracle
 
 
+Rec = namedtuple("Rec", "user_id user_type streak outcome baseline_rate raw_score")
+
+
 def rec(uid="u1", utype=1, streak=1, outcome=1, baseline=0.5, score=0.5):
-    return FlatRecord(user_id=uid, user_type=utype, streak=streak, outcome=outcome,
-                      baseline_rate=baseline, raw_score=score)
+    return Rec(user_id=uid, user_type=utype, streak=streak, outcome=outcome,
+               baseline_rate=baseline, raw_score=score)
+
+
+def columns(records) -> RecordSet:
+    """The RecordSet of a list of Rec rows, user ids numbered as first seen."""
+    code = {}
+    return RecordSet(user=np.array([code.setdefault(r.user_id, len(code)) for r in records],
+                                   dtype=np.int64),
+                     user_type=np.array([r.user_type for r in records], dtype=np.int64),
+                     streak=np.array([r.streak for r in records], dtype=np.int64),
+                     outcome=np.array([r.outcome for r in records], dtype=np.int64),
+                     baseline_rate=np.array([r.baseline_rate for r in records], dtype=float),
+                     raw_score=np.array([r.raw_score for r in records], dtype=float))
 
 
 class TestEstimateFactors:
@@ -28,12 +46,12 @@ class TestEstimateFactors:
         records = [rec(streak=2, baseline=0.5, outcome=1),
                    rec(streak=2, baseline=0.25, outcome=0),
                    rec(streak=2, baseline=0.5, outcome=1)]
-        table = estimate_factors(records, bounds=(-3, 3))
+        table = estimate_factors(columns(records), bounds=(-3, 3))
         assert table.factor(1, 2) == pytest.approx(2 / 1.25)  # = 1.6
         assert table.count(1, 2) == 3
 
     def test_empty_cells_default_to_one(self):
-        table = estimate_factors([rec(streak=1)], bounds=(-8, 8))
+        table = estimate_factors(columns([rec(streak=1)]), bounds=(-8, 8))
         assert table.factor(3, 7) == 1.0
         assert table.count(3, 7) == 0
 
@@ -41,18 +59,18 @@ class TestEstimateFactors:
         # opens exactly equal the baseline-predicted opens: 1+0 == 0.6+0.4
         records = [rec(uid="a", streak=1, baseline=0.6, outcome=1),
                    rec(uid="b", streak=1, baseline=0.4, outcome=0)]
-        table = estimate_factors(records, bounds=(-2, 2))
+        table = estimate_factors(columns(records), bounds=(-2, 2))
         assert table.factor(1, 1) == pytest.approx(1.0)
 
     def test_streak_zero_cell_pinned_to_one(self):
         records = [rec(streak=0, baseline=0.1, outcome=1)] * 5
-        table = estimate_factors(records, bounds=(-2, 2))
+        table = estimate_factors(columns(records), bounds=(-2, 2))
         assert table.factor(1, 0) == 1.0
         assert table.count(1, 0) == 5
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            estimate_factors([])
+            estimate_factors(columns([]))
 
     def test_recovers_known_factors_within_three_sigma(self):
         """Records generated exactly from the multiplicative model with a
@@ -73,7 +91,7 @@ class TestEstimateFactors:
             p = min(true[s] * b, 1.0)
             records.append(rec(uid=f"u{users[i]}", streak=s,
                                outcome=int(opens[i] < p), baseline=b))
-        table = estimate_factors(records, bounds=bounds)
+        table = estimate_factors(columns(records), bounds=bounds)
         for s, f_true in true.items():
             if s == 0:
                 continue  # pinned by convention
@@ -197,27 +215,60 @@ class TestSummarizeTypes:
     def test_mean_of_calibrated_scores(self):
         cmap = CalibrationMap(breakpoints=(0.0, 0.5), values=(0.2, 0.4))
         records = [rec(score=0.1), rec(score=0.7)]  # calibrate to 0.2, 0.4
-        mean_open, _ = summarize_types(records, cmap, types=(1,))
+        mean_open, _ = summarize_types(columns(records), cmap, types=(1,))
         assert mean_open[1] == pytest.approx(0.3)
 
     def test_population_shares_count_distinct_users(self):
         records = [rec(uid="a", utype=1), rec(uid="a", utype=1), rec(uid="b", utype=1),
                    rec(uid="c", utype=1), rec(uid="d", utype=2)]
-        _, shares = summarize_types(records, types=(1, 2))
+        _, shares = summarize_types(columns(records), types=(1, 2))
         assert shares == {1: 0.75, 2: 0.25}
 
     def test_identity_calibration_uses_raw_scores(self):
         records = [rec(score=0.1)] * 3
-        mean_open, _ = summarize_types(records, None, types=(1,))
+        mean_open, _ = summarize_types(columns(records), None, types=(1,))
         assert mean_open[1] == pytest.approx(0.1)
 
     def test_missing_type_reported(self):
         with pytest.raises(MissingTypeError, match=r"\[2, 3\]"):
-            summarize_types([rec(utype=1)], types=(1, 2, 3))
+            summarize_types(columns([rec(utype=1)]), types=(1, 2, 3))
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            summarize_types([])
+            summarize_types(columns([]))
+
+
+def test_column_sums_equal_a_loop_over_the_records():
+    """estimate_factors and summarize_types add in record order, so every
+    factor, count, mean and share equals a plain loop's bit for bit."""
+    rng = np.random.default_rng(8)
+    records = [rec(uid=f"u{rng.integers(0, 400)}", utype=int(rng.integers(1, 7)),
+                   streak=int(rng.integers(-4, 5)), outcome=int(rng.random() < 0.3),
+                   baseline=float(rng.uniform(0.01, 0.6)), score=float(rng.random()))
+               for _ in range(6000)]
+    cmap = CalibrationMap(breakpoints=tuple(np.linspace(0.0, 0.9, 40).tolist()),
+                          values=tuple(np.linspace(0.02, 0.8, 40).tolist()))
+    opens, expected, counts, score_sum, score_n, users = {}, {}, {}, {}, {}, {}
+    for r in records:
+        cell = (r.user_type, r.streak)
+        opens[cell] = opens.get(cell, 0.0) + r.outcome
+        expected[cell] = expected.get(cell, 0.0) + r.baseline_rate
+        counts[cell] = counts.get(cell, 0) + 1
+        score_sum[r.user_type] = score_sum.get(r.user_type, 0.0) \
+            + apply_calibration(cmap, r.raw_score)
+        score_n[r.user_type] = score_n.get(r.user_type, 0) + 1
+        users.setdefault(r.user_type, set()).add(r.user_id)
+
+    table = estimate_factors(columns(records), bounds=(-4, 4))
+    for (c, s), n in counts.items():
+        assert table.count(c, s) == n
+        if s != 0:
+            assert table.factor(c, s) == max(opens[c, s] / expected[c, s], 1e-12)
+    mean_open, shares = summarize_types(columns(records), cmap)
+    total_users = sum(len(u) for u in users.values())
+    for c in range(1, 7):
+        assert mean_open[c] == score_sum[c] / score_n[c]
+        assert shares[c] == len(users[c]) / total_users
 
 
 class TestBehaviorModel:
@@ -230,7 +281,7 @@ class TestBehaviorModel:
                                    streak=int(rng.integers(-3, 4)),
                                    outcome=int(rng.random() < 0.4),
                                    baseline=0.4, score=float(rng.random())))
-        model = fit_behavior_model(records, kappa=0.3, bounds=(-5, 5))
+        model = fit_behavior_model(columns(records), kappa=0.3, bounds=(-5, 5))
         assert model.kappa == 0.3
         assert sum(model.type_population_share.values()) == pytest.approx(1.0)
         path = tmp_path / "model.json"
@@ -260,6 +311,6 @@ class TestBehaviorModel:
         records = []
         for i, (streak, outcome) in enumerate([(1, 1), (2, 0), (1, 1), (2, 0)]):
             records.append(rec(uid=f"u{i}", streak=streak, outcome=outcome, baseline=0.5))
-        model = fit_behavior_model(records, kappa=0.5, bounds=(-2, 2), types=(1,))
+        model = fit_behavior_model(columns(records), kappa=0.5, bounds=(-2, 2), types=(1,))
         f1, f2 = model.factors.factor(1, 1), model.factors.factor(1, 2)
         assert f2 >= f1 or abs(f2 - f1) < 1e-12

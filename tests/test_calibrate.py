@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from notif_ltv import (
     CalibrationMap,
-    NotificationEvent,
+    SendLog,
     apply_calibration,
     fit_isotonic,
     pav,
@@ -130,33 +130,48 @@ class TestApplyCalibration:
         assert got[0].tolist() == [apply_calibration(cmap, x) for x in scores]
 
 
+def send_log(events):
+    """SendLog of (user_id, user_type, timestamp, raw_score, outcome) tuples."""
+    return SendLog.from_rows(*(zip(*events) if events else ((),) * 5))
+
+
 class TestRefresh:
     def make_events(self, times, score=0.5, outcome=1):
-        return [NotificationEvent("u1", 1, t, score, outcome) for t in times]
+        return [("u1", 1, t, score, outcome) for t in times]
 
     def test_fits_on_window_events_only(self):
-        inside = [NotificationEvent("u1", 1, 1000 + i, 0.1 * (i % 9), i % 2)
-                  for i in range(100)]
+        inside = [("u1", 1, 1000 + i, 0.1 * (i % 9), i % 2) for i in range(100)]
         outside = self.make_events([-999999])
-        cmap = refresh(outside + inside, now=2000, window_hours=24)
+        cmap = refresh(send_log(outside + inside), now=2000, window_hours=24)
         total_weight = len(cmap.breakpoints)
         assert cmap is not None and total_weight >= 2
         assert cmap.fitted_at == 2000
 
     def test_single_event_keeps_previous(self):
         prev = CalibrationMap(breakpoints=(0.5,), values=(0.4,))
-        got = refresh(self.make_events([100]), now=200, window_hours=24, previous=prev)
+        got = refresh(send_log(self.make_events([100])), now=200, window_hours=24,
+                      previous=prev)
         assert got is prev
 
     def test_event_just_outside_window_excluded(self):
         now = 100 * 3600
         edge = self.make_events([now - 25 * 3600])  # 25h old with a 24h window
         inside = self.make_events([now - 3600, now - 2 * 3600], score=0.3)
-        cmap = refresh(edge + inside, now=now, window_hours=24)
+        cmap = refresh(send_log(edge + inside), now=now, window_hours=24)
         assert cmap.breakpoints == (0.3,)
 
     def test_no_previous_and_empty_window_gives_none(self):
-        assert refresh([], now=0, window_hours=24) is None
+        assert refresh(send_log([]), now=0, window_hours=24) is None
+
+    def test_window_bounds_compare_exactly_above_2_to_53(self):
+        """Timestamps one apart above 2**53 are told apart at both ends of the
+        window, also when now is a float."""
+        start = 2 ** 53 + 4096  # float64 holds only even integers from 2**53 up
+        events = [("u1", 1, t, i / 8, i % 2) for i, t in enumerate(
+            [start, start + 1, start + 3600, start + 3601])]
+        for now in (start + 3600, float(start + 3600)):
+            cmap = refresh(send_log(events), now=now, window_hours=1)
+            assert cmap.breakpoints == (1 / 8, 2 / 8)
 
 
 class TestCalibrationMapValidation:

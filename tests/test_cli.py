@@ -61,6 +61,22 @@ class TestFit:
         path.write_text("not json\n")
         assert run(["fit", path, "--kappa", "0.2", "--out", tmp_path / "m.json"]) == 2
 
+    @pytest.mark.parametrize("min_samples, code", [(2.5, 1), (10.0, 0)])
+    def test_config_min_samples_must_be_integral(self, send_log, tmp_path, min_samples, code):
+        cfg = tmp_path / "fit.json"
+        cfg.write_text(json.dumps({"kappa": 0.2, "min_samples": min_samples}))
+        assert run(["fit", send_log, "--config", cfg, "--out", tmp_path / "m.json"]) == code
+
+    def test_reports_users_read_excluded_and_records(self, send_log, tmp_path, capsys):
+        with open(send_log, "a") as fh:
+            for t in range(6):  # three first-half sends: excluded at min_samples 10
+                fh.write(json.dumps({"user_id": "short", "user_type": 2, "timestamp": t,
+                                     "raw_score": 0.5, "outcome": 1}) + "\n")
+        assert run(["fit", send_log, "--kappa", "0.2", "--out", tmp_path / "m.json"]) == 0
+        out = capsys.readouterr().out
+        assert "on 600 records from 31 users" in out
+        assert "read 1206 sends; 1 users excluded with fewer than 10 first-half sends" in out
+
     def test_rerun_is_byte_identical(self, send_log, tmp_path):
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
         run(["fit", send_log, "--kappa", "0.3", "--out", out1])
@@ -129,7 +145,21 @@ class TestCalibrate:
         doc = json.loads(out.read_text())
         values = doc["values"]
         assert values == sorted(values)
-        assert "breakpoints" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "breakpoints" in out
+        # the window (-8h, 40h] holds sends at hours 0..39 of all 30 users
+        assert f"1200 of 1200 sends in the window, {len(values)} distinct scores" in out
+
+    @pytest.mark.parametrize("key, value, code", [
+        ("now", 40 * 3600 + 0.5, 1), ("window_hours", 47.5, 1), ("now", 40 * 3600.0, 0)])
+    def test_config_now_and_window_must_be_integral(self, send_log, tmp_path, key, value,
+                                                    code):
+        cfg = tmp_path / "cal.json"
+        cfg.write_text(json.dumps({"now": 40 * 3600, "window_hours": 48, key: value}))
+        out = tmp_path / "out.json"
+        assert run(["calibrate", send_log, "--config", cfg, "--out", out]) == code
+        if code == 0:
+            assert json.loads(out.read_text())["provenance"]["config"]["now"] == 40 * 3600
 
     def test_sparse_window_is_data_error(self, send_log, tmp_path):
         # window ending long before the data begins catches nothing
@@ -254,6 +284,14 @@ class TestSimulate:
         sim_config_path.write_text(json.dumps(doc))
         assert run(["simulate", "--sim-config", sim_config_path, "--treatments",
                     treatments_path, "--out-dir", tmp_path / "o"]) == 1
+
+    def test_fractional_limit_adjustment_is_validation_error(self, sim_config_path, tmp_path):
+        treatments = tmp_path / "t.json"
+        treatments.write_text(json.dumps([
+            {"name": "base", "policy": "no_filter", "baseline": True},
+            {"name": "more", "policy": "no_filter", "limit_adjustment": 1.5}]))
+        assert run(["simulate", "--sim-config", sim_config_path, "--treatments",
+                    treatments, "--out-dir", tmp_path / "o"]) == 1
 
     def test_unknown_policy_rejected(self, sim_config_path, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Streak state machine and core type validation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +57,18 @@ class TestAdvanceStreak:
             assert abs(s2) <= run
             assert bounds[0] <= s2 <= bounds[1]
         assert s1 == s2  # trace depends only on the outcome sequence
+
+    @pytest.mark.parametrize("bounds", [(-15, 15), (-1, 1), (-3, 2)])
+    def test_array_matches_elementwise_scalar_calls(self, bounds):
+        lo, hi = bounds
+        streaks = np.repeat(np.arange(lo, hi + 1), 2)  # both bounds included
+        outcomes = np.tile([0, 1], hi - lo + 1)
+        got = advance_streak(streaks, outcomes, bounds)
+        assert got.tolist() == [advance_streak(s, o, bounds)
+                                for s, o in zip(streaks.tolist(), outcomes.tolist())]
+        assert got.min() == lo and got.max() == hi
+        assert advance_streak(streaks, 1, bounds).tolist() == \
+            [advance_streak(s, 1, bounds) for s in streaks.tolist()]
 
 
 def test_streak_after_skip_is_identity():
