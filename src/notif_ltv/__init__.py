@@ -21,12 +21,10 @@ from .calibrate import CalibrationMap, apply_calibration, fit_isotonic, pav, ref
 from .core import (
     DEFAULT_STREAK_BOUNDS,
     USER_TYPES,
-    NotificationEvent,
     SendLimitConfig,
     SolverConfig,
     advance_streak,
     clamp_streak,
-    streak_after_skip,
 )
 from .ingest import LogParseError, RecordSet, SendLog, build_dataset, read_log
 from .policy import (
@@ -40,11 +38,9 @@ from .sim import (
     BlockState,
     ExperimentReport,
     SimConfig,
-    SimUser,
     Treatment,
     TreatmentResult,
     UserBlock,
-    events_to_jsonl,
     fit_sim_calibration,
     generate_population,
     ramp_factor_table,
@@ -65,15 +61,15 @@ __version__ = "0.1.0"
 __all__ = [
     "BehaviorModel", "BlockState", "CalibrationMap", "DecisionContext", "DEFAULT_STREAK_BOUNDS",
     "ExperimentReport", "FactorTable", "HeuristicThresholds",
-    "LogParseError", "MissingTypeError", "NEVER_SEND", "NotificationEvent",
-    "PolicyTable", "RecordSet", "SendLimitConfig", "SendLog", "SimConfig", "SimUser",
+    "LogParseError", "MissingTypeError", "NEVER_SEND",
+    "PolicyTable", "RecordSet", "SendLimitConfig", "SendLog", "SimConfig",
     "SolverConfig", "Treatment", "TreatmentResult", "USER_TYPES", "UserBlock",
     "advance_streak", "apply_calibration", "apply_kappa", "build_dataset",
     "clamp_streak", "decide_heuristic", "decide_no_filter", "decide_rl",
-    "estimate_factors", "events_to_jsonl",
+    "estimate_factors",
     "fit_behavior_model", "fit_isotonic", "fit_sim_calibration",
     "generate_population", "monotone_project", "pav", "q_send",
     "ramp_factor_table", "read_log", "refresh", "run_experiment", "simulate_pass",
-    "solve_policy", "state_values", "streak_after_skip",
+    "solve_policy", "state_values",
     "summarize_types", "warmup_events",
 ]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import integral
 from .ingest import SendLog
 
 
@@ -82,12 +83,16 @@ class CalibrationMap:
     def __post_init__(self):
         if len(self.breakpoints) != len(self.values) or not self.breakpoints:
             raise ValueError("breakpoints and values must be non-empty and equal length")
+        bad = [b for b in self.breakpoints if not math.isfinite(b)]
+        if bad:
+            raise ValueError(f"breakpoints must be finite, got {bad[0]}")
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly ascending")
         if any(v2 < v1 for v1, v2 in zip(self.values, self.values[1:])):
             raise ValueError("values must be non-decreasing")
         if any(not 0.0 <= v <= 1.0 for v in self.values):
             raise ValueError("values must lie in [0, 1]")
+        object.__setattr__(self, "window_hours", integral(self.window_hours, "window_hours"))
         if self.window_hours <= 0:
             raise ValueError("window_hours must be positive")
 
@@ -105,7 +110,7 @@ class CalibrationMap:
             breakpoints=tuple(float(b) for b in d["breakpoints"]),
             values=tuple(float(v) for v in d["values"]),
             fitted_at=float(d.get("fitted_at", 0.0)),
-            window_hours=int(d.get("window_hours", 24)),
+            window_hours=d.get("window_hours", 24),
         )
 
 

@@ -32,7 +32,7 @@ from .ingest import DEFAULT_MIN_SAMPLES, LogParseError, read_log, build_dataset
 # simulator's decisions are arrays with no truth value.
 from .policy import (HeuristicThresholds, decide_heuristic, decide_no_filter,  # noqa: F401
                      decide_rl)
-from .sim import SimConfig, Treatment, events_to_jsonl, run_experiment
+from .sim import SimConfig, Treatment, run_experiment
 from .solver import PolicyTable, solve_policy
 
 
@@ -279,9 +279,8 @@ def cmd_simulate(args) -> int:
     _atomic_write(os.path.join(args.out_dir, "report_per_type.csv"),
                   report.to_per_type_csv())
     if args.emit_log:
-        for name, events in report.events.items():
-            _atomic_write(os.path.join(args.out_dir, f"events_{name}.jsonl"),
-                          events_to_jsonl(events))
+        for name, log in report.events.items():
+            _atomic_write(os.path.join(args.out_dir, f"events_{name}.jsonl"), log.to_jsonl())
 
     print(f"simulated {config.num_users} users x {config.days} days x "
           f"{config.passes_per_day} passes -> {args.out_dir}")

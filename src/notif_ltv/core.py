@@ -1,4 +1,5 @@
-"""Domain types and the streak state machine shared by the whole pipeline.
+"""Configuration types and the streak state machine shared by the whole
+pipeline; the send log itself is `ingest.SendLog`.
 
 The streak is a signed count of consecutive identical outcomes on sent
 notifications: s=+3 means the user opened the last three, s=-2 means they
@@ -60,18 +61,6 @@ def validate_streak_bounds(bounds: tuple[int, int]) -> tuple[int, int]:
     if lo > -1 or hi < 1:
         raise ValueError(f"streak_bounds {bounds} must satisfy lo <= -1 <= 1 <= hi")
     return (lo, hi)
-
-
-@dataclass(frozen=True)
-class NotificationEvent:
-    """One logged send: who received it, when, the ranker's raw score in
-    [0, 1], and whether it was opened (outcome 1) or ignored (outcome 0)."""
-
-    user_id: str
-    user_type: int
-    timestamp: int
-    raw_score: float
-    outcome: int
 
 
 @dataclass(frozen=True)
@@ -173,8 +162,3 @@ def advance_streak(s, outcome, bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS):
     # one streak: builtins cost a fraction of numpy's per-call overhead
     nxt = max(s, 0) + 1 if outcome else min(s, 0) - 1
     return clamp_streak(nxt, bounds)
-
-
-def streak_after_skip(s: int) -> int:
-    """Skipping a send leaves the streak exactly as it was."""
-    return s

@@ -1,8 +1,12 @@
-"""Event-log ingestion.
+"""Event-log ingestion and the send-log format.
 
 Reads a JSON Lines send log into one `SendLog`: equal-length numpy columns
 (user, type, timestamp, raw score, outcome) with rows grouped by user in
-sorted user-id order and kept in timestamp order within each user.
+sorted user-id order and kept in timestamp order within each user. This
+module owns the format both ways: `_parse_line` reads one line and
+`SendLog.to_jsonl` writes a log back, which is how the simulator's sends
+are emitted.
+
 `build_dataset` splits each user's rows into halves, estimates a per-user
 baseline open rate on the first half, and replays the second half into a
 `RecordSet` of (type, streak, outcome, baseline) records for the behavior
@@ -64,6 +68,16 @@ class SendLog:
                    timestamp=timestamp[order],
                    raw_score=np.asarray(raw_score, dtype=float)[order],
                    outcome=np.asarray(outcome, dtype=np.int64)[order])
+
+    def to_jsonl(self) -> str:
+        """The log in `read_log`'s format, one JSON object per row in row
+        order, keys sorted."""
+        lines = [json.dumps({"user_id": self.users[u], "user_type": c, "timestamp": t,
+                             "raw_score": r, "outcome": o}, sort_keys=True)
+                 for u, c, t, r, o in zip(self.user.tolist(), self.user_type.tolist(),
+                                          self.timestamp.tolist(), self.raw_score.tolist(),
+                                          self.outcome.tolist())]
+        return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass(frozen=True)

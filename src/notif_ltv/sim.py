@@ -1,8 +1,9 @@
 """Deterministic synthetic-population A/B harness.
 
-Each simulated user has a latent baseline open rate drawn from a per-type
-Beta distribution; the ground-truth streak response multiplies that
-baseline exactly the way the fitted behavior model assumes it does. Every
+Each simulated user has a user type and a latent baseline open rate drawn
+from a per-type Beta distribution; the ground-truth streak response
+multiplies that baseline exactly the way the fitted behavior model assumes
+it does. Every
 pass draws a candidate score (a noisy signal of the user's baseline), runs
 it through the calibration map and the treatment's policy, and on a send
 resolves the outcome and advances the streak.
@@ -19,11 +20,15 @@ once, up front, and shared by every arm, and each arm then steps the whole
 block through one pass at a time (`simulate_pass`), with streak, sends
 today, reachability, outcomes and churn held as arrays and the policy
 deciding for the whole block in one call.
+
+A population is a `UserBlock` (`generate_population` draws every user as
+one block), and the sends of the calibration warm-up and of each kept arm
+come out as an ingest `SendLog`, so they feed `fit` and `calibrate`
+directly and are written with `SendLog.to_jsonl`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,8 +38,8 @@ import numpy as np
 from . import policy
 from .behavior import FactorTable, apply_kappa
 from .calibrate import CalibrationMap, apply_calibration, fit_isotonic
-from .core import (NotificationEvent, SendLimitConfig, advance_streak, integral,
-                   validate_streak_bounds)
+from .core import SendLimitConfig, advance_streak, integral, validate_streak_bounds
+from .ingest import SendLog
 # The warm-up calls policy.decide_no_filter, not this name: perfbench's tracer
 # wraps the name imported here and truth-tests each result, and a block's
 # decision is an array with no truth value.
@@ -78,17 +83,6 @@ def ramp_factor_table(bounds: tuple[int, int],
 
 
 @dataclass
-class SimUser:
-    """One synthetic user's latent traits; the per-treatment state of a
-    block of users lives in a BlockState."""
-
-    user_id: str
-    index: int
-    user_type: int
-    true_baseline: float
-
-
-@dataclass
 class SimConfig:
     """Population, horizon, and ground-truth behavior for a simulation run."""
 
@@ -128,6 +122,14 @@ class SimConfig:
                                   ("send_limits", self.send_limits.limits)):
                 if c not in mapping:
                     raise ValueError(f"{name} has no entry for user type {c}")
+        for c, (a, b) in self.baseline_beta.items():
+            if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"baseline_beta for user type {c} must be two finite "
+                                 f"numbers > 0, got ({a}, {b})")
+        for c, sigma in self.score_noise.items():
+            if not (sigma >= 0.0 and math.isfinite(sigma)):
+                raise ValueError(f"score_noise for user type {c} must be finite and >= 0, "
+                                 f"got {sigma}")
 
     @property
     def streak_bounds(self) -> tuple[int, int]:
@@ -221,12 +223,13 @@ def _pct_delta(value: float, base: float) -> float | None:
 
 @dataclass
 class ExperimentReport:
-    """All treatment results plus percent deltas against the baseline arm."""
+    """All treatment results plus percent deltas against the baseline arm;
+    events holds each arm's sends when run_experiment keeps them."""
 
     baseline_name: str
     results: list[TreatmentResult]
     max_daily_sends: dict[str, int] = field(default_factory=dict)
-    events: dict[str, list[NotificationEvent]] | None = None
+    events: dict[str, SendLog] | None = None
 
     def result(self, name: str) -> TreatmentResult:
         for r in self.results:
@@ -313,9 +316,10 @@ def _fmt_pct(v: float | None) -> str:
     return "n/a" if v is None else f"{v:+.2f}%"
 
 
-def _spawn_user(config: SimConfig, index: int, salt: int) -> tuple[SimUser, np.random.Generator]:
-    """Rebuild user `index` and return the latent stream positioned after
-    the type and baseline draws. Identical across treatments by construction."""
+def _spawn_user(config: SimConfig, index: int,
+                salt: int) -> tuple[int, float, np.random.Generator]:
+    """User `index`'s type and baseline, and the latent stream positioned
+    after those two draws. Identical across treatments by construction."""
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, index, salt]))
     u = rng.random()
     cum = 0.0
@@ -328,14 +332,7 @@ def _spawn_user(config: SimConfig, index: int, salt: int) -> tuple[SimUser, np.r
     a, b = config.baseline_beta[user_type]
     baseline = float(rng.beta(a, b))
     baseline = min(max(baseline, 1e-6), 1.0 - 1e-6)
-    user = SimUser(user_id=f"u{index:07d}", index=index,
-                   user_type=user_type, true_baseline=baseline)
-    return user, rng
-
-
-def generate_population(config: SimConfig) -> list[SimUser]:
-    """Fresh population in user-index order; same seed, same population."""
-    return [_spawn_user(config, i, _LATENT)[0] for i in range(config.num_users)]
+    return user_type, baseline, rng
 
 
 @dataclass
@@ -368,14 +365,14 @@ def _draw_block(config: SimConfig, start: int, stop: int, passes: int,
     raw = np.empty((n, passes))
     uniforms = np.empty((n, 2 * passes))
     for j, index in enumerate(range(start, stop)):
-        user, latent_rng = _spawn_user(config, index, latent_salt)
-        rows[j] = row_of[user.user_type]
-        b = baseline[j] = user.true_baseline
+        user_type, b, latent_rng = _spawn_user(config, index, latent_salt)
+        rows[j] = row_of[user_type]
+        baseline[j] = b
         # candidate score: the baseline perturbed by type-level logit noise,
         # 1 / (1 + exp(-logit)); math rather than numpy log and exp, whose
         # vectorized kernels can differ from them in the last bit
         logit = math.log(b / (1.0 - b)) \
-            + config.score_noise[user.user_type] * latent_rng.standard_normal(passes)
+            + config.score_noise[user_type] * latent_rng.standard_normal(passes)
         raw[j] = list(map(math.exp, (-logit).tolist()))
         policy_rng = np.random.default_rng(
             np.random.SeedSequence([config.master_seed, index, policy_salt]))
@@ -385,6 +382,13 @@ def _draw_block(config: SimConfig, start: int, stop: int, passes: int,
     return UserBlock(index=np.arange(start, stop), rows=rows,
                      user_type=np.array(config.types)[rows], baseline=baseline,
                      raw_scores=raw, uniforms=uniforms)
+
+
+def generate_population(config: SimConfig) -> UserBlock:
+    """Every user's draws for a run of config.days, as one block in
+    user-index order; same seed, same population."""
+    return _draw_block(config, 0, config.num_users, config.days * config.passes_per_day,
+                       _LATENT, _POLICY)
 
 
 @dataclass
@@ -455,17 +459,15 @@ class _Tally:
     # pass, raw score, outcome) arrays per block; None unless events are kept
     log: list[tuple[np.ndarray, ...]] | None = None
 
-    def events(self, passes_per_day: int) -> list[NotificationEvent]:
+    def events(self, passes_per_day: int) -> SendLog:
+        """The kept sends as a SendLog. Pass p of day d is stamped d days
+        plus p / passes_per_day of a day; user ids are u{index:07d}, which
+        sort in index order up to 10**7 users."""
+        index, user_type, t, raw, outcome = (np.concatenate(col) for col in zip(*self.log))
         step = SECONDS_PER_DAY // passes_per_day
-        events = []
-        for index, user_type, t, raw, outcome in self.log:
-            ts = (t // passes_per_day) * SECONDS_PER_DAY + (t % passes_per_day) * step
-            events.extend(NotificationEvent(user_id=f"u{i:07d}", user_type=c, timestamp=s,
-                                            raw_score=r, outcome=o)
-                          for i, c, s, r, o in zip(index.tolist(), user_type.tolist(),
-                                                   ts.tolist(), raw.tolist(),
-                                                   outcome.tolist()))
-        return events
+        ts = (t // passes_per_day) * SECONDS_PER_DAY + (t % passes_per_day) * step
+        return SendLog.from_rows([f"u{i:07d}" for i in index.tolist()], user_type, ts,
+                                 raw, outcome)
 
 
 def _run_block(block: UserBlock, calibrated: np.ndarray, decide, effective_limit: np.ndarray,
@@ -542,28 +544,22 @@ def _simulate(config: SimConfig, arms: list[tuple[Callable, SendLimitConfig]],
     return tallies
 
 
-def _warmup(config: SimConfig) -> _Tally:
-    """Short no-filter run, on dedicated per-user sub-streams so it neither
-    consumes nor duplicates the draws of the measured treatments."""
+def warmup_events(config: SimConfig) -> SendLog:
+    """Sends of the short no-filter run used to observe the score/outcome
+    distribution, on dedicated per-user sub-streams so it neither consumes
+    nor duplicates the draws of the measured treatments."""
     identity = CalibrationMap(breakpoints=(0.0, 1.0), values=(0.0, 1.0))
-    return _simulate(config, [(policy.decide_no_filter, config.send_limits)], identity,
-                     days=config.calibration_days, keep_events=True,
-                     latent_salt=_WARMUP_LATENT, policy_salt=_WARMUP_POLICY)[0]
+    tally = _simulate(config, [(policy.decide_no_filter, config.send_limits)], identity,
+                      days=config.calibration_days, keep_events=True,
+                      latent_salt=_WARMUP_LATENT, policy_salt=_WARMUP_POLICY)[0]
+    return tally.events(config.passes_per_day)
 
 
-def warmup_events(config: SimConfig) -> list[NotificationEvent]:
-    """Events of the short no-filter run used to observe the score/outcome
-    distribution, in user-index order."""
-    return _warmup(config).events(config.passes_per_day)
-
-
-def fit_sim_calibration(config: SimConfig,
-                        events: list[NotificationEvent] | None = None) -> CalibrationMap:
-    """Calibration fitted on warmup events (run fresh when not supplied)."""
-    if events is not None:
-        return fit_isotonic([(e.raw_score, e.outcome) for e in events], window_hours=24)
-    _, _, _, raw, outcome = map(np.concatenate, zip(*_warmup(config).log))
-    return fit_isotonic(np.column_stack((raw, outcome)), window_hours=24)
+def fit_sim_calibration(config: SimConfig, log: SendLog | None = None) -> CalibrationMap:
+    """Calibration fitted on the warm-up's sends (run fresh when not supplied)."""
+    if log is None:
+        log = warmup_events(config)
+    return fit_isotonic(np.column_stack((log.raw_score, log.outcome)), window_hours=24)
 
 
 def run_experiment(config: SimConfig, treatments: list[Treatment],
@@ -610,14 +606,3 @@ def run_experiment(config: SimConfig, treatments: list[Treatment],
         max_daily_sends={t.name: tally.max_day_sends for t, tally in zip(treatments, tallies)},
         events={t.name: tally.events(config.passes_per_day)
                 for t, tally in zip(treatments, tallies)} if keep_events else None)
-
-
-def events_to_jsonl(events: list[NotificationEvent]) -> str:
-    """Serialize events in the ingest log format, one JSON object per line."""
-    lines = []
-    for e in events:
-        lines.append(json.dumps({
-            "user_id": e.user_id, "user_type": e.user_type, "timestamp": e.timestamp,
-            "raw_score": e.raw_score, "outcome": e.outcome,
-        }, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -6,7 +6,8 @@ enumeration of the send/skip recursion, a closed-form threshold root, the
 ingest dataset as a per-user split, baseline and replay, and the simulator
 as one Python call per user-pass. None of it imports from the
 package's algorithm internals; the simulator oracle builds the package's
-report and event types and calls a treatment's policy with scalar contexts.
+report type, calls a treatment's policy with scalar contexts, and keeps
+each send as its own `OracleSend` record rather than a package type.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from notif_ltv import (
     CalibrationMap,
     DecisionContext,
     ExperimentReport,
-    NotificationEvent,
     TreatmentResult,
 )
 
@@ -188,6 +189,17 @@ SECONDS_PER_DAY = 86400
 LATENT, POLICY, WARMUP_LATENT, WARMUP_POLICY = 0, 1, 2, 3
 
 
+class OracleSend(NamedTuple):
+    """One send of the oracle simulator; equal to the tuple of a SendLog
+    row with its user id in place of the user position."""
+
+    user_id: str
+    user_type: int
+    timestamp: int
+    raw_score: float
+    outcome: int
+
+
 @dataclass
 class OracleUser:
     """One user's latent traits and mutable per-arm state."""
@@ -219,7 +231,7 @@ def _spawn(config, index, salt):
 
 def simulate_pass_oracle(user, decide, calibration, latent_rng, policy_rng, *, config,
                          factors, effective_limit, timestamp):
-    """One decision opportunity for one reachable user; the event or None.
+    """One decision opportunity for one reachable user; the send or None.
 
     factors maps (type, streak) to the effective ground-truth factor.
     """
@@ -244,8 +256,8 @@ def simulate_pass_oracle(user, decide, calibration, latent_rng, policy_rng, *, c
         user.active_today = True
     elif config.churn_rate > 0.0 and policy_rng.random() < config.churn_rate:
         user.reachable = False
-    return NotificationEvent(user_id=user.user_id, user_type=user.user_type,
-                             timestamp=timestamp, raw_score=raw, outcome=outcome)
+    return OracleSend(user_id=user.user_id, user_type=user.user_type,
+                      timestamp=timestamp, raw_score=raw, outcome=outcome)
 
 
 def _effective_factors(config):
@@ -291,7 +303,7 @@ def simulate_user_oracle(config, index, decide, calibration, limits, days,
 
 
 def warmup_events_oracle(config):
-    """Events of the no-filter warm-up, in user-index order."""
+    """Sends of the no-filter warm-up, in user-index order."""
     identity = CalibrationMap(breakpoints=(0.0, 1.0), values=(0.0, 1.0))
     events = []
     for i in range(config.num_users):

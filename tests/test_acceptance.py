@@ -18,7 +18,6 @@ from notif_ltv import (
     DecisionContext,
     FactorTable,
     SendLimitConfig,
-    SendLog,
     SimConfig,
     SolverConfig,
     Treatment,
@@ -210,11 +209,9 @@ def test_c5_ingest_then_estimation_recovers_scaled_factors():
     )
     report = run_experiment(config, [Treatment("nf", decide_no_filter, baseline=True)],
                             calibration=None, keep_events=True)
-    events = report.events["nf"]
-    assert len(events) >= 100_000
+    log = report.events["nf"]
+    assert len(log) >= 100_000
 
-    log = SendLog.from_rows(*zip(*[(e.user_id, e.user_type, e.timestamp, e.raw_score,
-                                    e.outcome) for e in events]))
     records = build_dataset(log, min_samples=10, bounds=bounds)
 
     estimated = estimate_factors(records, bounds=bounds)
@@ -298,11 +295,10 @@ def directional_run():
         send_limits=SendLimitConfig(limits={c: 3 for c in ALL_TYPES}),
         master_seed=2024, gamma=0.9, calibration_days=2,
     )
-    events = warmup_events(config)
-    calibration = fit_sim_calibration(config, events)
-    scores = {c: [] for c in ALL_TYPES}
-    for e in events:
-        scores[e.user_type].append(apply_calibration(calibration, e.raw_score))
+    log = warmup_events(config)
+    calibration = fit_sim_calibration(config, log)
+    calibrated = apply_calibration(calibration, log.raw_score)
+    scores = {c: calibrated[log.user_type == c] for c in ALL_TYPES}
     ybar = {c: float(np.mean(scores[c])) for c in ALL_TYPES}
 
     model = BehaviorModel(factors=apply_kappa(config.true_factors, config.kappa_true),
@@ -372,17 +368,15 @@ def test_c9_send_limit_safety(directional_run):
          Treatment("no_filter_plus1", decide_no_filter, limit_adjustment=1),
          Treatment("no_filter_minus1", decide_no_filter, limit_adjustment=-1)],
         keep_events=True)
-    type_of = {}
     for treatment in report2.results:
         limits = config2.send_limits.with_extra_adjustment(treatment.limit_adjustment)
-        per_day = {}
-        for e in report2.events[treatment.name]:
-            type_of[e.user_id] = e.user_type
-            key = (e.user_id, e.timestamp // 86400)
-            per_day[key] = per_day.get(key, 0) + 1
-        for (uid, _day), count in per_day.items():
-            assert count <= limits.effective_limit(type_of[uid]), \
-                f"{treatment.name}: user {uid} exceeded the daily limit"
+        log = report2.events[treatment.name]
+        user_day = log.user * config2.days + log.timestamp // 86400
+        _, first, count = np.unique(user_day, return_index=True, return_counts=True)
+        limit = np.array([limits.effective_limit(c) for c in log.user_type[first].tolist()])
+        over = first[count > limit]
+        assert over.size == 0, \
+            f"{treatment.name}: user {log.users[log.user[over[0]]]} exceeded the daily limit"
 
 
 # --- criterion 8: byte-identical reports across thread counts -----------------

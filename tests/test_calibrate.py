@@ -1,5 +1,7 @@
 """Isotonic fit, step-function application, and window refresh."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -191,6 +193,24 @@ class TestCalibrationMapValidation:
         cmap = CalibrationMap(breakpoints=(0.1, 0.3), values=(0.5, 1.0),
                               fitted_at=42.0, window_hours=12)
         assert CalibrationMap.from_dict(cmap.to_dict()) == cmap
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_breakpoints_must_be_finite(self, bad):
+        # a NaN breakpoint would make the array lookup (0.1 at 0.3) and the
+        # scalar lookup (0.2 at 0.3) disagree
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            CalibrationMap.from_dict({"breakpoints": [0.1, bad, 0.5],
+                                      "values": [0.1, 0.2, 0.3]})
+
+    def test_window_hours_must_be_integral(self):
+        doc = CalibrationMap(breakpoints=(0.1, 0.3), values=(0.5, 1.0)).to_dict()
+        doc["window_hours"] = 2.5
+        with pytest.raises(ValueError, match="window_hours"):
+            CalibrationMap.from_dict(doc)
+        doc["window_hours"] = 3.0
+        assert CalibrationMap.from_dict(doc).window_hours == 3
+        with pytest.raises(ValueError, match="window_hours"):
+            CalibrationMap(breakpoints=(0.1,), values=(0.5,), window_hours=2.5)
 
 
 def test_calibration_recovers_monotone_link():

@@ -77,6 +77,16 @@ class TestFit:
         assert "on 600 records from 31 users" in out
         assert "read 1206 sends; 1 users excluded with fewer than 10 first-half sends" in out
 
+    def test_nan_calibration_breakpoint_is_data_error(self, send_log, tmp_path, capsys):
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps({"breakpoints": [0.1, math.nan, 0.5],
+                                   "values": [0.1, 0.2, 0.3]}))
+        out = tmp_path / "m.json"
+        assert run(["fit", send_log, "--kappa", "0.2", "--calibration", cal,
+                    "--out", out]) == 2
+        assert "breakpoints must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, send_log, tmp_path):
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
         run(["fit", send_log, "--kappa", "0.3", "--out", out1])
@@ -284,6 +294,22 @@ class TestSimulate:
         sim_config_path.write_text(json.dumps(doc))
         assert run(["simulate", "--sim-config", sim_config_path, "--treatments",
                     treatments_path, "--out-dir", tmp_path / "o"]) == 1
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("baseline_beta", {"1": [4, 6], "2": [0, 7]}, "baseline_beta for user type 2"),
+        ("baseline_beta", {"1": [-1, 6], "2": [3, 7]}, "baseline_beta for user type 1"),
+        ("score_noise", {"1": 0.5, "2": math.nan}, "score_noise for user type 2"),
+    ])
+    def test_bad_ground_truth_is_validation_error(self, sim_config_path, treatments_path,
+                                                  tmp_path, capsys, key, value, message):
+        doc = json.loads(sim_config_path.read_text())
+        doc[key] = value
+        sim_config_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        assert run(["simulate", "--sim-config", sim_config_path, "--treatments",
+                    treatments_path, "--out-dir", out_dir]) == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_fractional_limit_adjustment_is_validation_error(self, sim_config_path, tmp_path):
         treatments = tmp_path / "t.json"

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import notif_ltv
 from notif_ltv import (
     SendLimitConfig,
     SolverConfig,
     advance_streak,
     clamp_streak,
-    streak_after_skip,
 )
 
 
@@ -69,11 +69,6 @@ class TestAdvanceStreak:
         assert got.min() == lo and got.max() == hi
         assert advance_streak(streaks, 1, bounds).tolist() == \
             [advance_streak(s, 1, bounds) for s in streaks.tolist()]
-
-
-def test_streak_after_skip_is_identity():
-    for s in (4, 0, -2):
-        assert streak_after_skip(s) == s
 
 
 def test_clamp_streak():
@@ -145,3 +140,10 @@ class TestSendLimitConfig:
     def test_from_dict_loads_integral_floats(self):
         cfg = SendLimitConfig.from_dict({"limits": {"1": 3.0}, "adjustment": -1.0})
         assert cfg.limits == {1: 3} and cfg.adjustment == -1
+
+
+def test_package_exports_are_unique_and_resolve():
+    names = notif_ltv.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(notif_ltv, name)]
+    assert missing == []
