@@ -15,13 +15,13 @@ loop over the records bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibrate import CalibrationMap, apply_calibration, pav
-from .core import DEFAULT_STREAK_BOUNDS, USER_TYPES, type_rows, validate_streak_bounds
+from .core import (DEFAULT_STREAK_BOUNDS, USER_TYPES, integral, listed, number, per_type,
+                   read_field, type_rows, validate_streak_bounds)
 from .ingest import RecordSet
 
 # keeps estimated factors strictly positive even for all-ignore cells
@@ -69,9 +69,6 @@ class FactorTable:
                    factors=np.ones((len(types), n)),
                    counts=np.zeros((len(types), n), dtype=np.int64))
 
-    def streaks(self) -> range:
-        return range(self.bounds[0], self.bounds[1] + 1)
-
     def _col(self, streak: int) -> int:
         lo, hi = self.bounds
         if not lo <= streak <= hi:
@@ -101,10 +98,15 @@ class FactorTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FactorTable":
-        types = tuple(int(c) for c in d["types"])
-        return cls(bounds=tuple(d["streak_bounds"]), types=types,
-                   factors=np.array([d["factors"][str(c)] for c in types], dtype=float),
-                   counts=np.array([d["counts"][str(c)] for c in types], dtype=np.int64))
+        lo, hi = validate_streak_bounds(read_field(d, "streak_bounds", listed, 2, integral))
+        types = read_field(d, "types", listed, None, integral)
+        factors = read_field(d, "factors", per_type, listed, hi - lo + 1)
+        counts = read_field(d, "counts", per_type, listed, hi - lo + 1, integral)
+        if not sorted(factors) == sorted(counts) == sorted(types):
+            raise ValueError(f"factors and counts need one row per type in types {list(types)}")
+        return cls(bounds=(lo, hi), types=types,
+                   factors=np.array([factors[c] for c in types], dtype=float),
+                   counts=np.array([counts[c] for c in types], dtype=np.int64))
 
 
 def estimate_factors(records: RecordSet,
@@ -244,21 +246,10 @@ class BehaviorModel:
     def from_dict(cls, d: dict) -> "BehaviorModel":
         return cls(
             factors=FactorTable.from_dict(d),
-            kappa=float(d["kappa"]),
-            type_mean_open={int(c): float(v) for c, v in d["type_mean_open"].items()},
-            type_population_share={int(c): float(v)
-                                   for c, v in d.get("type_population_share", {}).items()},
+            kappa=read_field(d, "kappa", number),
+            type_mean_open=read_field(d, "type_mean_open", per_type),
+            type_population_share=read_field(d, "type_population_share", per_type, default={}),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "BehaviorModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def fit_behavior_model(records: RecordSet, kappa: float,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import integral
+from .core import integral, listed, number, read_field
 from .ingest import SendLog
 
 
@@ -107,10 +107,10 @@ class CalibrationMap:
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationMap":
         return cls(
-            breakpoints=tuple(float(b) for b in d["breakpoints"]),
-            values=tuple(float(v) for v in d["values"]),
-            fitted_at=float(d.get("fitted_at", 0.0)),
-            window_hours=d.get("window_hours", 24),
+            breakpoints=read_field(d, "breakpoints", listed),
+            values=read_field(d, "values", listed),
+            fitted_at=read_field(d, "fitted_at", number, default=0.0),
+            window_hours=read_field(d, "window_hours", integral, default=24),
         )
 
 

@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 validation error, 2 runtime or data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -25,7 +27,7 @@ import numpy as np
 from . import policy
 from .behavior import BehaviorModel, fit_behavior_model
 from .calibrate import CalibrationMap, refresh, window_mask
-from .core import SolverConfig, integral
+from .core import SolverConfig, document, flag, integral, listed, number, read_field, text
 from .ingest import DEFAULT_MIN_SAMPLES, LogParseError, read_log, build_dataset
 # Treatments bind the policy module's functions, not these names: perfbench's
 # tracer wraps the names imported here and truth-tests each result, and the
@@ -63,9 +65,7 @@ def _write_json(path, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_json(path, what: str) -> dict:
-    if not os.path.exists(path):
-        raise DataError(f"{what} file not found: {path}")
+def _load_json(path, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -78,45 +78,39 @@ def _provenance(command: str, resolved: dict, inputs: dict) -> dict:
             "inputs": {str(p): _sha256(p) for p in inputs.values() if p}}
 
 
-def _resolve(cli_value, file_config: dict, key: str, default):
-    if cli_value is not None:
-        return cli_value
-    if key in file_config:
-        return file_config[key]
-    return default
-
-
-def _integral(value, name: str) -> int:
+@contextlib.contextmanager
+def _reading(what: str, error: type[Exception]):
+    """Re-raise a bad value read from `what` as `error`: ValidationError (exit 1) for
+    a config or treatments file, DataError (exit 2) for another stage's artifact."""
     try:
-        return integral(value, name)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        yield
+    except (ValueError, OverflowError) as exc:  # OverflowError: too big for an int64 array
+        raise error(f"{what}: {exc}") from exc
 
 
-def _read_log_checked(path):
-    if not os.path.exists(path):
-        raise DataError(f"log file not found: {path}")
-    return read_log(path)
+def _resolve(cli_value, file_config, key: str, read, default):
+    return read_field(file_config, key, read, default=default) if cli_value is None else cli_value
 
 
 def cmd_fit(args) -> int:
     cfg = _load_json(args.config, "config") if args.config else {}
-    raw_kappa = _resolve(args.kappa, cfg, "kappa", None)
-    if raw_kappa is None:
+    with _reading("fit config", ValidationError):
+        kappa = _resolve(args.kappa, cfg, "kappa", number, None)
+        min_samples = _resolve(args.min_samples, cfg, "min_samples", integral,
+                               DEFAULT_MIN_SAMPLES)
+    if kappa is None:
         raise ValidationError("fit requires --kappa (or 'kappa' in the config file)")
-    kappa = float(raw_kappa)
     if not 0.0 <= kappa <= 1.0:
         raise ValidationError(f"kappa must be in [0, 1], got {kappa}")
-    min_samples = _integral(_resolve(args.min_samples, cfg, "min_samples", DEFAULT_MIN_SAMPLES),
-                            "min_samples")
     if min_samples < 1:
         raise ValidationError(f"min_samples must be >= 1, got {min_samples}")
 
     calibration = None
     if args.calibration:
-        calibration = CalibrationMap.from_dict(_load_json(args.calibration, "calibration"))
+        with _reading(f"calibration {args.calibration}", DataError):
+            calibration = CalibrationMap.from_dict(_load_json(args.calibration, "calibration"))
 
-    log = _read_log_checked(args.log)
+    log = read_log(args.log)
     records = build_dataset(log, min_samples=min_samples)
     if len(records) == 0:
         raise DataError(f"no users eligible: every user has fewer than "
@@ -146,21 +140,15 @@ def cmd_fit(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_json(args.config, "config") if args.config else {}
-    gamma = float(_resolve(args.gamma, cfg, "gamma", 0.9))
-    horizon = _integral(_resolve(args.horizon, cfg, "horizon", 250), "horizon")
-    if not 0.0 <= gamma < 1.0:
-        raise ValidationError(f"gamma must be in [0, 1), got {gamma}")
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    with _reading("solve config", ValidationError):
+        config = SolverConfig(gamma=_resolve(args.gamma, cfg, "gamma", number, 0.9),
+                              horizon=_resolve(args.horizon, cfg, "horizon", integral, 250))
+    with _reading(f"model {args.model}", DataError):
+        model = BehaviorModel.from_dict(_load_json(args.model, "model"))
+    table = solve_policy(model, dataclasses.replace(config, kappa=model.kappa,
+                                                    streak_bounds=model.factors.bounds))
 
-    if not os.path.exists(args.model):
-        raise DataError(f"model file not found: {args.model}")
-    model = BehaviorModel.load(args.model)
-    solver_config = SolverConfig(gamma=gamma, horizon=horizon, kappa=model.kappa,
-                                 streak_bounds=model.factors.bounds)
-    table = solve_policy(model, solver_config)
-
-    resolved = {"model": args.model, "gamma": gamma, "horizon": horizon}
+    resolved = {"model": args.model, "gamma": config.gamma, "horizon": config.horizon}
     payload = table.to_dict()
     payload["provenance"] = _provenance("solve", resolved, {"model": args.model})
     _write_json(args.out, payload)
@@ -181,16 +169,15 @@ def cmd_solve(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = _load_json(args.config, "config") if args.config else {}
-    now = _resolve(args.now, cfg, "now", None)
+    with _reading("calibrate config", ValidationError):
+        now = _resolve(args.now, cfg, "now", integral, None)
+        window_hours = _resolve(args.window_hours, cfg, "window_hours", integral, 24)
     if now is None:
         raise ValidationError("calibrate requires --now (or 'now' in the config file)")
-    now = _integral(now, "now")
-    window_hours = _integral(_resolve(args.window_hours, cfg, "window_hours", 24),
-                             "window_hours")
     if window_hours <= 0:
         raise ValidationError(f"window_hours must be > 0, got {window_hours}")
 
-    log = _read_log_checked(args.log)
+    log = read_log(args.log)
     cmap = refresh(log, now=now, window_hours=window_hours, previous=None)
     if cmap is None:
         raise DataError(f"fewer than 2 events in the {window_hours}h window ending at {now}")
@@ -211,54 +198,45 @@ def cmd_calibrate(args) -> int:
 
 
 def _build_treatment(entry: dict, base_dir: str) -> Treatment:
-    name = entry.get("name")
-    if not name:
-        raise ValidationError("every treatment needs a 'name'")
-    kind = entry.get("policy")
+    name = read_field(entry, "name", text)
+    kind = read_field(entry, "policy", text)
     if kind == "no_filter":
         decide = policy.decide_no_filter
     elif kind == "heuristic":
-        if "thresholds" not in entry:
-            raise ValidationError(f"treatment {name!r}: heuristic policy needs 'thresholds'")
-        ks = HeuristicThresholds.from_dict(entry["thresholds"])
+        ks = HeuristicThresholds.from_dict(read_field(entry, "thresholds", document))
         decide = functools.partial(policy.decide_heuristic, thresholds=ks)
     elif kind == "rl":
-        if "table_path" not in entry:
-            raise ValidationError(f"treatment {name!r}: rl policy needs 'table_path'")
-        path = entry["table_path"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        if not os.path.exists(path):
-            raise DataError(f"policy table file not found: {path}")
-        table = PolicyTable.load(path)
+        # join keeps an absolute table_path as it is
+        path = os.path.join(base_dir, read_field(entry, "table_path", text))
+        with _reading(f"policy table {path}", DataError):
+            table = PolicyTable.from_dict(_load_json(path, "policy table"))
         decide = functools.partial(policy.decide_rl, table=table)
     else:
-        raise ValidationError(f"treatment {name!r}: unknown policy {kind!r} "
-                              "(expected no_filter, heuristic, or rl)")
+        raise ValueError(f"treatment {name!r}: unknown policy {kind!r} "
+                         "(expected no_filter, heuristic, or rl)")
     return Treatment(name=name, decide=decide,
-                     limit_adjustment=_integral(entry.get("limit_adjustment", 0),
-                                                f"treatment {name!r}: limit_adjustment"),
-                     baseline=bool(entry.get("baseline", False)))
+                     limit_adjustment=read_field(entry, "limit_adjustment", integral, default=0),
+                     baseline=read_field(entry, "baseline", flag, default=False))
 
 
 def cmd_simulate(args) -> int:
     if args.threads < 1:
         raise ValidationError(f"threads must be >= 1, got {args.threads}")
     sim_cfg_dict = _load_json(args.sim_config, "simulation config")
-    if args.seed is not None:
-        sim_cfg_dict["master_seed"] = args.seed
-    try:
+    with _reading("simulation config", ValidationError):
+        if args.seed is not None:
+            document(sim_cfg_dict, "simulation config")["master_seed"] = args.seed
         config = SimConfig.from_dict(sim_cfg_dict)
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"bad simulation config: {exc}") from exc
 
     treatments_doc = _load_json(args.treatments, "treatments")
-    entries = treatments_doc if isinstance(treatments_doc, list) \
-        else treatments_doc.get("treatments", [])
-    if not entries:
-        raise ValidationError("treatments file defines no treatments")
     base_dir = os.path.dirname(os.path.abspath(args.treatments))
-    treatments = [_build_treatment(e, base_dir) for e in entries]
+    with _reading("treatments", ValidationError):
+        if isinstance(treatments_doc, list):
+            treatments_doc = {"treatments": treatments_doc}
+        entries = read_field(treatments_doc, "treatments", listed, None, document, default=())
+        if not entries:
+            raise ValueError("the file defines no treatments")
+        treatments = [_build_treatment(e, base_dir) for e in entries]
 
     report = run_experiment(config, treatments, keep_events=args.emit_log)
 

@@ -19,23 +19,86 @@ USER_TYPES: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
 
 DEFAULT_STREAK_BOUNDS: tuple[int, int] = (-15, 15)
 
+_TYPE_KEYS = {str(c): c for c in USER_TYPES}
+_REQUIRED = object()
 
-def validate_user_type(value: int) -> int:
+
+def validate_user_type(value: int, name: str = "user_type") -> int:
     """Check that `value` is one of the known user types and return it."""
     if isinstance(value, bool) or not isinstance(value, int) or value not in USER_TYPES:
-        raise ValueError(f"unknown user_type {value!r}; expected one of {list(USER_TYPES)}")
+        raise ValueError(f"unknown {name} {value!r}; expected one of {list(USER_TYPES)}")
     return value
 
 
-def integral(value, name: str) -> int:
-    """`value` as an int for a field that must hold a whole number.
+# The readers below are the only code that turns a value taken from a JSON
+# document into a Python value. Each names the field in its ValueError.
 
-    A float with a fractional part (2.5) or a non-finite float is an error
-    instead of being truncated; an integral float such as 5.0 loads as 5.
-    """
-    if isinstance(value, float) and not value.is_integer():
+def number(value, name: str, kind: str = "a number") -> float:
+    """A JSON number as a float. Null, bools, strings, containers and
+    integers too large for a float are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be {kind} in float range") from None
+
+
+def integral(value, name: str) -> int:
+    """A JSON number holding a whole number, as an int: 5.0 loads as 5 and integers
+    stay exact; a fractional or non-finite float is an error, not truncated."""
+    if not number(value, name, "an integer").is_integer():
         raise ValueError(f"{name} must be an integer, got {value}")
     return int(value)
+
+
+def flag(value, name: str) -> bool:
+    """A JSON true or false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def text(value, name: str) -> str:
+    """A non-empty JSON string."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+    return value
+
+
+def document(value, name: str) -> dict:
+    """A JSON object, for its own fields to be read with `read_field`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def listed(value, name: str, length: int | None = None, read=number, *args) -> tuple:
+    """A JSON list, of `length` items if given, as a tuple of
+    read(item, "name[i]", *args)."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        noun = {integral: "integers", document: "objects"}.get(read, "numbers")
+        size = "" if length is None else f"{length} "
+        raise ValueError(f"{name} must be a list of {size}{noun}, got {value!r}")
+    return tuple(read(item, f"{name}[{i}]", *args) for i, item in enumerate(value))
+
+
+def per_type(value, name: str, read=number, *args) -> dict:
+    """A JSON object keyed by user type, "1" to "6", as {type: read(item, "name[type]")}."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object keyed by user type, got {value!r}")
+    types = [validate_user_type(_TYPE_KEYS.get(key, key), f"{name} key") for key in value]
+    return {c: read(item, f"{name}[{c}]", *args) for c, item in zip(types, value.values())}
+
+
+def read_field(doc: dict, key: str, read, *args, default=_REQUIRED):
+    """read(doc[key], key, *args). An absent key gives `default` if one is
+    given and is an error otherwise."""
+    if key not in document(doc, f"the document holding {key!r}"):
+        if default is _REQUIRED:
+            raise ValueError(f"missing required field {key!r}")
+        return default
+    return read(doc[key], key, *args)
 
 
 def type_rows(types: tuple[int, ...], user_type):
@@ -100,10 +163,11 @@ class SolverConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
         return cls(
-            gamma=float(d["gamma"]),
-            horizon=integral(d["horizon"], "horizon"),
-            kappa=float(d.get("kappa", 1.0)),
-            streak_bounds=tuple(d.get("streak_bounds", DEFAULT_STREAK_BOUNDS)),
+            gamma=read_field(d, "gamma", number),
+            horizon=read_field(d, "horizon", integral),
+            kappa=read_field(d, "kappa", number, default=1.0),
+            streak_bounds=read_field(d, "streak_bounds", listed, 2, integral,
+                                     default=DEFAULT_STREAK_BOUNDS),
         )
 
 
@@ -135,9 +199,8 @@ class SendLimitConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SendLimitConfig":
-        return cls(limits={int(c): integral(v, f"send limit for type {c}")
-                           for c, v in d["limits"].items()},
-                   adjustment=integral(d.get("adjustment", 0), "adjustment"))
+        return cls(limits=read_field(d, "limits", per_type, integral),
+                   adjustment=read_field(d, "adjustment", integral, default=0))
 
 
 def clamp_streak(s: int, bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import type_rows, validate_user_type
+from .core import per_type, type_rows, validate_user_type
 from .solver import PolicyTable
 
 
@@ -44,7 +44,7 @@ class HeuristicThresholds:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HeuristicThresholds":
-        return cls(by_type={int(c): float(k) for c, k in d.items()})
+        return cls(by_type=per_type(d, "thresholds"))
 
 
 @dataclass(frozen=True)

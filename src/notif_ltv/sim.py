@@ -38,7 +38,8 @@ import numpy as np
 from . import policy
 from .behavior import FactorTable, apply_kappa
 from .calibrate import CalibrationMap, apply_calibration, fit_isotonic
-from .core import SendLimitConfig, advance_streak, integral, validate_streak_bounds
+from .core import (SendLimitConfig, advance_streak, document, integral, listed, number, per_type,
+                   read_field, validate_streak_bounds)
 from .ingest import SendLog
 # The warm-up calls policy.decide_no_filter, not this name: perfbench's tracer
 # wraps the name imported here and truth-tests each result, and a block's
@@ -159,29 +160,25 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        if "true_factors" in d:
+        if "true_factors" in document(d, "simulation config"):
             table = FactorTable.from_dict(d["true_factors"])
-        elif "factor_ramps" in d:
-            table = ramp_factor_table(tuple(d["streak_bounds"]),
-                                      {int(c): (float(v[0]), float(v[1]))
-                                       for c, v in d["factor_ramps"].items()})
         else:
-            raise ValueError("config needs either 'true_factors' or 'factor_ramps'")
+            ramps = read_field(d, "factor_ramps", per_type, listed, 2)
+            table = ramp_factor_table(read_field(d, "streak_bounds", listed, 2, integral), ramps)
         return cls(
-            num_users=integral(d["num_users"], "num_users"),
-            days=integral(d["days"], "days"),
-            passes_per_day=integral(d["passes_per_day"], "passes_per_day"),
-            type_shares={int(c): float(v) for c, v in d["type_shares"].items()},
-            baseline_beta={int(c): (float(v[0]), float(v[1]))
-                           for c, v in d["baseline_beta"].items()},
-            score_noise={int(c): float(v) for c, v in d["score_noise"].items()},
+            num_users=read_field(d, "num_users", integral),
+            days=read_field(d, "days", integral),
+            passes_per_day=read_field(d, "passes_per_day", integral),
+            type_shares=read_field(d, "type_shares", per_type),
+            baseline_beta=read_field(d, "baseline_beta", per_type, listed, 2),
+            score_noise=read_field(d, "score_noise", per_type),
             true_factors=table,
-            kappa_true=float(d["kappa_true"]),
-            send_limits=SendLimitConfig.from_dict(d["send_limits"]),
-            master_seed=integral(d["master_seed"], "master_seed"),
-            gamma=float(d.get("gamma", 0.9)),
-            churn_rate=float(d.get("churn_rate", 0.0)),
-            calibration_days=integral(d.get("calibration_days", 2), "calibration_days"),
+            kappa_true=read_field(d, "kappa_true", number),
+            send_limits=SendLimitConfig.from_dict(read_field(d, "send_limits", document)),
+            master_seed=read_field(d, "master_seed", integral),
+            gamma=read_field(d, "gamma", number, default=0.9),
+            churn_rate=read_field(d, "churn_rate", number, default=0.0),
+            calibration_days=read_field(d, "calibration_days", integral, default=2),
         )
 
 

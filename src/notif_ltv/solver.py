@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .behavior import BehaviorModel
-from .core import SolverConfig, advance_streak, clamp_streak, type_rows
+from .core import (SolverConfig, advance_streak, clamp_streak, document, integral, listed,
+                   number, per_type, read_field, type_rows)
 
 # threshold meaning "no score justifies sending"; any score compares below it
 NEVER_SEND = math.inf
@@ -137,11 +137,17 @@ class PolicyTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PolicyTable":
-        config = SolverConfig.from_dict(d["config"])
-        types = tuple(int(c) for c in d["types"])
-        rows = [[NEVER_SEND if v is None else float(v) for v in d["thresholds"][str(c)]]
-                for c in types]
-        return cls(config=config, types=types, thresholds=np.array(rows, dtype=float))
+        config = SolverConfig.from_dict(read_field(d, "config", document))
+        lo, hi = config.streak_bounds
+        if read_field(d, "streak_bounds", listed, 2, integral) != (lo, hi):
+            raise ValueError(f"streak_bounds must match config.streak_bounds {[lo, hi]}")
+        types = read_field(d, "types", listed, None, integral)
+        rows = read_field(d, "thresholds", per_type, listed, hi - lo + 1,
+                          lambda v, name: NEVER_SEND if v is None else number(v, name))
+        if sorted(rows) != sorted(types):
+            raise ValueError(f"thresholds need one row per type in types {list(types)}")
+        return cls(config=config, types=types,
+                   thresholds=np.array([rows[c] for c in types], dtype=float))
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -153,16 +159,6 @@ class PolicyTable:
                 v = self.thresholds[i, s - lo]
                 writer.writerow([c, s, "never_send" if math.isinf(v) else repr(float(v))])
         return buf.getvalue()
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "PolicyTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def solve_policy(model: BehaviorModel, config: SolverConfig) -> PolicyTable:

@@ -1,13 +1,22 @@
 """End-to-end command behavior, exit codes, and artifact determinism."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from notif_ltv import PolicyTable, SolverConfig, ramp_factor_table
+from notif_ltv import (NEVER_SEND, BehaviorModel, CalibrationMap, PolicyTable, SolverConfig,
+                       ramp_factor_table)
 from notif_ltv.cli import main
+
+# an integer that no float can hold
+HUGE = 10 ** 400
 
 
 @pytest.fixture
@@ -66,6 +75,11 @@ class TestFit:
         cfg = tmp_path / "fit.json"
         cfg.write_text(json.dumps({"kappa": 0.2, "min_samples": min_samples}))
         assert run(["fit", send_log, "--config", cfg, "--out", tmp_path / "m.json"]) == code
+
+    def test_config_kappa_must_be_a_json_number(self, send_log, tmp_path):
+        cfg = tmp_path / "fit.json"
+        cfg.write_text(json.dumps({"kappa": "x"}))
+        assert run(["fit", send_log, "--config", cfg, "--out", tmp_path / "m.json"]) == 1
 
     def test_reports_users_read_excluded_and_records(self, send_log, tmp_path, capsys):
         with open(send_log, "a") as fh:
@@ -135,11 +149,26 @@ class TestSolve:
         assert run(["solve", model_path, "--out", tmp_path / "p.json"]) == 2
         assert not (tmp_path / "p.json").exists()
 
+    def test_count_beyond_int64_is_data_error(self, model_path, tmp_path, capsys):
+        doc = json.loads(model_path.read_text())
+        doc["counts"]["2"][4] = 2 ** 70
+        model_path.write_text(json.dumps(doc))
+        assert run(["solve", model_path, "--out", tmp_path / "p.json"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: model {model_path}: ")
+
     @pytest.mark.parametrize("horizon, code", [(2.5, 1), (5.0, 0)])
     def test_config_horizon_must_be_integral(self, model_path, tmp_path, horizon, code):
         cfg = tmp_path / "solve.json"
         cfg.write_text(json.dumps({"horizon": horizon}))
         assert run(["solve", model_path, "--config", cfg, "--out", tmp_path / "p.json"]) == code
+
+    @pytest.mark.parametrize("gamma", ["0.5", HUGE])
+    def test_config_gamma_must_be_a_json_number_a_float_holds(self, model_path, tmp_path,
+                                                              capsys, gamma):
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"gamma": gamma}))
+        assert run(["solve", model_path, "--config", cfg, "--out", tmp_path / "p.json"]) == 1
+        assert "gamma must be a number" in capsys.readouterr().err
 
     def test_missing_model_names_path(self, tmp_path, capsys):
         missing = tmp_path / "ghost.json"
@@ -296,6 +325,29 @@ class TestSimulate:
                     treatments_path, "--out-dir", tmp_path / "o"]) == 1
 
     @pytest.mark.parametrize("key, value, message", [
+        ("num_users", True, "num_users must be an integer, got True"),
+        ("kappa_true", HUGE, "kappa_true must be a number in float range"),
+        ("baseline_beta", {"1": [4, 6], "2": [2]},
+         "baseline_beta[2] must be a list of 2 numbers, got [2]"),
+    ])
+    def test_config_value_of_wrong_json_type_is_validation_error(
+            self, sim_config_path, treatments_path, tmp_path, capsys, key, value, message):
+        doc = json.loads(sim_config_path.read_text())
+        doc[key] = value
+        sim_config_path.write_text(json.dumps(doc))
+        assert run(["simulate", "--sim-config", sim_config_path, "--treatments",
+                    treatments_path, "--out-dir", tmp_path / "o"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_treatment_baseline_must_be_a_json_bool(self, sim_config_path, tmp_path):
+        treatments = tmp_path / "t.json"
+        treatments.write_text(json.dumps([
+            {"name": "base", "policy": "no_filter", "baseline": True},
+            {"name": "h", "policy": "no_filter", "baseline": "false"}]))
+        assert run(["simulate", "--sim-config", sim_config_path, "--treatments",
+                    treatments, "--out-dir", tmp_path / "o"]) == 1
+
+    @pytest.mark.parametrize("key, value, message", [
         ("baseline_beta", {"1": [4, 6], "2": [0, 7]}, "baseline_beta for user type 2"),
         ("baseline_beta", {"1": [-1, 6], "2": [3, 7]}, "baseline_beta for user type 1"),
         ("score_noise", {"1": 0.5, "2": math.nan}, "score_noise for user type 2"),
@@ -371,3 +423,151 @@ def test_full_pipeline_round_trip(tmp_path):
                 "--out-dir", out_dir]) == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert {t["name"] for t in report["treatments"]} == {"heuristic", "rl"}
+
+
+# One valid document of every kind the commands read, each with the command
+# that reads it and the exit code a malformed copy must give: 1 for configs
+# and treatments, 2 for another stage's artifact.
+SIM_CONFIG = {
+    "num_users": 20, "days": 2, "passes_per_day": 2, "master_seed": 9,
+    "gamma": 0.9, "churn_rate": 0.0, "calibration_days": 1,
+    "type_shares": {"1": 0.5, "2": 0.5},
+    "baseline_beta": {"1": [4, 6], "2": [3, 7]},
+    "score_noise": {"1": 0.5, "2": 0.5},
+    "streak_bounds": [-2, 2],
+    "factor_ramps": {"1": [0.7, 1.2], "2": [0.8, 1.1]},
+    "kappa_true": 0.4,
+    "send_limits": {"limits": {"1": 2, "2": 2}, "adjustment": 0},
+}
+SIM_CONFIG_TABLE = {key: value for key, value in SIM_CONFIG.items()
+                    if key not in ("streak_bounds", "factor_ramps")}
+SIM_CONFIG_TABLE["true_factors"] = ramp_factor_table(
+    (-2, 2), {1: (0.7, 1.2), 2: (0.8, 1.1)}).to_dict()
+TREATMENTS = [
+    {"name": "heuristic", "policy": "heuristic", "baseline": True,
+     "thresholds": {"1": 0.3, "2": 0.25}},
+    {"name": "no_filter", "policy": "no_filter", "limit_adjustment": 1},
+    {"name": "rl", "policy": "rl", "table_path": "policy.json"},
+]
+POLICY = PolicyTable(config=SolverConfig(horizon=60, streak_bounds=(-2, 2)), types=(1, 2),
+                     thresholds=[[0.1, 0.2, 0.3, 0.4, NEVER_SEND]] * 2).to_dict()
+MODEL = BehaviorModel(factors=ramp_factor_table((-2, 2), {1: (0.7, 1.2), 2: (0.8, 1.1)}),
+                      kappa=0.4, type_mean_open={1: 0.3, 2: 0.4},
+                      type_population_share={1: 0.5, 2: 0.5}).to_dict()
+CALIBRATION = CalibrationMap(breakpoints=(0.1, 0.5), values=(0.2, 0.6), fitted_at=3600.0,
+                             window_hours=24).to_dict()
+VALID = {"sim.json": SIM_CONFIG, "treatments.json": TREATMENTS, "policy.json": POLICY,
+         "fit.json": {"kappa": 0.2, "min_samples": 10}, "cal.json": CALIBRATION,
+         "solve.json": {"gamma": 0.9, "horizon": 60}, "model.json": MODEL,
+         "calibrate.json": {"now": 40 * 3600, "window_hours": 48}}
+SIMULATE = ["simulate", "--sim-config", "sim.json", "--treatments", "treatments.json",
+            "--out-dir", "out"]
+READERS = {  # label -> (file, its valid document, command reading it, exit code)
+    "sim config": ("sim.json", SIM_CONFIG, SIMULATE, 1),
+    "sim config with true_factors": ("sim.json", SIM_CONFIG_TABLE, SIMULATE, 1),
+    "treatments": ("treatments.json", TREATMENTS, SIMULATE, 1),
+    "policy table": ("policy.json", POLICY, SIMULATE, 2),
+    "fit config": ("fit.json", VALID["fit.json"],
+                   ["fit", "log.jsonl", "--config", "fit.json", "--out", "m.json"], 1),
+    "calibration": ("cal.json", CALIBRATION, ["fit", "log.jsonl", "--kappa", "0.2",
+                                              "--calibration", "cal.json", "--out", "m.json"], 2),
+    "solve config": ("solve.json", VALID["solve.json"],
+                     ["solve", "model.json", "--config", "solve.json", "--out", "p.json"], 1),
+    "model": ("model.json", MODEL, ["solve", "model.json", "--out", "p.json"], 2),
+    "calibrate config": ("calibrate.json", VALID["calibrate.json"],
+                         ["calibrate", "log.jsonl", "--config", "calibrate.json",
+                          "--out", "c.json"], 1),
+}
+
+
+def _positions(node, path=()):
+    """Key paths to every value below the root of a JSON document."""
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        if key != "version":  # written for readers of the file; no loader reads it
+            yield path + (key,), child
+            yield from _positions(child, path + (key,))
+
+
+def _invalid_replacements(value):
+    """Values of the wrong JSON type or shape for a field holding `value`."""
+    if isinstance(value, bool):
+        return [None, "true", 1, [value], {}]
+    if isinstance(value, (int, float)):
+        return [None, True, str(value), [value], {}, HUGE]
+    if isinstance(value, str):
+        return [None, False, 7, [value], {}]
+    if isinstance(value, list):
+        return [None, True, "x", {}, value[:-1], value + [0], HUGE]
+    return [None, True, "x", [], HUGE]
+
+
+# (reader label, key path, replacement) for every field of every document
+MUTATIONS = [(label, path, bad)
+             for label, (_, doc, _, _) in READERS.items()
+             for path, value in _positions(doc)
+             for bad in _invalid_replacements(value)
+             # a null threshold is a valid never-send cell
+             if not (label == "policy table" and path[0] == "thresholds" and bad is None)]
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _write_documents(tmp, docs, log):
+    for file_name, doc in docs.items():
+        with open(os.path.join(tmp, file_name), "w") as fh:
+            json.dump(doc, fh)
+    os.symlink(log, os.path.join(tmp, "log.jsonl"))
+
+
+def _run_in(tmp, command):
+    """Exit code and stderr of `command`, its file arguments taken in tmp."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([os.path.join(tmp, a) if a.endswith((".json", ".jsonl")) or a == "out"
+                     else a for a in command])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def mutation_log(tmp_path_factory):
+    rng = np.random.default_rng(42)
+    path = tmp_path_factory.mktemp("mutation") / "log.jsonl"
+    path.write_text("".join(
+        json.dumps({"user_id": f"u{u:03d}", "user_type": u % 6 + 1, "timestamp": t * 3600,
+                    "raw_score": float(rng.uniform(0.05, 0.95)),
+                    "outcome": int(rng.random() < 0.4)}) + "\n"
+        for u in range(30) for t in range(40)))
+    return path
+
+
+@pytest.mark.parametrize("label", READERS)
+def test_unmutated_documents_run(mutation_log, label):
+    file_name, doc, command, _ = READERS[label]
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_documents(tmp, {**VALID, file_name: doc}, mutation_log)
+        assert _run_in(tmp, command)[0] == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation=st.sampled_from(MUTATIONS))
+def test_one_malformed_field_is_one_error_line(mutation_log, mutation):
+    """Any one field of any document given a value of the wrong JSON type or
+    shape ends in one `error:` line and its exit code, with nothing written."""
+    label, path, bad = mutation
+    file_name, doc, command, code = READERS[label]
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_documents(tmp, {**VALID, file_name: _replaced(doc, path, bad)}, mutation_log)
+        before = sorted(os.listdir(tmp))
+        got, err = _run_in(tmp, command)
+        assert (got, sorted(os.listdir(tmp))) == (code, before)
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
