@@ -24,7 +24,6 @@ from .core import (
     SendLimitConfig,
     SolverConfig,
     advance_streak,
-    clamp_streak,
 )
 from .ingest import LogParseError, RecordSet, SendLog, build_dataset, read_log
 from .policy import (
@@ -65,7 +64,7 @@ __all__ = [
     "PolicyTable", "RecordSet", "SendLimitConfig", "SendLog", "SimConfig",
     "SolverConfig", "Treatment", "TreatmentResult", "USER_TYPES", "UserBlock",
     "advance_streak", "apply_calibration", "apply_kappa", "build_dataset",
-    "clamp_streak", "decide_heuristic", "decide_no_filter", "decide_rl",
+    "decide_heuristic", "decide_no_filter", "decide_rl",
     "estimate_factors",
     "fit_behavior_model", "fit_isotonic", "fit_sim_calibration",
     "generate_population", "monotone_project", "pav", "q_send",

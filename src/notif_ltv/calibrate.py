@@ -12,7 +12,6 @@ mask over its timestamp column.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,16 +149,12 @@ def fit_isotonic(pairs, *, fitted_at: float = 0.0, window_hours: int = 24) -> Ca
 def apply_calibration(cmap: CalibrationMap, raw_score):
     """Step-function lookup; scores below the first breakpoint clamp left.
 
-    Takes one raw score, giving a float, or an array of them, giving an
-    array of the same shape.
+    Elementwise over an array of raw scores, giving an array of the same
+    shape; one score gives a numpy float.
     """
-    if isinstance(raw_score, np.ndarray):
-        idx = np.searchsorted(cmap.breakpoints, raw_score, side="right")
-        idx -= 1  # -1, below the first breakpoint, clips to 0
-        return np.take(cmap.values, idx, mode="clip")
-    # one score: bisect costs a fraction of numpy's per-call overhead
-    idx = bisect_right(cmap.breakpoints, raw_score) - 1
-    return cmap.values[idx if idx > 0 else 0]
+    idx = np.searchsorted(cmap.breakpoints, raw_score, side="right")
+    idx -= 1  # -1, below the first breakpoint, clips to 0
+    return np.take(cmap.values, idx, mode="clip")
 
 
 def window_mask(timestamp: np.ndarray, now, window_hours: int) -> np.ndarray:

@@ -236,7 +236,10 @@ def cmd_simulate(args) -> int:
         entries = read_field(treatments_doc, "treatments", listed, None, document, default=())
         if not entries:
             raise ValueError("the file defines no treatments")
-        treatments = [_build_treatment(e, base_dir) for e in entries]
+    treatments = []
+    for i, entry in enumerate(entries):
+        with _reading(f"treatments[{i}]", ValidationError):
+            treatments.append(_build_treatment(entry, base_dir))
 
     report = run_experiment(config, treatments, keep_events=args.emit_log)
 

@@ -7,6 +7,10 @@ ignored the last two. An ignore after a positive run flips the streak to -1
 (it never just decrements), and an open after a negative run flips it to +1.
 Decisions not to send leave the streak untouched. Streaks are clamped to
 fixed bounds so model tables and the solver state space stay finite.
+
+`advance_streak` and `type_rows` are written once, in numpy: they take
+anything numpy broadcasts, a block of users being the normal call, and
+return numpy values; one Python scalar comes back as a numpy scalar.
 """
 
 from __future__ import annotations
@@ -102,14 +106,12 @@ def read_field(doc: dict, key: str, read, *args, default=_REQUIRED):
 
 
 def type_rows(types: tuple[int, ...], user_type):
-    """Position of `user_type` in `types`, elementwise over an array of types.
+    """Position of each user type in `types`, elementwise over anything numpy
+    broadcasts; one type gives a numpy integer.
 
     Raises KeyError naming the user types that have no position.
     """
-    if not isinstance(user_type, np.ndarray):  # numpy costs microseconds per scalar
-        if user_type not in types:
-            raise KeyError(f"no entry for user type {user_type!r}")
-        return types.index(user_type)
+    user_type = np.asarray(user_type)
     keys = np.asarray(types)
     rows = (user_type[..., None] == keys).argmax(axis=-1)
     if not (keys[rows] == user_type).all():
@@ -203,11 +205,6 @@ class SendLimitConfig:
                    adjustment=read_field(d, "adjustment", integral, default=0))
 
 
-def clamp_streak(s: int, bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS) -> int:
-    lo, hi = bounds
-    return lo if s < lo else hi if s > hi else s
-
-
 def advance_streak(s, outcome, bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS):
     """Next streak after a *sent* notification resolves.
 
@@ -215,13 +212,10 @@ def advance_streak(s, outcome, bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS):
     non-positive run (min(s, 0) - 1). Either way a run of the opposite sign
     restarts at +-1 rather than decrementing. The result is clamped.
 
-    Takes one streak and outcome, giving an int, or arrays of them, giving
-    an array of the broadcast shape.
+    Elementwise over streaks and outcomes that numpy broadcasts, giving an
+    array of the broadcast shape; one streak and outcome give a numpy integer.
     """
-    if isinstance(s, np.ndarray) or isinstance(outcome, np.ndarray):
-        lo, hi = bounds
-        return np.where(outcome, np.minimum(np.maximum(s, 0) + 1, hi),
-                        np.maximum(np.minimum(s, 0) - 1, lo))
-    # one streak: builtins cost a fraction of numpy's per-call overhead
-    nxt = max(s, 0) + 1 if outcome else min(s, 0) - 1
-    return clamp_streak(nxt, bounds)
+    lo, hi = bounds
+    # [()] turns a 0-d result into a numpy scalar and leaves arrays as they are
+    return np.where(outcome, np.minimum(np.maximum(s, 0) + 1, hi),
+                    np.maximum(np.minimum(s, 0) - 1, lo))[()]

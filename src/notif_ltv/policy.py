@@ -5,10 +5,10 @@ check of the production decision loop, so no caller can accidentally bypass
 it. The caller owns the per-user counters (sends today, streak) and passes
 them in as a DecisionContext.
 
-A context describes either one candidate notification, with scalar fields,
-or a block of candidates, one per user, with equal-length array fields. A
-policy answers a Python bool for the first and a boolean mask for the
-second; the simulator decides a whole block of users per call.
+A context holds a block of candidates, one per user, as equal-length array
+fields, and a policy answers a boolean mask; the simulator decides a whole
+block of users per call. Each policy is one numpy expression, so a context
+with scalar fields, one candidate, gets a numpy bool.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ class HeuristicThresholds:
                 raise ValueError(f"threshold for type {c} must be in [0, 1], got {k}")
 
     def k(self, user_type):
-        """Cutoff of a user type, or elementwise for an array of types."""
-        if not isinstance(user_type, np.ndarray):
-            return self.by_type[user_type]
+        """Cutoff of each user type, elementwise; a type without one raises KeyError."""
         return np.array(list(self.by_type.values()))[type_rows(tuple(self.by_type), user_type)]
 
     def to_dict(self) -> dict:
@@ -49,8 +47,8 @@ class HeuristicThresholds:
 
 @dataclass(frozen=True)
 class DecisionContext:
-    """Everything a policy may look at for one candidate notification, or
-    for a block of candidates when every field is an equal-length array."""
+    """Everything a policy may look at for a block of candidate
+    notifications, one equal-length array per field."""
 
     user_type: int | np.ndarray
     streak: int | np.ndarray
@@ -59,23 +57,18 @@ class DecisionContext:
     effective_limit: int | np.ndarray
 
 
-def _decision(send):
-    return send if isinstance(send, np.ndarray) else bool(send)
-
-
 def _under_limit(ctx: DecisionContext):
-    return ctx.sends_today < ctx.effective_limit
+    return np.less(ctx.sends_today, ctx.effective_limit)
 
 
 def decide_no_filter(ctx: DecisionContext):
     """Send everything the daily limit allows."""
-    return _decision(_under_limit(ctx))
+    return _under_limit(ctx)
 
 
 def decide_heuristic(ctx: DecisionContext, thresholds: HeuristicThresholds):
     """Send when the calibrated score strictly exceeds the type's cutoff."""
-    return _decision(_under_limit(ctx)
-                     & (ctx.calibrated_score > thresholds.k(ctx.user_type)))
+    return _under_limit(ctx) & (ctx.calibrated_score > thresholds.k(ctx.user_type))
 
 
 def decide_rl(ctx: DecisionContext, table: PolicyTable):
@@ -84,5 +77,4 @@ def decide_rl(ctx: DecisionContext, table: PolicyTable):
     Ties send, matching the solver's tie-breaking. A NEVER_SEND cell is
     math.inf, which no score in [0, 1] can reach.
     """
-    return _decision(_under_limit(ctx)
-                     & (ctx.calibrated_score >= table.threshold(ctx.user_type, ctx.streak)))
+    return _under_limit(ctx) & (ctx.calibrated_score >= table.threshold(ctx.user_type, ctx.streak))

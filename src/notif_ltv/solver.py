@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import BehaviorModel
-from .core import (SolverConfig, advance_streak, clamp_streak, document, integral, listed,
-                   number, per_type, read_field, type_rows)
+from .core import (SolverConfig, advance_streak, document, integral, listed, number, per_type,
+                   read_field, type_rows)
 
 # threshold meaning "no score justifies sending"; any score compares below it
 NEVER_SEND = math.inf
@@ -74,6 +74,8 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
 
     Future notifications are represented by the type-mean open probability.
     Each step keeps the larger of sending and skipping, ties going to send.
+    The loop stops early once a step returns the values it was given, so a
+    huge `steps` costs no more than reaching that fixed point.
     """
     factors, ybar, up, down = _grid(model, config)
     gamma = config.gamma
@@ -82,7 +84,10 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
     for _ in range(steps):
         send = _send_value(p_open, values, up, down, gamma)
         skip = gamma * values
-        values = np.where(send >= skip, send, skip)
+        nxt = np.where(send >= skip, send, skip)
+        if np.array_equal(nxt, values):
+            break
+        values = nxt
     return values
 
 
@@ -113,14 +118,12 @@ class PolicyTable:
     def threshold(self, user_type, streak):
         """Lookup with the streak clamped into the table bounds first.
 
-        Takes one (type, streak) pair, giving a float, or equal-length arrays
-        of them, giving an array; a type without a row raises KeyError.
+        Elementwise over types and streaks that numpy broadcasts, giving an
+        array; one (type, streak) pair gives a numpy float. A type without a
+        row raises KeyError.
         """
         lo, hi = self.config.streak_bounds
-        s = np.clip(streak, lo, hi) if isinstance(streak, np.ndarray) \
-            else clamp_streak(streak, (lo, hi))
-        t = self.thresholds[type_rows(self.types, user_type), s - lo]
-        return t if isinstance(t, np.ndarray) else float(t)
+        return self.thresholds[type_rows(self.types, user_type), np.clip(streak, lo, hi) - lo]
 
     def to_dict(self) -> dict:
         lo, hi = self.config.streak_bounds

@@ -3,8 +3,9 @@
 Everything here is written from first principles with its own data
 structures: a quadratic-time isotonic fit, a no-memoization tree
 enumeration of the send/skip recursion, a closed-form threshold root, the
-ingest dataset as a per-user split, baseline and replay, and the simulator
-as one Python call per user-pass. None of it imports from the
+streak rule, calibration lookup and send decisions for one candidate at a
+time, the ingest dataset as a per-user split, baseline and replay, and the
+simulator as one Python call per user-pass. None of it imports from the
 package's algorithm internals; the simulator oracle builds the package's
 report type, calls a treatment's policy with scalar contexts, and keeps
 each send as its own `OracleSend` record rather than a package type.
@@ -152,6 +153,46 @@ def threshold_oracle(factors, ybar, gamma, bounds, streak, steps):
     return gamma * (v_stay - v_down) / slope
 
 
+# --- lookups: one candidate at a time, from plain tuples and dicts -------------
+
+def streak_oracle(streak, outcome, bounds):
+    """The streak after a send resolves: an open extends a non-negative run,
+    an ignore a non-positive one, and the result is clamped to bounds."""
+    lo, hi = bounds
+    nxt = max(streak, 0) + 1 if outcome else min(streak, 0) - 1
+    return min(max(nxt, lo), hi)
+
+
+def calibration_oracle(cmap, raw_score):
+    """The value of the greatest breakpoint at or below raw_score, or the
+    first value below the first breakpoint."""
+    idx = bisect_right(cmap.breakpoints, raw_score) - 1
+    return cmap.values[max(idx, 0)]
+
+
+def threshold_cells(table):
+    """A policy table as a dict {(user_type, streak): threshold}."""
+    lo, _ = table.config.streak_bounds
+    return {(c, lo + j): t for c, row in zip(table.types, table.thresholds.tolist())
+            for j, t in enumerate(row)}
+
+
+def decide_oracle(user_type, streak, score, sends_today, effective_limit, *,
+                  cutoffs=None, cells=None, bounds=None):
+    """One send decision. With neither cutoffs nor cells it is the no-filter
+    policy; cutoffs {user_type: k} make it the heuristic (score > k); cells
+    from `threshold_cells` with their bounds make it the solved policy
+    (score >= the threshold at the clamped streak)."""
+    if sends_today >= effective_limit:
+        return False
+    if cutoffs is not None:
+        return score > cutoffs[user_type]
+    if cells is not None:
+        lo, hi = bounds
+        return score >= cells[user_type, min(max(streak, lo), hi)]
+    return True
+
+
 # --- ingest: one user and one send at a time ----------------------------------
 
 def build_dataset_oracle(rows, min_samples, bounds):
@@ -166,7 +207,6 @@ def build_dataset_oracle(rows, min_samples, bounds):
     for r in rows:
         by_user.setdefault(r["user_id"], []).append(r)
     records = []
-    lo, hi = bounds
     for uid in sorted(by_user):
         sends = sorted(by_user[uid], key=lambda r: r["timestamp"])
         cut = len(sends) // 2
@@ -178,8 +218,7 @@ def build_dataset_oracle(rows, min_samples, bounds):
         for r in second:
             records.append((uid, r["user_type"], streak, r["outcome"], baseline,
                             float(r["raw_score"])))
-            nxt = max(streak, 0) + 1 if r["outcome"] else min(streak, 0) - 1
-            streak = min(max(nxt, lo), hi)
+            streak = streak_oracle(streak, r["outcome"], bounds)
     return records
 
 
@@ -239,8 +278,7 @@ def simulate_pass_oracle(user, decide, calibration, latent_rng, policy_rng, *, c
     b = user.baseline
     logit = math.log(b / (1.0 - b)) + sigma * latent_rng.standard_normal()
     raw = 1.0 / (1.0 + math.exp(-logit))
-    idx = bisect_right(calibration.breakpoints, raw) - 1
-    calibrated = calibration.values[max(idx, 0)]
+    calibrated = calibration_oracle(calibration, raw)
     ctx = DecisionContext(user_type=user.user_type, streak=user.streak,
                           calibrated_score=calibrated, sends_today=user.sends_today,
                           effective_limit=effective_limit)
@@ -248,9 +286,7 @@ def simulate_pass_oracle(user, decide, calibration, latent_rng, policy_rng, *, c
         return None
     p_open = min(factors[user.user_type, user.streak] * user.baseline, 1.0)
     outcome = 1 if policy_rng.random() < p_open else 0
-    lo, hi = config.streak_bounds
-    nxt = max(user.streak, 0) + 1 if outcome else min(user.streak, 0) - 1
-    user.streak = min(max(nxt, lo), hi)
+    user.streak = streak_oracle(user.streak, outcome, config.streak_bounds)
     user.sends_today += 1
     if outcome:
         user.active_today = True

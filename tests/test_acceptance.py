@@ -75,14 +75,12 @@ def test_c1_myopic_reductions_give_all_zero_tables():
         neutral, SolverConfig(gamma=0.9, horizon=250, streak_bounds=(-15, 15)))
     assert np.all(table_kappa0.thresholds == 0.0)
 
+    # every (type, streak, score, sends, limit) of the grid as one block
+    grid = np.meshgrid(ALL_TYPES, np.arange(-15, 16), np.linspace(0.0, 1.0, 11),
+                       np.arange(4), np.arange(4), indexing="ij")
+    ctx = DecisionContext(*(axis.ravel() for axis in grid))
     for table in (table_gamma0, table_kappa0):
-        for c in ALL_TYPES:
-            for s in range(-15, 16):
-                for score in np.linspace(0.0, 1.0, 11):
-                    for sends in range(4):
-                        for limit in range(4):
-                            ctx = DecisionContext(c, s, float(score), sends, limit)
-                            assert decide_rl(ctx, table) == decide_no_filter(ctx)
+        assert (decide_rl(ctx, table) == decide_no_filter(ctx)).all()
     assert time.perf_counter() - start < 1.0
 
 
@@ -256,11 +254,8 @@ def test_c6_isotonic_fit_matches_oracle_exhaustively():
         assert list(cmap.breakpoints) == want_bps, f"case {case}"
         assert list(cmap.values) == want_vals, f"case {case}"
 
-        prev = -1.0
-        for x in grid:
-            y = apply_calibration(cmap, float(x))
-            assert y >= prev
-            prev = y
+        ys = apply_calibration(cmap, grid)
+        assert (ys >= np.concatenate(([-1.0], ys[:-1]))).all(), f"case {case}"
     assert time.perf_counter() - start < 30.0
 
 

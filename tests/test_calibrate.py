@@ -14,7 +14,7 @@ from notif_ltv import (
     pav,
     refresh,
 )
-from oracles import isotonic_fit_oracle, pav_oracle
+from oracles import calibration_oracle, isotonic_fit_oracle, pav_oracle
 
 
 class TestPav:
@@ -118,7 +118,8 @@ class TestApplyCalibration:
 
     @given(st.data())
     def test_array_matches_elementwise_scalar_calls(self, data):
-        """Scores below the first breakpoint and exactly on breakpoints included."""
+        """Each score maps as the bisect-lookup oracle maps it alone. Scores
+        below the first breakpoint and exactly on breakpoints included."""
         n = data.draw(st.integers(1, 6))
         bps = sorted(data.draw(st.sets(st.floats(0.05, 1, allow_nan=False),
                                        min_size=n, max_size=n)))
@@ -129,7 +130,7 @@ class TestApplyCalibration:
                                               st.floats(0, 0.05)), min_size=1, max_size=30))
         got = apply_calibration(cmap, np.array(scores).reshape(1, -1))
         assert got.shape == (1, len(scores))
-        assert got[0].tolist() == [apply_calibration(cmap, x) for x in scores]
+        assert got[0].tolist() == [calibration_oracle(cmap, x) for x in scores]
 
 
 def send_log(events):
@@ -226,7 +227,7 @@ def test_calibration_recovers_monotone_link():
         outcomes = (rng.random(n) < g(scores)).astype(int)
         cmap = fit_isotonic(list(zip(scores.tolist(), outcomes.tolist())))
         grid = rng.random(2000)
-        err = [abs(apply_calibration(cmap, x) - g(x)) for x in grid]
+        err = np.abs(apply_calibration(cmap, grid) - g(grid))
         return float(np.mean(err))
 
     small, large = mean_abs_error(400), mean_abs_error(20000)

@@ -339,13 +339,15 @@ class TestSimulate:
                     treatments_path, "--out-dir", tmp_path / "o"]) == 1
         assert message in capsys.readouterr().err
 
-    def test_treatment_baseline_must_be_a_json_bool(self, sim_config_path, tmp_path):
+    def test_treatment_baseline_must_be_a_json_bool(self, sim_config_path, tmp_path, capsys):
         treatments = tmp_path / "t.json"
         treatments.write_text(json.dumps([
             {"name": "base", "policy": "no_filter", "baseline": True},
             {"name": "h", "policy": "no_filter", "baseline": "false"}]))
         assert run(["simulate", "--sim-config", sim_config_path, "--treatments",
                     treatments, "--out-dir", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err.strip() == \
+            "error: treatments[1]: baseline must be true or false, got 'false'"
 
     @pytest.mark.parametrize("key, value, message", [
         ("baseline_beta", {"1": [4, 6], "2": [0, 7]}, "baseline_beta for user type 2"),

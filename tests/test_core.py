@@ -9,8 +9,8 @@ from notif_ltv import (
     SendLimitConfig,
     SolverConfig,
     advance_streak,
-    clamp_streak,
 )
+from oracles import streak_oracle
 
 
 class TestAdvanceStreak:
@@ -64,17 +64,11 @@ class TestAdvanceStreak:
         streaks = np.repeat(np.arange(lo, hi + 1), 2)  # both bounds included
         outcomes = np.tile([0, 1], hi - lo + 1)
         got = advance_streak(streaks, outcomes, bounds)
-        assert got.tolist() == [advance_streak(s, o, bounds)
+        assert got.tolist() == [streak_oracle(s, o, bounds)
                                 for s, o in zip(streaks.tolist(), outcomes.tolist())]
         assert got.min() == lo and got.max() == hi
         assert advance_streak(streaks, 1, bounds).tolist() == \
-            [advance_streak(s, 1, bounds) for s in streaks.tolist()]
-
-
-def test_clamp_streak():
-    assert clamp_streak(20, (-15, 15)) == 15
-    assert clamp_streak(-20, (-15, 15)) == -15
-    assert clamp_streak(3, (-15, 15)) == 3
+            [streak_oracle(s, 1, bounds) for s in streaks.tolist()]
 
 
 class TestSolverConfig:

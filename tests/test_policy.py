@@ -16,6 +16,7 @@ from notif_ltv import (
     decide_no_filter,
     decide_rl,
 )
+from oracles import decide_oracle, threshold_cells
 
 
 def ctx(utype=1, streak=0, score=0.5, sends=0, limit=3):
@@ -32,31 +33,31 @@ def table_with(threshold_value, bounds=(-15, 15), types=(1,)):
 
 class TestNoFilter:
     def test_sends_under_limit(self):
-        assert decide_no_filter(ctx(sends=2, limit=3)) is True
+        assert decide_no_filter(ctx(sends=2, limit=3))
 
     def test_blocks_at_limit(self):
-        assert decide_no_filter(ctx(sends=3, limit=3)) is False
+        assert not decide_no_filter(ctx(sends=3, limit=3))
 
     def test_zero_limit_never_sends(self):
         for sends in range(4):
-            assert decide_no_filter(ctx(sends=sends, limit=0)) is False
+            assert not decide_no_filter(ctx(sends=sends, limit=0))
 
 
 class TestHeuristic:
     ks = HeuristicThresholds(by_type={1: 0.3, 2: 0.6})
 
     def test_sends_above_cutoff(self):
-        assert decide_heuristic(ctx(score=0.31), self.ks) is True
+        assert decide_heuristic(ctx(score=0.31), self.ks)
 
     def test_cutoff_itself_is_not_enough(self):
-        assert decide_heuristic(ctx(score=0.3), self.ks) is False
+        assert not decide_heuristic(ctx(score=0.3), self.ks)
 
     def test_limit_gate_dominates_score(self):
-        assert decide_heuristic(ctx(score=0.9, sends=3, limit=3), self.ks) is False
+        assert not decide_heuristic(ctx(score=0.9, sends=3, limit=3), self.ks)
 
     def test_per_type_cutoffs(self):
-        assert decide_heuristic(ctx(utype=2, score=0.5), self.ks) is False
-        assert decide_heuristic(ctx(utype=2, score=0.7), self.ks) is True
+        assert not decide_heuristic(ctx(utype=2, score=0.5), self.ks)
+        assert decide_heuristic(ctx(utype=2, score=0.7), self.ks)
 
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_monotone_in_score(self, a, b):
@@ -72,22 +73,22 @@ class TestHeuristic:
 class TestRl:
     def test_sends_at_or_above_threshold(self):
         table = table_with(0.25)
-        assert decide_rl(ctx(score=0.25), table) is True
-        assert decide_rl(ctx(score=0.2), table) is False
+        assert decide_rl(ctx(score=0.25), table)
+        assert not decide_rl(ctx(score=0.2), table)
 
     def test_never_send_cell_blocks_any_score(self):
         table = table_with(NEVER_SEND)
-        assert decide_rl(ctx(score=1.0), table) is False
+        assert not decide_rl(ctx(score=1.0), table)
 
     def test_streak_clamped_before_lookup(self):
         table = table_with(0.25, bounds=(-2, 2))
         table.thresholds[0, 0] = 0.9  # streak -2 cell
-        assert decide_rl(ctx(streak=-10, score=0.5), table) is False
-        assert decide_rl(ctx(streak=-10, score=0.95), table) is True
+        assert not decide_rl(ctx(streak=-10, score=0.5), table)
+        assert decide_rl(ctx(streak=-10, score=0.95), table)
 
     def test_limit_gate_dominates(self):
         table = table_with(0.0)
-        assert decide_rl(ctx(score=1.0, sends=3, limit=3), table) is False
+        assert not decide_rl(ctx(score=1.0, sends=3, limit=3), table)
 
     def test_zero_table_equals_no_filter_on_grid(self):
         table = table_with(0.0)
@@ -128,18 +129,26 @@ SCORES = st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.6, 0
 @given(st.lists(st.tuples(st.sampled_from([1, 2]), st.integers(-8, 8), SCORES,
                           st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=40))
 def test_array_contexts_match_elementwise_scalar_calls(rows):
-    """Streaks run past the table bounds and limits include 0."""
+    """Each candidate of a block decides as the dict-lookup oracle does for it
+    alone. Streaks run past the table bounds and limits include 0."""
     types, streaks, scores, sends, limits = (np.array(col) for col in zip(*rows))
     block = DecisionContext(user_type=types, streak=streaks, calibrated_score=scores,
                             sends_today=sends, effective_limit=limits)
-    for decide in (decide_no_filter, partial(decide_heuristic, thresholds=ARRAY_KS),
-                   partial(decide_rl, table=ARRAY_TABLE)):
+    cells = threshold_cells(ARRAY_TABLE)
+    bounds = ARRAY_TABLE.config.streak_bounds
+    for decide, want in (
+            (decide_no_filter, decide_oracle),
+            (partial(decide_heuristic, thresholds=ARRAY_KS),
+             partial(decide_oracle, cutoffs=ARRAY_KS.by_type)),
+            (partial(decide_rl, table=ARRAY_TABLE),
+             partial(decide_oracle, cells=cells, bounds=bounds))):
         mask = decide(block)
         assert mask.dtype == bool and mask.shape == types.shape
-        assert mask.tolist() == [decide(ctx(*row)) for row in rows]
+        assert mask.tolist() == [want(*row) for row in rows]
     assert ARRAY_TABLE.threshold(types, streaks).tolist() == \
-        [ARRAY_TABLE.threshold(c, s) for c, s in zip(types.tolist(), streaks.tolist())]
-    assert ARRAY_KS.k(types).tolist() == [ARRAY_KS.k(c) for c in types.tolist()]
+        [cells[c, min(max(s, bounds[0]), bounds[1])]
+         for c, s in zip(types.tolist(), streaks.tolist())]
+    assert ARRAY_KS.k(types).tolist() == [ARRAY_KS.by_type[c] for c in types.tolist()]
 
 
 def test_array_lookups_reject_types_without_a_row():

@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from oracles import run_experiment_oracle, warmup_events_oracle
+from oracles import run_experiment_oracle, streak_oracle, warmup_events_oracle
 
 from notif_ltv import (
     NEVER_SEND,
@@ -270,13 +270,12 @@ class TestStreakConditionalOpenRates:
             by_user.setdefault(user, []).append((timestamp, outcome))
         counts = {}
         opens = {}
-        from notif_ltv import advance_streak
         for events in by_user.values():
             s = 0
             for _, outcome in sorted(events, key=lambda e: e[0]):
                 counts[s] = counts.get(s, 0) + 1
                 opens[s] = opens.get(s, 0) + outcome
-                s = advance_streak(s, outcome, (-3, 3))
+                s = streak_oracle(s, outcome, (-3, 3))
         checked = 0
         for s, n in counts.items():
             if n < 400:

@@ -209,6 +209,17 @@ class TestSolvePolicy:
         t_long = solve_policy(model, config_for(model, gamma=0.9, horizon=300))
         assert np.max(np.abs(t_short.thresholds - t_long.thresholds)) < 1e-4
 
+    def test_huge_horizon_stops_at_the_fixed_point(self):
+        """Once a step returns the values it was given, every later step does
+        too, so a horizon of 10**12 gives the table of 5000 bit for bit."""
+        factor_map = {(c, s): 1.0 + 0.01 * s for c in range(1, 7)
+                      for s in range(-15, 16) if s != 0}
+        model = make_model(factor_map, ybar=0.3, bounds=(-15, 15),
+                           types=tuple(range(1, 7)))
+        t_huge = solve_policy(model, config_for(model, gamma=0.9, horizon=10**12))
+        t_5000 = solve_policy(model, config_for(model, gamma=0.9, horizon=5000))
+        assert t_huge.thresholds.tobytes() == t_5000.thresholds.tobytes()
+
     def test_rejects_bounds_wider_than_model(self, small_model):
         with pytest.raises(ValueError):
             solve_policy(small_model, SolverConfig(streak_bounds=(-5, 5)))
