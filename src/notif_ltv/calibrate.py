@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,11 +25,21 @@ def pav(values, weights=None, *, increasing: bool = True) -> list[float]:
     """Weighted isotonic regression by pool-adjacent-violators.
 
     Returns the monotone sequence closest to `values` in weighted least
-    squares. Pool means are recomputed from the original slice left to
-    right, so the result does not depend on the order in which pools were
-    merged. A pool whose total weight is zero falls back to the plain mean
-    of its members (zero-weight entries carry no evidence but must still
-    respect the monotone envelope).
+    squares. A pool's mean is Σ v·w / Σ w with both sums taken over its
+    members left to right from 0.0, so the result does not depend on the
+    order in which pools were merged. A pool whose total weight is zero
+    falls back to the plain mean of its members (zero-weight entries carry
+    no evidence but must still respect the monotone envelope).
+
+    Each pool keeps its two sums, and a merge continues the left pool's
+    sums over the right pool's members. Where every v·w and w in the merged
+    range is an integral float (and their magnitudes stay below 2**53),
+    every partial sum is an exact integer, so the sums are differences of
+    prefix sums instead: O(1) per merge, with the same bits. That makes the
+    fit linear on every `fit_isotonic` input, whose tie groups pool 0/1
+    outcomes as o/c with weight c. A merge into a growing right block of
+    inexact products, or of a pool with zero total weight, still costs the
+    block's length.
     """
     vals = [float(v) for v in values]
     if weights is None:
@@ -37,36 +48,51 @@ def pav(values, weights=None, *, increasing: bool = True) -> list[float]:
         wts = [float(w) for w in weights]
         if len(wts) != len(vals):
             raise ValueError("weights must match values in length")
-        if any(w < 0 for w in wts):
-            raise ValueError("weights must be non-negative")
+    for name, xs in (("values", vals), ("weights", wts)):
+        bad = [x for x in xs if not math.isfinite(x)]
+        if bad:
+            raise ValueError(f"{name} must be finite, got {bad[0]}")
+    if any(w < 0 for w in wts):
+        raise ValueError("weights must be non-negative")
     if not increasing:
         return [-v for v in pav([-v for v in vals], wts, increasing=True)]
     if not vals:
         return []
 
-    def pooled_mean(start: int, end: int) -> float:
-        wsum = 0.0
-        wvsum = 0.0
-        for i in range(start, end):
-            wvsum += vals[i] * wts[i]
-            wsum += wts[i]
-        if wsum > 0.0:
-            return wvsum / wsum
-        return sum(vals[start:end]) / (end - start)
-
-    # blocks are (start, end, value) over half-open index ranges
-    blocks: list[tuple[int, int, float]] = []
-    for i, v in enumerate(vals):
-        blocks.append((i, i + 1, v))
-        while len(blocks) > 1 and blocks[-2][2] > blocks[-1][2]:
-            s1, _, _ = blocks[-2]
-            _, e2, _ = blocks[-1]
-            blocks.pop()
-            blocks.pop()
-            blocks.append((s1, e2, pooled_mean(s1, e2)))
+    # blocks are (start, end, mean, Σ v·w, Σ w, exact) over half-open index
+    # ranges. A member is exact when v·w and w are integral and the running
+    # total of exact |v·w| + w stays below 2**53; such sums are exact (and
+    # +0.0 when zero) however they are grouped. The prefix sums take the
+    # exact members only, so an exact block's sums are prefix differences.
+    blocks: list[tuple[int, int, float, float, float, bool]] = []
+    prods: list[float] = []
+    wv_prefix, w_prefix = [0.0], [0.0]
+    magnitude = 0.0
+    for i, (v, w) in enumerate(zip(vals, wts)):
+        p = v * w
+        prods.append(p)
+        exact = p.is_integer() and w.is_integer()
+        if exact:
+            magnitude += abs(p) + w
+            exact = magnitude < 2.0 ** 53
+        wv_prefix.append(wv_prefix[-1] + p if exact else wv_prefix[-1])
+        w_prefix.append(w_prefix[-1] + w if exact else w_prefix[-1])
+        start, end, mean, wv, ws = i, i + 1, v, 0.0 + p, 0.0 + w
+        while blocks and blocks[-1][2] > mean:
+            start, split, _, wv, ws, left_exact = blocks.pop()
+            exact = exact and left_exact
+            if exact:
+                wv = wv_prefix[end] - wv_prefix[start]
+                ws = w_prefix[end] - w_prefix[start]
+            else:  # continue the left block's sums over the right block
+                for j in range(split, end):
+                    wv += prods[j]
+                    ws += wts[j]
+            mean = wv / ws if ws > 0.0 else sum(vals[start:end]) / (end - start)
+        blocks.append((start, end, mean, wv, ws, exact))
     out = []
-    for start, end, value in blocks:
-        out.extend([value] * (end - start))
+    for start, end, mean, _, _, _ in blocks:
+        out.extend([mean] * (end - start))
     return out
 
 
@@ -103,6 +129,16 @@ class CalibrationMap:
             "window_hours": self.window_hours,
         }
 
+    # the columns as float64 arrays, converted once per map for the lookup;
+    # cached outside the dataclass fields, so equality and to_dict ignore them
+    @cached_property
+    def _breakpoint_array(self) -> np.ndarray:
+        return np.asarray(self.breakpoints, dtype=float)
+
+    @cached_property
+    def _value_array(self) -> np.ndarray:
+        return np.asarray(self.values, dtype=float)
+
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationMap":
         return cls(
@@ -119,16 +155,17 @@ def fit_isotonic(pairs, *, fitted_at: float = 0.0, window_hours: int = 24) -> Ca
     pairs is a sequence of pairs or an array of shape (n, 2). Duplicate raw
     scores are pooled into one point (mean outcome, weighted by the number
     of pairs pooled) before the monotone fit, so breakpoints come out
-    strictly ascending. Requires at least two pairs; raw scores must lie in
-    [0, 1].
+    strictly ascending. Requires at least two pairs; raw scores and
+    outcomes must lie in [0, 1].
     """
     pairs = np.asarray(pairs, dtype=float)
     if len(pairs) < 2:
         raise ValueError(f"need at least 2 pairs to fit calibration, got {len(pairs)}")
     scores, outcomes = pairs[:, 0], pairs[:, 1]
-    outside = ~((scores >= 0.0) & (scores <= 1.0))
-    if outside.any():
-        raise ValueError(f"raw scores must lie in [0, 1], got {scores[outside][0]}")
+    for name, column in (("raw scores", scores), ("outcomes", outcomes)):
+        outside = ~((column >= 0.0) & (column <= 1.0))
+        if outside.any():
+            raise ValueError(f"{name} must lie in [0, 1], got {column[outside][0]}")
 
     # a stable sort keeps tied scores in input order, so bincount adds each
     # tie group's outcomes in the order of a left-to-right pass over the pairs
@@ -152,9 +189,9 @@ def apply_calibration(cmap: CalibrationMap, raw_score):
     Elementwise over an array of raw scores, giving an array of the same
     shape; one score gives a numpy float.
     """
-    idx = np.searchsorted(cmap.breakpoints, raw_score, side="right")
+    idx = np.searchsorted(cmap._breakpoint_array, raw_score, side="right")
     idx -= 1  # -1, below the first breakpoint, clips to 0
-    return np.take(cmap.values, idx, mode="clip")
+    return np.take(cmap._value_array, idx, mode="clip")
 
 
 def window_mask(timestamp: np.ndarray, now, window_hours: int) -> np.ndarray:

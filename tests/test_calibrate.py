@@ -1,10 +1,11 @@
 """Isotonic fit, step-function application, and window refresh."""
 
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from notif_ltv import (
     CalibrationMap,
@@ -50,6 +51,66 @@ class TestPav:
         assert all(b >= a for a, b in zip(got, got[1:]))
 
 
+def float_bits(xs):
+    """The float64 bit patterns of xs, so 0.0 and -0.0 differ."""
+    return np.array(xs, dtype=float).view(np.int64).tolist()
+
+
+# (values, weights) for pav: 0/1 outcomes pooled into o/c with weight c, as
+# fit_isotonic pools tie groups; a few values under fractional and zero
+# weights; unweighted 0/1; and integers whose sums cross 2**53
+pav_inputs = st.one_of(
+    st.lists(st.integers(1, 30).flatmap(lambda c: st.tuples(st.integers(0, c), st.just(c))),
+             max_size=40).map(lambda ocs: ([o / c for o, c in ocs], [c for _, c in ocs])),
+    st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.1, 0.3, 0.5, 1.0]),
+                       st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+             max_size=40).map(lambda vws: ([v for v, _ in vws], [w for _, w in vws])),
+    st.lists(st.sampled_from([0.0, 1.0]), max_size=40).map(lambda vs: (vs, None)),
+    st.lists(st.tuples(st.integers(-2 ** 52, 2 ** 52), st.sampled_from([0.0, 1.0, 3.0])),
+             max_size=40).map(lambda vws: ([float(v) for v, _ in vws], [w for _, w in vws])),
+)
+
+
+class TestPavLinear:
+    @settings(max_examples=400, deadline=None)
+    @given(pav_inputs, st.booleans())
+    def test_matches_oracle_bit_for_bit(self, inputs, increasing):
+        vals, wts = inputs
+        assert (float_bits(pav(vals, wts, increasing=increasing))
+                == float_bits(pav_oracle(vals, wts, increasing)))
+
+    def test_decreasing_values_pool_in_linear_time(self):
+        start = time.perf_counter()
+        got = pav([float(20000 - i) for i in range(20000)])
+        assert time.perf_counter() - start < 2.0
+        assert got == [10000.5] * 20000
+
+    def test_singletons_then_heavy_tie_group_pool_in_linear_time(self):
+        """Opened singletons followed by one ignore group four times their
+        weight, as from a ranker clipping scores at its maximum."""
+        start = time.perf_counter()
+        got = pav([1.0] * 20000 + [0.0], [1.0] * 20000 + [80000.0])
+        assert time.perf_counter() - start < 2.0
+        assert got == [0.2] * 20001
+
+    def test_anti_ranked_fit_runs_in_linear_time(self):
+        scores = np.arange(20000) / 20000
+        start = time.perf_counter()
+        cmap = fit_isotonic(np.column_stack((scores, scores < 0.5)))
+        assert time.perf_counter() - start < 2.0
+        assert cmap.values == (0.5,) * 20000
+
+    @pytest.mark.parametrize("vals, wts, message", [
+        ([1.0, math.nan], None, "values must be finite, got nan"),
+        ([1.0, -math.inf], [1.0, 1.0], "values must be finite, got -inf"),
+        ([1.0, 0.0], [math.nan, 1.0], "weights must be finite, got nan"),
+        ([1.0, 0.0], [1.0, math.inf], "weights must be finite, got inf"),
+    ])
+    def test_rejects_non_finite_input(self, vals, wts, message):
+        with pytest.raises(ValueError, match=message):
+            pav(vals, wts)
+
+
 class TestFitIsotonic:
     def test_pools_violation(self):
         cmap = fit_isotonic([(0.1, 1), (0.2, 0), (0.3, 1)])
@@ -77,6 +138,12 @@ class TestFitIsotonic:
         with pytest.raises(ValueError):
             fit_isotonic([(0.5, 1), (1.2, 0)])
 
+    @pytest.mark.parametrize("bad, shown", [(5, "5.0"), (-3, "-3.0"), (1.5, "1.5"),
+                                            (math.nan, "nan"), (math.inf, "inf")])
+    def test_outcome_outside_unit_interval_rejected(self, bad, shown):
+        with pytest.raises(ValueError, match=rf"outcomes must lie in \[0, 1\], got {shown}$"):
+            fit_isotonic([(0.1, 1), (0.2, bad), (0.3, -7)])
+
     def test_matches_oracle_on_random_inputs(self):
         rng = np.random.default_rng(61)
         for _ in range(300):
@@ -94,6 +161,12 @@ class TestApplyCalibration:
     @pytest.fixture
     def cmap(self):
         return CalibrationMap(breakpoints=(0.1, 0.3), values=(0.5, 1.0))
+
+    def test_lookup_leaves_the_map_unchanged(self, cmap):
+        before = (repr(cmap), cmap.to_dict())
+        apply_calibration(cmap, np.array([0.05, 0.2, 0.3]))
+        assert (repr(cmap), cmap.to_dict()) == before
+        assert cmap == CalibrationMap(breakpoints=(0.1, 0.3), values=(0.5, 1.0))
 
     def test_between_breakpoints_takes_left_value(self, cmap):
         assert apply_calibration(cmap, 0.2) == 0.5
