@@ -10,7 +10,6 @@ synthetic A/B simulator.
 from .behavior import (
     BehaviorModel,
     FactorTable,
-    MissingTypeError,
     apply_kappa,
     estimate_factors,
     fit_behavior_model,
@@ -60,7 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BehaviorModel", "BlockState", "CalibrationMap", "DecisionContext", "DEFAULT_STREAK_BOUNDS",
     "ExperimentReport", "FactorTable", "HeuristicThresholds",
-    "LogParseError", "MissingTypeError", "NEVER_SEND",
+    "LogParseError", "NEVER_SEND",
     "PolicyTable", "RecordSet", "SendLimitConfig", "SendLog", "SimConfig",
     "SolverConfig", "Treatment", "TreatmentResult", "USER_TYPES", "UserBlock",
     "advance_streak", "apply_calibration", "apply_kappa", "build_dataset",

@@ -30,10 +30,6 @@ _FACTOR_FLOOR = 1e-12
 _MEAN_OPEN_EPS = 1e-6
 
 
-class MissingTypeError(ValueError):
-    """Raised when the dataset has no records for one or more user types."""
-
-
 @dataclass
 class FactorTable:
     """Per-(type, streak) multiplicative factors with their sample counts.
@@ -41,6 +37,8 @@ class FactorTable:
     factors and counts are arrays of shape (len(types), n_streaks) where
     column j holds streak bounds[0] + j. The streak-0 column is pinned to 1:
     it is the no-history state and carries no deviation by convention.
+    `factor` and `count` look cells up as `PolicyTable.threshold` does: by
+    `type_rows` and a streak clamped into the bounds, over arrays.
     """
 
     bounds: tuple[int, int]
@@ -59,27 +57,18 @@ class FactorTable:
             raise ValueError(f"factor/count arrays must have shape {shape}")
         if not np.all(np.isfinite(self.factors) & (self.factors > 0.0)):
             raise ValueError("factors must be finite and strictly positive")
-        self._row_of = {c: i for i, c in enumerate(self.types)}
 
-    @classmethod
-    def neutral(cls, bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS,
-                types: tuple[int, ...] = USER_TYPES) -> "FactorTable":
-        n = bounds[1] - bounds[0] + 1
-        return cls(bounds=bounds, types=types,
-                   factors=np.ones((len(types), n)),
-                   counts=np.zeros((len(types), n), dtype=np.int64))
-
-    def _col(self, streak: int) -> int:
+    def factor(self, user_type, streak):
+        """Factor of each (type, streak), elementwise over types and streaks
+        that numpy broadcasts, the streak clamped into the bounds first; one
+        pair gives a numpy float. A type without a row raises KeyError."""
         lo, hi = self.bounds
-        if not lo <= streak <= hi:
-            raise KeyError(f"streak {streak} outside bounds {self.bounds}")
-        return streak - lo
+        return self.factors[type_rows(self.types, user_type), np.clip(streak, lo, hi) - lo]
 
-    def factor(self, user_type: int, streak: int) -> float:
-        return float(self.factors[self._row_of[user_type], self._col(streak)])
-
-    def count(self, user_type: int, streak: int) -> int:
-        return int(self.counts[self._row_of[user_type], self._col(streak)])
+    def count(self, user_type, streak):
+        """Sample count of each (type, streak), looked up as `factor` is."""
+        lo, hi = self.bounds
+        return self.counts[type_rows(self.types, user_type), np.clip(streak, lo, hi) - lo]
 
     def replace_factors(self, new_factors: np.ndarray) -> "FactorTable":
         return FactorTable(bounds=self.bounds, types=self.types,
@@ -117,7 +106,7 @@ def estimate_factors(records: RecordSet,
     For each (type, streak) cell, the factor is the sum of observed opens
     divided by the sum of the senders' baseline rates over the records in
     that cell: how much better or worse users did than their own baselines
-    predict. Cells with no records stay at the neutral factor 1, and the
+    predict. Cells with no records stay at factor 1 (no effect), and the
     streak-0 column is pinned to 1 regardless of data.
     """
     if len(records) == 0:
@@ -168,7 +157,7 @@ def apply_kappa(table: FactorTable, kappa: float) -> FactorTable:
 
     Only a fraction of the streak/open-rate correlation is believed to be
     causal; f -> (f - 1) * kappa + 1 keeps that fraction of the deviation.
-    kappa=0 neutralizes the table entirely, kappa=1 keeps it unchanged.
+    kappa=0 sets every factor to 1, kappa=1 keeps the table unchanged.
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError(f"kappa must be in [0, 1], got {kappa}")
@@ -200,7 +189,7 @@ def summarize_types(records: RecordSet,
     score_n = np.bincount(rows, minlength=len(types))
     missing = [c for c, n in zip(types, score_n) if n == 0]
     if missing:
-        raise MissingTypeError(f"no records for user type(s) {missing}")
+        raise ValueError(f"no records for user type(s) {missing}")
     user_rows = np.unique(records.user[listed] * len(types) + rows) % len(types)
     users = np.bincount(user_rows, minlength=len(types)).tolist()
     total_users = sum(users)

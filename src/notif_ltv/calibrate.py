@@ -6,7 +6,9 @@ as the calibration map. Application is a piecewise-constant lookup: a raw
 score takes the value of the greatest breakpoint at or below it, and scores
 below the first breakpoint clamp to the first value. `refresh` refits on
 the sends of a `SendLog` inside a trailing time window, selected with a
-mask over its timestamp column.
+mask over its timestamp column, and `fit_isotonic` takes that window's
+raw-score and outcome columns as they are. A window with fewer than two
+sends is an error.
 """
 
 from __future__ import annotations
@@ -149,19 +151,23 @@ class CalibrationMap:
         )
 
 
-def fit_isotonic(pairs, *, fitted_at: float = 0.0, window_hours: int = 24) -> CalibrationMap:
-    """Fit the calibration map from (raw_score, outcome) pairs.
+def fit_isotonic(scores, outcomes, *, fitted_at: float = 0.0,
+                 window_hours: int = 24) -> CalibrationMap:
+    """Fit the calibration map from a column of raw scores and the column of
+    their outcomes, two 1-d sequences of equal length.
 
-    pairs is a sequence of pairs or an array of shape (n, 2). Duplicate raw
-    scores are pooled into one point (mean outcome, weighted by the number
-    of pairs pooled) before the monotone fit, so breakpoints come out
-    strictly ascending. Requires at least two pairs; raw scores and
-    outcomes must lie in [0, 1].
+    Duplicate raw scores are pooled into one point (mean outcome, weighted
+    by the number of scores pooled) before the monotone fit, so breakpoints
+    come out strictly ascending. Requires at least two scores; raw scores
+    and outcomes must lie in [0, 1].
     """
-    pairs = np.asarray(pairs, dtype=float)
-    if len(pairs) < 2:
-        raise ValueError(f"need at least 2 pairs to fit calibration, got {len(pairs)}")
-    scores, outcomes = pairs[:, 0], pairs[:, 1]
+    scores = np.asarray(scores, dtype=float)
+    outcomes = np.asarray(outcomes, dtype=float)
+    if scores.ndim != 1 or scores.shape != outcomes.shape:
+        raise ValueError(f"scores and outcomes must be 1-d columns of equal length, "
+                         f"got shapes {scores.shape} and {outcomes.shape}")
+    if len(scores) < 2:
+        raise ValueError(f"need at least 2 scores to fit calibration, got {len(scores)}")
     for name, column in (("raw scores", scores), ("outcomes", outcomes)):
         outside = ~((column >= 0.0) & (column <= 1.0))
         if outside.any():
@@ -201,15 +207,13 @@ def window_mask(timestamp: np.ndarray, now, window_hours: int) -> np.ndarray:
     return (timestamp > start) & (timestamp <= math.floor(now))
 
 
-def refresh(log: SendLog, now, window_hours: int = 24,
-            previous: CalibrationMap | None = None) -> CalibrationMap | None:
+def refresh(log: SendLog, now, window_hours: int = 24) -> CalibrationMap:
     """Refit on the sends of `log` in the window (now - window_hours, now].
 
-    Keeps the previous map when fewer than two sends fall inside the
-    window (availability over freshness for a periodic job).
+    Raises ValueError when fewer than two sends fall inside the window.
     """
     recent = window_mask(log.timestamp, now, window_hours)
     if np.count_nonzero(recent) < 2:
-        return previous
-    return fit_isotonic(np.column_stack((log.raw_score[recent], log.outcome[recent])),
+        raise ValueError(f"fewer than 2 events in the {window_hours}h window ending at {now}")
+    return fit_isotonic(log.raw_score[recent], log.outcome[recent],
                         fitted_at=float(now), window_hours=window_hours)

@@ -178,9 +178,7 @@ def cmd_calibrate(args) -> int:
         raise ValidationError(f"window_hours must be > 0, got {window_hours}")
 
     log = read_log(args.log)
-    cmap = refresh(log, now=now, window_hours=window_hours, previous=None)
-    if cmap is None:
-        raise DataError(f"fewer than 2 events in the {window_hours}h window ending at {now}")
+    cmap = refresh(log, now=now, window_hours=window_hours)
 
     resolved = {"log": args.log, "now": now, "window_hours": window_hours}
     payload = cmap.to_dict()
@@ -191,7 +189,8 @@ def cmd_calibrate(args) -> int:
           f"-> {args.out}")
     print(f"  {in_window} of {len(log)} sends in the window, "
           f"{len(cmap.breakpoints)} distinct scores")
-    print(f"  {len(cmap.breakpoints)} breakpoints, raw scores "
+    print(f"  {len(cmap.breakpoints)} breakpoints pooled into {len(set(cmap.values))} "
+          f"distinct values, raw scores "
           f"[{cmap.breakpoints[0]:.4f}, {cmap.breakpoints[-1]:.4f}], "
           f"calibrated range [{cmap.values[0]:.4f}, {cmap.values[-1]:.4f}]")
     return 0
@@ -231,9 +230,7 @@ def cmd_simulate(args) -> int:
     treatments_doc = _load_json(args.treatments, "treatments")
     base_dir = os.path.dirname(os.path.abspath(args.treatments))
     with _reading("treatments", ValidationError):
-        if isinstance(treatments_doc, list):
-            treatments_doc = {"treatments": treatments_doc}
-        entries = read_field(treatments_doc, "treatments", listed, None, document, default=())
+        entries = listed(treatments_doc, "treatments", None, document)
         if not entries:
             raise ValueError("the file defines no treatments")
     treatments = []

@@ -37,9 +37,6 @@ class HeuristicThresholds:
         """Cutoff of each user type, elementwise; a type without one raises KeyError."""
         return np.array(list(self.by_type.values()))[type_rows(tuple(self.by_type), user_type)]
 
-    def to_dict(self) -> dict:
-        return {str(c): float(k) for c, k in sorted(self.by_type.items())}
-
     @classmethod
     def from_dict(cls, d: dict) -> "HeuristicThresholds":
         return cls(by_type=per_type(d, "thresholds"))

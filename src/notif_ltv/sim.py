@@ -452,15 +452,17 @@ class _Tally:
     reachable: int = 0
     discounted_opens: float = 0.0
     max_day_sends: int = 0
-    # sends in user-index order, then pass order: (user index, user type,
-    # pass, raw score, outcome) arrays per block; None unless events are kept
-    log: list[tuple[np.ndarray, ...]] | None = None
+    # the kept sends as columns (user index, user type, pass, raw score,
+    # outcome), one list each, extended by one array per block and pass in
+    # the order they are stepped; None unless events are kept
+    log: tuple[list[np.ndarray], ...] | None = None
 
     def events(self, passes_per_day: int) -> SendLog:
-        """The kept sends as a SendLog. Pass p of day d is stamped d days
+        """The kept sends as a SendLog, whose rows `SendLog.from_rows` orders
+        by user and then time, stably. Pass p of day d is stamped d days
         plus p / passes_per_day of a day; user ids are u{index:07d}, which
         sort in index order up to 10**7 users."""
-        index, user_type, t, raw, outcome = (np.concatenate(col) for col in zip(*self.log))
+        index, user_type, t, raw, outcome = (np.concatenate(col) for col in self.log)
         step = SECONDS_PER_DAY // passes_per_day
         ts = (t // passes_per_day) * SECONDS_PER_DAY + (t % passes_per_day) * step
         return SendLog.from_rows([f"u{i:07d}" for i in index.tolist()], user_type, ts,
@@ -476,9 +478,6 @@ def _run_block(block: UserBlock, calibrated: np.ndarray, decide, effective_limit
     sends = np.zeros(n, dtype=np.int64)
     opens = np.zeros(n, dtype=np.int64)
     discounted = np.zeros(n)
-    dau_days = np.zeros(n, dtype=np.int64)
-    max_day_sends = np.zeros(n, dtype=np.int64)
-    log = []
     passes = config.passes_per_day
     for day in range(days):
         # a churned user's counters stay at zero from here on
@@ -495,23 +494,18 @@ def _run_block(block: UserBlock, calibrated: np.ndarray, decide, effective_limit
             # each user's discounted opens add up in pass order
             discounted[openers] += weights[t]
             if tally.log is not None:
-                log.append((sent, np.full(len(sent), t), opened))
-        np.maximum(max_day_sends, state.sends_today, out=max_day_sends)
-        dau_days += state.active_today
+                for col, values in zip(tally.log, (
+                        block.index[sent], block.user_type[sent], np.full(len(sent), t),
+                        block.raw_scores[sent, t], opened)):
+                    col.append(values)
+        tally.max_day_sends = max(tally.max_day_sends, int(state.sends_today.max()))
+        tally.dau_days += int(np.count_nonzero(state.active_today))
 
     np.add.at(tally.sends, block.rows, sends)
     np.add.at(tally.opens, block.rows, opens)
-    tally.dau_days += int(dau_days.sum())
     tally.reachable += int(state.reachable.sum())
     for value in discounted.tolist():
         tally.discounted_opens += value
-    tally.max_day_sends = max(tally.max_day_sends, int(max_day_sends.max()))
-    if tally.log is not None:
-        rows, t, outcome = (np.concatenate(col) for col in zip(*log))
-        order = np.lexsort((t, rows))
-        rows, t = rows[order], t[order]
-        tally.log.append((block.index[rows], block.user_type[rows], t,
-                          block.raw_scores[rows, t], outcome[order].astype(np.int64)))
 
 
 def _simulate(config: SimConfig, arms: list[tuple[Callable, SendLimitConfig]],
@@ -530,7 +524,7 @@ def _simulate(config: SimConfig, arms: list[tuple[Callable, SendLimitConfig]],
     limits = [np.array([lim.effective_limit(c) for c in config.types]) for _, lim in arms]
     k = len(config.types)
     tallies = [_Tally(sends=np.zeros(k, dtype=np.int64), opens=np.zeros(k, dtype=np.int64),
-                      log=[] if keep_events else None) for _ in arms]
+                      log=([], [], [], [], []) if keep_events else None) for _ in arms]
     for start in range(0, config.num_users, BLOCK_USERS):
         stop = min(start + BLOCK_USERS, config.num_users)
         block = _draw_block(config, start, stop, passes, latent_salt, policy_salt)
@@ -556,7 +550,7 @@ def fit_sim_calibration(config: SimConfig, log: SendLog | None = None) -> Calibr
     """Calibration fitted on the warm-up's sends (run fresh when not supplied)."""
     if log is None:
         log = warmup_events(config)
-    return fit_isotonic(np.column_stack((log.raw_score, log.outcome)), window_hours=24)
+    return fit_isotonic(log.raw_score, log.outcome, window_hours=24)
 
 
 def run_experiment(config: SimConfig, treatments: list[Treatment],

@@ -249,7 +249,7 @@ def test_c6_isotonic_fit_matches_oracle_exhaustively():
         scores = rng.choice(score_pool, size=size)
         outcomes = rng.integers(0, 2, size=size)
         pairs = list(zip(scores.tolist(), outcomes.tolist()))
-        cmap = fit_isotonic(pairs)
+        cmap = fit_isotonic(scores, outcomes)
         want_bps, want_vals = isotonic_fit_oracle(pairs)
         assert list(cmap.breakpoints) == want_bps, f"case {case}"
         assert list(cmap.values) == want_vals, f"case {case}"

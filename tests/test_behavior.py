@@ -10,7 +10,6 @@ from notif_ltv import (
     BehaviorModel,
     CalibrationMap,
     FactorTable,
-    MissingTypeError,
     RecordSet,
     apply_calibration,
     apply_kappa,
@@ -19,6 +18,7 @@ from notif_ltv import (
     monotone_project,
     summarize_types,
 )
+from conftest import make_model
 from oracles import pav_oracle
 
 
@@ -102,6 +102,40 @@ class TestEstimateFactors:
                       * (1 - min(f_true * r.baseline_rate, 1.0)) for r in cell)
             sigma = np.sqrt(var) / den
             assert abs(table.factor(1, s) - f_true) < 3 * sigma, f"streak {s}"
+
+
+class TestFactorTableLookup:
+    @pytest.fixture
+    def table(self):
+        rng = np.random.default_rng(4)
+        return FactorTable(bounds=(-3, 2), types=(2, 5, 6),
+                           factors=rng.uniform(0.5, 1.5, size=(3, 6)),
+                           counts=rng.integers(0, 50, size=(3, 6)))
+
+    def test_arrays_match_a_loop_over_the_cells(self, table):
+        lo, hi = table.bounds
+        user_type = np.array([[2, 5, 6], [6, 6, 2]])
+        streak = np.array([[-3, 0, 2], [1, -1, -2]])
+        want_factors = [[table.factors[table.types.index(c), s - lo] for c, s in zip(cs, ss)]
+                        for cs, ss in zip(user_type.tolist(), streak.tolist())]
+        want_counts = [[table.counts[table.types.index(c), s - lo] for c, s in zip(cs, ss)]
+                       for cs, ss in zip(user_type.tolist(), streak.tolist())]
+        assert table.factor(user_type, streak).tolist() == want_factors
+        assert table.count(user_type, streak).tolist() == want_counts
+        # one type against a row of streaks broadcasts
+        assert table.factor(5, np.arange(lo, hi + 1)).tolist() == table.factors[1].tolist()
+
+    def test_streaks_outside_the_bounds_clamp(self, table):
+        assert table.factor(5, -40) == table.factors[1, 0]
+        assert table.factor(5, 40) == table.factors[1, -1]
+        assert table.count(np.array([2, 6]), np.array([-4, 3])).tolist() == \
+            [table.counts[0, 0], table.counts[2, -1]]
+
+    def test_unknown_type_raises_key_error(self, table):
+        with pytest.raises(KeyError, match=r"\[3\]"):
+            table.factor(np.array([2, 3]), 0)
+        with pytest.raises(KeyError):
+            table.count(1, 0)
 
 
 class TestMonotoneProject:
@@ -231,7 +265,7 @@ class TestSummarizeTypes:
         assert mean_open[1] == pytest.approx(0.1)
 
     def test_missing_type_reported(self):
-        with pytest.raises(MissingTypeError, match=r"\[2, 3\]"):
+        with pytest.raises(ValueError, match=r"\[2, 3\]"):
             summarize_types(columns([rec(utype=1)]), types=(1, 2, 3))
 
     def test_empty_records_rejected(self):
@@ -291,15 +325,14 @@ class TestBehaviorModel:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
     def test_factor_table_rejects_non_finite_or_non_positive_factors(self, bad):
-        doc = FactorTable.neutral(bounds=(-2, 2), types=(1,)).to_dict()
+        doc = make_model({}, 0.3, (-2, 2)).factors.to_dict()
         doc["factors"]["1"][3] = bad
         with pytest.raises(ValueError, match="finite and strictly positive"):
             FactorTable.from_dict(doc)
 
     @pytest.mark.parametrize("bad", [-0.4, 1.5, float("nan")])
     def test_rejects_mean_open_outside_unit_interval(self, bad):
-        doc = BehaviorModel(factors=FactorTable.neutral(bounds=(-2, 2), types=(1,)),
-                            kappa=1.0, type_mean_open={1: 0.3}).to_dict()
+        doc = make_model({}, 0.3, (-2, 2)).to_dict()
         doc["type_mean_open"]["1"] = bad
         with pytest.raises(ValueError):
             BehaviorModel.from_dict(doc)

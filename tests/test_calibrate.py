@@ -96,7 +96,7 @@ class TestPavLinear:
     def test_anti_ranked_fit_runs_in_linear_time(self):
         scores = np.arange(20000) / 20000
         start = time.perf_counter()
-        cmap = fit_isotonic(np.column_stack((scores, scores < 0.5)))
+        cmap = fit_isotonic(scores, scores < 0.5)
         assert time.perf_counter() - start < 2.0
         assert cmap.values == (0.5,) * 20000
 
@@ -113,36 +113,46 @@ class TestPavLinear:
 
 class TestFitIsotonic:
     def test_pools_violation(self):
-        cmap = fit_isotonic([(0.1, 1), (0.2, 0), (0.3, 1)])
+        cmap = fit_isotonic([0.1, 0.2, 0.3], [1, 0, 1])
         assert cmap.breakpoints == (0.1, 0.2, 0.3)
         assert cmap.values == (0.5, 0.5, 1.0)
 
     def test_monotone_outcomes_are_fixed_point(self):
-        cmap = fit_isotonic([(0.1, 0), (0.2, 0), (0.3, 1), (0.4, 1)])
+        cmap = fit_isotonic([0.1, 0.2, 0.3, 0.4], [0, 0, 1, 1])
         assert cmap.values == (0.0, 0.0, 1.0, 1.0)
 
     def test_all_zero_outcomes_give_constant_zero(self):
-        cmap = fit_isotonic([(0.2, 0), (0.7, 0), (0.9, 0)])
+        cmap = fit_isotonic([0.2, 0.7, 0.9], [0, 0, 0])
         assert set(cmap.values) == {0.0}
 
     def test_ties_pooled_before_fit(self):
-        cmap = fit_isotonic([(0.5, 1), (0.5, 0), (0.2, 0)])
+        cmap = fit_isotonic([0.5, 0.5, 0.2], [1, 0, 0])
         assert cmap.breakpoints == (0.2, 0.5)
         assert cmap.values == (0.0, 0.5)
 
     def test_fewer_than_two_pairs_rejected(self):
         with pytest.raises(ValueError):
-            fit_isotonic([(0.5, 1)])
+            fit_isotonic([0.5], [1])
 
     def test_score_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
-            fit_isotonic([(0.5, 1), (1.2, 0)])
+            fit_isotonic([0.5, 1.2], [1, 0])
 
     @pytest.mark.parametrize("bad, shown", [(5, "5.0"), (-3, "-3.0"), (1.5, "1.5"),
                                             (math.nan, "nan"), (math.inf, "inf")])
     def test_outcome_outside_unit_interval_rejected(self, bad, shown):
         with pytest.raises(ValueError, match=rf"outcomes must lie in \[0, 1\], got {shown}$"):
-            fit_isotonic([(0.1, 1), (0.2, bad), (0.3, -7)])
+            fit_isotonic([0.1, 0.2, 0.3], [1, bad, -7])
+
+    @pytest.mark.parametrize("scores, outcomes, shapes", [
+        ([0.1, 0.2], [1], r"\(2,\) and \(1,\)"),
+        ([[0.1, 0.2]], [[1, 0]], r"\(1, 2\) and \(1, 2\)"),
+        ([[0.1, 1], [0.2, 0]], [1, 0], r"\(2, 2\) and \(2,\)"),
+        (0.5, 1, r"\(\) and \(\)"),
+    ])
+    def test_columns_of_other_shapes_rejected(self, scores, outcomes, shapes):
+        with pytest.raises(ValueError, match=rf"1-d columns of equal length, got shapes {shapes}$"):
+            fit_isotonic(scores, outcomes)
 
     def test_matches_oracle_on_random_inputs(self):
         rng = np.random.default_rng(61)
@@ -151,7 +161,7 @@ class TestFitIsotonic:
             scores = rng.choice([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0], size=n)
             outcomes = rng.integers(0, 2, size=n)
             pairs = list(zip(scores.tolist(), outcomes.tolist()))
-            cmap = fit_isotonic(pairs)
+            cmap = fit_isotonic(scores, outcomes)
             bps, fitted = isotonic_fit_oracle(pairs)
             assert list(cmap.breakpoints) == bps
             assert list(cmap.values) == fitted
@@ -223,11 +233,10 @@ class TestRefresh:
         assert cmap is not None and total_weight >= 2
         assert cmap.fitted_at == 2000
 
-    def test_single_event_keeps_previous(self):
-        prev = CalibrationMap(breakpoints=(0.5,), values=(0.4,))
-        got = refresh(send_log(self.make_events([100])), now=200, window_hours=24,
-                      previous=prev)
-        assert got is prev
+    def test_single_event_window_raises(self):
+        with pytest.raises(ValueError, match=r"^fewer than 2 events in the 24h window "
+                                             r"ending at 200$"):
+            refresh(send_log(self.make_events([100, -999999])), now=200, window_hours=24)
 
     def test_event_just_outside_window_excluded(self):
         now = 100 * 3600
@@ -236,8 +245,9 @@ class TestRefresh:
         cmap = refresh(send_log(edge + inside), now=now, window_hours=24)
         assert cmap.breakpoints == (0.3,)
 
-    def test_no_previous_and_empty_window_gives_none(self):
-        assert refresh(send_log([]), now=0, window_hours=24) is None
+    def test_empty_window_raises(self):
+        with pytest.raises(ValueError, match="fewer than 2 events in the 24h window"):
+            refresh(send_log([]), now=0, window_hours=24)
 
     def test_window_bounds_compare_exactly_above_2_to_53(self):
         """Timestamps one apart above 2**53 are told apart at both ends of the
@@ -298,7 +308,7 @@ def test_calibration_recovers_monotone_link():
     def mean_abs_error(n):
         scores = rng.random(n)
         outcomes = (rng.random(n) < g(scores)).astype(int)
-        cmap = fit_isotonic(list(zip(scores.tolist(), outcomes.tolist())))
+        cmap = fit_isotonic(scores, outcomes)
         grid = rng.random(2000)
         err = np.abs(apply_calibration(cmap, grid) - g(grid))
         return float(np.mean(err))

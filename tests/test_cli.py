@@ -188,6 +188,7 @@ class TestCalibrate:
         assert "breakpoints" in out
         # the window (-8h, 40h] holds sends at hours 0..39 of all 30 users
         assert f"1200 of 1200 sends in the window, {len(values)} distinct scores" in out
+        assert f"{len(values)} breakpoints pooled into {len(set(values))} distinct values" in out
 
     @pytest.mark.parametrize("key, value, code", [
         ("now", 40 * 3600 + 0.5, 1), ("window_hours", 47.5, 1), ("now", 40 * 3600.0, 0)])
@@ -204,6 +205,18 @@ class TestCalibrate:
         # window ending long before the data begins catches nothing
         assert run(["calibrate", send_log, "--now", "-999999",
                     "--out", tmp_path / "cal.json"]) == 2
+
+    def test_fewer_than_two_window_sends_is_one_error_line(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(json.dumps({"user_id": "u1", "user_type": 1, "timestamp": t,
+                                           "raw_score": 0.5, "outcome": 1}) + "\n"
+                               for t in (-100000, 100)))
+        before = sorted(os.listdir(tmp_path))
+        assert run(["calibrate", log, "--now", "200", "--window-hours", "24",
+                    "--out", tmp_path / "cal.json"]) == 2
+        assert capsys.readouterr().err == \
+            "error: fewer than 2 events in the 24h window ending at 200\n"
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_zero_window_is_validation_error(self, send_log, tmp_path):
         assert run(["calibrate", send_log, "--now", "0", "--window-hours", "0",
@@ -372,6 +385,20 @@ class TestSimulate:
             {"name": "more", "policy": "no_filter", "limit_adjustment": 1.5}]))
         assert run(["simulate", "--sim-config", sim_config_path, "--treatments",
                     treatments, "--out-dir", tmp_path / "o"]) == 1
+
+    def test_treatments_object_is_validation_error(self, sim_config_path, treatments_path,
+                                                   tmp_path, capsys):
+        """The treatments file is a JSON list; an object holding the list is
+        rejected, not unwrapped."""
+        wrapped = tmp_path / "wrapped.json"
+        wrapped.write_text(json.dumps({"treatments": json.loads(treatments_path.read_text())}))
+        before = sorted(os.listdir(tmp_path))
+        assert run(["simulate", "--sim-config", sim_config_path,
+                    "--treatments", wrapped, "--out-dir", tmp_path / "o"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: treatments: "), lines
+        assert "treatments must be a list of objects" in lines[0]
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_unknown_policy_rejected(self, sim_config_path, tmp_path):
         bad = tmp_path / "bad.json"

@@ -348,7 +348,8 @@ def test_array_simulator_matches_scalar_oracle():
     ]
     warmup = warmup_events_oracle(cfg)
     assert rows(warmup_events(cfg)) == warmup
-    calibration = fit_isotonic([(e.raw_score, e.outcome) for e in warmup], window_hours=24)
+    calibration = fit_isotonic([e.raw_score for e in warmup], [e.outcome for e in warmup],
+                               window_hours=24)
     assert fit_sim_calibration(cfg) == calibration
 
     report = run_experiment(cfg, treatments, keep_events=True)
