@@ -3,9 +3,14 @@
 Reads a JSON Lines send log into one `SendLog`: equal-length numpy columns
 (user, type, timestamp, raw score, outcome) with rows grouped by user in
 sorted user-id order and kept in timestamp order within each user. This
-module owns the format both ways: `_parse_line` reads one line and
-`SendLog.to_jsonl` writes a log back, which is how the simulator's sends
-are emitted.
+module owns the format both ways: `read_log` reads it and `SendLog.to_jsonl`
+writes a log back, which is how the simulator's sends are emitted.
+
+`read_log` decodes each chunk of 4096 lines with one `json.loads` of the
+chunk as a JSON array, when each line is provably one array element, and
+checks the fields a column at a time. Any other chunk, and any failed
+check, sends the whole file to the per-line loop of `_parse_line`, which
+defines the accepted set and names the first bad line.
 
 `build_dataset` splits each user's rows into halves, estimates a per-user
 baseline open rate on the first half, and replays the second half into a
@@ -17,14 +22,27 @@ unreachable users cannot contaminate the baselines.
 from __future__ import annotations
 
 import json
+import re
 from array import array
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .core import DEFAULT_STREAK_BOUNDS, USER_TYPES, advance_streak, validate_streak_bounds
 
 DEFAULT_MIN_SAMPLES = 10
+# lines per json.loads call in read_log: the decoder shares key strings
+# within one call, and one array of a whole 167k-line log is slower than
+# chunks of this size and holds more than twice the memory
+_CHUNK_LINES = 4096
+_FIELDS = ("user_id", "user_type", "timestamp", "raw_score", "outcome")
+_TYPE_SET = frozenset(USER_TYPES)
+# the file is decoded with errors="surrogateescape", which turns each byte
+# that is not UTF-8 into one of these lone surrogates (strict UTF-8 decoding
+# gives none), so a search finds the bad byte without failing the read
+_RAW_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class LogParseError(ValueError):
@@ -136,27 +154,110 @@ def _parse_line(line: str, lineno: int) -> tuple:
 def read_log(path) -> SendLog:
     """Parse a JSON Lines send log into one SendLog.
 
-    Blank lines are ignored. A user appearing under two different types is
-    an error.
+    Lines end at LF, CRLF or a lone CR. Blank lines are ignored. A user
+    appearing under two different types is an error, and so is a byte that
+    is not UTF-8; every error names its line.
+
+    The file is read in chunks of _CHUNK_LINES lines. A chunk's non-blank
+    lines are joined into one JSON array and decoded by one `json.loads`
+    when every line holds exactly one `{` and one `}` and the array holds
+    as many objects as lines. Then no brace is inside a string, so the k-th
+    object lies on line k alone and equals `json.loads` of that line. The
+    five fields are checked as columns with `_parse_line`'s rules, and
+    that each user keeps one type once the whole log is read. A chunk that
+    misses the guard, fails to parse or fails a check sends the file back
+    to line 1 for the per-line loop: it reads the valid files the guard
+    rejects, such as one with a `{` inside a user_id, and raises the first
+    error.
     """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        log = _read_chunks(fh)
+        if log is None:
+            fh.seek(0)
+            log = _read_lines(fh)
+    return log
+
+
+def _read_chunks(fh) -> SendLog | None:
+    """The log parsed one array per chunk, or None where `_read_lines`
+    must decide."""
+    user_id, user_type, timestamp = [], array("q"), array("q")
+    raw_score, outcome = array("d"), array("d")
+    # one str per distinct id: the decoder makes a new one per row, and a
+    # chunk's rows kept among its freed objects would hold the heap open
+    same_id: dict[str, str] = {}
+    while chunk := list(islice(fh, _CHUNK_LINES)):
+        lines = list(filter(str.strip, chunk))
+        if not lines:
+            continue
+        if set(map(str.count, lines, repeat("{"))) != {1} \
+                or set(map(str.count, lines, repeat("}"))) != {1}:
+            return None
+        text, rows = "[" + ",".join(lines) + "]", len(lines)
+        # drop the lines before decoding and the text after, so that a
+        # chunk's peak memory is mostly its objects
+        del chunk, lines
+        if not text.isascii() and _RAW_BYTE.search(text):
+            return None
+        try:
+            objs = json.loads(text)
+        except (ValueError, RecursionError):  # JSONDecodeError, or an int too long
+            return None
+        del text
+        if len(objs) != rows or set(map(type, objs)) != {dict}:
+            return None
+        try:
+            ids, types, stamps, scores, opens = (list(map(itemgetter(k), objs)) for k in _FIELDS)
+        except KeyError:
+            return None
+        # the checks of _parse_line, one column at a time
+        if set(map(type, ids)) != {str} or not all(ids) \
+                or set(map(type, types)) != {int} or not set(types) <= _TYPE_SET \
+                or set(map(type, stamps)) != {int} \
+                or not set(map(type, scores)) <= {float, int} \
+                or not set(map(type, opens)) <= {float, int} or not set(opens) <= {0, 1}:
+            return None
+        try:  # int64 and float range
+            timestamp += array("q", stamps)
+            raw_score += array("d", scores)
+        except OverflowError:
+            return None
+        user_id += map(same_id.setdefault, ids, ids)
+        user_type += array("q", types)
+        outcome += array("d", opens)
+    score = np.frombuffer(raw_score, dtype=float)
+    if not ((score >= 0.0) & (score <= 1.0)).all():  # NaN fails both
+        return None
+    log = SendLog.from_rows(user_id, user_type, timestamp, raw_score, outcome)
+    same_user = log.user[1:] == log.user[:-1]
+    if (log.user_type[1:] != log.user_type[:-1])[same_user].any():
+        return None
+    return log
+
+
+def _read_lines(fh) -> SendLog:
+    """The log parsed one line at a time, raising the first error."""
     type_of: dict[str, int] = {}
     # packed numeric columns: 8 bytes a value instead of a Python object
     user_id, user_type, timestamp = [], array("q"), array("q")
     raw_score, outcome = array("d"), array("d")
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            uid, c, ts, score, o = _parse_line(line, lineno)
-            known = type_of.setdefault(uid, c)
-            if known != c:
-                raise LogParseError(f"line {lineno}: user {uid!r} changes type "
-                                    f"from {known} to {c}")
-            user_id.append(uid)
-            user_type.append(c)
-            timestamp.append(ts)
-            raw_score.append(score)
-            outcome.append(o)
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        bad = _RAW_BYTE.search(line)
+        if bad:
+            raise LogParseError(f"line {lineno}: byte {ord(bad.group()) - 0xdc00:#04x} "
+                                f"is not valid UTF-8")
+        uid, c, ts, score, o = _parse_line(line, lineno)
+        known = type_of.setdefault(uid, c)
+        if known != c:
+            raise LogParseError(f"line {lineno}: user {uid!r} changes type "
+                                f"from {known} to {c}")
+        user_id.append(uid)
+        user_type.append(c)
+        timestamp.append(ts)
+        raw_score.append(score)
+        outcome.append(o)
     return SendLog.from_rows(user_id, user_type, timestamp, raw_score, outcome)
 
 

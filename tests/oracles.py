@@ -4,8 +4,9 @@ Everything here is written from first principles with its own data
 structures: a quadratic-time isotonic fit, a no-memoization tree
 enumeration of the send/skip recursion, a closed-form threshold root, the
 streak rule, calibration lookup and send decisions for one candidate at a
-time, the ingest dataset as a per-user split, baseline and replay, and the
-simulator as one Python call per user-pass. None of it imports from the
+time, the log reader as one `json.loads` per line, the ingest dataset as a
+per-user split, baseline and replay, and the simulator as one Python call
+per user-pass. None of it imports from the
 package's algorithm internals; the simulator oracle builds the package's
 report type, calls a treatment's policy with scalar contexts, and keeps
 each send as its own `OracleSend` record rather than a package type.
@@ -13,6 +14,7 @@ each send as its own `OracleSend` record rather than a package type.
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -24,6 +26,8 @@ from notif_ltv import (
     CalibrationMap,
     DecisionContext,
     ExperimentReport,
+    LogParseError,
+    SendLog,
     TreatmentResult,
 )
 
@@ -193,7 +197,72 @@ def decide_oracle(user_type, streak, score, sends_today, effective_limit, *,
     return True
 
 
-# --- ingest: one user and one send at a time ----------------------------------
+# --- ingest: one line, one user and one send at a time ------------------------
+
+def read_log_oracle(path):
+    """Reference for `read_log`: the same SendLog, or a LogParseError with
+    the same message.
+
+    The bytes are cut into lines at LF, CRLF and a lone CR, each line
+    ending in LF as a text-mode read gives it. Each line is decoded as
+    strict UTF-8 and skipped when `str.strip` leaves nothing; otherwise one
+    `json.loads` must give an object whose five fields pass the format's
+    checks in field order, and a user keeps the type of its first line.
+    Rows are then ordered by sorted user id and, stably, by timestamp.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(keepends=True)
+    rows, type_of = [], {}
+    for lineno, raw in enumerate(lines, start=1):
+        def fail(why):
+            raise LogParseError(f"line {lineno}: {why}")
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            fail(f"byte {raw[exc.start]:#04x} is not valid UTF-8")
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            fail(f"invalid JSON ({exc.msg})")
+        if not isinstance(obj, dict):
+            fail("expected a JSON object")
+        for name in ("user_id", "user_type", "timestamp", "raw_score", "outcome"):
+            if name not in obj:
+                fail(f"missing field {name!r}")
+        uid, utype, ts = obj["user_id"], obj["user_type"], obj["timestamp"]
+        score, outcome = obj["raw_score"], obj["outcome"]
+        if not isinstance(uid, str) or uid == "":
+            fail("user_id must be a non-empty string")
+        if isinstance(utype, bool) or not isinstance(utype, int) or not 1 <= utype <= 6:
+            fail(f"unknown user_type {utype!r}; expected one of [1, 2, 3, 4, 5, 6]")
+        if isinstance(ts, bool) or not isinstance(ts, int):
+            fail("timestamp must be an integer")
+        if ts < -2 ** 63 or ts >= 2 ** 63:
+            fail(f"timestamp {ts} does not fit in 64 bits")
+        if isinstance(score, bool) or not isinstance(score, (int, float)) \
+                or not (0 <= score <= 1):
+            fail("raw_score must be a number in [0, 1]")
+        if isinstance(outcome, bool) or not isinstance(outcome, (int, float)) \
+                or outcome not in (0, 1):
+            fail(f"outcome must be 0 or 1, got {outcome!r}")
+        first = type_of.setdefault(uid, utype)
+        if first != utype:
+            fail(f"user {uid!r} changes type from {first} to {utype}")
+        rows.append((uid, utype, ts, float(score), int(outcome)))
+    users = sorted({r[0] for r in rows})
+    rank = {uid: i for i, uid in enumerate(users)}
+    rows.sort(key=lambda r: (rank[r[0]], r[2]))  # stable: ties keep file order
+    columns = list(zip(*rows)) or [()] * 5
+    return SendLog(users=tuple(users),
+                   user=np.array([rank[uid] for uid in columns[0]], dtype=np.int64),
+                   user_type=np.array(columns[1], dtype=np.int64),
+                   timestamp=np.array(columns[2], dtype=np.int64),
+                   raw_score=np.array(columns[3], dtype=np.float64),
+                   outcome=np.array(columns[4], dtype=np.int64))
+
 
 def build_dataset_oracle(rows, min_samples, bounds):
     """Records of a send log given as dicts in file order, as tuples

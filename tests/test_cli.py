@@ -70,6 +70,13 @@ class TestFit:
         path.write_text("not json\n")
         assert run(["fit", path, "--kappa", "0.2", "--out", tmp_path / "m.json"]) == 2
 
+    def test_byte_that_is_not_utf8_is_data_error_naming_its_line(self, send_log, tmp_path,
+                                                                 capsys):
+        send_log.write_bytes(send_log.read_bytes() + b'{"user_id": "\xff"}\n')
+        assert run(["fit", send_log, "--kappa", "0.2", "--out", tmp_path / "m.json"]) == 2
+        assert capsys.readouterr().err == "error: line 1201: byte 0xff is not valid UTF-8\n"
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("min_samples, code", [(2.5, 1), (10.0, 0)])
     def test_config_min_samples_must_be_integral(self, send_log, tmp_path, min_samples, code):
         cfg = tmp_path / "fit.json"

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from notif_ltv import LogParseError, SendLog, build_dataset, read_log
-from oracles import build_dataset_oracle
+from notif_ltv import LogParseError, SendLog, build_dataset, ingest, read_log
+from oracles import build_dataset_oracle, read_log_oracle
 
 
 def write_log(path, rows):
@@ -19,6 +19,31 @@ def write_log(path, rows):
 def row(uid="u1", utype=1, ts=0, score=0.5, outcome=1):
     return {"user_id": uid, "user_type": utype, "timestamp": ts,
             "raw_score": score, "outcome": outcome}
+
+
+def assert_same_log(got, want):
+    assert got.users == want.users
+    for name in ("user", "user_type", "timestamp", "raw_score", "outcome"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def read_or_message(read, path):
+    try:
+        return read(path)
+    except LogParseError as exc:
+        return str(exc)
+
+
+def assert_reads_like_oracle(path):
+    """read_log and read_log_oracle give equal logs or equal messages;
+    returns the oracle's."""
+    got, want = read_or_message(read_log, path), read_or_message(read_log_oracle, path)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert_same_log(got, want)
+    return want
 
 
 def one_user_log(outcomes, uid="u1"):
@@ -110,6 +135,158 @@ class TestReadLog:
         records = build_dataset(log, min_samples=1)
         assert records.user.tolist() == [0, 1, 1]
         assert records.baseline_rate.tolist() == [0.0, 1.0, 1.0]
+
+
+class TestChunkedRead:
+    """read_log parses a chunk of lines as one JSON array and falls back to
+    one line at a time; neither may move a line number or change a row."""
+
+    @pytest.mark.parametrize("lines, objects", [
+        # the lines hold as many objects as lines, but not one a line
+        ([json.dumps(row())[:-1] + ', "x": [0\n', "1]}\n",
+          json.dumps(row(ts=1)) + ", " + json.dumps(row(ts=2)) + "\n"], 3),
+        # each line holds one { and one }, but one of each is in a string
+        ([json.dumps(row())[:-1] + ', "a": "}", "b": [1\n', '"{", 2]}\n'], 1),
+    ])
+    def test_object_split_across_lines_is_invalid_json_on_its_first_line(self, tmp_path, lines,
+                                                                         objects):
+        # joined into one array, the lines are valid rows
+        joined = json.loads("[" + ",".join(lines) + "]")
+        assert len(joined) == objects and joined[0].keys() >= set(row())
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises(LogParseError, match=r"^line 1: invalid JSON"):
+            read_log(path)
+
+    def test_malformed_line_after_the_first_chunk_names_its_line(self, tmp_path):
+        n = ingest._CHUNK_LINES
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(json.dumps(row(ts=t)) + "\n" for t in range(n)) + "not json\n")
+        with pytest.raises(LogParseError, match=rf"^line {n + 1}: invalid JSON"):
+            read_log(path)
+
+    def test_type_change_across_a_chunk_boundary_names_its_line(self, tmp_path):
+        n = ingest._CHUNK_LINES
+        path = tmp_path / "log.jsonl"
+        write_log(path, [row(uid="u1", utype=1)]
+                  + [row(uid="u2", utype=3, ts=t) for t in range(n - 1)]
+                  + [row(uid="u1", utype=2, ts=1)])
+        with pytest.raises(LogParseError,
+                           match=rf"^line {n + 1}: user 'u1' changes type from 1 to 2$"):
+            read_log(path)
+
+    def test_blank_lines_inside_a_chunk_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text("\n".join([json.dumps(row()), "", "   ", json.dumps(row(ts=1)), "\t",
+                                   json.dumps(row(ts=2, outcome=2))]) + "\n")
+        with pytest.raises(LogParseError, match=r"^line 6: outcome must be 0 or 1, got 2$"):
+            read_log(path)
+
+    def test_valid_log_over_several_chunks_skips_the_per_line_loop(self, tmp_path,
+                                                                   monkeypatch):
+        def per_line(fh):
+            raise AssertionError("the per-line loop ran on a valid log")
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", 4)
+        monkeypatch.setattr(ingest, "_read_lines", per_line)
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"".join(
+            (json.dumps(row(uid=f"u{t % 3}", utype=t % 3 + 1, ts=-t, outcome=t % 2))
+             + ("\r\n\n" if t % 4 else " \r")).encode() for t in range(13)))
+        log = read_log(path)
+        assert len(log) == 13
+        assert_same_log(log, read_log_oracle(path))
+
+    @pytest.mark.parametrize("first_chunk", [False, True])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, first_chunk):
+        skip = 0 if first_chunk else ingest._CHUNK_LINES
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"".join(json.dumps(row(ts=t)).encode() + b"\n" for t in range(skip))
+                         + b"\n" + json.dumps(row(uid="u?")).encode().replace(b"?", b"\xff"))
+        with pytest.raises(LogParseError,
+                           match=rf"^line {skip + 2}: byte 0xff is not valid UTF-8$"):
+            read_log(path)
+
+    def test_earlier_error_comes_before_a_later_byte_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"not json\n\xff\n")
+        with pytest.raises(LogParseError, match=r"^line 1: invalid JSON"):
+            read_log(path)
+
+    def test_escaped_surrogate_in_a_user_id_still_reads(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_log(path, [row(uid="u\udcff")])
+        assert read_log(path).users == ("u\udcff",)
+
+
+EDGE_FIELDS = [("uid", ""), ("uid", 7), ("utype", True), ("utype", 1.0), ("utype", 7),
+               ("ts", 1.0), ("ts", True), ("ts", 2 ** 63), ("ts", -2 ** 63 - 1),
+               ("ts", 2 ** 63 - 1), ("ts", -2 ** 63), ("score", True), ("score", "0.5"),
+               ("score", float("nan")), ("score", 1.5), ("score", 1), ("score", 10 ** 400),
+               ("outcome", True), ("outcome", 2), ("outcome", 0.5), ("outcome", None),
+               ("outcome", 1.0), ("outcome", -0.0)]
+
+
+EDGE_NAMES = {2 ** 63: "2**63", 2 ** 63 - 1: "2**63-1", -2 ** 63: "-2**63",
+              -2 ** 63 - 1: "-2**63-1", 10 ** 400: "10**400"}
+
+
+@pytest.mark.parametrize("field, value", EDGE_FIELDS,
+                         ids=[f"{f}={EDGE_NAMES.get(v, repr(v))}" for f, v in EDGE_FIELDS])
+def test_each_field_rule_matches_per_line_oracle(tmp_path, field, value):
+    """One row at or past a field's rule, amid valid rows of one chunk."""
+    path = tmp_path / "log.jsonl"
+    write_log(path, [row(ts=t) for t in range(5)] + [row(**{field: value})] + [row(ts=9)])
+    want = assert_reads_like_oracle(path)
+    assert not isinstance(want, str) or want.startswith("line 6: ")
+
+
+ROW_LINE = st.builds(lambda user, ts, score, outcome: json.dumps(row(*user, ts, score, outcome)),
+                     st.sampled_from([("a", 1), ("b", 2), ("c", 3)]), st.integers(-3, 3),
+                     st.sampled_from([0.0, 0.25, 1, 1.0]), st.sampled_from([0, 1]))
+ADVERSARIAL_LINE = st.one_of(
+    # blank, and whitespace only to str.strip but not to JSON
+    st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\x1c", "\u00a0", "\u2028"]),
+    # whitespace around an object, in and out of JSON's own
+    st.sampled_from([" ", "\t", "\u00a0", "\x0c"]).map(lambda w: w + json.dumps(row()) + w),
+    # braces and spaces inside a user_id
+    st.sampled_from(["a{b", "}", "a b", "{}", "{"]).map(lambda u: json.dumps(row(uid=u))),
+    # extra fields, nested or not
+    st.sampled_from([{"x": [0, 1]}, {"extra": {"k": [1, {"z": 2}]}}, {"e": "}{"}]).map(
+        lambda extra: json.dumps({**row(), **extra})),
+    # an object split across lines, and two objects on one line
+    st.integers(1, 60).map(lambda k: json.dumps(row())[:k] + "\n" + json.dumps(row())[k:]),
+    st.just(json.dumps(row())[:-1] + ', "x": [0\n1]}'),
+    st.sampled_from([", ", " ", ""]).map(lambda sep: json.dumps(row()) + sep + json.dumps(row())),
+    # values at and past the checks' edges
+    st.sampled_from(EDGE_FIELDS).map(lambda edge: json.dumps(row(**dict([edge])))),
+    # a user whose type changes, a non-object, a missing field
+    st.sampled_from([json.dumps(row(uid="a", utype=4)), "[]", '"{}"', "{}"]),
+    # bytes that are not UTF-8
+    st.sampled_from([b"\xff", b'{"user_id": "\xe2"}', b"\xc3"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_read_log_matches_per_line_oracle(tmp_path_factory, data):
+    """read_log and the per-line oracle give equal logs or equal errors on
+    files that mix valid rows with lines each path could get wrong; the
+    chunk is a few lines, so every file spans several."""
+    lines = data.draw(st.lists(ROW_LINE, max_size=16))
+    for line in data.draw(st.lists(ADVERSARIAL_LINE, max_size=3)):
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+    ends = data.draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]),
+                              min_size=len(lines), max_size=len(lines)))
+    body = b"".join((line if isinstance(line, bytes) else line.encode()) + end
+                    for line, end in zip(lines, ends))
+    if lines and data.draw(st.booleans()):
+        body = body.rstrip(b"\r\n")
+    path = tmp_path_factory.mktemp("log") / "log.jsonl"
+    path.write_bytes(body)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_CHUNK_LINES", data.draw(st.integers(1, 5)))
+        assert_reads_like_oracle(path)
 
 
 class TestSplitHalves:
