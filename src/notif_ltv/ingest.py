@@ -6,17 +6,19 @@ sorted user-id order and kept in timestamp order within each user. This
 module owns the format both ways: `read_log` reads it and `SendLog.to_jsonl`
 writes a log back, which is how the simulator's sends are emitted.
 
-`read_log` decodes each chunk of 4096 lines with one `json.loads` of the
-chunk as a JSON array, when each line is provably one array element, and
-checks the fields a column at a time. Any other chunk, and any failed
-check, sends the whole file to the per-line loop of `_parse_line`, which
-defines the accepted set and names the first bad line.
+`read_log` walks the file once, 4096 lines at a time. It decodes a chunk
+with one `json.loads` of the chunk as a JSON array when each line is
+provably one array element, and checks the fields a column at a time. A
+chunk that is not one object per line, or fails a check, goes through the
+per-line loop of `_parse_line`, which defines the accepted set and names
+the chunk's first bad line; the read then goes on with the next chunk.
 
 `build_dataset` splits each user's rows into halves, estimates a per-user
-baseline open rate on the first half, and replays the second half into a
+baseline open rate on the first half, and turns the second half into a
 `RecordSet` of (type, streak, outcome, baseline) records for the behavior
-estimator. Users with too few first-half sends are excluded so that new or
-unreachable users cannot contaminate the baselines.
+estimator, each streak found in closed form from the runs of equal
+outcomes before it. Users with too few first-half sends are excluded so
+that new or unreachable users cannot contaminate the baselines.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import DEFAULT_STREAK_BOUNDS, USER_TYPES, advance_streak, validate_streak_bounds
+from .core import DEFAULT_STREAK_BOUNDS, USER_TYPES, validate_streak_bounds
 
 DEFAULT_MIN_SAMPLES = 10
 # lines per json.loads call in read_log: the decoder shares key strings
@@ -121,8 +123,8 @@ class RecordSet:
 def _parse_line(line: str, lineno: int) -> tuple:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise LogParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int too long, nesting too deep
+        raise LogParseError(f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(obj, dict):
         raise LogParseError(f"line {lineno}: expected a JSON object")
     try:
@@ -156,92 +158,86 @@ def read_log(path) -> SendLog:
 
     Lines end at LF, CRLF or a lone CR. Blank lines are ignored. A user
     appearing under two different types is an error, and so is a byte that
-    is not UTF-8; every error names its line.
+    is not UTF-8; every error names its line, and the earliest line's wins.
 
-    The file is read in chunks of _CHUNK_LINES lines. A chunk's non-blank
-    lines are joined into one JSON array and decoded by one `json.loads`
-    when every line holds exactly one `{` and one `}` and the array holds
-    as many objects as lines. Then no brace is inside a string, so the k-th
-    object lies on line k alone and equals `json.loads` of that line. The
-    five fields are checked as columns with `_parse_line`'s rules, and
-    that each user keeps one type once the whole log is read. A chunk that
-    misses the guard, fails to parse or fails a check sends the file back
-    to line 1 for the per-line loop: it reads the valid files the guard
-    rejects, such as one with a `{` inside a user_id, and raises the first
-    error.
+    The file is read once, _CHUNK_LINES lines at a time. A chunk that
+    `_read_chunk` declines, such as one with a `{` inside a user_id, goes
+    through `_read_lines` from its own first line number. Both fill type_of
+    as a chunk completes, so a type change is an error on its own line.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        log = _read_chunks(fh)
-        if log is None:
-            fh.seek(0)
-            log = _read_lines(fh)
-    return log
-
-
-def _read_chunks(fh) -> SendLog | None:
-    """The log parsed one array per chunk, or None where `_read_lines`
-    must decide."""
-    user_id, user_type, timestamp = [], array("q"), array("q")
-    raw_score, outcome = array("d"), array("d")
+    type_of: dict[str, int] = {}
     # one str per distinct id: the decoder makes a new one per row, and a
     # chunk's rows kept among its freed objects would hold the heap open
     same_id: dict[str, str] = {}
-    while chunk := list(islice(fh, _CHUNK_LINES)):
-        lines = list(filter(str.strip, chunk))
-        if not lines:
-            continue
-        if set(map(str.count, lines, repeat("{"))) != {1} \
-                or set(map(str.count, lines, repeat("}"))) != {1}:
-            return None
-        text, rows = "[" + ",".join(lines) + "]", len(lines)
-        # drop the lines before decoding and the text after, so that a
-        # chunk's peak memory is mostly its objects
-        del chunk, lines
-        if not text.isascii() and _RAW_BYTE.search(text):
-            return None
-        try:
-            objs = json.loads(text)
-        except (ValueError, RecursionError):  # JSONDecodeError, or an int too long
-            return None
-        del text
-        if len(objs) != rows or set(map(type, objs)) != {dict}:
-            return None
-        try:
-            ids, types, stamps, scores, opens = (list(map(itemgetter(k), objs)) for k in _FIELDS)
-        except KeyError:
-            return None
-        # the checks of _parse_line, one column at a time
-        if set(map(type, ids)) != {str} or not all(ids) \
-                or set(map(type, types)) != {int} or not set(types) <= _TYPE_SET \
-                or set(map(type, stamps)) != {int} \
-                or not set(map(type, scores)) <= {float, int} \
-                or not set(map(type, opens)) <= {float, int} or not set(opens) <= {0, 1}:
-            return None
-        try:  # int64 and float range
-            timestamp += array("q", stamps)
-            raw_score += array("d", scores)
-        except OverflowError:
-            return None
-        user_id += map(same_id.setdefault, ids, ids)
-        user_type += array("q", types)
-        outcome += array("d", opens)
-    score = np.frombuffer(raw_score, dtype=float)
-    if not ((score >= 0.0) & (score <= 1.0)).all():  # NaN fails both
-        return None
-    log = SendLog.from_rows(user_id, user_type, timestamp, raw_score, outcome)
-    same_user = log.user[1:] == log.user[:-1]
-    if (log.user_type[1:] != log.user_type[:-1])[same_user].any():
-        return None
-    return log
-
-
-def _read_lines(fh) -> SendLog:
-    """The log parsed one line at a time, raising the first error."""
-    type_of: dict[str, int] = {}
     # packed numeric columns: 8 bytes a value instead of a Python object
     user_id, user_type, timestamp = [], array("q"), array("q")
     raw_score, outcome = array("d"), array("d")
-    for lineno, line in enumerate(fh, start=1):
+    lineno = 1
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        while chunk := list(islice(fh, _CHUNK_LINES)):
+            ids, types, stamps, scores, opens = (_read_chunk(chunk, type_of)
+                                                 or _read_lines(chunk, lineno, type_of))
+            lineno += len(chunk)
+            user_id += map(same_id.setdefault, ids, ids)
+            user_type += types
+            timestamp += stamps
+            raw_score += scores
+            outcome += opens
+    return SendLog.from_rows(user_id, user_type, timestamp, raw_score, outcome)
+
+
+def _read_chunk(chunk: list[str], type_of: dict[str, int]) -> tuple | None:
+    """A chunk's columns from one `json.loads` of its lines as an array, or
+    None where `_read_lines` must decide.
+
+    The lines are decoded together when every non-blank line holds exactly
+    one `{` and one `}` and the array holds as many objects as lines. Then
+    no brace is inside a string, so the k-th object lies on line k alone
+    and equals `json.loads` of that line. The fields are checked a column
+    at a time with `_parse_line`'s rules; `type_of` is filled only once
+    every other check has passed, and `setdefault` leaves it as a per-line
+    pass would, so a declined chunk can be read again line by line.
+    """
+    lines = list(filter(str.strip, chunk))
+    if set(map(str.count, lines, repeat("{"))) != {1} \
+            or set(map(str.count, lines, repeat("}"))) != {1}:
+        return None
+    text = "[" + ",".join(lines) + "]"
+    if not text.isascii() and _RAW_BYTE.search(text):
+        return None
+    try:
+        objs = json.loads(text)
+    except (ValueError, RecursionError):  # bad JSON, an int too long, nesting too deep
+        return None
+    if len(objs) != len(lines) or set(map(type, objs)) != {dict}:
+        return None
+    try:
+        ids, types, stamps, scores, opens = (list(map(itemgetter(k), objs)) for k in _FIELDS)
+    except KeyError:
+        return None
+    if set(map(type, ids)) != {str} or not all(ids) \
+            or set(map(type, types)) != {int} or not set(types) <= _TYPE_SET \
+            or set(map(type, stamps)) != {int} \
+            or not set(map(type, scores)) <= {float, int} \
+            or not set(map(type, opens)) <= {float, int} or not set(opens) <= {0, 1}:
+        return None
+    try:  # int64 and float range
+        stamps, scores = array("q", stamps), array("d", scores)
+    except OverflowError:
+        return None
+    score = np.frombuffer(scores, dtype=float)
+    if not ((score >= 0.0) & (score <= 1.0)).all():  # NaN fails both
+        return None
+    if list(map(type_of.setdefault, ids, types)) != types:
+        return None
+    return ids, array("q", types), stamps, scores, array("d", opens)
+
+
+def _read_lines(chunk: list[str], lineno: int, type_of: dict[str, int]) -> tuple:
+    """A chunk's columns parsed one line at a time, its first line being
+    line lineno; raises the chunk's first error."""
+    rows = []
+    for lineno, line in enumerate(chunk, start=lineno):
         if not line.strip():
             continue
         bad = _RAW_BYTE.search(line)
@@ -253,25 +249,22 @@ def _read_lines(fh) -> SendLog:
         if known != c:
             raise LogParseError(f"line {lineno}: user {uid!r} changes type "
                                 f"from {known} to {c}")
-        user_id.append(uid)
-        user_type.append(c)
-        timestamp.append(ts)
-        raw_score.append(score)
-        outcome.append(o)
-    return SendLog.from_rows(user_id, user_type, timestamp, raw_score, outcome)
+        rows.append((uid, c, ts, score, o))
+    ids, types, stamps, scores, opens = zip(*rows) if rows else ((),) * 5
+    return ids, array("q", types), array("q", stamps), array("d", scores), array("d", opens)
 
 
 def build_dataset(log: SendLog, min_samples: int = DEFAULT_MIN_SAMPLES,
                   bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS) -> RecordSet:
-    """Split, estimate baselines and replay streaks for every user at once.
+    """Split, estimate baselines and find streaks for every user at once.
 
     Each user's rows are cut at n // 2. A user with fewer than min_samples
     first-half rows is excluded; otherwise the first half's open rate is the
     user's baseline and every second-half row becomes a record carrying the
-    streak in force when it was sent. The streak starts at 0 at the top of
-    the second half (first-half history is the baseline window and is
-    deliberately not carried over) and then replays the observed outcomes.
-    Records keep the log's row order.
+    streak in force when it was sent: 0 at the top of the second half
+    (first-half history is the baseline window and is deliberately not
+    carried over), then what replaying the observed outcomes with
+    `advance_streak` gives. Records keep the log's row order.
     """
     if min_samples < 1:
         raise ValueError("min_samples must be >= 1")
@@ -286,15 +279,15 @@ def build_dataset(log: SendLog, min_samples: int = DEFAULT_MIN_SAMPLES,
     opens = np.r_[0, np.cumsum(log.outcome)]
     baseline = (opens[cut] - opens[start])[user] / first[user]
 
-    # replay step k advances, at once, every user whose second half has a
-    # k-th send; users are independent, so this is each user's own replay
-    position = rows - cut[user]
-    streak = np.empty(len(rows), dtype=np.int64)
-    current = np.zeros(len(log.users), dtype=np.int64)
-    for step in np.split(np.argsort(position), np.cumsum(np.bincount(position))[:-1]):
-        u = user[step]
-        streak[step] = current[u]
-        current[u] = advance_streak(current[u], log.outcome[rows[step]], bounds)
+    # that replay in closed form: the signed length, clamped, of the run of
+    # equal outcomes just before a send, where runs also break at the top
+    # of a user's second half
+    outcome = log.outcome[rows]
+    top = rows == cut[user]
+    i = np.arange(len(rows))
+    run = np.maximum.accumulate(np.where(top | (outcome != np.roll(outcome, 1)), i, 0))
+    after = np.clip(np.where(outcome, i + 1 - run, run - i - 1), *bounds)
+    streak = np.where(top, 0, np.roll(after, 1))
     return RecordSet(user=user, user_type=log.user_type[rows], streak=streak,
-                     outcome=log.outcome[rows], baseline_rate=baseline,
+                     outcome=outcome, baseline_rate=baseline,
                      raw_score=log.raw_score[rows])

@@ -225,8 +225,8 @@ def read_log_oracle(path):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            fail(f"invalid JSON ({exc.msg})")
+        except (ValueError, RecursionError) as exc:  # bad JSON, an int too long, nesting too deep
+            fail(f"invalid JSON ({getattr(exc, 'msg', exc)})")
         if not isinstance(obj, dict):
             fail("expected a JSON object")
         for name in ("user_id", "user_type", "timestamp", "raw_score", "outcome"):

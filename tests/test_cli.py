@@ -225,6 +225,17 @@ class TestCalibrate:
             "error: fewer than 2 events in the 24h window ending at 200\n"
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("value", ["9" * 5000, "[" * 100_000 + "]" * 100_000],
+                             ids=["int of 5000 digits", "nested 100k deep"])
+    def test_json_past_the_decoder_limits_is_one_error_line(self, tmp_path, capsys, value):
+        line = json.dumps({"user_id": "u1", "user_type": 1, "timestamp": 0,
+                           "raw_score": 0.5, "outcome": 1})
+        log = tmp_path / "log.jsonl"
+        log.write_text(line + "\n" + line[:-1] + ', "x": ' + value + "}\n")
+        assert run(["calibrate", log, "--now", "0", "--out", tmp_path / "cal.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: invalid JSON (") and err.count("\n") == 1
+
     def test_zero_window_is_validation_error(self, send_log, tmp_path):
         assert run(["calibrate", send_log, "--now", "0", "--window-hours", "0",
                     "--out", tmp_path / "cal.json"]) == 1

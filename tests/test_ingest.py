@@ -182,19 +182,54 @@ class TestChunkedRead:
         with pytest.raises(LogParseError, match=r"^line 6: outcome must be 0 or 1, got 2$"):
             read_log(path)
 
-    def test_valid_log_over_several_chunks_skips_the_per_line_loop(self, tmp_path,
-                                                                   monkeypatch):
-        def per_line(fh):
-            raise AssertionError("the per-line loop ran on a valid log")
+    @pytest.fixture
+    def per_line_chunks(self, monkeypatch):
+        """Chunks of 4 lines; lists the (first line number, lines) of each
+        chunk that goes through the per-line loop."""
+        calls, per_line = [], ingest._read_lines
+
+        def spy(chunk, lineno, type_of):
+            calls.append((lineno, len(chunk)))
+            return per_line(chunk, lineno, type_of)
         monkeypatch.setattr(ingest, "_CHUNK_LINES", 4)
-        monkeypatch.setattr(ingest, "_read_lines", per_line)
+        monkeypatch.setattr(ingest, "_read_lines", spy)
+        return calls
+
+    def test_valid_log_over_several_chunks_skips_the_per_line_loop(self, tmp_path,
+                                                                   per_line_chunks):
         path = tmp_path / "log.jsonl"
         path.write_bytes(b"".join(
             (json.dumps(row(uid=f"u{t % 3}", utype=t % 3 + 1, ts=-t, outcome=t % 2))
              + ("\r\n\n" if t % 4 else " \r")).encode() for t in range(13)))
         log = read_log(path)
-        assert len(log) == 13
+        assert len(log) == 13 and per_line_chunks == []
         assert_same_log(log, read_log_oracle(path))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4])
+    def test_guard_miss_sends_only_its_own_chunk_through_the_per_line_loop(
+            self, tmp_path, per_line_chunks, chunk):
+        # 13 lines in chunks of 4 starting at lines 1, 5, 9 and 13
+        brace = 4 * (chunk - 1) + 1
+        write_log(tmp_path / "log.jsonl",
+                  [row(uid="a{b" if t == brace else f"u{t % 3}", ts=-t, outcome=t % 2)
+                   for t in range(1, 14)])
+        log = read_log(tmp_path / "log.jsonl")
+        assert per_line_chunks == [(brace, 4 if chunk < 4 else 1)]
+        assert "a{b" in log.users
+        assert_same_log(log, read_log_oracle(tmp_path / "log.jsonl"))
+
+    @pytest.mark.parametrize("change", [3, 6])
+    def test_type_change_beats_a_malformed_line_in_a_later_chunk(self, tmp_path,
+                                                                  per_line_chunks, change):
+        rows = [json.dumps(row(uid="u1" if t in (1, change) else f"v{t}",
+                               utype=2 if t == change else 1, ts=t)) for t in range(1, 13)]
+        rows[9] = "not json"  # line 10, in the third chunk
+        path = tmp_path / "log.jsonl"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(LogParseError,
+                           match=rf"^line {change}: user 'u1' changes type from 1 to 2$"):
+            read_log(path)
+        assert per_line_chunks == [(change - (change - 1) % 4, 4)]
 
     @pytest.mark.parametrize("first_chunk", [False, True])
     def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, first_chunk):
@@ -263,6 +298,9 @@ ADVERSARIAL_LINE = st.one_of(
     st.sampled_from([json.dumps(row(uid="a", utype=4)), "[]", '"{}"', "{}"]),
     # bytes that are not UTF-8
     st.sampled_from([b"\xff", b'{"user_id": "\xe2"}', b"\xc3"]),
+    # past the decoder's limits: an int of 5000 digits, a field nested 100k deep
+    st.sampled_from(["9" * 5000, "[" * 100_000 + "]" * 100_000]).map(
+        lambda value: json.dumps(row())[:-1] + ', "x": ' + value + "}"),
 )
 
 
@@ -417,13 +455,25 @@ def test_columnar_dataset_oracle_cases_cover_the_edges():
     rows = ([row(uid="long", utype=2, ts=t // 2, outcome=o, score=0.01 * t)
              for t, o in enumerate([1, 0] * 5 + [1] * 6 + [0] * 6 + [1])]
             + [row(uid="short", utype=4, ts=t) for t in range(3)]
-            + [row(uid="odd", utype=2, ts=5, outcome=t % 2, score=0.5) for t in range(7)])
+            + [row(uid="odd", utype=2, ts=5, outcome=t % 2, score=0.5) for t in range(7)]
+            # adjacent users: the first's second half ends in opens and the
+            # next's begins with them, so a run must not carry across users
+            + [row(uid="opens_a", utype=2, ts=t, outcome=o)
+               for t, o in enumerate([0] * 5 + [1] * 3)]
+            + [row(uid="opens_b", utype=2, ts=t, outcome=o) for t, o in enumerate([0, 0, 1, 1, 1])]
+            # a second half of one send, kept at min_samples 1 only
+            + [row(uid="single", utype=2, ts=t) for t in range(2)])
     log = SendLog.from_rows(*zip(*[(r["user_id"], r["user_type"], r["timestamp"],
                                     r["raw_score"], r["outcome"]) for r in rows]))
-    got = build_dataset(log, min_samples=2, bounds=(-3, 3))
-    want = build_dataset_oracle(rows, min_samples=2, bounds=(-3, 3))
-    assert got.streak.tolist() == [r[2] for r in want]
-    assert got.baseline_rate.tolist() == [r[4] for r in want]
+    records = {m: build_dataset(log, min_samples=m, bounds=(-3, 3)) for m in (1, 2)}
+    for min_samples, got in records.items():
+        want = build_dataset_oracle(rows, min_samples=min_samples, bounds=(-3, 3))
+        assert [log.users[u] for u in got.user.tolist()] == [r[0] for r in want]
+        assert got.streak.tolist() == [r[2] for r in want]
+        assert got.baseline_rate.tolist() == [r[4] for r in want]
+    users = [log.users[u] for u in records[1].user.tolist()]
+    assert users.count("single") == 1 and users.count("opens_b") == 3
+    got = records[2]
     assert {3, -3} <= set(got.streak.tolist())  # both bounds reached
     assert "short" not in {log.users[u] for u in got.user.tolist()}
     assert np.isin(got.user_type, [2]).all()
