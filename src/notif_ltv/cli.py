@@ -196,19 +196,30 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _build_treatment(entry: dict, base_dir: str) -> Treatment:
+def _cover(types: list[int], covered) -> None:
+    """Raise ValueError unless `covered` holds every one of `types`."""
+    missing = sorted(set(types) - set(covered))
+    if missing:
+        raise ValueError(f"thresholds have no entry for user type(s) {missing}")
+
+
+def _build_treatment(entry: dict, base_dir: str, types: list[int]) -> Treatment:
+    """The treatment of one entry, whose thresholds must cover every user type
+    in `types`."""
     name = read_field(entry, "name", text)
     kind = read_field(entry, "policy", text)
     if kind == "no_filter":
         decide = policy.decide_no_filter
     elif kind == "heuristic":
         ks = HeuristicThresholds.from_dict(read_field(entry, "thresholds", document))
+        _cover(types, ks.by_type)
         decide = functools.partial(policy.decide_heuristic, thresholds=ks)
     elif kind == "rl":
         # join keeps an absolute table_path as it is
         path = os.path.join(base_dir, read_field(entry, "table_path", text))
         with _reading(f"policy table {path}", DataError):
             table = PolicyTable.from_dict(_load_json(path, "policy table"))
+            _cover(types, table.types)
         decide = functools.partial(policy.decide_rl, table=table)
     else:
         raise ValueError(f"treatment {name!r}: unknown policy {kind!r} "
@@ -233,10 +244,13 @@ def cmd_simulate(args) -> int:
         entries = listed(treatments_doc, "treatments", None, document)
         if not entries:
             raise ValueError("the file defines no treatments")
+    # a policy is looked up for every user type that can be drawn, so check
+    # them all here rather than fail in whichever block first draws one
+    drawn = [c for c, share in config.type_shares.items() if share > 0]
     treatments = []
     for i, entry in enumerate(entries):
         with _reading(f"treatments[{i}]", ValidationError):
-            treatments.append(_build_treatment(entry, base_dir))
+            treatments.append(_build_treatment(entry, base_dir, drawn))
 
     report = run_experiment(config, treatments, keep_events=args.emit_log)
 

@@ -14,12 +14,12 @@ identical in every treatment, while outcome and churn draws live in a
 separate per-user stream so that one treatment skipping a send cannot
 desynchronize another treatment's candidates.
 
-The loop runs over time and numpy runs over users. Users are taken in
-blocks of BLOCK_USERS consecutive indices; a block's streams are drawn
-once, up front, and shared by every arm, and each arm then steps the whole
-block through one pass at a time (`simulate_pass`), with streak, sends
-today, reachability, outcomes and churn held as arrays and the policy
-deciding for the whole block in one call.
+The loop runs over time and numpy runs over users, taken in blocks of
+consecutive indices whose draws fit in BLOCK_BYTES; a block's streams are
+drawn once, up front, and shared by every arm, and each arm then steps the
+whole block one pass at a time (`simulate_pass`), with streak, sends today,
+reachability, outcomes and churn held as arrays and the policy deciding
+for the whole block in one call.
 
 A population is a `UserBlock` (`generate_population` draws every user as
 one block), and the sends of the calibration warm-up and of each kept arm
@@ -48,11 +48,10 @@ from .policy import DecisionContext, decide_no_filter  # noqa: F401
 
 SECONDS_PER_DAY = 86400
 
-# Users stepped together. A block's draws take 24 bytes per user-pass and
-# numpy's per-call overhead is paid once per block and pass: on the ab_test
-# benchmark, blocks of 256 ran about 20% faster than 128 but raised peak
-# RSS by about 1 MB, 2.5% of the process.
-BLOCK_USERS = 128
+# Cap on a block's draws, 24 bytes per user-pass (a raw score, two uniforms),
+# so a block's memory is bounded at any run length. 2 MiB fits 800 users x 90
+# passes in one block, paying numpy's per-call overhead once a pass, for ~2 MB.
+BLOCK_BYTES = 2 << 20
 
 # salts for per-user SeedSequence sub-streams
 _LATENT = 0
@@ -511,9 +510,9 @@ def _run_block(block: UserBlock, calibrated: np.ndarray, decide, effective_limit
 def _simulate(config: SimConfig, arms: list[tuple[Callable, SendLimitConfig]],
               calibration: CalibrationMap, *, days: int, keep_events: bool,
               latent_salt: int = _LATENT, policy_salt: int = _POLICY) -> list[_Tally]:
-    """Run every (decide, limits) arm over the population, BLOCK_USERS users
-    at a time: each block's draws are made once and every arm steps through
-    all its passes before the next block is drawn."""
+    """Run every (decide, limits) arm over blocks of users holding at most
+    BLOCK_BYTES of draws, or one user: each block's draws are made once and
+    every arm steps through all its passes before the next block is drawn."""
     factors = apply_kappa(config.true_factors, config.kappa_true).factors
     passes = days * config.passes_per_day
     weights = []
@@ -525,8 +524,9 @@ def _simulate(config: SimConfig, arms: list[tuple[Callable, SendLimitConfig]],
     k = len(config.types)
     tallies = [_Tally(sends=np.zeros(k, dtype=np.int64), opens=np.zeros(k, dtype=np.int64),
                       log=([], [], [], [], []) if keep_events else None) for _ in arms]
-    for start in range(0, config.num_users, BLOCK_USERS):
-        stop = min(start + BLOCK_USERS, config.num_users)
+    size = max(1, BLOCK_BYTES // (24 * passes))
+    for start in range(0, config.num_users, size):
+        stop = min(start + size, config.num_users)
         block = _draw_block(config, start, stop, passes, latent_salt, policy_salt)
         calibrated = apply_calibration(calibration, block.raw_scores)
         for (decide, _), limit, tally in zip(arms, limits, tallies):

@@ -328,6 +328,43 @@ class TestSimulate:
         assert run(["simulate", "--sim-config", sim_config_path,
                     "--treatments", rl, "--out-dir", tmp_path / "o"]) == 2
 
+    def test_heuristic_missing_a_drawn_type_is_validation_error(self, sim_config_path,
+                                                                tmp_path, capsys):
+        treatments = tmp_path / "heuristic.json"
+        treatments.write_text(json.dumps([
+            {"name": "heuristic", "policy": "heuristic", "baseline": True,
+             "thresholds": {"1": 0.3}}]))
+        out_dir = tmp_path / "o"
+        assert run(["simulate", "--sim-config", sim_config_path,
+                    "--treatments", treatments, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == (
+            "error: treatments[0]: thresholds have no entry for user type(s) [2]\n")
+        assert not out_dir.exists()
+        # a type with no share is never drawn and needs no threshold
+        doc = json.loads(sim_config_path.read_text())
+        doc["type_shares"] = {"1": 1.0, "2": 0.0}
+        sim_config_path.write_text(json.dumps(doc))
+        assert run(["simulate", "--sim-config", sim_config_path,
+                    "--treatments", treatments, "--out-dir", out_dir]) == 0
+
+    def test_rl_table_missing_a_drawn_type_is_data_error(self, sim_config_path, tmp_path,
+                                                         capsys):
+        table = PolicyTable(config=SolverConfig(streak_bounds=(-4, 4)), types=(1,),
+                            thresholds=np.full((1, 9), 0.3))
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps(table.to_dict()))
+        rl = tmp_path / "rl.json"
+        rl.write_text(json.dumps([
+            {"name": "no_filter", "policy": "no_filter", "baseline": True},
+            {"name": "rl", "policy": "rl", "table_path": "policy.json"}]))
+        out_dir = tmp_path / "o"
+        assert run(["simulate", "--sim-config", sim_config_path,
+                    "--treatments", rl, "--out-dir", out_dir]) == 2
+        assert capsys.readouterr().err == (
+            f"error: policy table {policy_path}: thresholds have no entry for "
+            "user type(s) [2]\n")
+        assert not out_dir.exists()
+
     def test_zero_threads_fails_validation_before_reading(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert run(["simulate", "--sim-config", missing, "--treatments", missing,

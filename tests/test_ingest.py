@@ -327,6 +327,26 @@ def test_read_log_matches_per_line_oracle(tmp_path_factory, data):
         assert_reads_like_oracle(path)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_type_change_matches_per_line_oracle(tmp_path_factory, data):
+    """A row of user `a` with type 4 after one with type 1 is the same error
+    from read_log and the oracle, whether the two rows share a chunk or not."""
+    lines = data.draw(st.lists(ROW_LINE, max_size=16))
+    lines.insert(data.draw(st.integers(0, len(lines))),
+                 data.draw(ROW_LINE.filter(lambda line: json.loads(line)["user_id"] == "a")))
+    first = next(i for i, line in enumerate(lines) if json.loads(line)["user_id"] == "a")
+    at = data.draw(st.integers(first + 1, len(lines)))
+    lines.insert(at, json.dumps(row(uid="a", utype=4)))
+    path = tmp_path_factory.mktemp("log") / "log.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_CHUNK_LINES", data.draw(st.integers(1, 5)))
+        assert assert_reads_like_oracle(path) == (
+            f"line {at + 1}: user 'a' changes type from 1 to 4")
+
+
 class TestSplitHalves:
     @pytest.mark.parametrize("n,expected", [(10, (5, 5)), (7, (3, 4)), (0, (0, 0)), (1, (0, 1))])
     def test_floor_split_sizes(self, n, expected):

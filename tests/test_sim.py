@@ -27,7 +27,8 @@ from notif_ltv import (
     simulate_pass,
     warmup_events,
 )
-from notif_ltv.sim import BLOCK_USERS, BlockState, UserBlock
+from notif_ltv import sim
+from notif_ltv.sim import BlockState, UserBlock
 
 
 def small_config(**overrides):
@@ -327,13 +328,15 @@ def test_report_table_and_csv_render():
     assert len(csv_text.strip().split("\n")) == 1 + 2 * 2  # two treatments x two types
 
 
-def test_array_simulator_matches_scalar_oracle():
+def test_array_simulator_matches_scalar_oracle(monkeypatch):
     """Reports, event streams and the warm-up equal the one-call-per-user-pass
     oracle exactly, on a run with churn, limit adjustments of +1 and -1 (the
     latter taking type 1's limit to 0), the heuristic, an rl table with
-    never-send cells and narrower streak bounds, and no_filter, over more
-    than two blocks of users."""
-    cfg = small_config(num_users=2 * BLOCK_USERS + 37, days=3, passes_per_day=3,
+    never-send cells and narrower streak bounds, and no_filter. The block
+    budget is set twice: so that the warm-up (6 passes) and the main run (9
+    passes) each span several blocks, the last one ragged, and below one
+    user's 24 bytes per pass, so that every block holds one user."""
+    cfg = small_config(num_users=293, days=3, passes_per_day=3,
                        churn_rate=0.15, send_limits=SendLimitConfig(limits={1: 1, 2: 3}))
     thresholds = np.random.default_rng(5).uniform(0.0, 0.6, size=(2, 5))
     thresholds[1, :2] = NEVER_SEND  # type 2 stops after any ignore
@@ -347,18 +350,32 @@ def test_array_simulator_matches_scalar_oracle():
         Treatment("rl", partial(decide_rl, table=table)),
     ]
     warmup = warmup_events_oracle(cfg)
-    assert rows(warmup_events(cfg)) == warmup
     calibration = fit_isotonic([e.raw_score for e in warmup], [e.outcome for e in warmup],
                                window_hours=24)
-    assert fit_sim_calibration(cfg) == calibration
-
-    report = run_experiment(cfg, treatments, keep_events=True)
     want = run_experiment_oracle(cfg, treatments, calibration, keep_events=True)
-    assert report.to_dict() == want.to_dict()
-    assert report.max_daily_sends == want.max_daily_sends
-    assert report.events.keys() == want.events.keys()
-    for name, log in report.events.items():
-        assert rows(log) == want.events[name], name
+
+    sizes = {}  # passes -> block sizes, in the order drawn
+    draw_block = sim._draw_block
+
+    def spy(config, start, stop, passes, *salts):
+        sizes.setdefault(passes, []).append(stop - start)
+        return draw_block(config, start, stop, passes, *salts)
+
+    monkeypatch.setattr(sim, "_draw_block", spy)
+    for budget, warm, main in ((24 * 9 * 100, [150, 143], [100, 100, 93]),
+                               (24 * 6 - 1, [1] * 293, [1] * 293)):
+        monkeypatch.setattr(sim, "BLOCK_BYTES", budget)
+        sizes.clear()
+        assert rows(warmup_events(cfg)) == warmup
+        assert fit_sim_calibration(cfg) == calibration
+        report = run_experiment(cfg, treatments, keep_events=True)
+        # the two calls above and run_experiment each run the warm-up
+        assert sizes == {6: 3 * warm, 9: main}
+        assert report.to_dict() == want.to_dict()
+        assert report.max_daily_sends == want.max_daily_sends
+        assert report.events.keys() == want.events.keys()
+        for name, log in report.events.items():
+            assert rows(log) == want.events[name], name
 
     # the run exercises what it claims to
     assert min(r.reachability_proxy for r in report.results) < 1.0
