@@ -12,7 +12,12 @@ Treatments are compared with common random numbers: user i's latent stream
 (type, baseline, candidate scores) is derived from (master_seed, i) and is
 identical in every treatment, while outcome and churn draws live in a
 separate per-user stream so that one treatment skipping a send cannot
-desynchronize another treatment's candidates.
+desynchronize another treatment's candidates. Each stream is the Generator
+that numpy's default_rng gives for SeedSequence([master_seed, i, salt]); a
+block's seeds are computed by running numpy's SeedSequence hash over uint32
+columns (`_seed_states`) and handed to PCG64, so the bits are numpy's without
+building one SeedSequence per user. That is why master_seed must be >= 0
+and num_users at most 2**32: each user index is one 32-bit seed word.
 
 The loop runs over time and numpy runs over users, taken in blocks of
 consecutive indices whose draws fit in BLOCK_BYTES; a block's streams are
@@ -30,7 +35,10 @@ directly and are written with `SendLog.to_jsonl`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -53,7 +61,7 @@ SECONDS_PER_DAY = 86400
 # passes in one block, paying numpy's per-call overhead once a pass, for ~2 MB.
 BLOCK_BYTES = 2 << 20
 
-# salts for per-user SeedSequence sub-streams
+# salts for the per-user streams, the last word of each user's seed
 _LATENT = 0
 _POLICY = 1
 _WARMUP_LATENT = 2
@@ -103,6 +111,11 @@ class SimConfig:
     def __post_init__(self):
         if self.num_users < 1:
             raise ValueError("num_users must be >= 1")
+        # a user index is one 32-bit word of its seed (see _seed_states)
+        if self.num_users > 2**32:
+            raise ValueError(f"num_users must be <= 2**32, got {self.num_users}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.days < 1 or self.passes_per_day < 1 or self.calibration_days < 1:
             raise ValueError("days, passes_per_day and calibration_days must be >= 1")
         if not 0.0 <= self.kappa_true <= 1.0:
@@ -115,6 +128,10 @@ class SimConfig:
         if any(v < 0 for v in self.type_shares.values()) or not math.isclose(total, 1.0,
                                                                              abs_tol=1e-9):
             raise ValueError(f"type_shares must be non-negative and sum to 1, got {total}")
+        for c, share in self.type_shares.items():
+            if share > 0 and c not in self.true_factors.types:
+                raise ValueError(f"type_shares gives user type {c} a share of {share}, "
+                                 "but true_factors has no such type")
         for c in self.true_factors.types:
             for name, mapping in (("type_shares", self.type_shares),
                                   ("baseline_beta", self.baseline_beta),
@@ -312,23 +329,88 @@ def _fmt_pct(v: float | None) -> str:
     return "n/a" if v is None else f"{v:+.2f}%"
 
 
-def _spawn_user(config: SimConfig, index: int,
-                salt: int) -> tuple[int, float, np.random.Generator]:
-    """User `index`'s type and baseline, and the latent stream positioned
-    after those two draws. Identical across treatments by construction."""
-    rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, index, salt]))
-    u = rng.random()
-    cum = 0.0
-    user_type = config.types[-1]
-    for c in config.types:
-        cum += config.type_shares[c]
-        if u < cum:
-            user_type = c
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_POOL_SIZE = 4
+
+
+def _seed_states(master_seed: int, index: np.ndarray, salt: int) -> np.ndarray:
+    """Row i is SeedSequence([master_seed, index[i], salt]).generate_state(4,
+    np.uint64), the words PCG64 seeds itself from, for every index at once.
+
+    numpy's algorithm run over columns: the entropy words (master_seed's
+    little-endian 32-bit words, 0 giving [0], then the index and the salt, one
+    word each below 2**32) are hashed into a pool of four words, the pool is
+    mixed, and the pool is hashed out into eight words. The hash constants
+    follow a fixed sequence whatever the data, so they are Python ints and
+    only the words are arrays, whose uint32 arithmetic wraps modulo 2**32 as
+    numpy's C does.
+    """
+    words = []
+    rest = int(master_seed)
+    while True:
+        words.append(rest & _MASK32)
+        rest >>= 32
+        if not rest:
             break
-    a, b = config.baseline_beta[user_type]
-    baseline = float(rng.beta(a, b))
-    baseline = min(max(baseline, 1e-6), 1.0 - 1e-6)
-    return user_type, baseline, rng
+    n = len(index)
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
+    entropy += [index.astype(np.uint32), np.full(n, salt, dtype=np.uint32)]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const = _INIT_B
+    state = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # each 64-bit word is two 32-bit words, low word first
+    return np.stack([state[i] | (state[i + 1] << np.uint64(32))
+                     for i in range(0, len(state), 2)], axis=1)
+
+
+@cache
+def _seed_state_type() -> type:
+    """numpy's public ISeedSequence, subclassed to hand PCG64 one row of
+    `_seed_states` as its generated state; PCG64 reads the row as four
+    contiguous uint64 words and seeds itself from them. Defined on first
+    use: numpy imports numpy.random lazily and only the simulator draws, so
+    the other commands never pay its memory and import time."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return SeedState
 
 
 @dataclass
@@ -350,19 +432,30 @@ class UserBlock:
 
 def _draw_block(config: SimConfig, start: int, stop: int, passes: int,
                 latent_salt: int, policy_salt: int) -> UserBlock:
-    """Draw users start..stop-1: type, baseline, then one standard normal per
-    pass from the latent stream, and 2 * passes uniforms from the policy
-    stream. These equal the same number of scalar draws, so a user's
-    draws do not depend on the block it lands in."""
+    """Draw users start..stop-1: from the latent stream a type, a baseline and
+    one standard normal per pass, and from the policy stream 2 * passes
+    uniforms. User i's streams are the generators numpy's default_rng gives
+    for SeedSequence([master_seed, i, salt]), so a user's draws depend
+    neither on the block it lands in nor on how its seed is derived."""
     n = stop - start
-    row_of = {c: i for i, c in enumerate(config.types)}
+    index = np.arange(start, stop)
+    latent_seeds = _seed_states(config.master_seed, index, latent_salt)
+    policy_seeds = _seed_states(config.master_seed, index, policy_salt)
+    cum_shares = list(accumulate(config.type_shares[c] for c in config.types))
+    last = len(config.types) - 1
+    seed_state = _seed_state_type()
     rows = np.empty(n, dtype=np.intp)
     baseline = np.empty(n)
     raw = np.empty((n, passes))
     uniforms = np.empty((n, 2 * passes))
-    for j, index in enumerate(range(start, stop)):
-        user_type, b, latent_rng = _spawn_user(config, index, latent_salt)
-        rows[j] = row_of[user_type]
+    for j in range(n):
+        latent_rng = np.random.Generator(np.random.PCG64(seed_state(latent_seeds[j])))
+        # the first type whose cumulative share exceeds the draw, else the last
+        row = min(bisect_right(cum_shares, latent_rng.random()), last)
+        user_type = config.types[row]
+        alpha, beta = config.baseline_beta[user_type]
+        b = min(max(float(latent_rng.beta(alpha, beta)), 1e-6), 1.0 - 1e-6)
+        rows[j] = row
         baseline[j] = b
         # candidate score: the baseline perturbed by type-level logit noise,
         # 1 / (1 + exp(-logit)); math rather than numpy log and exp, whose
@@ -370,12 +463,11 @@ def _draw_block(config: SimConfig, start: int, stop: int, passes: int,
         logit = math.log(b / (1.0 - b)) \
             + config.score_noise[user_type] * latent_rng.standard_normal(passes)
         raw[j] = list(map(math.exp, (-logit).tolist()))
-        policy_rng = np.random.default_rng(
-            np.random.SeedSequence([config.master_seed, index, policy_salt]))
+        policy_rng = np.random.Generator(np.random.PCG64(seed_state(policy_seeds[j])))
         uniforms[j] = policy_rng.random(2 * passes)
     raw += 1.0
     np.divide(1.0, raw, out=raw)
-    return UserBlock(index=np.arange(start, stop), rows=rows,
+    return UserBlock(index=index, rows=rows,
                      user_type=np.array(config.types)[rows], baseline=baseline,
                      raw_scores=raw, uniforms=uniforms)
 

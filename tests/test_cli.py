@@ -306,6 +306,34 @@ class TestSimulate:
              treatments_path, "--out-dir", d2, "--seed", "12345"])
         assert (d1 / "report.json").read_bytes() != (d2 / "report.json").read_bytes()
 
+    @pytest.mark.parametrize("in_config", [False, True])
+    def test_negative_seed_is_validation_error(self, sim_config_path, treatments_path,
+                                               tmp_path, capsys, in_config):
+        if in_config:
+            doc = json.loads(sim_config_path.read_text())
+            doc["master_seed"] = -1
+            sim_config_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        assert run(["simulate", "--sim-config", sim_config_path, "--treatments",
+                    treatments_path, "--out-dir", out_dir]
+                   + ([] if in_config else ["--seed", "-1"])) == 1
+        assert capsys.readouterr().err == (
+            "error: simulation config: master_seed must be >= 0, got -1\n")
+        assert not out_dir.exists()
+
+    def test_share_for_a_type_without_true_factors_is_validation_error(
+            self, sim_config_path, treatments_path, tmp_path, capsys):
+        doc = json.loads(sim_config_path.read_text())
+        doc["type_shares"] = {"1": 0.5, "2": 0.0, "3": 0.5}
+        sim_config_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        assert run(["simulate", "--sim-config", sim_config_path, "--treatments",
+                    treatments_path, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == (
+            "error: simulation config: type_shares gives user type 3 a share of 0.5, "
+            "but true_factors has no such type\n")
+        assert not out_dir.exists()
+
     def test_duplicate_treatment_names_rejected(self, sim_config_path, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps([

@@ -102,6 +102,20 @@ class TestGeneratePopulation:
         doc[key] = 3.0
         assert getattr(SimConfig.from_dict(doc), key) == 3
 
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            small_config(master_seed=-1)
+
+    def test_num_users_beyond_one_seed_word_rejected(self):
+        with pytest.raises(ValueError, match="num_users must be <= 2\\*\\*32"):
+            small_config(num_users=2**32 + 1)
+
+    def test_share_for_a_type_without_true_factors_rejected(self):
+        with pytest.raises(ValueError, match="user type 3 a share of 0.5"):
+            small_config(type_shares={1: 0.5, 2: 0.0, 3: 0.5})
+        # a type with no share is never drawn
+        small_config(type_shares={1: 0.5, 2: 0.5, 3: 0.0})
+
     def test_degenerate_share_assigns_single_type(self):
         cfg = small_config(type_shares={1: 1.0, 2: 0.0})
         assert set(generate_population(cfg).user_type.tolist()) == {1}
@@ -126,6 +140,36 @@ class TestGeneratePopulation:
         block = generate_population(cfg)
         want = np.broadcast_to(block.baseline[:, None], block.raw_scores.shape)
         np.testing.assert_allclose(block.raw_scores, want, rtol=1e-12)
+
+
+class TestSeedStates:
+    """The per-user seeds are numpy's SeedSequence([master_seed, i, salt])
+    state, computed for a whole block of indices at once."""
+
+    INDEX = np.concatenate([np.arange(50), [2**32 - 1],
+                            np.random.default_rng(5).integers(0, 2**32, 30)])
+
+    # one to four 32-bit words of master seed
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**100 + 3])
+    @pytest.mark.parametrize("salt", [sim._LATENT, sim._POLICY, sim._WARMUP_LATENT,
+                                      sim._WARMUP_POLICY])
+    def test_matches_numpy_seed_sequence(self, seed, salt):
+        got = sim._seed_states(seed, self.INDEX, salt)
+        want = np.array([np.random.SeedSequence([seed, i, salt]).generate_state(4, np.uint64)
+                         for i in self.INDEX.tolist()])
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed, row", [(0, 0), (123, 7), (2**64 + 7, 50), (2**100 + 3, 60)])
+    def test_generator_streams_match_default_rng(self, seed, row):
+        state = sim._seed_states(seed, self.INDEX, sim._POLICY)[row]
+        got = np.random.Generator(np.random.PCG64(sim._seed_state_type()(state)))
+        want = np.random.default_rng(
+            np.random.SeedSequence([seed, int(self.INDEX[row]), sim._POLICY]))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random() == want.random()
+        assert got.beta(0.7, 5.6) == want.beta(0.7, 5.6)
+        np.testing.assert_array_equal(got.standard_normal(9), want.standard_normal(9))
 
 
 class TestSimulatePass:
