@@ -112,6 +112,10 @@ def estimate_factors(records: RecordSet,
     if len(records) == 0:
         raise ValueError("cannot estimate factors from an empty record set")
     bounds = validate_streak_bounds(bounds)
+    low, high = int(records.streak.min()), int(records.streak.max())
+    if low < bounds[0] or high > bounds[1]:
+        raise ValueError(f"records hold streaks {low}..{high}, outside the streak bounds "
+                         f"{bounds}")
     n_streaks = bounds[1] - bounds[0] + 1
     cell = (type_rows(types, records.user_type), records.streak - bounds[0])
     opens = np.zeros((len(types), n_streaks))

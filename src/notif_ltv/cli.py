@@ -17,7 +17,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import logging
 import math
 import os
 import sys
@@ -69,7 +68,7 @@ def _load_json(path, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an int too long, too deep
         raise DataError(f"invalid JSON in {what} file {path}: {exc}") from exc
 
 
@@ -207,6 +206,10 @@ def _build_treatment(entry: dict, base_dir: str, types: list[int]) -> Treatment:
     """The treatment of one entry, whose thresholds must cover every user type
     in `types`."""
     name = read_field(entry, "name", text)
+    if "/" in name or "\0" in name:
+        # --emit-log writes events_<name>.jsonl
+        raise ValueError(f"treatment name {name!r} cannot be part of a file name: "
+                         "it holds '/' or NUL")
     kind = read_field(entry, "policy", text)
     if kind == "no_filter":
         decide = policy.decide_no_filter
@@ -335,8 +338,6 @@ _HANDLERS = {"fit": cmd_fit, "solve": cmd_solve,
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("NOTIF_LTV_LOG_LEVEL", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)

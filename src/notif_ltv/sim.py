@@ -34,6 +34,8 @@ directly and are written with `SendLog.to_jsonl`.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -312,17 +314,15 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def to_per_type_csv(self) -> str:
-        lines = ["treatment,user_type,sends,opens,sends_delta_pct,opens_delta_pct"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["treatment", "user_type", "sends", "opens", "sends_delta_pct",
+                         "opens_delta_pct"])
         for row in self.to_dict()["per_type"]:
-            sd = row["sends_delta_pct"]
-            od = row["opens_delta_pct"]
-            lines.append(",".join([
-                row["treatment"], str(row["user_type"]), str(row["sends"]),
-                str(row["opens"]),
-                "" if sd is None else f"{sd:.4f}",
-                "" if od is None else f"{od:.4f}",
-            ]))
-        return "\n".join(lines) + "\n"
+            writer.writerow([row["treatment"], row["user_type"], row["sends"], row["opens"]]
+                            + ["" if row[k] is None else f"{row[k]:.4f}"
+                               for k in ("sends_delta_pct", "opens_delta_pct")])
+        return buf.getvalue()
 
 
 def _fmt_pct(v: float | None) -> str:
@@ -533,42 +533,26 @@ def simulate_pass(state: BlockState, decide: Callable[[DecisionContext], np.ndar
     return sent, opened
 
 
-@dataclass
-class _Tally:
-    """One arm's totals over the blocks run so far, in user-index order."""
-
-    sends: np.ndarray  # per type
-    opens: np.ndarray  # per type
-    dau_days: int = 0
-    reachable: int = 0
-    discounted_opens: float = 0.0
-    max_day_sends: int = 0
-    # the kept sends as columns (user index, user type, pass, raw score,
-    # outcome), one list each, extended by one array per block and pass in
-    # the order they are stepped; None unless events are kept
-    log: tuple[list[np.ndarray], ...] | None = None
-
-    def events(self, passes_per_day: int) -> SendLog:
-        """The kept sends as a SendLog, whose rows `SendLog.from_rows` orders
-        by user and then time, stably. Pass p of day d is stamped d days
-        plus p / passes_per_day of a day; user ids are u{index:07d}, which
-        sort in index order up to 10**7 users."""
-        index, user_type, t, raw, outcome = (np.concatenate(col) for col in self.log)
-        step = SECONDS_PER_DAY // passes_per_day
-        ts = (t // passes_per_day) * SECONDS_PER_DAY + (t % passes_per_day) * step
-        return SendLog.from_rows([f"u{i:07d}" for i in index.tolist()], user_type, ts,
-                                 raw, outcome)
+def _events(log: tuple[list[np.ndarray], ...], passes_per_day: int) -> SendLog:
+    """One arm's kept sends (user index, user type, pass, raw score, outcome)
+    as a SendLog, whose rows `SendLog.from_rows` orders by user and then time,
+    stably. Pass p of day d is stamped d days plus p / passes_per_day of a
+    day; user ids are u{index:07d}, which sort in index order up to 10**7."""
+    index, user_type, t, raw, outcome = (np.concatenate(col) for col in log)
+    step = SECONDS_PER_DAY // passes_per_day
+    ts = (t // passes_per_day) * SECONDS_PER_DAY + (t % passes_per_day) * step
+    return SendLog.from_rows([f"u{i:07d}" for i in index.tolist()], user_type, ts,
+                             raw, outcome)
 
 
 def _run_block(block: UserBlock, calibrated: np.ndarray, decide, effective_limit: np.ndarray,
-               tally: _Tally, *, config: SimConfig, factors: np.ndarray, days: int,
-               weights: list[float]) -> None:
-    """Step one arm through every pass of one block and add it to the tally."""
-    n = len(block.index)
+               log: tuple[list[np.ndarray], ...] | None, *, config: SimConfig,
+               factors: np.ndarray, days: int, weights: list[float]) -> dict:
+    """Step one arm through every pass of one block and return its per-user
+    columns by name; its sends are appended to log unless it is None."""
     state = BlockState.start(block, effective_limit)
-    sends = np.zeros(n, dtype=np.int64)
-    opens = np.zeros(n, dtype=np.int64)
-    discounted = np.zeros(n)
+    sends, opens, active_days, max_day_sends = (np.zeros_like(block.index) for _ in range(4))
+    discounted = np.zeros(len(block.index))
     passes = config.passes_per_day
     for day in range(days):
         # a churned user's counters stay at zero from here on
@@ -579,32 +563,30 @@ def _run_block(block: UserBlock, calibrated: np.ndarray, decide, effective_limit
             sent, opened = simulate_pass(state, decide, calibrated[:, t], factors=factors,
                                          bounds=config.streak_bounds,
                                          churn_rate=config.churn_rate)
-            sends[sent] += 1
             openers = sent[opened]
             opens[openers] += 1
             # each user's discounted opens add up in pass order
             discounted[openers] += weights[t]
-            if tally.log is not None:
-                for col, values in zip(tally.log, (
+            if log is not None:
+                for col, values in zip(log, (
                         block.index[sent], block.user_type[sent], np.full(len(sent), t),
                         block.raw_scores[sent, t], opened)):
                     col.append(values)
-        tally.max_day_sends = max(tally.max_day_sends, int(state.sends_today.max()))
-        tally.dau_days += int(np.count_nonzero(state.active_today))
-
-    np.add.at(tally.sends, block.rows, sends)
-    np.add.at(tally.opens, block.rows, opens)
-    tally.reachable += int(state.reachable.sum())
-    for value in discounted.tolist():
-        tally.discounted_opens += value
+        sends += state.sends_today
+        active_days += state.active_today
+        np.maximum(max_day_sends, state.sends_today, out=max_day_sends)
+    return dict(row=block.rows, sends=sends, opens=opens, discounted=discounted,
+                active_days=active_days, max_day_sends=max_day_sends, reachable=state.reachable)
 
 
 def _simulate(config: SimConfig, arms: list[tuple[Callable, SendLimitConfig]],
               calibration: CalibrationMap, *, days: int, keep_events: bool,
-              latent_salt: int = _LATENT, policy_salt: int = _POLICY) -> list[_Tally]:
+              latent_salt: int = _LATENT, policy_salt: int = _POLICY) -> tuple[list, list]:
     """Run every (decide, limits) arm over blocks of users holding at most
     BLOCK_BYTES of draws, or one user: each block's draws are made once and
-    every arm steps through all its passes before the next block is drawn."""
+    every arm steps through all its passes before the next block is drawn.
+    Returns each arm's per-user columns, in user-index order, and each
+    arm's kept sends as lists of arrays, or None."""
     factors = apply_kappa(config.true_factors, config.kappa_true).factors
     passes = days * config.passes_per_day
     weights = []
@@ -613,18 +595,19 @@ def _simulate(config: SimConfig, arms: list[tuple[Callable, SendLimitConfig]],
         weights.append(weight)
         weight *= config.gamma
     limits = [np.array([lim.effective_limit(c) for c in config.types]) for _, lim in arms]
-    k = len(config.types)
-    tallies = [_Tally(sends=np.zeros(k, dtype=np.int64), opens=np.zeros(k, dtype=np.int64),
-                      log=([], [], [], [], []) if keep_events else None) for _ in arms]
+    blocks = [[] for _ in arms]
+    logs = [([], [], [], [], []) if keep_events else None for _ in arms]
     size = max(1, BLOCK_BYTES // (24 * passes))
     for start in range(0, config.num_users, size):
         stop = min(start + size, config.num_users)
         block = _draw_block(config, start, stop, passes, latent_salt, policy_salt)
         calibrated = apply_calibration(calibration, block.raw_scores)
-        for (decide, _), limit, tally in zip(arms, limits, tallies):
-            _run_block(block, calibrated, decide, limit[block.rows], tally, config=config,
-                       factors=factors, days=days, weights=weights)
-    return tallies
+        for (decide, _), limit, arm_blocks, log in zip(arms, limits, blocks, logs):
+            arm_blocks.append(_run_block(block, calibrated, decide, limit[block.rows], log,
+                                         config=config, factors=factors, days=days,
+                                         weights=weights))
+    return [{key: np.concatenate([cols[key] for cols in arm]) for key in arm[0]}
+            for arm in blocks], logs
 
 
 def warmup_events(config: SimConfig) -> SendLog:
@@ -632,10 +615,10 @@ def warmup_events(config: SimConfig) -> SendLog:
     distribution, on dedicated per-user sub-streams so it neither consumes
     nor duplicates the draws of the measured treatments."""
     identity = CalibrationMap(breakpoints=(0.0, 1.0), values=(0.0, 1.0))
-    tally = _simulate(config, [(policy.decide_no_filter, config.send_limits)], identity,
-                      days=config.calibration_days, keep_events=True,
-                      latent_salt=_WARMUP_LATENT, policy_salt=_WARMUP_POLICY)[0]
-    return tally.events(config.passes_per_day)
+    _, (log,) = _simulate(config, [(policy.decide_no_filter, config.send_limits)], identity,
+                          days=config.calibration_days, keep_events=True,
+                          latent_salt=_WARMUP_LATENT, policy_salt=_WARMUP_POLICY)
+    return _events(log, config.passes_per_day)
 
 
 def fit_sim_calibration(config: SimConfig, log: SendLog | None = None) -> CalibrationMap:
@@ -665,27 +648,33 @@ def run_experiment(config: SimConfig, treatments: list[Treatment],
 
     arms = [(t.decide, config.send_limits.with_extra_adjustment(t.limit_adjustment))
             for t in treatments]
-    tallies = _simulate(config, arms, calibration, days=config.days, keep_events=keep_events)
+    columns, logs = _simulate(config, arms, calibration, days=config.days,
+                              keep_events=keep_events)
     n = config.num_users
     results = []
-    for treatment, tally in zip(treatments, tallies):
-        total_sends = int(tally.sends.sum())
-        total_opens = int(tally.opens.sum())
+    for treatment, col in zip(treatments, columns):
+        # float weights count exactly below 2**53
+        sends, opens = (np.bincount(col["row"], col[key], len(config.types)).astype(np.int64)
+                        for key in ("sends", "opens"))
+        total_sends = int(sends.sum())
+        total_opens = int(opens.sum())
         results.append(TreatmentResult(
             name=treatment.name,
             limit_adjustment=treatment.limit_adjustment,
             total_sends=total_sends,
             total_opens=total_opens,
             open_rate=total_opens / total_sends if total_sends else 0.0,
-            dau_proxy=tally.dau_days / (n * config.days),
-            reachability_proxy=tally.reachable / n,
-            discounted_opens=tally.discounted_opens / n,
-            per_type_sends=dict(zip(config.types, tally.sends.tolist())),
-            per_type_opens=dict(zip(config.types, tally.opens.tolist())),
+            dau_proxy=int(col["active_days"].sum()) / (n * config.days),
+            reachability_proxy=int(col["reachable"].sum()) / n,
+            # one user at a time in index order; np.sum's pairwise order moves bits
+            discounted_opens=float(np.cumsum(col["discounted"])[-1]) / n,
+            per_type_sends=dict(zip(config.types, sends.tolist())),
+            per_type_opens=dict(zip(config.types, opens.tolist())),
             is_baseline=treatment.baseline,
         ))
     return ExperimentReport(
         baseline_name=flagged[0].name, results=results,
-        max_daily_sends={t.name: tally.max_day_sends for t, tally in zip(treatments, tallies)},
-        events={t.name: tally.events(config.passes_per_day)
-                for t, tally in zip(treatments, tallies)} if keep_events else None)
+        max_daily_sends={t.name: int(col["max_day_sends"].max())
+                         for t, col in zip(treatments, columns)},
+        events={t.name: _events(log, config.passes_per_day)
+                for t, log in zip(treatments, logs)} if keep_events else None)

@@ -11,8 +11,10 @@ from notif_ltv import (
     CalibrationMap,
     FactorTable,
     RecordSet,
+    SendLog,
     apply_calibration,
     apply_kappa,
+    build_dataset,
     estimate_factors,
     fit_behavior_model,
     monotone_project,
@@ -72,6 +74,16 @@ class TestEstimateFactors:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             estimate_factors(columns([]))
+
+    @pytest.mark.parametrize("second_half, streaks", [(0, r"-20\.\.0"), (1, r"0\.\.20")],
+                             ids=["all ignores", "all opens"])
+    def test_streaks_outside_the_bounds_rejected(self, second_half, streaks):
+        # built at wider bounds than the estimate's default (-15, 15)
+        outcomes = [1, 0] * 15 + [second_half] * 30
+        log = SendLog.from_rows(["u1"] * 60, [1] * 60, range(60), [0.5] * 60, outcomes)
+        records = build_dataset(log, min_samples=1, bounds=(-20, 20))
+        with pytest.raises(ValueError, match=streaks + r".*\(-15, 15\)"):
+            estimate_factors(records)
 
     def test_recovers_known_factors_within_three_sigma(self):
         """Records generated exactly from the multiplicative model with a

@@ -1,16 +1,20 @@
 """End-to-end command behavior, exit codes, and artifact determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import notif_ltv
 from notif_ltv import (NEVER_SEND, BehaviorModel, CalibrationMap, PolicyTable, SolverConfig,
                        ramp_factor_table)
 from notif_ltv.cli import main
@@ -239,6 +243,17 @@ class TestCalibrate:
     def test_zero_window_is_validation_error(self, send_log, tmp_path):
         assert run(["calibrate", send_log, "--now", "0", "--window-hours", "0",
                     "--out", tmp_path / "cal.json"]) == 1
+
+    def test_log_level_variable_is_not_read(self, send_log, tmp_path, monkeypatch):
+        # in a fresh interpreter: pytest gives the root logger a handler,
+        # which would turn any logging.basicConfig call into a no-op
+        monkeypatch.setenv("NOTIF_LTV_LOG_LEVEL", "bogus")
+        monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(notif_ltv.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from notif_ltv.cli import main; sys.exit(main())",
+             "calibrate", str(send_log), "--now", str(40 * 3600),
+             "--out", str(tmp_path / "c.json")], capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
 
 
 class TestSimulate:
@@ -483,6 +498,34 @@ class TestSimulate:
         assert "treatments must be a list of objects" in lines[0]
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("emit_log", [[], ["--emit-log"]], ids=["no-log", "emit-log"])
+    @pytest.mark.parametrize("name", ["nf/x", "nf\0x"], ids=["slash", "nul"])
+    def test_name_that_cannot_be_a_file_name_is_validation_error(
+            self, sim_config_path, tmp_path, capsys, name, emit_log):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{"name": "base", "policy": "no_filter", "baseline": True},
+                                   {"name": name, "policy": "no_filter"}]))
+        before = sorted(os.listdir(tmp_path))
+        assert run(["simulate", "--sim-config", sim_config_path, "--treatments", bad,
+                    "--out-dir", tmp_path / "o"] + emit_log) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: treatments[1]: "), lines
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_per_type_csv_quotes_a_name_holding_a_comma(self, sim_config_path, tmp_path):
+        named = tmp_path / "named.json"
+        named.write_text(json.dumps([
+            {"name": "heur, v2", "policy": "heuristic", "baseline": True,
+             "thresholds": {"1": 0.3, "2": 0.25}},
+            {"name": "no_filter", "policy": "no_filter"}]))
+        out_dir = tmp_path / "out"
+        assert run(["simulate", "--sim-config", sim_config_path, "--treatments", named,
+                    "--out-dir", out_dir]) == 0
+        with open(out_dir / "report_per_type.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 5 and all(len(row) == 6 for row in rows), rows
+        assert [row[0] for row in rows[1:3]] == ["heur, v2", "heur, v2"]
+
     def test_unknown_policy_rejected(self, sim_config_path, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps([{"name": "x", "policy": "percentile",
@@ -683,3 +726,25 @@ def test_one_malformed_field_is_one_error_line(mutation_log, mutation):
         assert (got, sorted(os.listdir(tmp))) == (code, before)
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+# bodies that json cannot decode: nesting past the recursion limit, an
+# integer past the digit limit, and a byte that is not UTF-8
+UNDECODABLE = {"nested 100k deep": b"[" * 100_000, "int of 5000 digits": b"9" * 5000,
+               "byte 0xff": b"\xff"}
+
+
+@pytest.mark.parametrize("body", UNDECODABLE.values(), ids=UNDECODABLE)
+@pytest.mark.parametrize("label", READERS)
+def test_undecodable_json_is_one_error_line_naming_the_file(mutation_log, label, body):
+    file_name, _, command, _ = READERS[label]
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_documents(tmp, VALID, mutation_log)
+        with open(os.path.join(tmp, file_name), "wb") as fh:
+            fh.write(body)
+        before = sorted(os.listdir(tmp))
+        got, err = _run_in(tmp, command)
+        assert (got, sorted(os.listdir(tmp))) == (2, before)
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid JSON in "), err
+    assert os.path.join(tmp, file_name) in lines[0]
