@@ -33,7 +33,7 @@ from .ingest import DEFAULT_MIN_SAMPLES, LogParseError, read_log, build_dataset
 # simulator's decisions are arrays with no truth value.
 from .policy import (HeuristicThresholds, decide_heuristic, decide_no_filter,  # noqa: F401
                      decide_rl)
-from .sim import SimConfig, Treatment, run_experiment
+from .sim import SimConfig, Treatment, check_treatments, run_experiment
 from .solver import PolicyTable, solve_policy
 
 
@@ -254,6 +254,8 @@ def cmd_simulate(args) -> int:
     for i, entry in enumerate(entries):
         with _reading(f"treatments[{i}]", ValidationError):
             treatments.append(_build_treatment(entry, base_dir, drawn))
+    with _reading("treatments", ValidationError):
+        check_treatments(treatments)
 
     report = run_experiment(config, treatments, keep_events=args.emit_log)
 

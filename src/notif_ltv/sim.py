@@ -628,6 +628,17 @@ def fit_sim_calibration(config: SimConfig, log: SendLog | None = None) -> Calibr
     return fit_isotonic(log.raw_score, log.outcome, window_hours=24)
 
 
+def check_treatments(treatments: list[Treatment]) -> None:
+    """Raise ValueError unless the names differ and exactly one treatment is
+    the baseline."""
+    names = [t.name for t in treatments]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate treatment names in {names}")
+    flagged = sum(t.baseline for t in treatments)
+    if flagged != 1:
+        raise ValueError(f"exactly one treatment must be flagged baseline, got {flagged}")
+
+
 def run_experiment(config: SimConfig, treatments: list[Treatment],
                    calibration: CalibrationMap | None = None,
                    keep_events: bool = False) -> ExperimentReport:
@@ -637,12 +648,7 @@ def run_experiment(config: SimConfig, treatments: list[Treatment],
     are aggregated in user-index order, so identical inputs give identical
     reports.
     """
-    names = [t.name for t in treatments]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate treatment names in {names}")
-    flagged = [t for t in treatments if t.baseline]
-    if len(flagged) != 1:
-        raise ValueError(f"exactly one treatment must be flagged baseline, got {len(flagged)}")
+    check_treatments(treatments)
     if calibration is None:
         calibration = fit_sim_calibration(config)
 
@@ -673,7 +679,7 @@ def run_experiment(config: SimConfig, treatments: list[Treatment],
             is_baseline=treatment.baseline,
         ))
     return ExperimentReport(
-        baseline_name=flagged[0].name, results=results,
+        baseline_name=next(t.name for t in treatments if t.baseline), results=results,
         max_daily_sends={t.name: int(col["max_day_sends"].max())
                          for t, col in zip(treatments, columns)},
         events={t.name: _events(log, config.passes_per_day)

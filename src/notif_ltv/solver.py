@@ -8,6 +8,11 @@ discounts the future. Future notifications enter only through their open
 probability, and the recursion is linear in that probability, so every
 expectation over future scores collapses to the per-type mean score and
 the value function depends only on (type, streak, steps remaining).
+Each step is one flat kernel over the raveled grid: a single gather reads
+the up and down columns of the discounted values, and preallocated buffers
+take every intermediate. The fixed-point test runs every few steps rather
+than every step, which is exact because a step at the fixed point returns
+its input bit for bit.
 
 The policy itself is a table of score thresholds: for each (type, streak)
 cell, the smallest calibrated score at which sending is worth at least as
@@ -30,6 +35,9 @@ from .core import (SolverConfig, advance_streak, document, integral, listed, num
 
 # threshold meaning "no score justifies sending"; any score compares below it
 NEVER_SEND = math.inf
+
+# state_values tests for its fixed point once per this many steps
+_FIXED_POINT_STRIDE = 16
 
 
 def _grid(model: BehaviorModel, config: SolverConfig):
@@ -74,21 +82,46 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
 
     Future notifications are represented by the type-mean open probability.
     Each step keeps the larger of sending and skipping, ties going to send.
-    The loop stops early once a step returns the values it was given, so a
-    huge `steps` costs no more than reaching that fixed point.
+    A step is one flat kernel over the raveled grid, written into buffers
+    allocated once: skip = gamma V, one gather of skip at the up and down
+    columns gives gamma V_up and gamma V_down together (scaling commutes
+    with gathering), and send takes the operations of `_send_value` in the
+    same order, so the values are the bits of that backup step by step.
+
+    The loop stops early at its fixed point, so a huge `steps` costs no more
+    than reaching it. It tests for it every _FIXED_POINT_STRIDE steps, not
+    every step, and still returns the bits of running all `steps`: factors
+    are finite and > 0, mean open rates lie in [0, 1] and gamma in [0, 1),
+    so every value is finite and >= +0.0 (no NaN, no -0.0), equality is
+    bit equality, and a step at the fixed point returns its input bit for
+    bit, as does every step after it.
     """
     factors, ybar, up, down = _grid(model, config)
     gamma = config.gamma
-    p_open = np.minimum(factors * ybar, 1.0)
-    values = np.zeros(factors.shape)
-    for _ in range(steps):
-        send = _send_value(p_open, values, up, down, gamma)
-        skip = gamma * values
-        nxt = np.where(send >= skip, send, skip)
-        if np.array_equal(nxt, values):
+    p_open = np.minimum(factors * ybar, 1.0).ravel()
+    n = p_open.size
+    rows = np.arange(0, n, factors.shape[1])[:, None]
+    # gathered[:n] is gamma V_up and gathered[n:] gamma V_down, per flat cell
+    index = np.concatenate([(rows + up).ravel(), (rows + down).ravel()])
+    weights = np.concatenate([p_open, 1.0 - p_open])
+    values = np.zeros(n)
+    skip = np.empty(n)
+    gathered = np.empty(2 * n)
+    send = gathered[:n]
+    sends = np.empty(n, dtype=bool)
+    for step in range(1, steps + 1):
+        np.multiply(gamma, values, out=skip)
+        skip.take(index, out=gathered)
+        np.add(1.0, send, out=send)
+        np.multiply(weights, gathered, out=gathered)
+        np.add(send, gathered[n:], out=send)
+        # skip becomes the next values: send where send >= skip, NaN skips
+        np.greater_equal(send, skip, out=sends)
+        np.copyto(skip, send, where=sends)
+        if step % _FIXED_POINT_STRIDE == 0 and np.array_equal(skip, values):
             break
-        values = nxt
-    return values
+        values, skip = skip, values
+    return values.reshape(factors.shape)
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 Everything here is written from first principles with its own data
 structures: a quadratic-time isotonic fit, a no-memoization tree
-enumeration of the send/skip recursion, a closed-form threshold root, the
+enumeration of the send/skip recursion, the 2-D array recursion with a
+fixed-point test after every step, a closed-form threshold root, the
 streak rule, calibration lookup and send decisions for one candidate at a
 time, the log reader as one `json.loads` per line, the ingest dataset as a
 per-user split, baseline and replay, and the simulator as one Python call
@@ -124,6 +125,33 @@ def tree_value_oracle(factors, ybar, gamma, bounds, streak, steps):
             + (1.0 - p) * gamma * tree_value_oracle(factors, ybar, gamma, bounds, down, steps - 1))
     skip = gamma * tree_value_oracle(factors, ybar, gamma, bounds, streak, steps - 1)
     return send if send >= skip else skip
+
+
+def state_values_reference(model, config, steps):
+    """`state_values` as the 2-D recursion it replaced, to compare bits with.
+
+    Each step gathers the (type, streak) grid of values at the up and down
+    columns, forms the send value with the package's order of operations,
+    keeps send where it is at least skip with np.where, and stops as soon as
+    a step returns the values it was given. The grid is rebuilt here from
+    the model's fields and `streak_oracle`'s rule."""
+    lo, hi = config.streak_bounds
+    mlo = model.factors.bounds[0]
+    factors = model.factors.factors[:, lo - mlo:hi - mlo + 1]
+    ybar = np.array([[model.type_mean_open[c]] for c in model.types], dtype=float)
+    up = np.array([streak_oracle(s, True, (lo, hi)) - lo for s in range(lo, hi + 1)])
+    down = np.array([streak_oracle(s, False, (lo, hi)) - lo for s in range(lo, hi + 1)])
+    gamma = config.gamma
+    p = np.minimum(factors * ybar, 1.0)
+    values = np.zeros(factors.shape)
+    for _ in range(steps):
+        send = p * (1.0 + gamma * values[:, up]) + (1.0 - p) * (gamma * values[:, down])
+        skip = gamma * values
+        nxt = np.where(send >= skip, send, skip)
+        if np.array_equal(nxt, values):
+            break
+        values = nxt
+    return values
 
 
 NEVER = float("inf")

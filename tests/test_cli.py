@@ -349,13 +349,32 @@ class TestSimulate:
             "but true_factors has no such type\n")
         assert not out_dir.exists()
 
-    def test_duplicate_treatment_names_rejected(self, sim_config_path, tmp_path):
+    def test_duplicate_treatment_names_rejected(self, sim_config_path, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps([
             {"name": "x", "policy": "no_filter", "baseline": True},
             {"name": "x", "policy": "no_filter"}]))
+        out_dir = tmp_path / "o"
         assert run(["simulate", "--sim-config", sim_config_path,
-                    "--treatments", bad, "--out-dir", tmp_path / "o"]) == 2
+                    "--treatments", bad, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == (
+            "error: treatments: duplicate treatment names in ['x', 'x']\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags", [(False, False), (True, True)], ids=["none", "two"])
+    def test_baseline_count_other_than_one_is_validation_error(self, sim_config_path,
+                                                               tmp_path, capsys, flags):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([
+            {"name": "a", "policy": "no_filter", "baseline": flags[0]},
+            {"name": "b", "policy": "no_filter", "baseline": flags[1]}]))
+        out_dir = tmp_path / "o"
+        assert run(["simulate", "--sim-config", sim_config_path,
+                    "--treatments", bad, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == (
+            "error: treatments: exactly one treatment must be flagged baseline, "
+            f"got {sum(flags)}\n")
+        assert not out_dir.exists()
 
     def test_rl_table_outside_unit_interval_is_data_error(self, sim_config_path, tmp_path):
         table = PolicyTable(config=SolverConfig(streak_bounds=(-4, 4)), types=(1, 2),

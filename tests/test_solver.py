@@ -14,8 +14,9 @@ from notif_ltv import (
     solve_policy,
     state_values,
 )
+from notif_ltv import solver
 from conftest import make_model
-from oracles import NEVER, threshold_oracle, tree_value_oracle
+from oracles import NEVER, state_values_reference, threshold_oracle, tree_value_oracle
 
 
 def config_for(model, **kwargs):
@@ -32,6 +33,14 @@ def advantage(model, cfg, p):
     the full horizon left."""
     nxt = state_values(model, cfg, cfg.horizon - 1)
     return q_send(model, cfg, nxt, p) - cfg.gamma * nxt
+
+
+def backup_step(model, cfg, v):
+    """One backup from v through the public q_send, at the type-mean score."""
+    ybar = np.array([[model.type_mean_open[c]] for c in model.types])
+    send = q_send(model, cfg, v, ybar)
+    skip = cfg.gamma * v
+    return np.where(send >= skip, send, skip)
 
 
 class TestQFunctions:
@@ -159,17 +168,7 @@ class TestFindThreshold:
     def test_full_scale_roots_are_the_smallest_sending_scores(self, horizon):
         # every interior threshold t is where the advantage crosses zero:
         # sending at t does not lose, sending just below t does
-        rng = np.random.default_rng(2024)
-        types = tuple(range(1, 7))
-        fmap = {}
-        for c in types:
-            rise = np.sort(rng.uniform(1.0, 1.6, size=15))
-            fall = np.sort(rng.uniform(0.3, 1.0, size=15))[::-1]
-            for s in range(1, 16):
-                fmap[(c, s)] = float(rise[s - 1])
-                fmap[(c, -s)] = float(fall[s - 1])
-        ybar = {c: float(rng.uniform(0.02, 0.6)) for c in types}
-        model = make_model(fmap, ybar, (-15, 15), types=types)
+        model = full_scale_model()
         cfg = config_for(model, gamma=0.95, horizon=horizon)
         t = solve_policy(model, cfg).thresholds
         interior = (t > 0.0) & np.isfinite(t)
@@ -265,36 +264,122 @@ class TestPolicyTable:
         assert lines[-1].endswith("never_send")
 
 
+def random_small_models(seed, trials):
+    """Random one- or two-type models on bounds up to (-2, 2), with a random
+    gamma and horizon each: (model, cfg, factor maps, mean opens) per trial."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        bound = int(rng.integers(1, 3))
+        bounds = (-bound, bound)
+        n_types = int(rng.integers(1, 3))
+        types = tuple(range(1, n_types + 1))
+        horizon = int(rng.integers(1, 5))
+        gamma = float(rng.uniform(0.0, 0.95))
+        factor_maps = {}
+        ybars = {}
+        model_map = {}
+        for c in types:
+            fs = {0: 1.0}
+            for s in range(1, bound + 1):
+                fs[s] = float(rng.uniform(0.3, 2.0))
+                fs[-s] = float(rng.uniform(0.3, 2.0))
+            factor_maps[c] = fs
+            ybars[c] = float(rng.uniform(0.05, 0.95))
+            for s, f in fs.items():
+                if s != 0:
+                    model_map[(c, s)] = f
+        model = make_model(model_map, ybars, bounds, types=types)
+        yield model, config_for(model, gamma=gamma, horizon=horizon), factor_maps, ybars
+
+
+def full_scale_model(seed=2024):
+    """Six types on (-15, 15) with rising open factors and falling ignore
+    factors, the shape of a fitted model."""
+    rng = np.random.default_rng(seed)
+    types = tuple(range(1, 7))
+    fmap = {}
+    for c in types:
+        rise = np.sort(rng.uniform(1.0, 1.6, size=15))
+        fall = np.sort(rng.uniform(0.3, 1.0, size=15))[::-1]
+        for s in range(1, 16):
+            fmap[(c, s)] = float(rise[s - 1])
+            fmap[(c, -s)] = float(fall[s - 1])
+    ybar = {c: float(rng.uniform(0.02, 0.6)) for c in types}
+    return make_model(fmap, ybar, (-15, 15), types=types)
+
+
 class TestOracleEquivalenceSweep:
     def test_random_small_instances_match_tree_oracle(self):
-        rng = np.random.default_rng(99)
-        for trial in range(40):
-            bound = int(rng.integers(1, 3))
-            bounds = (-bound, bound)
-            n_types = int(rng.integers(1, 3))
-            types = tuple(range(1, n_types + 1))
-            horizon = int(rng.integers(1, 5))
-            gamma = float(rng.uniform(0.0, 0.95))
-            factor_maps = {}
-            ybars = {}
-            model_map = {}
-            for c in types:
-                fs = {0: 1.0}
-                for s in range(1, bound + 1):
-                    fs[s] = float(rng.uniform(0.3, 2.0))
-                    fs[-s] = float(rng.uniform(0.3, 2.0))
-                factor_maps[c] = fs
-                ybars[c] = float(rng.uniform(0.05, 0.95))
-                for s, f in fs.items():
-                    if s != 0:
-                        model_map[(c, s)] = f
-            model = make_model(model_map, ybars, bounds, types=types)
-            cfg = config_for(model, gamma=gamma, horizon=horizon)
-            values = state_values(model, cfg, horizon)
-            for i, c in enumerate(types):
-                for s in range(-bound, bound + 1):
-                    want = tree_value_oracle(factor_maps[c], ybars[c], gamma,
-                                             bounds, s, horizon)
-                    got = values[i, s + bound]
+        for trial, (model, cfg, factor_maps, ybars) in enumerate(random_small_models(99, 40)):
+            lo, hi = cfg.streak_bounds
+            values = state_values(model, cfg, cfg.horizon)
+            for i, c in enumerate(model.types):
+                for s in range(lo, hi + 1):
+                    want = tree_value_oracle(factor_maps[c], ybars[c], cfg.gamma,
+                                             (lo, hi), s, cfg.horizon)
+                    got = values[i, s - lo]
                     assert got == pytest.approx(want, abs=1e-9), \
                         f"trial {trial} type {c} streak {s}"
+
+
+class TestFlatKernel:
+    """state_values gives the bits of the 2-D recursion it replaced, and one
+    of its steps is the public q_send backup."""
+
+    STEPS = (0, 1, 15, 16, 17, 250, 999)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.8, 0.99])
+    def test_random_models_match_the_reference_bit_for_bit(self, gamma):
+        models = [m for m, *_ in random_small_models(99, 12)]
+        models.append(make_model({(1, 1): 3.0, (1, -1): 0.4}, ybar=1.0, bounds=(-1, 1)))
+        models.append(make_model({(1, 1): 1.5, (1, -1): 0.4}, ybar=0.0, bounds=(-1, 1)))
+        for model in models:
+            cfg = config_for(model, gamma=gamma)
+            for steps in self.STEPS:
+                got = state_values(model, cfg, steps)
+                want = state_values_reference(model, cfg, steps)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (model.types, steps)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.8, 0.99])
+    def test_full_scale_model_matches_the_reference_bit_for_bit(self, gamma):
+        model = full_scale_model()
+        cfg = config_for(model, gamma=gamma)
+        for steps in self.STEPS:
+            got = state_values(model, cfg, steps)
+            assert got.tobytes() == state_values_reference(model, cfg, steps).tobytes()
+
+    def test_huge_steps_end_at_the_reference_fixed_point(self):
+        model = full_scale_model()
+        cfg = config_for(model, gamma=0.8)
+        got = state_values(model, cfg, 10**9)
+        assert got.tobytes() == state_values_reference(model, cfg, 10**9).tobytes()
+        # one more step from there returns the same bits
+        assert backup_step(model, cfg, got).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("horizon", [1, 2, 17, 250, 1000])
+    def test_policy_tables_match_those_from_reference_values(self, monkeypatch, horizon):
+        models = [full_scale_model()] + [m for m, *_ in random_small_models(5, 6)]
+        for model in models:
+            for gamma in (0.0, 0.8, 0.95):
+                cfg = config_for(model, gamma=gamma, horizon=horizon)
+                got = solve_policy(model, cfg).thresholds
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver, "state_values", state_values_reference)
+                    want = solve_policy(model, cfg).thresholds
+                assert got.tobytes() == want.tobytes(), (model.types, gamma)
+
+    def test_one_step_is_the_q_send_backup(self):
+        # V is the value after a random number of steps of a random model;
+        # one more step of state_values must be the public backup from V
+        rng = np.random.default_rng(7)
+        models = [m for m, *_ in random_small_models(11, 10)] + [full_scale_model()]
+        for model in models:
+            for gamma in (0.0, 0.5, 0.9, 0.99):
+                cfg = config_for(model, gamma=gamma)
+                steps = int(rng.integers(0, 60))
+                v = state_values(model, cfg, steps)
+                got = state_values(model, cfg, steps + 1)
+                assert got.tobytes() == backup_step(model, cfg, v).tobytes(), \
+                    (model.types, gamma, steps)
+
