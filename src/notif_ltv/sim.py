@@ -20,11 +20,13 @@ building one SeedSequence per user. That is why master_seed must be >= 0
 and num_users at most 2**32: each user index is one 32-bit seed word.
 
 The loop runs over time and numpy runs over users, taken in blocks of
-consecutive indices whose draws fit in BLOCK_BYTES; a block's streams are
-drawn once, up front, and shared by every arm, and each arm then steps the
-whole block one pass at a time (`simulate_pass`), with streak, sends today,
-reachability, outcomes and churn held as arrays and the policy deciding
-for the whole block in one call.
+consecutive indices whose draws fit in BLOCK_BYTES. A block's streams are
+drawn once, up front, one user at a time, and the score transform then runs
+once over the whole block. The draws are shared by every arm, and all arms
+step the block together one pass at a time (`simulate_pass`): streak, sends
+today, reachability and the stream cursor are one (arms, users) array each,
+each arm's policy decides for the whole block in one call on its row, and
+outcomes and churn resolve in one step over every arm's sends.
 
 A population is a `UserBlock` (`generate_population` draws every user as
 one block), and the sends of the calibration warm-up and of each kept arm
@@ -59,8 +61,9 @@ from .policy import DecisionContext, decide_no_filter  # noqa: F401
 SECONDS_PER_DAY = 86400
 
 # Cap on a block's draws, 24 bytes per user-pass (a raw score, two uniforms),
-# so a block's memory is bounded at any run length. 2 MiB fits 800 users x 90
-# passes in one block, paying numpy's per-call overhead once a pass, for ~2 MB.
+# so a block's memory is bounded at any run length; the calibrated copy of the
+# scores adds 8 bytes more. 2 MiB fits 800 users x 90 passes in one block,
+# paying numpy's per-call overhead once a pass for all arms, for ~2 MB.
 BLOCK_BYTES = 2 << 20
 
 # salts for the per-user streams, the last word of each user's seed
@@ -446,6 +449,8 @@ def _draw_block(config: SimConfig, start: int, stop: int, passes: int,
     seed_state = _seed_state_type()
     rows = np.empty(n, dtype=np.intp)
     baseline = np.empty(n)
+    logit = np.empty(n)
+    noise = np.empty(n)
     raw = np.empty((n, passes))
     uniforms = np.empty((n, 2 * passes))
     for j in range(n):
@@ -457,14 +462,19 @@ def _draw_block(config: SimConfig, start: int, stop: int, passes: int,
         b = min(max(float(latent_rng.beta(alpha, beta)), 1e-6), 1.0 - 1e-6)
         rows[j] = row
         baseline[j] = b
-        # candidate score: the baseline perturbed by type-level logit noise,
-        # 1 / (1 + exp(-logit)); math rather than numpy log and exp, whose
-        # vectorized kernels can differ from them in the last bit
-        logit = math.log(b / (1.0 - b)) \
-            + config.score_noise[user_type] * latent_rng.standard_normal(passes)
-        raw[j] = list(map(math.exp, (-logit).tolist()))
+        logit[j] = math.log(b / (1.0 - b))
+        noise[j] = config.score_noise[user_type]
+        latent_rng.standard_normal(out=raw[j])
         policy_rng = np.random.Generator(np.random.PCG64(seed_state(policy_seeds[j])))
-        uniforms[j] = policy_rng.random(2 * passes)
+        policy_rng.random(out=uniforms[j])
+    # candidate score: the baseline perturbed by type-level logit noise,
+    # 1 / (1 + exp(-logit)), for the whole block at once; math.exp rather
+    # than np.exp, whose vectorized kernel can differ from it in the last bit
+    raw *= noise[:, None]
+    raw += logit[:, None]
+    np.negative(raw, out=raw)
+    raw = np.fromiter(map(math.exp, memoryview(raw.reshape(-1))), float,
+                      count=raw.size).reshape(n, passes)
     raw += 1.0
     np.divide(1.0, raw, out=raw)
     return UserBlock(index=index, rows=rows,
@@ -481,7 +491,8 @@ def generate_population(config: SimConfig) -> UserBlock:
 
 @dataclass
 class BlockState:
-    """One arm's mutable state for a block of users, one entry per user."""
+    """Every arm's mutable state for a block of users: one (arms, users)
+    array per field, row a holding arm a's entry for each user."""
 
     block: UserBlock
     effective_limit: np.ndarray
@@ -493,43 +504,56 @@ class BlockState:
 
     @classmethod
     def start(cls, block: UserBlock, effective_limit: np.ndarray) -> "BlockState":
-        n = len(block.index)
+        """Fresh state for the arms whose limits are the (arms, users)
+        effective_limit."""
+        shape = effective_limit.shape
         return cls(block=block, effective_limit=effective_limit,
-                   streak=np.zeros(n, dtype=np.int64), sends_today=np.zeros(n, dtype=np.int64),
-                   active_today=np.zeros(n, dtype=bool), reachable=np.ones(n, dtype=bool),
-                   cursor=np.zeros(n, dtype=np.intp))
+                   streak=np.zeros(shape, dtype=np.int64),
+                   sends_today=np.zeros(shape, dtype=np.int64),
+                   active_today=np.zeros(shape, dtype=bool), reachable=np.ones(shape, dtype=bool),
+                   cursor=np.zeros(shape, dtype=np.intp))
 
 
-def simulate_pass(state: BlockState, decide: Callable[[DecisionContext], np.ndarray],
+def simulate_pass(state: BlockState, decides: list[Callable[[DecisionContext], np.ndarray]],
                   calibrated: np.ndarray, *, factors: np.ndarray, bounds: tuple[int, int],
                   churn_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """One decision opportunity for every user of a block.
+    """One decision opportunity for every user of a block in every arm.
 
-    calibrated holds each user's calibrated candidate score for this pass;
+    decides holds one policy per arm. calibrated holds each user's
+    calibrated candidate score for this pass, the same in every arm;
     factors is the effective ground-truth factor array, one row per type.
-    The policy sees the whole block at once and only reachable users can be
-    sent to. On a send the outcome resolves at min(f_true * baseline, 1),
-    the streak advances, and an ignore may churn the user when churn is
-    enabled; a skip leaves the streak as it was. Returns the block rows sent
-    to, ascending, and whether each of those sends was opened.
+    Each arm's policy sees the whole block at once through that arm's rows
+    of the state, and only reachable users can be sent to. On a send the
+    outcome resolves at min(f_true * baseline, 1), the streak advances, and
+    an ignore may churn the user when churn is enabled; a skip leaves the
+    streak as it was. The sends of all arms then step together over the
+    flattened state. Returns the flat indices arm * users + row sent to,
+    ascending, and whether each of those sends was opened.
     """
-    ctx = DecisionContext(user_type=state.block.user_type, streak=state.streak,
-                          calibrated_score=calibrated, sends_today=state.sends_today,
-                          effective_limit=state.effective_limit)
-    sent = np.flatnonzero(decide(ctx) & state.reachable)
-    streak = state.streak[sent]
-    p_open = np.minimum(factors[state.block.rows[sent], streak - bounds[0]]
-                        * state.block.baseline[sent], 1.0)
-    opened = state.block.uniforms[sent, state.cursor[sent]] < p_open
-    state.cursor[sent] += 1
-    state.streak[sent] = advance_streak(streak, opened, bounds)
-    state.sends_today[sent] += 1
-    state.active_today[sent[opened]] = True
+    block = state.block
+    arms, n = state.streak.shape
+    send = np.empty((arms, n), dtype=bool)
+    for arm, decide in enumerate(decides):
+        send[arm] = decide(DecisionContext(
+            user_type=block.user_type, streak=state.streak[arm], calibrated_score=calibrated,
+            sends_today=state.sends_today[arm], effective_limit=state.effective_limit[arm]))
+    send &= state.reachable
+    sent = np.flatnonzero(send)
+    user = sent % n
+    streak, cursor = state.streak.reshape(-1), state.cursor.reshape(-1)
+    before = streak[sent]
+    p_open = np.minimum(factors[block.rows[user], before - bounds[0]] * block.baseline[user],
+                        1.0)
+    opened = block.uniforms[user, cursor[sent]] < p_open
+    cursor[sent] += 1
+    streak[sent] = advance_streak(before, opened, bounds)
+    state.sends_today.reshape(-1)[sent] += 1
+    state.active_today.reshape(-1)[sent[opened]] = True
     if churn_rate > 0.0:
         ignored = sent[~opened]
-        churned = state.block.uniforms[ignored, state.cursor[ignored]] < churn_rate
-        state.cursor[ignored] += 1
-        state.reachable[ignored[churned]] = False
+        churned = block.uniforms[user[~opened], cursor[ignored]] < churn_rate
+        cursor[ignored] += 1
+        state.reachable.reshape(-1)[ignored[churned]] = False
     return sent, opened
 
 
@@ -545,14 +569,20 @@ def _events(log: tuple[list[np.ndarray], ...], passes_per_day: int) -> SendLog:
                              raw, outcome)
 
 
-def _run_block(block: UserBlock, calibrated: np.ndarray, decide, effective_limit: np.ndarray,
-               log: tuple[list[np.ndarray], ...] | None, *, config: SimConfig,
-               factors: np.ndarray, days: int, weights: list[float]) -> dict:
-    """Step one arm through every pass of one block and return its per-user
-    columns by name; its sends are appended to log unless it is None."""
+def _run_block(block: UserBlock, calibrated: np.ndarray, decides: list[Callable],
+               effective_limit: np.ndarray, logs: list[tuple[list[np.ndarray], ...]] | None,
+               *, config: SimConfig, factors: np.ndarray, days: int,
+               weights: list[float]) -> dict:
+    """Step every arm through every pass of one block and return the
+    per-user columns by name, (arms, users) except the shared row; arm a's
+    sends are appended to logs[a] unless logs is None."""
     state = BlockState.start(block, effective_limit)
-    sends, opens, active_days, max_day_sends = (np.zeros_like(block.index) for _ in range(4))
-    discounted = np.zeros(len(block.index))
+    arms, n = effective_limit.shape
+    sends, opens, active_days, max_day_sends = (np.zeros((arms, n), dtype=np.int64)
+                                                for _ in range(4))
+    discounted = np.zeros((arms, n))
+    flat_opens, flat_discounted = opens.reshape(-1), discounted.reshape(-1)
+    arm_starts = n * np.arange(arms + 1)
     passes = config.passes_per_day
     for day in range(days):
         # a churned user's counters stay at zero from here on
@@ -560,18 +590,22 @@ def _run_block(block: UserBlock, calibrated: np.ndarray, decide, effective_limit
         state.active_today[:] = False
         for p in range(passes):
             t = day * passes + p
-            sent, opened = simulate_pass(state, decide, calibrated[:, t], factors=factors,
+            sent, opened = simulate_pass(state, decides, calibrated[:, t], factors=factors,
                                          bounds=config.streak_bounds,
                                          churn_rate=config.churn_rate)
             openers = sent[opened]
-            opens[openers] += 1
+            flat_opens[openers] += 1
             # each user's discounted opens add up in pass order
-            discounted[openers] += weights[t]
-            if log is not None:
-                for col, values in zip(log, (
-                        block.index[sent], block.user_type[sent], np.full(len(sent), t),
-                        block.raw_scores[sent, t], opened)):
-                    col.append(values)
+            flat_discounted[openers] += weights[t]
+            if logs is not None:
+                cuts = np.searchsorted(sent, arm_starts)
+                for arm, log in enumerate(logs):
+                    lo, hi = cuts[arm], cuts[arm + 1]
+                    row = sent[lo:hi] - arm_starts[arm]
+                    for col, values in zip(log, (
+                            block.index[row], block.user_type[row], np.full(len(row), t),
+                            block.raw_scores[row, t], opened[lo:hi])):
+                        col.append(values)
         sends += state.sends_today
         active_days += state.active_today
         np.maximum(max_day_sends, state.sends_today, out=max_day_sends)
@@ -584,9 +618,9 @@ def _simulate(config: SimConfig, arms: list[tuple[Callable, SendLimitConfig]],
               latent_salt: int = _LATENT, policy_salt: int = _POLICY) -> tuple[list, list]:
     """Run every (decide, limits) arm over blocks of users holding at most
     BLOCK_BYTES of draws, or one user: each block's draws are made once and
-    every arm steps through all its passes before the next block is drawn.
-    Returns each arm's per-user columns, in user-index order, and each
-    arm's kept sends as lists of arrays, or None."""
+    all arms step through its passes together before the next block is
+    drawn. Returns each arm's per-user columns, in user-index order, and
+    a list of each arm's kept sends as lists of arrays, or None."""
     factors = apply_kappa(config.true_factors, config.kappa_true).factors
     passes = days * config.passes_per_day
     weights = []
@@ -594,20 +628,20 @@ def _simulate(config: SimConfig, arms: list[tuple[Callable, SendLimitConfig]],
     for _ in range(passes):
         weights.append(weight)
         weight *= config.gamma
-    limits = [np.array([lim.effective_limit(c) for c in config.types]) for _, lim in arms]
-    blocks = [[] for _ in arms]
-    logs = [([], [], [], [], []) if keep_events else None for _ in arms]
+    decides = [decide for decide, _ in arms]
+    limits = np.array([[lim.effective_limit(c) for c in config.types] for _, lim in arms])
+    blocks = []
+    logs = [([], [], [], [], []) for _ in arms] if keep_events else None
     size = max(1, BLOCK_BYTES // (24 * passes))
     for start in range(0, config.num_users, size):
         stop = min(start + size, config.num_users)
         block = _draw_block(config, start, stop, passes, latent_salt, policy_salt)
         calibrated = apply_calibration(calibration, block.raw_scores)
-        for (decide, _), limit, arm_blocks, log in zip(arms, limits, blocks, logs):
-            arm_blocks.append(_run_block(block, calibrated, decide, limit[block.rows], log,
-                                         config=config, factors=factors, days=days,
-                                         weights=weights))
-    return [{key: np.concatenate([cols[key] for cols in arm]) for key in arm[0]}
-            for arm in blocks], logs
+        blocks.append(_run_block(block, calibrated, decides, limits[:, block.rows], logs,
+                                 config=config, factors=factors, days=days, weights=weights))
+    columns = {key: np.concatenate([cols[key] for cols in blocks], axis=-1) for key in blocks[0]}
+    return [{key: col if key == "row" else col[arm] for key, col in columns.items()}
+            for arm in range(len(arms))], logs
 
 
 def warmup_events(config: SimConfig) -> SendLog:

@@ -5,9 +5,16 @@ array step per decision opportunity. Sending a notification with open
 probability p either extends the open streak (probability min(f*p, 1),
 immediate reward 1) or breaks it; skipping keeps the streak and only
 discounts the future. Future notifications enter only through their open
-probability, and the recursion is linear in that probability, so every
-expectation over future scores collapses to the per-type mean score and
-the value function depends only on (type, streak, steps remaining).
+probability, and the solver takes each future score to be the per-type mean
+score, so the value function depends only on (type, streak, steps
+remaining). Given the next step's values, one step's send value is linear
+in an unclipped probability, so for that one step the mean score gives the
+expectation over scores exactly (acceptance check c3). Across future steps
+it is an approximation: each step takes the max of send and skip, and
+min(f*p, 1) can clip, neither of which is linear in p. On the true-factor
+config of acceptance check c7, value iteration over 32 per-type quantile
+atoms of the calibrated score moved the predicted discounted opens per user
+from 1.126 to 1.150.
 Each step is one flat kernel over the raveled grid: a single gather reads
 the up and down columns of the discounted values, and preallocated buffers
 take every intermediate. The fixed-point test runs every few steps rather

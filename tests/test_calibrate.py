@@ -201,19 +201,67 @@ class TestApplyCalibration:
 
     @given(st.data())
     def test_array_matches_elementwise_scalar_calls(self, data):
-        """Each score maps as the bisect-lookup oracle maps it alone. Scores
-        below the first breakpoint and exactly on breakpoints included."""
+        """Each score maps as the bisect-lookup oracle maps it alone, bit for
+        bit, -0.0 values included. Scores below the first breakpoint and
+        exactly on breakpoints included."""
         n = data.draw(st.integers(1, 6))
         bps = sorted(data.draw(st.sets(st.floats(0.05, 1, allow_nan=False),
                                        min_size=n, max_size=n)))
-        vals = sorted(data.draw(st.lists(st.floats(0, 1, allow_nan=False),
+        vals = sorted(data.draw(st.lists(st.one_of(st.just(-0.0), st.floats(0, 1)),
                                          min_size=n, max_size=n)))
         cmap = CalibrationMap(breakpoints=tuple(bps), values=tuple(vals))
         scores = data.draw(st.lists(st.one_of(st.floats(0, 1), st.sampled_from(bps),
                                               st.floats(0, 0.05)), min_size=1, max_size=30))
         got = apply_calibration(cmap, np.array(scores).reshape(1, -1))
         assert got.shape == (1, len(scores))
-        assert got[0].tolist() == [calibration_oracle(cmap, x) for x in scores]
+        assert_same_bits(got[0], [calibration_oracle(cmap, x) for x in scores])
+
+
+def assert_same_bits(got, want):
+    """got is a float64 array holding the bits of the floats in want."""
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+class TestRunLookup:
+    """The lookup searches only the first breakpoint of each run of equal
+    values, and still gives the bisect oracle's bits for every score."""
+
+    SPECIAL = [-math.inf, -1.0, -0.0, 0.0, 1.0, 2.0, math.inf, math.nan]
+
+    def check(self, cmap):
+        bps = np.array(cmap.breakpoints)
+        mid = (bps[:-1] + bps[1:]) / 2
+        scores = np.concatenate([self.SPECIAL, bps, mid, np.nextafter(bps, -math.inf),
+                                 np.random.default_rng(3).uniform(-0.1, 1.1, 500)])
+        assert_same_bits(apply_calibration(cmap, scores),
+                         [calibration_oracle(cmap, x) for x in scores.tolist()])
+        for x in self.SPECIAL:
+            assert_same_bits(np.array([apply_calibration(cmap, x)]),
+                             [calibration_oracle(cmap, x)])
+
+    def test_long_runs(self):
+        rng = np.random.default_rng(11)
+        bps = np.unique(rng.uniform(0.01, 0.99, 2000))
+        levels = np.sort(rng.uniform(0, 1, 9))
+        vals = levels[np.sort(rng.integers(0, len(levels), len(bps)))]
+        cmap = CalibrationMap(breakpoints=tuple(bps.tolist()), values=tuple(vals.tolist()))
+        assert len(cmap._runs[0]) == len(np.unique(vals))
+        self.check(cmap)
+
+    def test_adjacent_signed_zeros_stay_apart(self):
+        vals = (-0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 0.5, 0.5)
+        cmap = CalibrationMap(breakpoints=tuple(0.1 * (i + 1) for i in range(len(vals))),
+                              values=vals)
+        assert len(cmap._runs[0]) == 5
+        self.check(cmap)
+
+    def test_one_value_map_of_many_breakpoints(self):
+        # the shape of a map fitted on an anti-ranked window: one pool
+        bps = np.linspace(0.0, 1.0, 6000)
+        cmap = CalibrationMap(breakpoints=tuple(bps.tolist()), values=(0.3,) * len(bps))
+        assert len(cmap._runs[0]) == 1
+        self.check(cmap)
 
 
 def send_log(events):

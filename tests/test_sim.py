@@ -1,10 +1,11 @@
 """Synthetic population determinism, pass mechanics, and harness metrics."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
 import pytest
+from check_arms import differences as arm_differences
 from oracles import run_experiment_oracle, streak_oracle, warmup_events_oracle
 
 from notif_ltv import (
@@ -178,10 +179,10 @@ class TestSimulatePass:
         block = UserBlock(index=np.array([0]), rows=np.array([0]), user_type=np.array([1]),
                           baseline=np.array([0.4]), raw_scores=np.array([[0.5]]),
                           uniforms=np.random.default_rng(7).random((1, 2)))
-        state = BlockState.start(block, np.array([limit]))
+        state = BlockState.start(block, np.array([[limit]]))
         state.streak[:] = streak
         state.sends_today[:] = sends_today
-        sent, opened = simulate_pass(state, decide, np.array([0.5]),
+        sent, opened = simulate_pass(state, [decide], np.array([0.5]),
                                      factors=cfg.true_factors.factors,
                                      bounds=cfg.streak_bounds, churn_rate=cfg.churn_rate)
         return state, sent, opened
@@ -198,6 +199,27 @@ class TestSimulatePass:
         assert sent.size == 0
         assert state.streak[0] == 3
         assert state.sends_today[0] == 5
+
+    def test_arm_at_its_limit_does_not_move(self):
+        """Two arms over two users in one pass: arm 1 is at its limit, so it
+        keeps its streaks and cursors and only arm 0's flat indices send."""
+        cfg = small_config()
+        block = UserBlock(index=np.array([0, 1]), rows=np.array([0, 1]),
+                          user_type=np.array([1, 2]), baseline=np.array([0.4, 0.3]),
+                          raw_scores=np.array([[0.5], [0.5]]),
+                          uniforms=np.random.default_rng(7).random((2, 2)))
+        state = BlockState.start(block, np.array([[2, 2], [2, 2]]))
+        state.streak[:] = [[1, -1], [3, -2]]
+        state.sends_today[1] = 2
+        sent, opened = simulate_pass(state, [decide_no_filter, decide_no_filter],
+                                     np.array([0.5, 0.5]), factors=cfg.true_factors.factors,
+                                     bounds=cfg.streak_bounds, churn_rate=0.5)
+        assert sent.tolist() == [0, 1]
+        assert len(opened) == 2
+        assert state.streak[1].tolist() == [3, -2]
+        assert state.cursor[1].tolist() == [0, 0]
+        assert state.sends_today.tolist() == [[1, 1], [2, 2]]
+        assert state.cursor[0].tolist() == [1 if o else 2 for o in opened.tolist()]
 
     def test_outcome_advances_streak(self):
         cfg = small_config()
@@ -370,6 +392,39 @@ def test_report_table_and_csv_render():
     csv_text = report.to_per_type_csv()
     assert csv_text.startswith("treatment,user_type,sends,opens")
     assert len(csv_text.strip().split("\n")) == 1 + 2 * 2  # two treatments x two types
+
+
+@pytest.mark.parametrize("budget", [sim.BLOCK_BYTES, 24 * 12 * 40])
+def test_arms_do_not_interact(monkeypatch, budget):
+    """Every arm of a joint run gives the results and kept sends of that
+    treatment run alone: the arms share a block's draws and one state array,
+    but no arm reads or moves another arm's row. The run has churn, so arms
+    read their policy streams at different speeds, and a limit adjustment;
+    the second budget splits the main run into four blocks of 40 users."""
+    monkeypatch.setattr(sim, "BLOCK_BYTES", budget)
+    cfg = small_config(num_users=150, days=4, passes_per_day=3, churn_rate=0.2,
+                       send_limits=SendLimitConfig(limits={1: 2, 2: 3}))
+    thresholds = np.random.default_rng(5).uniform(0.0, 0.6, size=(2, 5))
+    thresholds[1, :2] = NEVER_SEND
+    table = PolicyTable(config=SolverConfig(streak_bounds=(-2, 2)), types=(1, 2),
+                        thresholds=thresholds)
+    ks = HeuristicThresholds(by_type={1: 0.2, 2: 0.35})
+    treatments = [
+        Treatment("heuristic", partial(decide_heuristic, thresholds=ks), baseline=True),
+        Treatment("no_filter", decide_no_filter),
+        Treatment("rl", partial(decide_rl, table=table)),
+        Treatment("no_filter_minus1", decide_no_filter, limit_adjustment=-1),
+    ]
+    calibration = fit_sim_calibration(cfg)
+    joint = run_experiment(cfg, treatments, calibration, keep_events=True)
+    for treatment in treatments:
+        alone = run_experiment(cfg, [replace(treatment, baseline=True)], calibration,
+                               keep_events=True)
+        assert arm_differences(joint, alone, treatment.name) == [], treatment.name
+
+    # the run exercises what it claims to
+    assert all(r.reachability_proxy < 1.0 for r in joint.results)
+    assert len({r.total_sends for r in joint.results}) == len(treatments)
 
 
 def test_array_simulator_matches_scalar_oracle(monkeypatch):
