@@ -285,6 +285,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# built once per process: parsing leaves the parser as it was
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="notif-ltv",

@@ -6,9 +6,17 @@ it. The caller owns the per-user counters (sends today, streak) and passes
 them in as a DecisionContext.
 
 A context holds a block of candidates, one per user, as equal-length array
-fields, and a policy answers a boolean mask; the simulator decides a whole
-block of users per call. Each policy is one numpy expression, so a context
-with scalar fields, one candidate, gets a numpy bool.
+fields, and a policy answers a boolean mask. Each policy is one numpy
+expression, so a context with scalar fields, one candidate, gets a numpy
+bool.
+
+Every policy here is a threshold rule, elementwise over the block: for a
+fixed type and streak, if it sends at one calibrated score it sends at
+every higher one, and sends today and the effective limit enter only
+through `sends_today < effective_limit`. The simulator relies on that: it
+calls a policy on a grid of (type, streak, score) cells once per block of
+users and tabulates the smallest score that sends, instead of calling it
+every pass. A policy added here must keep to that contract.
 """
 
 from __future__ import annotations

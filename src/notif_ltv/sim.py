@@ -25,8 +25,19 @@ drawn once, up front, one user at a time, and the score transform then runs
 once over the whole block. The draws are shared by every arm, and all arms
 step the block together one pass at a time (`simulate_pass`): streak, sends
 today, reachability and the stream cursor are one (arms, users) array each,
-each arm's policy decides for the whole block in one call on its row, and
-outcomes and churn resolve in one step over every arm's sends.
+and outcomes and churn resolve in one step over every arm's sends.
+
+A treatment's `decide` is called a few times per block, never per pass: its
+answers are tabulated as a send threshold per (arm, type, streak), and each
+pass decides every arm with one gather from that table and one compare.
+That holds because a calibrated score is always one of the calibration
+map's run values and `decide` must be a threshold rule, elementwise over
+the block: for a fixed type and streak, if it sends at one calibrated score
+it sends at every higher one, and sends today and the effective limit
+enter only through `sends_today < effective_limit`. `decide_no_filter`,
+`decide_heuristic` (score > k) and `decide_rl` (score >= threshold) are
+such rules. A rule reading the score's value cannot tell -0.0 from +0.0,
+so comparing values against the table is exact.
 
 A population is a `UserBlock` (`generate_population` draws every user as
 one block), and the sends of the calibration warm-up and of each kept arm
@@ -57,13 +68,15 @@ from .ingest import SendLog
 # wraps the name imported here and truth-tests each result, and a block's
 # decision is an array with no truth value.
 from .policy import DecisionContext, decide_no_filter  # noqa: F401
+from .solver import NEVER_SEND
 
 SECONDS_PER_DAY = 86400
 
 # Cap on a block's draws, 24 bytes per user-pass (a raw score, two uniforms),
 # so a block's memory is bounded at any run length; the calibrated copy of the
-# scores adds 8 bytes more. 2 MiB fits 800 users x 90 passes in one block,
-# paying numpy's per-call overhead once a pass for all arms, for ~2 MB.
+# scores adds 8 bytes more, and the open-probability table 8 bytes per user
+# and streak, whatever the run length. 2 MiB fits 800 users x 90 passes in one
+# block, paying numpy's per-call overhead once a pass for all arms, for ~2 MB.
 BLOCK_BYTES = 2 << 20
 
 # salts for the per-user streams, the last word of each user's seed
@@ -209,7 +222,12 @@ class Treatment:
 
     decide is called with a DecisionContext whose fields are arrays over a
     block of users and returns a boolean mask: combine conditions with & or
-    numpy, not `and`.
+    numpy, not `and`. It must be a threshold rule, elementwise over the
+    block: for a fixed type and streak, if it sends at one calibrated score
+    it sends at every higher one, and sends_today and effective_limit enter
+    only through sends_today < effective_limit. The simulator calls it a few
+    times per block, on a grid of the block's types and every streak, to
+    tabulate the threshold, and never per pass.
     """
 
     name: str
@@ -489,13 +507,57 @@ def generate_population(config: SimConfig) -> UserBlock:
                        _LATENT, _POLICY)
 
 
+def _send_thresholds(decides: list[Callable[[DecisionContext], np.ndarray]],
+                    run_values: np.ndarray, block: UserBlock, *, types: int,
+                    bounds: tuple[int, int]) -> np.ndarray:
+    """Each arm's send threshold, an (arms, types, streaks) array: the
+    smallest of the ascending run_values at which the arm's decide sends to
+    a user of that type row and streak under the limit, or NEVER_SEND where
+    it sends at none.
+
+    Only the rows of types the block holds are evaluated; the others stay
+    NEVER_SEND. Each arm's decide is a threshold rule, so one bisection over
+    run indices finds every cell's threshold at once, in
+    ceil(log2(len(run_values) + 1)) calls on the grid of (present type,
+    streak) cells: the probes step down the powers of two, and a cell moves
+    past a probe that does not send.
+    """
+    lo, hi = bounds
+    streaks = hi - lo + 1
+    present, first = np.unique(block.rows, return_index=True)
+    cell_type = np.repeat(block.user_type[first], streaks)
+    cell_streak = np.tile(np.arange(lo, hi + 1), len(present))
+    cells = len(cell_type)
+    sends_today, limit = np.zeros(cells, dtype=np.int64), np.ones(cells, dtype=np.int64)
+    runs = len(run_values)
+    thresholds = np.append(run_values, NEVER_SEND)
+    table = np.full((len(decides), types, streaks), NEVER_SEND)
+    for arm, decide in enumerate(decides):
+        skipped = np.zeros(cells, dtype=np.intp)  # run values below never send
+        step = 1 << (runs.bit_length() - 1)
+        while step:
+            probe = skipped + (step - 1)
+            sends = decide(DecisionContext(
+                user_type=cell_type, streak=cell_streak,
+                calibrated_score=run_values.take(probe, mode="clip"),
+                sends_today=sends_today, effective_limit=limit))
+            skipped[(probe < runs) & np.logical_not(sends)] += step
+            step >>= 1
+        table[arm, present] = thresholds[skipped].reshape(len(present), streaks)
+    return table
+
+
 @dataclass
 class BlockState:
     """Every arm's mutable state for a block of users: one (arms, users)
-    array per field, row a holding arm a's entry for each user."""
+    array per field, row a holding arm a's entry for each user, and the
+    lookups every pass reads, built once per block."""
 
     block: UserBlock
     effective_limit: np.ndarray
+    thresholds: np.ndarray  # _send_thresholds, flattened
+    offset: np.ndarray  # (arm * types + row) * streaks - lo: plus a streak, its threshold
+    p_open: np.ndarray  # (users, streaks) open probability, min(f_true * baseline, 1)
     streak: np.ndarray
     sends_today: np.ndarray
     active_today: np.ndarray
@@ -503,47 +565,52 @@ class BlockState:
     cursor: np.ndarray  # next unread column of block.uniforms
 
     @classmethod
-    def start(cls, block: UserBlock, effective_limit: np.ndarray) -> "BlockState":
-        """Fresh state for the arms whose limits are the (arms, users)
-        effective_limit."""
+    def start(cls, block: UserBlock, effective_limit: np.ndarray,
+              decides: list[Callable[[DecisionContext], np.ndarray]], run_values: np.ndarray,
+              *, factors: np.ndarray, bounds: tuple[int, int]) -> "BlockState":
+        """Fresh state for the arms whose policies are decides and whose
+        limits are the (arms, users) effective_limit. run_values are every
+        calibrated score the block's passes can hold, ascending, and factors
+        the effective ground-truth factor array, one row per type."""
         shape = effective_limit.shape
+        types, streaks = factors.shape
+        thresholds = _send_thresholds(decides, run_values, block, types=types, bounds=bounds)
+        offset = (np.arange(shape[0])[:, None] * types + block.rows) * streaks - bounds[0]
         return cls(block=block, effective_limit=effective_limit,
+                   thresholds=thresholds.reshape(-1), offset=offset,
+                   p_open=np.minimum(factors[block.rows] * block.baseline[:, None], 1.0),
                    streak=np.zeros(shape, dtype=np.int64),
                    sends_today=np.zeros(shape, dtype=np.int64),
                    active_today=np.zeros(shape, dtype=bool), reachable=np.ones(shape, dtype=bool),
                    cursor=np.zeros(shape, dtype=np.intp))
 
 
-def simulate_pass(state: BlockState, decides: list[Callable[[DecisionContext], np.ndarray]],
-                  calibrated: np.ndarray, *, factors: np.ndarray, bounds: tuple[int, int],
+def simulate_pass(state: BlockState, calibrated: np.ndarray, *, bounds: tuple[int, int],
                   churn_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """One decision opportunity for every user of a block in every arm.
 
-    decides holds one policy per arm. calibrated holds each user's
-    calibrated candidate score for this pass, the same in every arm;
-    factors is the effective ground-truth factor array, one row per type.
-    Each arm's policy sees the whole block at once through that arm's rows
-    of the state, and only reachable users can be sent to. On a send the
-    outcome resolves at min(f_true * baseline, 1), the streak advances, and
-    an ignore may churn the user when churn is enabled; a skip leaves the
-    streak as it was. The sends of all arms then step together over the
-    flattened state. Returns the flat indices arm * users + row sent to,
-    ascending, and whether each of those sends was opened.
+    calibrated holds each user's calibrated candidate score for this pass,
+    the same in every arm, each one of the run values the state's
+    thresholds were tabulated over. An arm sends where the score reaches
+    its threshold for the user's type and streak, the user is under the
+    limit and is reachable. On a send the outcome resolves at
+    min(f_true * baseline, 1), the streak advances, and an ignore may churn
+    the user when churn is enabled; a skip leaves the streak as it was. The
+    sends of all arms step together over the flattened state. Returns the
+    flat indices arm * users + row sent to, ascending, and whether each of
+    those sends was opened.
     """
     block = state.block
-    arms, n = state.streak.shape
-    send = np.empty((arms, n), dtype=bool)
-    for arm, decide in enumerate(decides):
-        send[arm] = decide(DecisionContext(
-            user_type=block.user_type, streak=state.streak[arm], calibrated_score=calibrated,
-            sends_today=state.sends_today[arm], effective_limit=state.effective_limit[arm]))
+    n = state.streak.shape[1]
+    send = calibrated >= state.thresholds.take(state.offset + state.streak)
+    send &= state.sends_today < state.effective_limit
     send &= state.reachable
     sent = np.flatnonzero(send)
     user = sent % n
     streak, cursor = state.streak.reshape(-1), state.cursor.reshape(-1)
     before = streak[sent]
-    p_open = np.minimum(factors[block.rows[user], before - bounds[0]] * block.baseline[user],
-                        1.0)
+    streaks = state.p_open.shape[1]
+    p_open = state.p_open.take(user * streaks + (before - bounds[0]))
     opened = block.uniforms[user, cursor[sent]] < p_open
     cursor[sent] += 1
     streak[sent] = advance_streak(before, opened, bounds)
@@ -569,15 +636,14 @@ def _events(log: tuple[list[np.ndarray], ...], passes_per_day: int) -> SendLog:
                              raw, outcome)
 
 
-def _run_block(block: UserBlock, calibrated: np.ndarray, decides: list[Callable],
-               effective_limit: np.ndarray, logs: list[tuple[list[np.ndarray], ...]] | None,
-               *, config: SimConfig, factors: np.ndarray, days: int,
-               weights: list[float]) -> dict:
-    """Step every arm through every pass of one block and return the
-    per-user columns by name, (arms, users) except the shared row; arm a's
-    sends are appended to logs[a] unless logs is None."""
-    state = BlockState.start(block, effective_limit)
-    arms, n = effective_limit.shape
+def _run_block(state: BlockState, calibrated: np.ndarray,
+               logs: list[tuple[list[np.ndarray], ...]] | None, *, config: SimConfig,
+               days: int, weights: list[float]) -> dict:
+    """Step every arm of a fresh state through every pass of its block and
+    return the per-user columns by name, (arms, users) except the shared
+    row; arm a's sends are appended to logs[a] unless logs is None."""
+    block = state.block
+    arms, n = state.streak.shape
     sends, opens, active_days, max_day_sends = (np.zeros((arms, n), dtype=np.int64)
                                                 for _ in range(4))
     discounted = np.zeros((arms, n))
@@ -590,8 +656,7 @@ def _run_block(block: UserBlock, calibrated: np.ndarray, decides: list[Callable]
         state.active_today[:] = False
         for p in range(passes):
             t = day * passes + p
-            sent, opened = simulate_pass(state, decides, calibrated[:, t], factors=factors,
-                                         bounds=config.streak_bounds,
+            sent, opened = simulate_pass(state, calibrated[:, t], bounds=config.streak_bounds,
                                          churn_rate=config.churn_rate)
             openers = sent[opened]
             flat_opens[openers] += 1
@@ -637,28 +702,40 @@ def _simulate(config: SimConfig, arms: list[tuple[Callable, SendLimitConfig]],
         stop = min(start + size, config.num_users)
         block = _draw_block(config, start, stop, passes, latent_salt, policy_salt)
         calibrated = apply_calibration(calibration, block.raw_scores)
-        blocks.append(_run_block(block, calibrated, decides, limits[:, block.rows], logs,
-                                 config=config, factors=factors, days=days, weights=weights))
+        state = BlockState.start(block, limits[:, block.rows], decides, calibration.run_values,
+                                 factors=factors, bounds=config.streak_bounds)
+        blocks.append(_run_block(state, calibrated, logs, config=config, days=days,
+                                 weights=weights))
     columns = {key: np.concatenate([cols[key] for cols in blocks], axis=-1) for key in blocks[0]}
     return [{key: col if key == "row" else col[arm] for key, col in columns.items()}
             for arm in range(len(arms))], logs
 
 
-def warmup_events(config: SimConfig) -> SendLog:
-    """Sends of the short no-filter run used to observe the score/outcome
-    distribution, on dedicated per-user sub-streams so it neither consumes
-    nor duplicates the draws of the measured treatments."""
+def _warmup(config: SimConfig) -> tuple[list[np.ndarray], ...]:
+    """Kept sends of the short no-filter run used to observe the
+    score/outcome distribution, as `_events` columns, on dedicated per-user
+    sub-streams so it neither consumes nor duplicates the draws of the
+    measured treatments."""
     identity = CalibrationMap(breakpoints=(0.0, 1.0), values=(0.0, 1.0))
     _, (log,) = _simulate(config, [(policy.decide_no_filter, config.send_limits)], identity,
                           days=config.calibration_days, keep_events=True,
                           latent_salt=_WARMUP_LATENT, policy_salt=_WARMUP_POLICY)
-    return _events(log, config.passes_per_day)
+    return log
+
+
+def warmup_events(config: SimConfig) -> SendLog:
+    """Sends of the calibration warm-up as a SendLog."""
+    return _events(_warmup(config), config.passes_per_day)
 
 
 def fit_sim_calibration(config: SimConfig, log: SendLog | None = None) -> CalibrationMap:
-    """Calibration fitted on the warm-up's sends (run fresh when not supplied)."""
+    """Calibration fitted on the warm-up's sends (run fresh when not
+    supplied). A fresh warm-up is fitted from its columns in pass order:
+    the fit sorts scores stably and pools each tie group's 0/1 outcomes as
+    exact sums, so the map is the one its SendLog would give."""
     if log is None:
-        log = warmup_events(config)
+        *_, raw, outcome = _warmup(config)
+        return fit_isotonic(np.concatenate(raw), np.concatenate(outcome), window_hours=24)
     return fit_isotonic(log.raw_score, log.outcome, window_hours=24)
 
 

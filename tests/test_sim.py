@@ -6,11 +6,13 @@ from functools import partial
 import numpy as np
 import pytest
 from check_arms import differences as arm_differences
+from hypothesis import given, settings, strategies as st
 from oracles import run_experiment_oracle, streak_oracle, warmup_events_oracle
 
 from notif_ltv import (
     NEVER_SEND,
     CalibrationMap,
+    DecisionContext,
     HeuristicThresholds,
     PolicyTable,
     SendLimitConfig,
@@ -179,12 +181,12 @@ class TestSimulatePass:
         block = UserBlock(index=np.array([0]), rows=np.array([0]), user_type=np.array([1]),
                           baseline=np.array([0.4]), raw_scores=np.array([[0.5]]),
                           uniforms=np.random.default_rng(7).random((1, 2)))
-        state = BlockState.start(block, np.array([[limit]]))
+        state = BlockState.start(block, np.array([[limit]]), [decide], np.array([0.5]),
+                                 factors=cfg.true_factors.factors, bounds=cfg.streak_bounds)
         state.streak[:] = streak
         state.sends_today[:] = sends_today
-        sent, opened = simulate_pass(state, [decide], np.array([0.5]),
-                                     factors=cfg.true_factors.factors,
-                                     bounds=cfg.streak_bounds, churn_rate=cfg.churn_rate)
+        sent, opened = simulate_pass(state, np.array([0.5]), bounds=cfg.streak_bounds,
+                                     churn_rate=cfg.churn_rate)
         return state, sent, opened
 
     def test_no_filter_under_limit_always_sends(self):
@@ -208,12 +210,13 @@ class TestSimulatePass:
                           user_type=np.array([1, 2]), baseline=np.array([0.4, 0.3]),
                           raw_scores=np.array([[0.5], [0.5]]),
                           uniforms=np.random.default_rng(7).random((2, 2)))
-        state = BlockState.start(block, np.array([[2, 2], [2, 2]]))
+        state = BlockState.start(block, np.array([[2, 2], [2, 2]]),
+                                 [decide_no_filter, decide_no_filter], np.array([0.5]),
+                                 factors=cfg.true_factors.factors, bounds=cfg.streak_bounds)
         state.streak[:] = [[1, -1], [3, -2]]
         state.sends_today[1] = 2
-        sent, opened = simulate_pass(state, [decide_no_filter, decide_no_filter],
-                                     np.array([0.5, 0.5]), factors=cfg.true_factors.factors,
-                                     bounds=cfg.streak_bounds, churn_rate=0.5)
+        sent, opened = simulate_pass(state, np.array([0.5, 0.5]), bounds=cfg.streak_bounds,
+                                     churn_rate=0.5)
         assert sent.tolist() == [0, 1]
         assert len(opened) == 2
         assert state.streak[1].tolist() == [3, -2]
@@ -243,6 +246,121 @@ class TestSimulatePass:
         n = len(events)
         se = np.sqrt(0.5 * 0.5 / n)
         assert abs(opens / n - 0.5) < 4 * se
+
+
+def step_map(values):
+    """A calibration map whose breakpoints are 0, 1, 2, ... and whose values
+    are `values`."""
+    return CalibrationMap(breakpoints=tuple(map(float, range(len(values)))), values=tuple(values))
+
+
+calibration_maps = st.one_of(
+    st.floats(0, 1).map(lambda v: step_map([v])),
+    # -0.0 and +0.0 are two runs, side by side
+    st.lists(st.floats(0, 1, exclude_min=True), max_size=6).map(
+        lambda vs: step_map([-0.0, 0.0] + sorted(vs))),
+    st.integers(0, 2**32 - 1).map(lambda seed: step_map(
+        np.sort(np.random.default_rng(seed).random(1000 + seed % 500)).tolist())),
+)
+
+
+class TestSendThresholds:
+    """A block's send-threshold table answers as the arms' decide does, for
+    every type the block holds, every streak and every calibrated score the
+    block's passes can hold, at a few decide calls per block."""
+
+    TYPES = (1, 2)
+    BOUNDS = (-4, 4)
+
+    @staticmethod
+    def counted(decide, calls, arm):
+        def wrapper(ctx):
+            calls[arm] += 1
+            return decide(ctx)
+        return wrapper
+
+    @settings(max_examples=60, deadline=None)
+    @given(calibration_maps, st.data())
+    def test_table_reproduces_decide(self, cmap, data):
+        runs = cmap.run_values
+        # cutoffs at run values and just either side of them
+        near = np.concatenate([runs, np.nextafter(runs, -1.0), np.nextafter(runs, 2.0)])
+        near = near[(near >= 0.0) & (near <= 1.0)].tolist()
+        ks = HeuristicThresholds(by_type={c: data.draw(st.sampled_from(near))
+                                          for c in self.TYPES})
+        cells = data.draw(st.lists(st.sampled_from(runs.tolist() + [NEVER_SEND]),
+                                   min_size=10, max_size=10))
+        # narrower than the simulator's bounds, so decide_rl clamps streaks
+        table = PolicyTable(config=SolverConfig(streak_bounds=(-2, 2)), types=self.TYPES,
+                            thresholds=np.array(cells).reshape(2, 5))
+        decides = [partial(decide_heuristic, thresholds=ks), decide_no_filter,
+                   lambda ctx: decide_rl(ctx, table)]
+        rows = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=6)))
+        n = len(rows)
+        block = UserBlock(index=np.arange(n), rows=rows, user_type=np.array(self.TYPES)[rows],
+                          baseline=np.full(n, 0.3), raw_scores=np.zeros((n, 1)),
+                          uniforms=np.zeros((n, 2)))
+        calls = [0] * len(decides)
+        state = BlockState.start(
+            block, np.ones((len(decides), n), dtype=np.int64),
+            [self.counted(d, calls, arm) for arm, d in enumerate(decides)], runs,
+            factors=np.ones((len(self.TYPES), 9)), bounds=self.BOUNDS)
+        assert all(0 < c <= len(runs).bit_length() for c in calls), calls
+
+        lo, hi = self.BOUNDS
+        streak = np.repeat(np.arange(lo, hi + 1), len(runs))
+        score = np.tile(runs, hi - lo + 1)
+        thresholds = state.thresholds.reshape(len(decides), len(self.TYPES), hi - lo + 1)
+        for arm, decide in enumerate(decides):
+            for row, c in enumerate(self.TYPES):
+                if row not in rows:
+                    assert (thresholds[arm, row] == NEVER_SEND).all()
+                    continue
+                ctx = DecisionContext(user_type=np.full(len(score), c), streak=streak,
+                                      calibrated_score=score,
+                                      sends_today=np.zeros(len(score), dtype=np.int64),
+                                      effective_limit=np.ones(len(score), dtype=np.int64))
+                got = score >= np.repeat(thresholds[arm, row], len(runs))
+                np.testing.assert_array_equal(got, decide(ctx), err_msg=f"arm {arm} row {row}")
+                assert not decide(replace(ctx, sends_today=ctx.effective_limit)).any()
+
+        # passes read the table, not decide; none sends at the limit
+        before = list(calls)
+        best = np.full(n, runs[-1])
+        simulate_pass(state, best, bounds=self.BOUNDS, churn_rate=0.0)
+        state.sends_today[:] = state.effective_limit
+        sent, _ = simulate_pass(state, best, bounds=self.BOUNDS, churn_rate=0.0)
+        assert sent.size == 0
+        assert calls == before
+
+    def test_decide_calls_per_block_not_per_pass(self, monkeypatch):
+        """Every arm's decide is called at most ceil(log2(runs + 1)) times
+        per block, on a run with more passes than that, over three blocks."""
+        monkeypatch.setattr(sim, "BLOCK_BYTES", 24 * 12 * 20)
+        cfg = small_config(num_users=60, days=4, passes_per_day=3)
+        calibration = fit_sim_calibration(cfg)
+        bound = len(calibration.run_values).bit_length()
+        assert bound < cfg.days * cfg.passes_per_day
+        calls = [0, 0]
+        ks = HeuristicThresholds(by_type={1: 0.2, 2: 0.35})
+        treatments = [
+            Treatment("h", self.counted(partial(decide_heuristic, thresholds=ks), calls, 0),
+                      baseline=True),
+            Treatment("nf", self.counted(decide_no_filter, calls, 1)),
+        ]
+        report = run_experiment(cfg, treatments, calibration)
+        assert all(0 < c <= 3 * bound for c in calls), calls
+        assert all(r.total_sends > 0 for r in report.results)
+
+    def test_only_types_a_block_holds_reach_decide(self):
+        """A heuristic without a cutoff for a type that has no share runs; one
+        without a cutoff for a drawn type raises KeyError, as its decide does."""
+        ks = HeuristicThresholds(by_type={1: 0.2})
+        treatment = Treatment("h", partial(decide_heuristic, thresholds=ks), baseline=True)
+        cfg = small_config(type_shares={1: 1.0, 2: 0.0})
+        assert run_experiment(cfg, [treatment]).result("h").total_sends > 0
+        with pytest.raises(KeyError, match=r"no entry for user type\(s\) \[2\]"):
+            run_experiment(small_config(), [treatment], identity_map())
 
 
 class TestRunExperiment:
