@@ -15,13 +15,13 @@ loop over the records bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calibrate import CalibrationMap, apply_calibration, pav
-from .core import (DEFAULT_STREAK_BOUNDS, USER_TYPES, integral, listed, number, per_type,
-                   read_field, type_rows, validate_streak_bounds)
+from .core import (DEFAULT_STREAK_BOUNDS, USER_TYPES, integral, listed, per_type, read_field,
+                   type_rows, validate_streak_bounds)
 from .ingest import RecordSet
 
 # keeps estimated factors strictly positive even for all-ignore cells
@@ -172,21 +172,20 @@ def apply_kappa(table: FactorTable, kappa: float) -> FactorTable:
 def summarize_types(records: RecordSet,
                     calibration: CalibrationMap | None = None,
                     types: tuple[int, ...] = USER_TYPES,
-                    ) -> tuple[dict[int, float], dict[int, float]]:
-    """Per-type mean calibrated score of sent notifications and population shares.
+                    ) -> dict[int, float]:
+    """Per-type mean calibrated score of sent notifications.
 
     The mean score stands in for the open probability of a typical future
     notification for that type, which is all the solver needs about the
     score distribution. With calibration=None the raw scores are taken as
     already calibrated. Every requested type must have records; records of
-    other types are ignored. A type's share is its count of distinct users
-    over the sum of those counts.
+    other types are ignored.
     """
     if len(records) == 0:
         raise ValueError("cannot summarize an empty record set")
-    listed = np.isin(records.user_type, types)
-    rows = type_rows(types, records.user_type[listed])
-    scores = records.raw_score[listed]
+    requested = np.isin(records.user_type, types)
+    rows = type_rows(types, records.user_type[requested])
+    scores = records.raw_score[requested]
     if calibration is not None:
         scores = apply_calibration(calibration, scores)
     score_sum = np.bincount(rows, weights=scores, minlength=len(types))
@@ -194,13 +193,8 @@ def summarize_types(records: RecordSet,
     missing = [c for c, n in zip(types, score_n) if n == 0]
     if missing:
         raise ValueError(f"no records for user type(s) {missing}")
-    user_rows = np.unique(records.user[listed] * len(types) + rows) % len(types)
-    users = np.bincount(user_rows, minlength=len(types)).tolist()
-    total_users = sum(users)
-    mean_open = {c: min(max(total / n, _MEAN_OPEN_EPS), 1.0 - _MEAN_OPEN_EPS)
-                 for c, total, n in zip(types, score_sum.tolist(), score_n.tolist())}
-    shares = {c: n / total_users for c, n in zip(types, users)}
-    return mean_open, shares
+    return {c: min(max(total / n, _MEAN_OPEN_EPS), 1.0 - _MEAN_OPEN_EPS)
+            for c, total, n in zip(types, score_sum.tolist(), score_n.tolist())}
 
 
 @dataclass
@@ -209,14 +203,11 @@ class BehaviorModel:
 
     factors is the kappa-corrected table; type_mean_open is the mean
     calibrated score of sent notifications per type, a probability in
-    [0, 1]; shares record how the estimation population was distributed
-    over types.
+    [0, 1].
     """
 
     factors: FactorTable
-    kappa: float
     type_mean_open: dict[int, float]
-    type_population_share: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         bad = {c: v for c, v in self.type_mean_open.items() if not 0.0 <= v <= 1.0}
@@ -228,21 +219,15 @@ class BehaviorModel:
         return self.factors.types
 
     def to_dict(self) -> dict:
-        d = {"version": 1, "kappa": self.kappa}
+        d = {"version": 1}
         d.update(self.factors.to_dict())
         d["type_mean_open"] = {str(c): float(v) for c, v in sorted(self.type_mean_open.items())}
-        d["type_population_share"] = {str(c): float(v)
-                                      for c, v in sorted(self.type_population_share.items())}
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "BehaviorModel":
-        return cls(
-            factors=FactorTable.from_dict(d),
-            kappa=read_field(d, "kappa", number),
-            type_mean_open=read_field(d, "type_mean_open", per_type),
-            type_population_share=read_field(d, "type_population_share", per_type, default={}),
-        )
+        return cls(factors=FactorTable.from_dict(d),
+                   type_mean_open=read_field(d, "type_mean_open", per_type))
 
 
 def fit_behavior_model(records: RecordSet, kappa: float,
@@ -257,7 +242,5 @@ def fit_behavior_model(records: RecordSet, kappa: float,
     """
     raw = estimate_factors(records, bounds, types)
     projected = monotone_project(raw)
-    corrected = apply_kappa(projected, kappa)
-    mean_open, shares = summarize_types(records, calibration, types)
-    return BehaviorModel(factors=corrected, kappa=kappa,
-                         type_mean_open=mean_open, type_population_share=shares)
+    return BehaviorModel(factors=apply_kappa(projected, kappa),
+                         type_mean_open=summarize_types(records, calibration, types))

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import integral, listed, number, read_field
+from .core import listed, read_field
 from .ingest import SendLog
 
 
@@ -107,8 +107,6 @@ class CalibrationMap:
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
-    fitted_at: float = 0.0
-    window_hours: int = 24
 
     def __post_init__(self):
         if len(self.breakpoints) != len(self.values) or not self.breakpoints:
@@ -122,17 +120,9 @@ class CalibrationMap:
             raise ValueError("values must be non-decreasing")
         if any(not 0.0 <= v <= 1.0 for v in self.values):
             raise ValueError("values must lie in [0, 1]")
-        object.__setattr__(self, "window_hours", integral(self.window_hours, "window_hours"))
-        if self.window_hours <= 0:
-            raise ValueError("window_hours must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "breakpoints": list(self.breakpoints),
-            "values": list(self.values),
-            "fitted_at": self.fitted_at,
-            "window_hours": self.window_hours,
-        }
+        return {"breakpoints": list(self.breakpoints), "values": list(self.values)}
 
     # the first breakpoint of each run of equal values and that run's value,
     # as float64 arrays built once per map for the lookup; runs compare value
@@ -153,16 +143,11 @@ class CalibrationMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationMap":
-        return cls(
-            breakpoints=read_field(d, "breakpoints", listed),
-            values=read_field(d, "values", listed),
-            fitted_at=read_field(d, "fitted_at", number, default=0.0),
-            window_hours=read_field(d, "window_hours", integral, default=24),
-        )
+        return cls(breakpoints=read_field(d, "breakpoints", listed),
+                   values=read_field(d, "values", listed))
 
 
-def fit_isotonic(scores, outcomes, *, fitted_at: float = 0.0,
-                 window_hours: int = 24) -> CalibrationMap:
+def fit_isotonic(scores, outcomes) -> CalibrationMap:
     """Fit the calibration map from a column of raw scores and the column of
     their outcomes, two 1-d sequences of equal length.
 
@@ -195,8 +180,7 @@ def fit_isotonic(scores, outcomes, *, fitted_at: float = 0.0,
     # monotone fit of 0/1 outcomes stays inside [0, 1] up to float noise
     fitted = [min(max(v, 0.0), 1.0) for v in fitted]
     return CalibrationMap(breakpoints=tuple(sorted_scores[first_of_group].tolist()),
-                          values=tuple(fitted), fitted_at=fitted_at,
-                          window_hours=window_hours)
+                          values=tuple(fitted))
 
 
 def apply_calibration(cmap: CalibrationMap, raw_score):
@@ -226,5 +210,4 @@ def refresh(log: SendLog, now, window_hours: int = 24) -> CalibrationMap:
     recent = window_mask(log.timestamp, now, window_hours)
     if np.count_nonzero(recent) < 2:
         raise ValueError(f"fewer than 2 events in the {window_hours}h window ending at {now}")
-    return fit_isotonic(log.raw_score[recent], log.outcome[recent],
-                        fitted_at=float(now), window_hours=window_hours)
+    return fit_isotonic(log.raw_score[recent], log.outcome[recent])

@@ -144,8 +144,7 @@ def cmd_solve(args) -> int:
                               horizon=_resolve(args.horizon, cfg, "horizon", integral, 250))
     with _reading(f"model {args.model}", DataError):
         model = BehaviorModel.from_dict(_load_json(args.model, "model"))
-    table = solve_policy(model, dataclasses.replace(config, kappa=model.kappa,
-                                                    streak_bounds=model.factors.bounds))
+    table = solve_policy(model, dataclasses.replace(config, streak_bounds=model.factors.bounds))
 
     resolved = {"model": args.model, "gamma": config.gamma, "horizon": config.horizon}
     payload = table.to_dict()

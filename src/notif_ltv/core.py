@@ -134,14 +134,12 @@ class SolverConfig:
 
     gamma discounts future opens per decision opportunity; horizon is the
     number of remaining opportunities the backward recursion unrolls,
-    stored as an int; kappa records the causal fraction the behavior model
-    was scaled with. Thresholds are exact roots, so there is no search
+    stored as an int. Thresholds are exact roots, so there is no search
     resolution to configure.
     """
 
     gamma: float = 0.9
     horizon: int = 250
-    kappa: float = 1.0
     streak_bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS
 
     def __post_init__(self):
@@ -149,28 +147,8 @@ class SolverConfig:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         if int(self.horizon) != self.horizon or self.horizon < 1:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
-        if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError(f"kappa must be in [0, 1], got {self.kappa}")
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "streak_bounds", validate_streak_bounds(self.streak_bounds))
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "horizon": self.horizon,
-            "kappa": self.kappa,
-            "streak_bounds": list(self.streak_bounds),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverConfig":
-        return cls(
-            gamma=read_field(d, "gamma", number),
-            horizon=read_field(d, "horizon", integral),
-            kappa=read_field(d, "kappa", number, default=1.0),
-            streak_bounds=read_field(d, "streak_bounds", listed, 2, integral,
-                                     default=DEFAULT_STREAK_BOUNDS),
-        )
 
 
 @dataclass

@@ -728,15 +728,13 @@ def warmup_events(config: SimConfig) -> SendLog:
     return _events(_warmup(config), config.passes_per_day)
 
 
-def fit_sim_calibration(config: SimConfig, log: SendLog | None = None) -> CalibrationMap:
-    """Calibration fitted on the warm-up's sends (run fresh when not
-    supplied). A fresh warm-up is fitted from its columns in pass order:
-    the fit sorts scores stably and pools each tie group's 0/1 outcomes as
-    exact sums, so the map is the one its SendLog would give."""
-    if log is None:
-        *_, raw, outcome = _warmup(config)
-        return fit_isotonic(np.concatenate(raw), np.concatenate(outcome), window_hours=24)
-    return fit_isotonic(log.raw_score, log.outcome, window_hours=24)
+def fit_sim_calibration(config: SimConfig) -> CalibrationMap:
+    """Calibration fitted on a fresh warm-up's sends, from its columns in
+    pass order: the fit sorts scores stably and pools each tie group's 0/1
+    outcomes as exact sums, so the map equals the fit on the columns of
+    `warmup_events(config)`."""
+    *_, raw, outcome = _warmup(config)
+    return fit_isotonic(np.concatenate(raw), np.concatenate(outcome))
 
 
 def check_treatments(treatments: list[Treatment]) -> None:

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import BehaviorModel
-from .core import (SolverConfig, advance_streak, document, integral, listed, number, per_type,
-                   read_field, type_rows)
+from .core import (SolverConfig, advance_streak, integral, listed, number, per_type, read_field,
+                   type_rows, validate_streak_bounds)
 
 # threshold meaning "no score justifies sending"; any score compares below it
 NEVER_SEND = math.inf
@@ -133,21 +133,23 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
 
 @dataclass
 class PolicyTable:
-    """Solved send thresholds per (user type, streak), plus the config used.
+    """Solved send thresholds per (user type, streak).
 
-    thresholds has shape (len(types), n_streaks) and holds calibrated scores
-    in [0, 1]; math.inf (NEVER_SEND) marks cells where sending is never
-    worthwhile. Anything else, NaN included, is rejected.
+    thresholds has shape (len(types), n_streaks), column j holding streak
+    bounds[0] + j as in `FactorTable`. It holds calibrated scores in [0, 1];
+    math.inf (NEVER_SEND) marks cells where sending is never worthwhile.
+    Anything else, NaN included, is rejected.
     """
 
-    config: SolverConfig
+    bounds: tuple[int, int]
     types: tuple[int, ...]
     thresholds: np.ndarray
 
     def __post_init__(self):
+        self.bounds = validate_streak_bounds(self.bounds)
         self.types = tuple(int(c) for c in self.types)
         self.thresholds = np.asarray(self.thresholds, dtype=float)
-        lo, hi = self.config.streak_bounds
+        lo, hi = self.bounds
         shape = (len(self.types), hi - lo + 1)
         if self.thresholds.shape != shape:
             raise ValueError(f"thresholds must have shape {shape}")
@@ -162,16 +164,14 @@ class PolicyTable:
         array; one (type, streak) pair gives a numpy float. A type without a
         row raises KeyError.
         """
-        lo, hi = self.config.streak_bounds
+        lo, hi = self.bounds
         return self.thresholds[type_rows(self.types, user_type), np.clip(streak, lo, hi) - lo]
 
     def to_dict(self) -> dict:
-        lo, hi = self.config.streak_bounds
         return {
             "version": 1,
-            "config": self.config.to_dict(),
             "types": list(self.types),
-            "streak_bounds": [lo, hi],
+            "streak_bounds": list(self.bounds),
             "thresholds": {
                 str(c): [None if math.isinf(v) else float(v) for v in self.thresholds[i]]
                 for i, c in enumerate(self.types)
@@ -180,23 +180,20 @@ class PolicyTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PolicyTable":
-        config = SolverConfig.from_dict(read_field(d, "config", document))
-        lo, hi = config.streak_bounds
-        if read_field(d, "streak_bounds", listed, 2, integral) != (lo, hi):
-            raise ValueError(f"streak_bounds must match config.streak_bounds {[lo, hi]}")
+        lo, hi = validate_streak_bounds(read_field(d, "streak_bounds", listed, 2, integral))
         types = read_field(d, "types", listed, None, integral)
         rows = read_field(d, "thresholds", per_type, listed, hi - lo + 1,
                           lambda v, name: NEVER_SEND if v is None else number(v, name))
         if sorted(rows) != sorted(types):
             raise ValueError(f"thresholds need one row per type in types {list(types)}")
-        return cls(config=config, types=types,
+        return cls(bounds=(lo, hi), types=types,
                    thresholds=np.array([rows[c] for c in types], dtype=float))
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["user_type", "streak", "threshold"])
-        lo, hi = self.config.streak_bounds
+        lo, hi = self.bounds
         for i, c in enumerate(self.types):
             for s in range(lo, hi + 1):
                 v = self.thresholds[i, s - lo]
@@ -228,4 +225,4 @@ def solve_policy(model: BehaviorModel, config: SolverConfig) -> PolicyTable:
     np.divide(gamma * (values - v_down), slope, out=thresholds, where=root)
     # rounding can push the root a hair past 1, where sending already wins
     np.minimum(thresholds, 1.0, out=thresholds, where=root)
-    return PolicyTable(config=config, types=model.types, thresholds=thresholds)
+    return PolicyTable(bounds=config.streak_bounds, types=model.types, thresholds=thresholds)

@@ -46,7 +46,7 @@ def main(path) -> int:
     failed = False
     for gamma in GAMMAS:
         for horizon in HORIZONS:
-            config = SolverConfig(gamma=gamma, horizon=horizon, kappa=model.kappa,
+            config = SolverConfig(gamma=gamma, horizon=horizon,
                                   streak_bounds=model.factors.bounds)
             found = differences(model, config)
             failed |= bool(found)

@@ -8,7 +8,7 @@ import pytest
 from notif_ltv import BehaviorModel, FactorTable
 
 
-def make_model(factor_map, ybar, bounds, types=(1,), kappa=1.0):
+def make_model(factor_map, ybar, bounds, types=(1,)):
     """Build a BehaviorModel from plain dicts for solver tests.
 
     factor_map: {(type, streak): factor}; missing cells default to 1.
@@ -25,9 +25,7 @@ def make_model(factor_map, ybar, bounds, types=(1,), kappa=1.0):
         mean_open = dict(ybar)
     else:
         mean_open = {c: float(ybar) for c in types}
-    share = 1.0 / len(types)
-    return BehaviorModel(factors=table, kappa=kappa, type_mean_open=mean_open,
-                         type_population_share={c: share for c in types})
+    return BehaviorModel(factors=table, type_mean_open=mean_open)
 
 
 @pytest.fixture

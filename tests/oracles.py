@@ -204,7 +204,7 @@ def calibration_oracle(cmap, raw_score):
 
 def threshold_cells(table):
     """A policy table as a dict {(user_type, streak): threshold}."""
-    lo, _ = table.config.streak_bounds
+    lo, _ = table.bounds
     return {(c, lo + j): t for c, row in zip(table.types, table.thresholds.tolist())
             for j, t in enumerate(row)}
 

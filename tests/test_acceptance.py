@@ -21,7 +21,6 @@ from notif_ltv import (
     SimConfig,
     SolverConfig,
     Treatment,
-    advance_streak,
     apply_calibration,
     apply_kappa,
     build_dataset,
@@ -30,10 +29,8 @@ from notif_ltv import (
     decide_rl,
     estimate_factors,
     fit_isotonic,
-    fit_sim_calibration,
     monotone_project,
     q_send,
-    read_log,
     run_experiment,
     solve_policy,
     state_values,
@@ -68,9 +65,8 @@ def test_c1_myopic_reductions_give_all_zero_tables():
     table_gamma0 = solve_policy(model, cfg)
     assert np.all(table_gamma0.thresholds == 0.0)
 
-    neutral = BehaviorModel(factors=apply_kappa(model.factors, 0.0), kappa=0.0,
-                            type_mean_open=model.type_mean_open,
-                            type_population_share=model.type_population_share)
+    neutral = BehaviorModel(factors=apply_kappa(model.factors, 0.0),
+                            type_mean_open=model.type_mean_open)
     table_kappa0 = solve_policy(
         neutral, SolverConfig(gamma=0.9, horizon=250, streak_bounds=(-15, 15)))
     assert np.all(table_kappa0.thresholds == 0.0)
@@ -291,17 +287,14 @@ def directional_run():
         master_seed=2024, gamma=0.9, calibration_days=2,
     )
     log = warmup_events(config)
-    calibration = fit_sim_calibration(config, log)
+    calibration = fit_isotonic(log.raw_score, log.outcome)
     calibrated = apply_calibration(calibration, log.raw_score)
     scores = {c: calibrated[log.user_type == c] for c in ALL_TYPES}
     ybar = {c: float(np.mean(scores[c])) for c in ALL_TYPES}
 
     model = BehaviorModel(factors=apply_kappa(config.true_factors, config.kappa_true),
-                          kappa=config.kappa_true, type_mean_open=ybar,
-                          type_population_share={c: 1 / 6 for c in ALL_TYPES})
-    table = solve_policy(model, SolverConfig(gamma=0.9, horizon=250,
-                                             kappa=config.kappa_true,
-                                             streak_bounds=(-15, 15)))
+                          type_mean_open=ybar)
+    table = solve_policy(model, SolverConfig(gamma=0.9, horizon=250, streak_bounds=(-15, 15)))
     # heuristic cutoffs tuned the way production cutoffs are: to pass a
     # target share of candidate scores (here the bottom 4 percent per type)
     ks = HeuristicThresholds(by_type={c: float(np.quantile(scores[c], 0.04))

@@ -262,18 +262,12 @@ class TestSummarizeTypes:
     def test_mean_of_calibrated_scores(self):
         cmap = CalibrationMap(breakpoints=(0.0, 0.5), values=(0.2, 0.4))
         records = [rec(score=0.1), rec(score=0.7)]  # calibrate to 0.2, 0.4
-        mean_open, _ = summarize_types(columns(records), cmap, types=(1,))
+        mean_open = summarize_types(columns(records), cmap, types=(1,))
         assert mean_open[1] == pytest.approx(0.3)
-
-    def test_population_shares_count_distinct_users(self):
-        records = [rec(uid="a", utype=1), rec(uid="a", utype=1), rec(uid="b", utype=1),
-                   rec(uid="c", utype=1), rec(uid="d", utype=2)]
-        _, shares = summarize_types(columns(records), types=(1, 2))
-        assert shares == {1: 0.75, 2: 0.25}
 
     def test_identity_calibration_uses_raw_scores(self):
         records = [rec(score=0.1)] * 3
-        mean_open, _ = summarize_types(columns(records), None, types=(1,))
+        mean_open = summarize_types(columns(records), None, types=(1,))
         assert mean_open[1] == pytest.approx(0.1)
 
     def test_missing_type_reported(self):
@@ -287,7 +281,7 @@ class TestSummarizeTypes:
 
 def test_column_sums_equal_a_loop_over_the_records():
     """estimate_factors and summarize_types add in record order, so every
-    factor, count, mean and share equals a plain loop's bit for bit."""
+    factor, count and mean equals a plain loop's bit for bit."""
     rng = np.random.default_rng(8)
     records = [rec(uid=f"u{rng.integers(0, 400)}", utype=int(rng.integers(1, 7)),
                    streak=int(rng.integers(-4, 5)), outcome=int(rng.random() < 0.3),
@@ -295,7 +289,7 @@ def test_column_sums_equal_a_loop_over_the_records():
                for _ in range(6000)]
     cmap = CalibrationMap(breakpoints=tuple(np.linspace(0.0, 0.9, 40).tolist()),
                           values=tuple(np.linspace(0.02, 0.8, 40).tolist()))
-    opens, expected, counts, score_sum, score_n, users = {}, {}, {}, {}, {}, {}
+    opens, expected, counts, score_sum, score_n = {}, {}, {}, {}, {}
     for r in records:
         cell = (r.user_type, r.streak)
         opens[cell] = opens.get(cell, 0.0) + r.outcome
@@ -304,18 +298,15 @@ def test_column_sums_equal_a_loop_over_the_records():
         score_sum[r.user_type] = score_sum.get(r.user_type, 0.0) \
             + apply_calibration(cmap, r.raw_score)
         score_n[r.user_type] = score_n.get(r.user_type, 0) + 1
-        users.setdefault(r.user_type, set()).add(r.user_id)
 
     table = estimate_factors(columns(records), bounds=(-4, 4))
     for (c, s), n in counts.items():
         assert table.count(c, s) == n
         if s != 0:
             assert table.factor(c, s) == max(opens[c, s] / expected[c, s], 1e-12)
-    mean_open, shares = summarize_types(columns(records), cmap)
-    total_users = sum(len(u) for u in users.values())
+    mean_open = summarize_types(columns(records), cmap)
     for c in range(1, 7):
         assert mean_open[c] == score_sum[c] / score_n[c]
-        assert shares[c] == len(users[c]) / total_users
 
 
 class TestBehaviorModel:
@@ -329,8 +320,6 @@ class TestBehaviorModel:
                                    outcome=int(rng.random() < 0.4),
                                    baseline=0.4, score=float(rng.random())))
         model = fit_behavior_model(columns(records), kappa=0.3, bounds=(-5, 5))
-        assert model.kappa == 0.3
-        assert sum(model.type_population_share.values()) == pytest.approx(1.0)
         loaded = type(model).from_dict(json.loads(json.dumps(model.to_dict())))
         assert np.array_equal(loaded.factors.factors, model.factors.factors)
         assert loaded.type_mean_open == model.type_mean_open

@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import notif_ltv
-from notif_ltv import (NEVER_SEND, BehaviorModel, CalibrationMap, PolicyTable, SolverConfig,
-                       ramp_factor_table)
+from notif_ltv import NEVER_SEND, BehaviorModel, CalibrationMap, PolicyTable, ramp_factor_table
 from notif_ltv.cli import main
 
 # an integer that no float can hold
@@ -51,7 +50,7 @@ class TestFit:
         out = tmp_path / "model.json"
         assert run(["fit", send_log, "--kappa", "0.2", "--out", out]) == 0
         doc = json.loads(out.read_text())
-        assert doc["kappa"] == 0.2
+        assert doc["provenance"]["config"]["kappa"] == 0.2
         assert set(doc["type_mean_open"]) == {"1", "2", "3", "4", "5", "6"}
         assert "provenance" in doc
         assert "cells populated" in capsys.readouterr().out
@@ -131,7 +130,7 @@ class TestSolve:
         assert run(["solve", model_path, "--gamma", "0.9", "--horizon", "60",
                     "--out", out]) == 0
         doc = json.loads(out.read_text())
-        assert doc["config"]["gamma"] == 0.9
+        assert doc["provenance"]["config"]["gamma"] == 0.9
         csv_lines = (tmp_path / "policy.csv").read_text().strip().split("\n")
         assert len(csv_lines) == 1 + 6 * 31
         assert "thresholds in" in capsys.readouterr().out
@@ -377,8 +376,7 @@ class TestSimulate:
         assert not out_dir.exists()
 
     def test_rl_table_outside_unit_interval_is_data_error(self, sim_config_path, tmp_path):
-        table = PolicyTable(config=SolverConfig(streak_bounds=(-4, 4)), types=(1, 2),
-                            thresholds=np.full((2, 9), 0.3))
+        table = PolicyTable(bounds=(-4, 4), types=(1, 2), thresholds=np.full((2, 9), 0.3))
         doc = table.to_dict()
         doc["thresholds"]["1"][:3] = [math.nan, -0.5, 7.0]
         (tmp_path / "policy.json").write_text(json.dumps(doc))
@@ -411,8 +409,7 @@ class TestSimulate:
 
     def test_rl_table_missing_a_drawn_type_is_data_error(self, sim_config_path, tmp_path,
                                                          capsys):
-        table = PolicyTable(config=SolverConfig(streak_bounds=(-4, 4)), types=(1,),
-                            thresholds=np.full((1, 9), 0.3))
+        table = PolicyTable(bounds=(-4, 4), types=(1,), thresholds=np.full((1, 9), 0.3))
         policy_path = tmp_path / "policy.json"
         policy_path.write_text(json.dumps(table.to_dict()))
         rl = tmp_path / "rl.json"
@@ -554,7 +551,10 @@ class TestSimulate:
 
 
 def test_full_pipeline_round_trip(tmp_path):
-    """simulate (emit log) -> calibrate -> fit -> solve -> simulate with rl."""
+    """simulate (emit log) -> calibrate -> fit -> solve -> simulate with rl.
+
+    Each artifact holds exactly what a later stage reads, plus `provenance`,
+    whose `config` records the parameters the stage ran with."""
     sim_cfg = tmp_path / "sim.json"
     sim_cfg.write_text(json.dumps({
         "num_users": 120, "days": 8, "passes_per_day": 2, "master_seed": 31,
@@ -574,17 +574,27 @@ def test_full_pipeline_round_trip(tmp_path):
                 "--out-dir", warm_dir, "--emit-log"]) == 0
     log = warm_dir / "events_no_filter.jsonl"
 
+    def artifact(path, keys, **config):
+        doc = json.loads(path.read_text())
+        assert set(doc) == set(keys) | {"provenance"}
+        assert {key: doc["provenance"]["config"][key] for key in config} == config
+        return doc
+
     cal = tmp_path / "cal.json"
     assert run(["calibrate", log, "--now", str(8 * 86400),
                 "--window-hours", str(8 * 24), "--out", cal]) == 0
+    artifact(cal, {"breakpoints", "values"}, now=8 * 86400, window_hours=8 * 24)
 
     model = tmp_path / "model.json"
     assert run(["fit", log, "--kappa", "0.4", "--min-samples", "4",
                 "--calibration", cal, "--out", model]) == 0
+    artifact(model, {"version", "streak_bounds", "types", "factors", "counts",
+                     "type_mean_open"}, kappa=0.4)
 
     table = tmp_path / "policy.json"
     assert run(["solve", model, "--gamma", "0.9", "--horizon", "80",
                 "--out", table]) == 0
+    artifact(table, {"version", "streak_bounds", "types", "thresholds"}, gamma=0.9, horizon=80)
 
     treatments = tmp_path / "treatments.json"
     treatments.write_text(json.dumps([
@@ -595,7 +605,8 @@ def test_full_pipeline_round_trip(tmp_path):
     out_dir = tmp_path / "exp"
     assert run(["simulate", "--sim-config", sim_cfg, "--treatments", treatments,
                 "--out-dir", out_dir]) == 0
-    report = json.loads((out_dir / "report.json").read_text())
+    report = artifact(out_dir / "report.json",
+                      {"version", "baseline", "treatments", "per_type", "config"}, seed=31)
     assert {t["name"] for t in report["treatments"]} == {"heuristic", "rl"}
 
 
@@ -623,13 +634,11 @@ TREATMENTS = [
     {"name": "no_filter", "policy": "no_filter", "limit_adjustment": 1},
     {"name": "rl", "policy": "rl", "table_path": "policy.json"},
 ]
-POLICY = PolicyTable(config=SolverConfig(horizon=60, streak_bounds=(-2, 2)), types=(1, 2),
+POLICY = PolicyTable(bounds=(-2, 2), types=(1, 2),
                      thresholds=[[0.1, 0.2, 0.3, 0.4, NEVER_SEND]] * 2).to_dict()
 MODEL = BehaviorModel(factors=ramp_factor_table((-2, 2), {1: (0.7, 1.2), 2: (0.8, 1.1)}),
-                      kappa=0.4, type_mean_open={1: 0.3, 2: 0.4},
-                      type_population_share={1: 0.5, 2: 0.5}).to_dict()
-CALIBRATION = CalibrationMap(breakpoints=(0.1, 0.5), values=(0.2, 0.6), fitted_at=3600.0,
-                             window_hours=24).to_dict()
+                      type_mean_open={1: 0.3, 2: 0.4}).to_dict()
+CALIBRATION = CalibrationMap(breakpoints=(0.1, 0.5), values=(0.2, 0.6)).to_dict()
 VALID = {"sim.json": SIM_CONFIG, "treatments.json": TREATMENTS, "policy.json": POLICY,
          "fit.json": {"kappa": 0.2, "min_samples": 10}, "cal.json": CALIBRATION,
          "solve.json": {"gamma": 0.9, "horizon": 60}, "model.json": MODEL,
@@ -767,3 +776,38 @@ def test_undecodable_json_is_one_error_line_naming_the_file(mutation_log, label,
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: invalid JSON in "), err
     assert os.path.join(tmp, file_name) in lines[0]
+
+
+# Each artifact as earlier versions wrote it, with keys that no reader reads
+# any more, next to the document the current version writes for it.
+LEGACY = {
+    "policy": (PolicyTable, {**POLICY, "config": {
+        "gamma": 0.9, "horizon": 60, "kappa": 0.4, "streak_bounds": [-2, 2],
+        "threshold_tolerance": 1e-6}}, POLICY),
+    "model": (BehaviorModel, {**MODEL, "kappa": 0.4,
+                              "type_population_share": {"1": 0.5, "2": 0.5}}, MODEL),
+    "calibration": (CalibrationMap, {**CALIBRATION, "fitted_at": 3600.0, "window_hours": 24},
+                    CALIBRATION),
+}
+
+
+@pytest.mark.parametrize("kind", LEGACY)
+def test_legacy_artifact_keys_still_load(kind):
+    cls, old, new = LEGACY[kind]
+    assert cls.from_dict(old).to_dict() == cls.from_dict(new).to_dict() == new
+
+
+def test_legacy_policy_file_simulates_as_the_current_one(tmp_path, monkeypatch):
+    reports = []
+    for name, policy in (("old", LEGACY["policy"][1]), ("new", POLICY)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        for file_name, doc in (("sim.json", SIM_CONFIG), ("treatments.json", TREATMENTS),
+                               ("policy.json", policy)):
+            with open(file_name, "w") as fh:
+                json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(SIMULATE) == 0
+        with open(os.path.join("out", "report.json"), "rb") as fh:
+            reports.append(fh.read())
+    assert reports[0] == reports[1]

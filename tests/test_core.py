@@ -82,8 +82,6 @@ class TestSolverConfig:
         {"gamma": 1.0},
         {"gamma": -0.1},
         {"horizon": 0},
-        {"kappa": 1.5},
-        {"kappa": -0.2},
         {"horizon": 2.5},
         {"streak_bounds": (0, 15)},
         {"streak_bounds": (-15, 0)},
@@ -95,11 +93,6 @@ class TestSolverConfig:
     def test_integral_float_horizon_is_stored_as_int(self):
         cfg = SolverConfig(horizon=5.0)
         assert cfg.horizon == 5 and type(cfg.horizon) is int
-
-    def test_from_dict_rejects_fractional_horizon(self):
-        with pytest.raises(ValueError, match="horizon"):
-            SolverConfig.from_dict({"gamma": 0.9, "horizon": 2.5})
-        assert SolverConfig.from_dict({"gamma": 0.9, "horizon": 5.0}).horizon == 5
 
 
 class TestSendLimitConfig:

@@ -11,7 +11,6 @@ from notif_ltv import (
     DecisionContext,
     HeuristicThresholds,
     PolicyTable,
-    SolverConfig,
     decide_heuristic,
     decide_no_filter,
     decide_rl,
@@ -25,9 +24,8 @@ def ctx(utype=1, streak=0, score=0.5, sends=0, limit=3):
 
 
 def table_with(threshold_value, bounds=(-15, 15), types=(1,)):
-    cfg = SolverConfig(streak_bounds=bounds)
     n = bounds[1] - bounds[0] + 1
-    return PolicyTable(config=cfg, types=types,
+    return PolicyTable(bounds=bounds, types=types,
                        thresholds=np.full((len(types), n), threshold_value))
 
 
@@ -118,7 +116,7 @@ def test_all_policies_respect_send_limit(scores, limit):
 
 # table over streaks -3..3 for types 1 and 2, with never-send cells
 ARRAY_TABLE = PolicyTable(
-    config=SolverConfig(streak_bounds=(-3, 3)), types=(1, 2),
+    bounds=(-3, 3), types=(1, 2),
     thresholds=np.array([[NEVER_SEND, 0.7, 0.5, 0.3, 0.2, 0.1, 0.0],
                          [NEVER_SEND, NEVER_SEND, 0.9, 0.6, 0.4, 0.25, 0.25]]))
 ARRAY_KS = HeuristicThresholds(by_type={1: 0.3, 2: 0.6})
@@ -135,7 +133,7 @@ def test_array_contexts_match_elementwise_scalar_calls(rows):
     block = DecisionContext(user_type=types, streak=streaks, calibrated_score=scores,
                             sends_today=sends, effective_limit=limits)
     cells = threshold_cells(ARRAY_TABLE)
-    bounds = ARRAY_TABLE.config.streak_bounds
+    bounds = ARRAY_TABLE.bounds
     for decide, want in (
             (decide_no_filter, decide_oracle),
             (partial(decide_heuristic, thresholds=ARRAY_KS),

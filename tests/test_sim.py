@@ -17,7 +17,6 @@ from notif_ltv import (
     PolicyTable,
     SendLimitConfig,
     SimConfig,
-    SolverConfig,
     Treatment,
     decide_heuristic,
     decide_no_filter,
@@ -291,7 +290,7 @@ class TestSendThresholds:
         cells = data.draw(st.lists(st.sampled_from(runs.tolist() + [NEVER_SEND]),
                                    min_size=10, max_size=10))
         # narrower than the simulator's bounds, so decide_rl clamps streaks
-        table = PolicyTable(config=SolverConfig(streak_bounds=(-2, 2)), types=self.TYPES,
+        table = PolicyTable(bounds=(-2, 2), types=self.TYPES,
                             thresholds=np.array(cells).reshape(2, 5))
         decides = [partial(decide_heuristic, thresholds=ks), decide_no_filter,
                    lambda ctx: decide_rl(ctx, table)]
@@ -524,7 +523,7 @@ def test_arms_do_not_interact(monkeypatch, budget):
                        send_limits=SendLimitConfig(limits={1: 2, 2: 3}))
     thresholds = np.random.default_rng(5).uniform(0.0, 0.6, size=(2, 5))
     thresholds[1, :2] = NEVER_SEND
-    table = PolicyTable(config=SolverConfig(streak_bounds=(-2, 2)), types=(1, 2),
+    table = PolicyTable(bounds=(-2, 2), types=(1, 2),
                         thresholds=thresholds)
     ks = HeuristicThresholds(by_type={1: 0.2, 2: 0.35})
     treatments = [
@@ -557,7 +556,7 @@ def test_array_simulator_matches_scalar_oracle(monkeypatch):
                        churn_rate=0.15, send_limits=SendLimitConfig(limits={1: 1, 2: 3}))
     thresholds = np.random.default_rng(5).uniform(0.0, 0.6, size=(2, 5))
     thresholds[1, :2] = NEVER_SEND  # type 2 stops after any ignore
-    table = PolicyTable(config=SolverConfig(streak_bounds=(-2, 2)), types=(1, 2),
+    table = PolicyTable(bounds=(-2, 2), types=(1, 2),
                         thresholds=thresholds)
     ks = HeuristicThresholds(by_type={1: 0.2, 2: 0.35})
     treatments = [
@@ -567,8 +566,7 @@ def test_array_simulator_matches_scalar_oracle(monkeypatch):
         Treatment("rl", partial(decide_rl, table=table)),
     ]
     warmup = warmup_events_oracle(cfg)
-    calibration = fit_isotonic([e.raw_score for e in warmup], [e.outcome for e in warmup],
-                               window_hours=24)
+    calibration = fit_isotonic([e.raw_score for e in warmup], [e.outcome for e in warmup])
     want = run_experiment_oracle(cfg, treatments, calibration, keep_events=True)
 
     sizes = {}  # passes -> block sizes, in the order drawn

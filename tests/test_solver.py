@@ -226,9 +226,8 @@ class TestSolvePolicy:
 
 class TestPolicyTable:
     def make_table(self):
-        cfg = SolverConfig(streak_bounds=(-2, 2))
         thresholds = np.array([[0.1, 0.2, 0.3, 0.4, NEVER_SEND]])
-        return PolicyTable(config=cfg, types=(1,), thresholds=thresholds)
+        return PolicyTable(bounds=(-2, 2), types=(1,), thresholds=thresholds)
 
     def test_lookup_clamps_streak(self):
         table = self.make_table()
@@ -240,21 +239,13 @@ class TestPolicyTable:
         table = self.make_table()
         loaded = PolicyTable.from_dict(json.loads(json.dumps(table.to_dict())))
         assert np.array_equal(loaded.thresholds, table.thresholds)
-        assert loaded.config == table.config
+        assert loaded.bounds == table.bounds
 
     @pytest.mark.parametrize("bad", [math.nan, -0.5, 7.0, -math.inf])
     def test_rejects_values_outside_unit_interval_or_never_send(self, bad):
         thresholds = np.array([[0.1, 0.2, bad, 0.4, NEVER_SEND]])
         with pytest.raises(ValueError):
-            PolicyTable(config=SolverConfig(streak_bounds=(-2, 2)), types=(1,),
-                        thresholds=thresholds)
-
-    def test_legacy_threshold_tolerance_key_still_loads(self):
-        doc = self.make_table().to_dict()
-        doc["config"]["threshold_tolerance"] = 1e-6
-        loaded = PolicyTable.from_dict(doc)
-        assert loaded.config == self.make_table().config
-        assert np.array_equal(loaded.thresholds, self.make_table().thresholds)
+            PolicyTable(bounds=(-2, 2), types=(1,), thresholds=thresholds)
 
     def test_csv_has_row_per_cell(self):
         text = self.make_table().to_csv_text()
