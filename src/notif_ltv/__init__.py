@@ -26,6 +26,7 @@ from .core import (
 )
 from .ingest import LogParseError, RecordSet, SendLog, build_dataset, read_log
 from .policy import (
+    NO_FILTER,
     DecisionContext,
     HeuristicThresholds,
     decide_heuristic,
@@ -59,7 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BehaviorModel", "BlockState", "CalibrationMap", "DecisionContext", "DEFAULT_STREAK_BOUNDS",
     "ExperimentReport", "FactorTable", "HeuristicThresholds",
-    "LogParseError", "NEVER_SEND",
+    "LogParseError", "NEVER_SEND", "NO_FILTER",
     "PolicyTable", "RecordSet", "SendLimitConfig", "SendLog", "SimConfig",
     "SolverConfig", "Treatment", "TreatmentResult", "USER_TYPES", "UserBlock",
     "advance_streak", "apply_calibration", "apply_kappa", "build_dataset",

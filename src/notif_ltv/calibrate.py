@@ -135,12 +135,6 @@ class CalibrationMap:
         first = np.concatenate(([True], bits[1:] != bits[:-1]))
         return np.asarray(self.breakpoints, dtype=float)[first], values[first]
 
-    @property
-    def run_values(self) -> np.ndarray:
-        """Every value `apply_calibration` can return, ascending: one per run
-        of equal values, -0.0 and +0.0 apart."""
-        return self._runs[1]
-
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationMap":
         return cls(breakpoints=read_field(d, "breakpoints", listed),

@@ -28,9 +28,8 @@ from .behavior import BehaviorModel, fit_behavior_model
 from .calibrate import CalibrationMap, refresh, window_mask
 from .core import SolverConfig, document, flag, integral, listed, number, read_field, text
 from .ingest import DEFAULT_MIN_SAMPLES, LogParseError, read_log, build_dataset
-# Treatments bind the policy module's functions, not these names: perfbench's
-# tracer wraps the names imported here and truth-tests each result, and the
-# simulator's decisions are arrays with no truth value.
+# A treatment is a table, so nothing here calls a decide_* function; only
+# perfbench's tracer reads those names, wrapping each one imported here.
 from .policy import (HeuristicThresholds, decide_heuristic, decide_no_filter,  # noqa: F401
                      decide_rl)
 from .sim import SimConfig, Treatment, check_treatments, run_experiment
@@ -211,22 +210,21 @@ def _build_treatment(entry: dict, base_dir: str, types: list[int]) -> Treatment:
                          "it holds '/' or NUL")
     kind = read_field(entry, "policy", text)
     if kind == "no_filter":
-        decide = policy.decide_no_filter
+        table = policy.NO_FILTER
     elif kind == "heuristic":
         ks = HeuristicThresholds.from_dict(read_field(entry, "thresholds", document))
         _cover(types, ks.by_type)
-        decide = functools.partial(policy.decide_heuristic, thresholds=ks)
+        table = ks.table
     elif kind == "rl":
         # join keeps an absolute table_path as it is
         path = os.path.join(base_dir, read_field(entry, "table_path", text))
         with _reading(f"policy table {path}", DataError):
             table = PolicyTable.from_dict(_load_json(path, "policy table"))
             _cover(types, table.types)
-        decide = functools.partial(policy.decide_rl, table=table)
     else:
         raise ValueError(f"treatment {name!r}: unknown policy {kind!r} "
                          "(expected no_filter, heuristic, or rl)")
-    return Treatment(name=name, decide=decide,
+    return Treatment(name=name, table=table,
                      limit_adjustment=read_field(entry, "limit_adjustment", integral, default=0),
                      baseline=read_field(entry, "baseline", flag, default=False))
 

@@ -113,9 +113,14 @@ def type_rows(types: tuple[int, ...], user_type):
     """
     user_type = np.asarray(user_type)
     keys = np.asarray(types)
-    rows = (user_type[..., None] == keys).argmax(axis=-1)
-    if not (keys[rows] == user_type).all():
-        absent = sorted(set(user_type[keys[rows] != user_type].tolist()))
+    if keys.size:
+        rows = (user_type[..., None] == keys).argmax(axis=-1)
+        known = keys[rows] == user_type
+    else:  # argmax cannot reduce an empty axis, and no type has a position
+        rows = np.zeros(user_type.shape, dtype=np.intp)
+        known = np.zeros(user_type.shape, dtype=bool)
+    if not known.all():
+        absent = sorted(set(user_type[~known].tolist()))
         raise KeyError(f"no entry for user type(s) {absent}")
     return rows
 

@@ -9,24 +9,21 @@ A context holds a block of candidates, one per user, as equal-length array
 fields, and a policy answers a boolean mask. Each policy is one numpy
 expression, so a context with scalar fields, one candidate, gets a numpy
 bool.
-
-Every policy here is a threshold rule, elementwise over the block: for a
-fixed type and streak, if it sends at one calibrated score it sends at
-every higher one, and sends today and the effective limit enter only
-through `sends_today < effective_limit`. The simulator relies on that: it
-calls a policy on a grid of (type, streak, score) cells once per block of
-users and tabulates the smallest score that sends, instead of calling it
-every pass. A policy added here must keep to that contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import per_type, type_rows, validate_user_type
-from .solver import PolicyTable
+from .core import USER_TYPES, per_type, validate_user_type
+from .solver import NEVER_SEND, PolicyTable
+
+# the no-filter policy as a table: every calibrated score reaches 0
+NO_FILTER = PolicyTable(bounds=(-1, 1), types=USER_TYPES,
+                        thresholds=np.zeros((len(USER_TYPES), 3)))
 
 
 @dataclass(frozen=True)
@@ -41,9 +38,16 @@ class HeuristicThresholds:
             if not 0.0 <= k <= 1.0:
                 raise ValueError(f"threshold for type {c} must be in [0, 1], got {k}")
 
-    def k(self, user_type):
-        """Cutoff of each user type, elementwise; a type without one raises KeyError."""
-        return np.array(list(self.by_type.values()))[type_rows(tuple(self.by_type), user_type)]
+    @cached_property
+    def table(self) -> PolicyTable:
+        """The cutoffs as a table, one row per type and the same threshold at
+        every streak: the smallest float above k, so that for any float score
+        `score >= threshold` is `score > k`, or NEVER_SEND where k = 1, which
+        no score in [0, 1] reaches."""
+        ks = np.array(list(self.by_type.values()), dtype=float).reshape(-1, 1)
+        above = np.where(ks < 1.0, np.nextafter(ks, 2.0), NEVER_SEND)
+        return PolicyTable(bounds=(-1, 1), types=tuple(self.by_type),
+                           thresholds=np.repeat(above, 3, axis=1))
 
     @classmethod
     def from_dict(cls, d: dict) -> "HeuristicThresholds":
@@ -73,7 +77,7 @@ def decide_no_filter(ctx: DecisionContext):
 
 def decide_heuristic(ctx: DecisionContext, thresholds: HeuristicThresholds):
     """Send when the calibrated score strictly exceeds the type's cutoff."""
-    return _under_limit(ctx) & (ctx.calibrated_score > thresholds.k(ctx.user_type))
+    return decide_rl(ctx, thresholds.table)
 
 
 def decide_rl(ctx: DecisionContext, table: PolicyTable):

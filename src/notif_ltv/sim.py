@@ -27,17 +27,10 @@ step the block together one pass at a time (`simulate_pass`): streak, sends
 today, reachability and the stream cursor are one (arms, users) array each,
 and outcomes and churn resolve in one step over every arm's sends.
 
-A treatment's `decide` is called a few times per block, never per pass: its
-answers are tabulated as a send threshold per (arm, type, streak), and each
-pass decides every arm with one gather from that table and one compare.
-That holds because a calibrated score is always one of the calibration
-map's run values and `decide` must be a threshold rule, elementwise over
-the block: for a fixed type and streak, if it sends at one calibrated score
-it sends at every higher one, and sends today and the effective limit
-enter only through `sends_today < effective_limit`. `decide_no_filter`,
-`decide_heuristic` (score > k) and `decide_rl` (score >= threshold) are
-such rules. A rule reading the score's value cannot tell -0.0 from +0.0,
-so comparing values against the table is exact.
+A treatment's policy is a `PolicyTable`, one send threshold per (type,
+streak). Each block looks up every arm's thresholds once into one (arm,
+type, streak) array, and each pass decides every arm with one gather from
+that array and one compare.
 
 A population is a `UserBlock` (`generate_population` draws every user as
 one block), and the sends of the calibration warm-up and of each kept arm
@@ -54,7 +47,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
-from typing import Callable
 
 import numpy as np
 
@@ -64,11 +56,9 @@ from .calibrate import CalibrationMap, apply_calibration, fit_isotonic
 from .core import (SendLimitConfig, advance_streak, document, integral, listed, number, per_type,
                    read_field, validate_streak_bounds)
 from .ingest import SendLog
-# The warm-up calls policy.decide_no_filter, not this name: perfbench's tracer
-# wraps the name imported here and truth-tests each result, and a block's
-# decision is an array with no truth value.
-from .policy import DecisionContext, decide_no_filter  # noqa: F401
-from .solver import NEVER_SEND
+# The simulator calls no decide_* function; perfbench's tracer wraps this name.
+from .policy import decide_no_filter  # noqa: F401
+from .solver import NEVER_SEND, PolicyTable
 
 SECONDS_PER_DAY = 86400
 
@@ -220,18 +210,13 @@ class SimConfig:
 class Treatment:
     """A named policy arm; exactly one treatment must be the baseline.
 
-    decide is called with a DecisionContext whose fields are arrays over a
-    block of users and returns a boolean mask: combine conditions with & or
-    numpy, not `and`. It must be a threshold rule, elementwise over the
-    block: for a fixed type and streak, if it sends at one calibrated score
-    it sends at every higher one, and sends_today and effective_limit enter
-    only through sends_today < effective_limit. The simulator calls it a few
-    times per block, on a grid of the block's types and every streak, to
-    tabulate the threshold, and never per pass.
+    The arm sends where the calibrated score reaches table's threshold for
+    the user's type and streak and the user is under the daily limit:
+    `policy.NO_FILTER`, `HeuristicThresholds.table` or a solved table.
     """
 
     name: str
-    decide: Callable[[DecisionContext], np.ndarray]
+    table: PolicyTable
     limit_adjustment: int = 0
     baseline: bool = False
 
@@ -507,46 +492,6 @@ def generate_population(config: SimConfig) -> UserBlock:
                        _LATENT, _POLICY)
 
 
-def _send_thresholds(decides: list[Callable[[DecisionContext], np.ndarray]],
-                    run_values: np.ndarray, block: UserBlock, *, types: int,
-                    bounds: tuple[int, int]) -> np.ndarray:
-    """Each arm's send threshold, an (arms, types, streaks) array: the
-    smallest of the ascending run_values at which the arm's decide sends to
-    a user of that type row and streak under the limit, or NEVER_SEND where
-    it sends at none.
-
-    Only the rows of types the block holds are evaluated; the others stay
-    NEVER_SEND. Each arm's decide is a threshold rule, so one bisection over
-    run indices finds every cell's threshold at once, in
-    ceil(log2(len(run_values) + 1)) calls on the grid of (present type,
-    streak) cells: the probes step down the powers of two, and a cell moves
-    past a probe that does not send.
-    """
-    lo, hi = bounds
-    streaks = hi - lo + 1
-    present, first = np.unique(block.rows, return_index=True)
-    cell_type = np.repeat(block.user_type[first], streaks)
-    cell_streak = np.tile(np.arange(lo, hi + 1), len(present))
-    cells = len(cell_type)
-    sends_today, limit = np.zeros(cells, dtype=np.int64), np.ones(cells, dtype=np.int64)
-    runs = len(run_values)
-    thresholds = np.append(run_values, NEVER_SEND)
-    table = np.full((len(decides), types, streaks), NEVER_SEND)
-    for arm, decide in enumerate(decides):
-        skipped = np.zeros(cells, dtype=np.intp)  # run values below never send
-        step = 1 << (runs.bit_length() - 1)
-        while step:
-            probe = skipped + (step - 1)
-            sends = decide(DecisionContext(
-                user_type=cell_type, streak=cell_streak,
-                calibrated_score=run_values.take(probe, mode="clip"),
-                sends_today=sends_today, effective_limit=limit))
-            skipped[(probe < runs) & np.logical_not(sends)] += step
-            step >>= 1
-        table[arm, present] = thresholds[skipped].reshape(len(present), streaks)
-    return table
-
-
 @dataclass
 class BlockState:
     """Every arm's mutable state for a block of users: one (arms, users)
@@ -555,7 +500,7 @@ class BlockState:
 
     block: UserBlock
     effective_limit: np.ndarray
-    thresholds: np.ndarray  # _send_thresholds, flattened
+    thresholds: np.ndarray  # (arms, types, streaks) send thresholds, flattened
     offset: np.ndarray  # (arm * types + row) * streaks - lo: plus a streak, its threshold
     p_open: np.ndarray  # (users, streaks) open probability, min(f_true * baseline, 1)
     streak: np.ndarray
@@ -565,16 +510,22 @@ class BlockState:
     cursor: np.ndarray  # next unread column of block.uniforms
 
     @classmethod
-    def start(cls, block: UserBlock, effective_limit: np.ndarray,
-              decides: list[Callable[[DecisionContext], np.ndarray]], run_values: np.ndarray,
+    def start(cls, block: UserBlock, effective_limit: np.ndarray, tables: list[PolicyTable],
               *, factors: np.ndarray, bounds: tuple[int, int]) -> "BlockState":
-        """Fresh state for the arms whose policies are decides and whose
-        limits are the (arms, users) effective_limit. run_values are every
-        calibrated score the block's passes can hold, ascending, and factors
-        the effective ground-truth factor array, one row per type."""
+        """Fresh state for the arms whose policies are tables and whose
+        limits are the (arms, users) effective_limit; factors is the
+        effective ground-truth factor array, one row per type.
+
+        Only the types the block holds are looked up, so a table without a
+        row for one of them raises KeyError; the other rows stay NEVER_SEND.
+        """
         shape = effective_limit.shape
         types, streaks = factors.shape
-        thresholds = _send_thresholds(decides, run_values, block, types=types, bounds=bounds)
+        present, first = np.unique(block.rows, return_index=True)
+        cells = np.ix_(block.user_type[first], np.arange(bounds[0], bounds[1] + 1))
+        thresholds = np.full((len(tables), types, streaks), NEVER_SEND)
+        for arm, table in enumerate(tables):
+            thresholds[arm, present] = table.threshold(*cells)
         offset = (np.arange(shape[0])[:, None] * types + block.rows) * streaks - bounds[0]
         return cls(block=block, effective_limit=effective_limit,
                    thresholds=thresholds.reshape(-1), offset=offset,
@@ -590,10 +541,9 @@ def simulate_pass(state: BlockState, calibrated: np.ndarray, *, bounds: tuple[in
     """One decision opportunity for every user of a block in every arm.
 
     calibrated holds each user's calibrated candidate score for this pass,
-    the same in every arm, each one of the run values the state's
-    thresholds were tabulated over. An arm sends where the score reaches
-    its threshold for the user's type and streak, the user is under the
-    limit and is reachable. On a send the outcome resolves at
+    the same in every arm. An arm sends where the score reaches its
+    threshold for the user's type and streak, the user is under the limit
+    and is reachable. On a send the outcome resolves at
     min(f_true * baseline, 1), the streak advances, and an ignore may churn
     the user when churn is enabled; a skip leaves the streak as it was. The
     sends of all arms step together over the flattened state. Returns the
@@ -678,10 +628,10 @@ def _run_block(state: BlockState, calibrated: np.ndarray,
                 active_days=active_days, max_day_sends=max_day_sends, reachable=state.reachable)
 
 
-def _simulate(config: SimConfig, arms: list[tuple[Callable, SendLimitConfig]],
+def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]],
               calibration: CalibrationMap, *, days: int, keep_events: bool,
               latent_salt: int = _LATENT, policy_salt: int = _POLICY) -> tuple[list, list]:
-    """Run every (decide, limits) arm over blocks of users holding at most
+    """Run every (table, limits) arm over blocks of users holding at most
     BLOCK_BYTES of draws, or one user: each block's draws are made once and
     all arms step through its passes together before the next block is
     drawn. Returns each arm's per-user columns, in user-index order, and
@@ -693,7 +643,7 @@ def _simulate(config: SimConfig, arms: list[tuple[Callable, SendLimitConfig]],
     for _ in range(passes):
         weights.append(weight)
         weight *= config.gamma
-    decides = [decide for decide, _ in arms]
+    tables = [table for table, _ in arms]
     limits = np.array([[lim.effective_limit(c) for c in config.types] for _, lim in arms])
     blocks = []
     logs = [([], [], [], [], []) for _ in arms] if keep_events else None
@@ -702,8 +652,8 @@ def _simulate(config: SimConfig, arms: list[tuple[Callable, SendLimitConfig]],
         stop = min(start + size, config.num_users)
         block = _draw_block(config, start, stop, passes, latent_salt, policy_salt)
         calibrated = apply_calibration(calibration, block.raw_scores)
-        state = BlockState.start(block, limits[:, block.rows], decides, calibration.run_values,
-                                 factors=factors, bounds=config.streak_bounds)
+        state = BlockState.start(block, limits[:, block.rows], tables, factors=factors,
+                                 bounds=config.streak_bounds)
         blocks.append(_run_block(state, calibrated, logs, config=config, days=days,
                                  weights=weights))
     columns = {key: np.concatenate([cols[key] for cols in blocks], axis=-1) for key in blocks[0]}
@@ -717,7 +667,7 @@ def _warmup(config: SimConfig) -> tuple[list[np.ndarray], ...]:
     sub-streams so it neither consumes nor duplicates the draws of the
     measured treatments."""
     identity = CalibrationMap(breakpoints=(0.0, 1.0), values=(0.0, 1.0))
-    _, (log,) = _simulate(config, [(policy.decide_no_filter, config.send_limits)], identity,
+    _, (log,) = _simulate(config, [(policy.NO_FILTER, config.send_limits)], identity,
                           days=config.calibration_days, keep_events=True,
                           latent_salt=_WARMUP_LATENT, policy_salt=_WARMUP_POLICY)
     return log
@@ -761,7 +711,7 @@ def run_experiment(config: SimConfig, treatments: list[Treatment],
     if calibration is None:
         calibration = fit_sim_calibration(config)
 
-    arms = [(t.decide, config.send_limits.with_extra_adjustment(t.limit_adjustment))
+    arms = [(t.table, config.send_limits.with_extra_adjustment(t.limit_adjustment))
             for t in treatments]
     columns, logs = _simulate(config, arms, calibration, days=config.days,
                               keep_events=keep_events)

@@ -9,8 +9,8 @@ time, the log reader as one `json.loads` per line, the ingest dataset as a
 per-user split, baseline and replay, and the simulator as one Python call
 per user-pass. None of it imports from the
 package's algorithm internals; the simulator oracle builds the package's
-report type, calls a treatment's policy with scalar contexts, and keeps
-each send as its own `OracleSend` record rather than a package type.
+report type, decides each send with `decide_oracle`, and keeps each send
+as its own `OracleSend` record rather than a package type.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from notif_ltv import (
     CalibrationMap,
-    DecisionContext,
     ExperimentReport,
     LogParseError,
     SendLog,
@@ -365,10 +364,11 @@ def _spawn(config, index, salt):
     return OracleUser(f"u{index:07d}", user_type, baseline), rng
 
 
-def simulate_pass_oracle(user, decide, calibration, latent_rng, policy_rng, *, config,
+def simulate_pass_oracle(user, rule, calibration, latent_rng, policy_rng, *, config,
                          factors, effective_limit, timestamp):
     """One decision opportunity for one reachable user; the send or None.
 
+    rule holds the keyword arguments of `decide_oracle` for the arm, and
     factors maps (type, streak) to the effective ground-truth factor.
     """
     sigma = config.score_noise[user.user_type]
@@ -376,10 +376,8 @@ def simulate_pass_oracle(user, decide, calibration, latent_rng, policy_rng, *, c
     logit = math.log(b / (1.0 - b)) + sigma * latent_rng.standard_normal()
     raw = 1.0 / (1.0 + math.exp(-logit))
     calibrated = calibration_oracle(calibration, raw)
-    ctx = DecisionContext(user_type=user.user_type, streak=user.streak,
-                          calibrated_score=calibrated, sends_today=user.sends_today,
-                          effective_limit=effective_limit)
-    if not decide(ctx):
+    if not decide_oracle(user.user_type, user.streak, calibrated, user.sends_today,
+                         effective_limit, **rule):
         return None
     p_open = min(factors[user.user_type, user.streak] * user.baseline, 1.0)
     outcome = 1 if policy_rng.random() < p_open else 0
@@ -400,7 +398,7 @@ def _effective_factors(config):
             for i, c in enumerate(table.types) for j, f in enumerate(table.factors[i])}
 
 
-def simulate_user_oracle(config, index, decide, calibration, limits, days,
+def simulate_user_oracle(config, index, rule, calibration, limits, days,
                          latent_salt=LATENT, policy_salt=POLICY):
     """One user through every day of one arm: (user, stats dict, events)."""
     user, latent_rng = _spawn(config, index, latent_salt)
@@ -421,7 +419,7 @@ def simulate_user_oracle(config, index, decide, calibration, limits, days,
             if not user.reachable:
                 break
             event = simulate_pass_oracle(
-                user, decide, calibration, latent_rng, policy_rng, config=config,
+                user, rule, calibration, latent_rng, policy_rng, config=config,
                 factors=factors, effective_limit=limit,
                 timestamp=day * SECONDS_PER_DAY + p * step)
             if event is not None:
@@ -441,16 +439,21 @@ def warmup_events_oracle(config):
     events = []
     for i in range(config.num_users):
         events += simulate_user_oracle(
-            config, i, lambda ctx: ctx.sends_today < ctx.effective_limit, identity,
-            config.send_limits, config.calibration_days, WARMUP_LATENT, WARMUP_POLICY)[2]
+            config, i, {}, identity, config.send_limits, config.calibration_days,
+            WARMUP_LATENT, WARMUP_POLICY)[2]
     return events
 
 
-def run_experiment_oracle(config, treatments, calibration, keep_events=False):
-    """The report of the simulator, one user and one pass at a time."""
+def run_experiment_oracle(config, treatments, rules, calibration, keep_events=False):
+    """The report of the simulator, one user and one pass at a time.
+
+    rules[i] holds the keyword arguments of `decide_oracle` for treatments[i]:
+    cutoffs for a heuristic, cells and bounds for a solved table, none for
+    no filter. The treatments give only names, limit adjustments and the
+    baseline flag; their tables are not read."""
     results, max_daily, all_events = [], {}, {}
     n = config.num_users
-    for t in treatments:
+    for t, rule in zip(treatments, rules, strict=True):
         limits = config.send_limits.with_extra_adjustment(t.limit_adjustment)
         sends = {c: 0 for c in config.types}
         opens = {c: 0 for c in config.types}
@@ -459,7 +462,7 @@ def run_experiment_oracle(config, treatments, calibration, keep_events=False):
         events = []
         for i in range(n):
             user, stats, user_events = simulate_user_oracle(
-                config, i, t.decide, calibration, limits, config.days)
+                config, i, rule, calibration, limits, config.days)
             sends[user.user_type] += len(user_events)
             opens[user.user_type] += stats["opens"]
             dau += stats["dau_days"]

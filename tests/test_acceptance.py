@@ -14,6 +14,7 @@ import pytest
 
 from notif_ltv import (
     NEVER_SEND,
+    NO_FILTER,
     BehaviorModel,
     DecisionContext,
     FactorTable,
@@ -24,7 +25,6 @@ from notif_ltv import (
     apply_calibration,
     apply_kappa,
     build_dataset,
-    decide_heuristic,
     decide_no_filter,
     decide_rl,
     estimate_factors,
@@ -201,7 +201,7 @@ def test_c5_ingest_then_estimation_recovers_scaled_factors():
         send_limits=SendLimitConfig(limits={c: 3 for c in ALL_TYPES}),
         master_seed=314159, gamma=0.9,
     )
-    report = run_experiment(config, [Treatment("nf", decide_no_filter, baseline=True)],
+    report = run_experiment(config, [Treatment("nf", NO_FILTER, baseline=True)],
                             calibration=None, keep_events=True)
     log = report.events["nf"]
     assert len(log) >= 100_000
@@ -300,10 +300,9 @@ def directional_run():
     ks = HeuristicThresholds(by_type={c: float(np.quantile(scores[c], 0.04))
                                       for c in ALL_TYPES})
     treatments = [
-        Treatment("heuristic", lambda ctx, _k=ks: decide_heuristic(ctx, _k),
-                  baseline=True),
-        Treatment("no_filter", decide_no_filter),
-        Treatment("rl", lambda ctx: decide_rl(ctx, table)),
+        Treatment("heuristic", ks.table, baseline=True),
+        Treatment("no_filter", NO_FILTER),
+        Treatment("rl", table),
     ]
     report = run_experiment(config, treatments, calibration=calibration)
     elapsed = time.perf_counter() - start
@@ -351,10 +350,9 @@ def test_c9_send_limit_safety(directional_run):
     ks = HeuristicThresholds(by_type={c: 0.15 for c in ALL_TYPES})
     report2 = run_experiment(
         config2,
-        [Treatment("heuristic", lambda ctx, _k=ks: decide_heuristic(ctx, _k),
-                   baseline=True),
-         Treatment("no_filter_plus1", decide_no_filter, limit_adjustment=1),
-         Treatment("no_filter_minus1", decide_no_filter, limit_adjustment=-1)],
+        [Treatment("heuristic", ks.table, baseline=True),
+         Treatment("no_filter_plus1", NO_FILTER, limit_adjustment=1),
+         Treatment("no_filter_minus1", NO_FILTER, limit_adjustment=-1)],
         keep_events=True)
     for treatment in report2.results:
         limits = config2.send_limits.with_extra_adjustment(treatment.limit_adjustment)

@@ -120,15 +120,24 @@ ARRAY_TABLE = PolicyTable(
     thresholds=np.array([[NEVER_SEND, 0.7, 0.5, 0.3, 0.2, 0.1, 0.0],
                          [NEVER_SEND, NEVER_SEND, 0.9, 0.6, 0.4, 0.25, 0.25]]))
 ARRAY_KS = HeuristicThresholds(by_type={1: 0.3, 2: 0.6})
-# scores exactly on a cutoff or a threshold, plus anything in [0, 1]
-SCORES = st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.6, 0.7, 1.0]))
+# heuristic cutoffs: both zeros, the top of [0, 1] and one inside it
+CUTOFFS = [0.0, -0.0, 1.0, 0.3]
+# scores on a cutoff or a table threshold or a float either side of one,
+# within [0, 1], plus anything in [0, 1]
+EDGES = [v for edge in CUTOFFS + [0.1, 0.25, 0.6, 0.7]
+         for v in (edge, np.nextafter(edge, -1.0), np.nextafter(edge, 2.0)) if 0.0 <= v <= 1.0]
+SCORES = st.one_of(st.floats(0, 1), st.sampled_from(EDGES))
 
 
 @given(st.lists(st.tuples(st.sampled_from([1, 2]), st.integers(-8, 8), SCORES,
-                          st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=40))
-def test_array_contexts_match_elementwise_scalar_calls(rows):
+                          st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=40),
+       st.tuples(st.sampled_from(CUTOFFS), st.sampled_from(CUTOFFS)))
+def test_array_contexts_match_elementwise_scalar_calls(rows, cutoffs):
     """Each candidate of a block decides as the dict-lookup oracle does for it
-    alone. Streaks run past the table bounds and limits include 0."""
+    alone. Streaks run past the table bounds and limits include 0; the
+    heuristic's table, the smallest float above each cutoff, sends exactly
+    where score > k, on cutoffs at 0.0, -0.0 and 1.0 too."""
+    ks = HeuristicThresholds(by_type={1: cutoffs[0], 2: cutoffs[1]})
     types, streaks, scores, sends, limits = (np.array(col) for col in zip(*rows))
     block = DecisionContext(user_type=types, streak=streaks, calibrated_score=scores,
                             sends_today=sends, effective_limit=limits)
@@ -136,8 +145,8 @@ def test_array_contexts_match_elementwise_scalar_calls(rows):
     bounds = ARRAY_TABLE.bounds
     for decide, want in (
             (decide_no_filter, decide_oracle),
-            (partial(decide_heuristic, thresholds=ARRAY_KS),
-             partial(decide_oracle, cutoffs=ARRAY_KS.by_type)),
+            (partial(decide_heuristic, thresholds=ks),
+             partial(decide_oracle, cutoffs=ks.by_type)),
             (partial(decide_rl, table=ARRAY_TABLE),
              partial(decide_oracle, cells=cells, bounds=bounds))):
         mask = decide(block)
@@ -146,11 +155,12 @@ def test_array_contexts_match_elementwise_scalar_calls(rows):
     assert ARRAY_TABLE.threshold(types, streaks).tolist() == \
         [cells[c, min(max(s, bounds[0]), bounds[1])]
          for c, s in zip(types.tolist(), streaks.tolist())]
-    assert ARRAY_KS.k(types).tolist() == [ARRAY_KS.by_type[c] for c in types.tolist()]
 
 
 def test_array_lookups_reject_types_without_a_row():
     with pytest.raises(KeyError, match=r"\[3\]"):
         ARRAY_TABLE.threshold(np.array([1, 3]), np.array([0, 0]))
-    with pytest.raises(KeyError):
-        ARRAY_KS.k(np.array([2, 5]))
+    with pytest.raises(KeyError, match=r"\[5\]"):
+        ARRAY_KS.table.threshold(np.array([2, 5]), np.array([0, 0]))
+    with pytest.raises(KeyError, match=r"\[1\]"):
+        HeuristicThresholds(by_type={}).table.threshold(np.array([1]), np.array([0]))

@@ -1,26 +1,23 @@
 """Synthetic population determinism, pass mechanics, and harness metrics."""
 
 from dataclasses import fields, replace
-from functools import partial
 
 import numpy as np
 import pytest
 from check_arms import differences as arm_differences
 from hypothesis import given, settings, strategies as st
-from oracles import run_experiment_oracle, streak_oracle, warmup_events_oracle
+from oracles import (run_experiment_oracle, streak_oracle, threshold_cells,
+                     warmup_events_oracle)
 
 from notif_ltv import (
     NEVER_SEND,
+    NO_FILTER,
     CalibrationMap,
-    DecisionContext,
     HeuristicThresholds,
     PolicyTable,
     SendLimitConfig,
     SimConfig,
     Treatment,
-    decide_heuristic,
-    decide_no_filter,
-    decide_rl,
     fit_isotonic,
     fit_sim_calibration,
     generate_population,
@@ -175,12 +172,12 @@ class TestSeedStates:
 
 
 class TestSimulatePass:
-    def run_pass(self, decide, cfg, *, streak=0, sends_today=0, limit=5):
+    def run_pass(self, table, cfg, *, streak=0, sends_today=0, limit=5):
         """One pass of a one-user block (type 1, baseline 0.4)."""
         block = UserBlock(index=np.array([0]), rows=np.array([0]), user_type=np.array([1]),
                           baseline=np.array([0.4]), raw_scores=np.array([[0.5]]),
                           uniforms=np.random.default_rng(7).random((1, 2)))
-        state = BlockState.start(block, np.array([[limit]]), [decide], np.array([0.5]),
+        state = BlockState.start(block, np.array([[limit]]), [table],
                                  factors=cfg.true_factors.factors, bounds=cfg.streak_bounds)
         state.streak[:] = streak
         state.sends_today[:] = sends_today
@@ -190,13 +187,13 @@ class TestSimulatePass:
 
     def test_no_filter_under_limit_always_sends(self):
         cfg = small_config()
-        state, sent, _ = self.run_pass(decide_no_filter, cfg)
+        state, sent, _ = self.run_pass(NO_FILTER, cfg)
         assert sent.tolist() == [0]
         assert state.sends_today[0] == 1
 
     def test_at_limit_no_event_and_streak_unchanged(self):
         cfg = small_config()
-        state, sent, _ = self.run_pass(decide_no_filter, cfg, streak=3, sends_today=5, limit=5)
+        state, sent, _ = self.run_pass(NO_FILTER, cfg, streak=3, sends_today=5, limit=5)
         assert sent.size == 0
         assert state.streak[0] == 3
         assert state.sends_today[0] == 5
@@ -209,8 +206,7 @@ class TestSimulatePass:
                           user_type=np.array([1, 2]), baseline=np.array([0.4, 0.3]),
                           raw_scores=np.array([[0.5], [0.5]]),
                           uniforms=np.random.default_rng(7).random((2, 2)))
-        state = BlockState.start(block, np.array([[2, 2], [2, 2]]),
-                                 [decide_no_filter, decide_no_filter], np.array([0.5]),
+        state = BlockState.start(block, np.array([[2, 2], [2, 2]]), [NO_FILTER, NO_FILTER],
                                  factors=cfg.true_factors.factors, bounds=cfg.streak_bounds)
         state.streak[:] = [[1, -1], [3, -2]]
         state.sends_today[1] = 2
@@ -225,7 +221,7 @@ class TestSimulatePass:
 
     def test_outcome_advances_streak(self):
         cfg = small_config()
-        state, _, opened = self.run_pass(decide_no_filter, cfg, streak=-2)
+        state, _, opened = self.run_pass(NO_FILTER, cfg, streak=-2)
         if opened[0]:
             assert state.streak[0] == 1
         else:
@@ -238,7 +234,7 @@ class TestSimulatePass:
                            passes_per_day=2, type_shares={1: 1.0, 2: 0.0},
                            baseline_beta={1: (5000.0, 5000.0), 2: (1.0, 1.0)})
         report = run_experiment(
-            cfg, [Treatment("all", decide_no_filter, baseline=True)],
+            cfg, [Treatment("all", NO_FILTER, baseline=True)],
             calibration=identity_map(), keep_events=True)
         events = report.events["all"]
         opens = int(events.outcome.sum())
@@ -247,115 +243,63 @@ class TestSimulatePass:
         assert abs(opens / n - 0.5) < 4 * se
 
 
-def step_map(values):
-    """A calibration map whose breakpoints are 0, 1, 2, ... and whose values
-    are `values`."""
-    return CalibrationMap(breakpoints=tuple(map(float, range(len(values)))), values=tuple(values))
-
-
-calibration_maps = st.one_of(
-    st.floats(0, 1).map(lambda v: step_map([v])),
-    # -0.0 and +0.0 are two runs, side by side
-    st.lists(st.floats(0, 1, exclude_min=True), max_size=6).map(
-        lambda vs: step_map([-0.0, 0.0] + sorted(vs))),
-    st.integers(0, 2**32 - 1).map(lambda seed: step_map(
-        np.sort(np.random.default_rng(seed).random(1000 + seed % 500)).tolist())),
-)
+# a table threshold: either zero, the top of [0, 1], anything in it, or never
+THRESHOLDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, NEVER_SEND]), st.floats(0, 1))
 
 
 class TestSendThresholds:
-    """A block's send-threshold table answers as the arms' decide does, for
-    every type the block holds, every streak and every calibrated score the
-    block's passes can hold, at a few decide calls per block."""
+    """A block looks up every arm's table once, for the types it holds."""
 
     TYPES = (1, 2)
     BOUNDS = (-4, 4)
 
-    @staticmethod
-    def counted(decide, calls, arm):
-        def wrapper(ctx):
-            calls[arm] += 1
-            return decide(ctx)
-        return wrapper
-
     @settings(max_examples=60, deadline=None)
-    @given(calibration_maps, st.data())
-    def test_table_reproduces_decide(self, cmap, data):
-        runs = cmap.run_values
-        # cutoffs at run values and just either side of them
-        near = np.concatenate([runs, np.nextafter(runs, -1.0), np.nextafter(runs, 2.0)])
-        near = near[(near >= 0.0) & (near <= 1.0)].tolist()
-        ks = HeuristicThresholds(by_type={c: data.draw(st.sampled_from(near))
+    @given(st.data())
+    def test_table_holds_each_arms_thresholds(self, data):
+        """A block's threshold array holds each arm's threshold at every
+        (type, streak) cell of a type the block holds, and NEVER_SEND in the
+        rows of the others; a pass sends where the score reaches it, and
+        none at the limit."""
+        ks = HeuristicThresholds(by_type={c: data.draw(THRESHOLDS.filter(lambda v: v <= 1.0))
                                           for c in self.TYPES})
-        cells = data.draw(st.lists(st.sampled_from(runs.tolist() + [NEVER_SEND]),
-                                   min_size=10, max_size=10))
-        # narrower than the simulator's bounds, so decide_rl clamps streaks
+        cells = data.draw(st.lists(THRESHOLDS, min_size=10, max_size=10))
+        # narrower than the simulator's bounds, so lookups clamp streaks
         table = PolicyTable(bounds=(-2, 2), types=self.TYPES,
                             thresholds=np.array(cells).reshape(2, 5))
-        decides = [partial(decide_heuristic, thresholds=ks), decide_no_filter,
-                   lambda ctx: decide_rl(ctx, table)]
+        tables = [ks.table, NO_FILTER, table]
         rows = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=6)))
         n = len(rows)
         block = UserBlock(index=np.arange(n), rows=rows, user_type=np.array(self.TYPES)[rows],
                           baseline=np.full(n, 0.3), raw_scores=np.zeros((n, 1)),
                           uniforms=np.zeros((n, 2)))
-        calls = [0] * len(decides)
-        state = BlockState.start(
-            block, np.ones((len(decides), n), dtype=np.int64),
-            [self.counted(d, calls, arm) for arm, d in enumerate(decides)], runs,
-            factors=np.ones((len(self.TYPES), 9)), bounds=self.BOUNDS)
-        assert all(0 < c <= len(runs).bit_length() for c in calls), calls
+        state = BlockState.start(block, np.ones((len(tables), n), dtype=np.int64), tables,
+                                 factors=np.ones((len(self.TYPES), 9)), bounds=self.BOUNDS)
 
         lo, hi = self.BOUNDS
-        streak = np.repeat(np.arange(lo, hi + 1), len(runs))
-        score = np.tile(runs, hi - lo + 1)
-        thresholds = state.thresholds.reshape(len(decides), len(self.TYPES), hi - lo + 1)
-        for arm, decide in enumerate(decides):
+        got = state.thresholds.reshape(len(tables), len(self.TYPES), hi - lo + 1)
+        for arm, t in enumerate(tables):
+            want = threshold_cells(t)
+            tlo, thi = t.bounds
             for row, c in enumerate(self.TYPES):
                 if row not in rows:
-                    assert (thresholds[arm, row] == NEVER_SEND).all()
+                    assert (got[arm, row] == NEVER_SEND).all()
                     continue
-                ctx = DecisionContext(user_type=np.full(len(score), c), streak=streak,
-                                      calibrated_score=score,
-                                      sends_today=np.zeros(len(score), dtype=np.int64),
-                                      effective_limit=np.ones(len(score), dtype=np.int64))
-                got = score >= np.repeat(thresholds[arm, row], len(runs))
-                np.testing.assert_array_equal(got, decide(ctx), err_msg=f"arm {arm} row {row}")
-                assert not decide(replace(ctx, sends_today=ctx.effective_limit)).any()
+                assert got[arm, row].tolist() == \
+                    [want[c, min(max(s, tlo), thi)] for s in range(lo, hi + 1)], (arm, row)
 
-        # passes read the table, not decide; none sends at the limit
-        before = list(calls)
-        best = np.full(n, runs[-1])
-        simulate_pass(state, best, bounds=self.BOUNDS, churn_rate=0.0)
+        # every streak starts at 0
+        score = np.array(data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
+        sent, _ = simulate_pass(state, score, bounds=self.BOUNDS, churn_rate=0.0)
+        assert sent.tolist() == np.flatnonzero(score >= got[:, rows, -lo]).tolist()
         state.sends_today[:] = state.effective_limit
-        sent, _ = simulate_pass(state, best, bounds=self.BOUNDS, churn_rate=0.0)
+        sent, _ = simulate_pass(state, score, bounds=self.BOUNDS, churn_rate=0.0)
         assert sent.size == 0
-        assert calls == before
 
-    def test_decide_calls_per_block_not_per_pass(self, monkeypatch):
-        """Every arm's decide is called at most ceil(log2(runs + 1)) times
-        per block, on a run with more passes than that, over three blocks."""
-        monkeypatch.setattr(sim, "BLOCK_BYTES", 24 * 12 * 20)
-        cfg = small_config(num_users=60, days=4, passes_per_day=3)
-        calibration = fit_sim_calibration(cfg)
-        bound = len(calibration.run_values).bit_length()
-        assert bound < cfg.days * cfg.passes_per_day
-        calls = [0, 0]
-        ks = HeuristicThresholds(by_type={1: 0.2, 2: 0.35})
-        treatments = [
-            Treatment("h", self.counted(partial(decide_heuristic, thresholds=ks), calls, 0),
-                      baseline=True),
-            Treatment("nf", self.counted(decide_no_filter, calls, 1)),
-        ]
-        report = run_experiment(cfg, treatments, calibration)
-        assert all(0 < c <= 3 * bound for c in calls), calls
-        assert all(r.total_sends > 0 for r in report.results)
-
-    def test_only_types_a_block_holds_reach_decide(self):
+    def test_only_types_a_block_holds_are_looked_up(self):
         """A heuristic without a cutoff for a type that has no share runs; one
-        without a cutoff for a drawn type raises KeyError, as its decide does."""
+        without a cutoff for a drawn type raises KeyError, as its lookup does."""
         ks = HeuristicThresholds(by_type={1: 0.2})
-        treatment = Treatment("h", partial(decide_heuristic, thresholds=ks), baseline=True)
+        treatment = Treatment("h", ks.table, baseline=True)
         cfg = small_config(type_shares={1: 1.0, 2: 0.0})
         assert run_experiment(cfg, [treatment]).result("h").total_sends > 0
         with pytest.raises(KeyError, match=r"no entry for user type\(s\) \[2\]"):
@@ -366,7 +310,7 @@ class TestRunExperiment:
     def test_counts_under_always_send(self):
         cfg = small_config(num_users=2, days=5, passes_per_day=1,
                            send_limits=SendLimitConfig(limits={1: 3, 2: 3}))
-        report = run_experiment(cfg, [Treatment("nf", decide_no_filter, baseline=True)],
+        report = run_experiment(cfg, [Treatment("nf", NO_FILTER, baseline=True)],
                                 calibration=identity_map())
         assert report.result("nf").total_sends == 10
 
@@ -374,8 +318,8 @@ class TestRunExperiment:
         cfg = small_config()
         report = run_experiment(
             cfg,
-            [Treatment("a", decide_no_filter, baseline=True),
-             Treatment("b", decide_no_filter)],
+            [Treatment("a", NO_FILTER, baseline=True),
+             Treatment("b", NO_FILTER)],
             calibration=identity_map())
         deltas = report.deltas("b")
         assert all(v == 0.0 for v in deltas.values())
@@ -386,20 +330,20 @@ class TestRunExperiment:
     def test_duplicate_names_rejected(self):
         cfg = small_config()
         with pytest.raises(ValueError, match="duplicate"):
-            run_experiment(cfg, [Treatment("x", decide_no_filter, baseline=True),
-                                 Treatment("x", decide_no_filter)],
+            run_experiment(cfg, [Treatment("x", NO_FILTER, baseline=True),
+                                 Treatment("x", NO_FILTER)],
                            calibration=identity_map())
 
     def test_exactly_one_baseline_required(self):
         cfg = small_config()
         with pytest.raises(ValueError, match="baseline"):
-            run_experiment(cfg, [Treatment("a", decide_no_filter),
-                                 Treatment("b", decide_no_filter)],
+            run_experiment(cfg, [Treatment("a", NO_FILTER),
+                                 Treatment("b", NO_FILTER)],
                            calibration=identity_map())
 
     def test_opens_never_exceed_sends_and_rates_consistent(self):
         cfg = small_config()
-        report = run_experiment(cfg, [Treatment("nf", decide_no_filter, baseline=True)],
+        report = run_experiment(cfg, [Treatment("nf", NO_FILTER, baseline=True)],
                                 calibration=identity_map())
         r = report.result("nf")
         assert r.total_opens <= r.total_sends
@@ -407,20 +351,20 @@ class TestRunExperiment:
 
     def test_no_churn_means_full_reachability(self):
         cfg = small_config(churn_rate=0.0)
-        report = run_experiment(cfg, [Treatment("nf", decide_no_filter, baseline=True)],
+        report = run_experiment(cfg, [Treatment("nf", NO_FILTER, baseline=True)],
                                 calibration=identity_map())
         assert report.result("nf").reachability_proxy == 1.0
 
     def test_churn_reduces_reachability(self):
         cfg = small_config(churn_rate=0.2, num_users=100, days=6)
-        report = run_experiment(cfg, [Treatment("nf", decide_no_filter, baseline=True)],
+        report = run_experiment(cfg, [Treatment("nf", NO_FILTER, baseline=True)],
                                 calibration=identity_map())
         assert report.result("nf").reachability_proxy < 1.0
 
     def test_send_limit_never_exceeded_per_user_day(self):
         cfg = small_config(passes_per_day=4,
                            send_limits=SendLimitConfig(limits={1: 2, 2: 1}))
-        report = run_experiment(cfg, [Treatment("nf", decide_no_filter, baseline=True)],
+        report = run_experiment(cfg, [Treatment("nf", NO_FILTER, baseline=True)],
                                 calibration=identity_map(), keep_events=True)
         limits = {1: 2, 2: 1}
         per_day = {}
@@ -444,7 +388,7 @@ class TestStreakConditionalOpenRates:
                            true_factors=table, kappa_true=0.5,
                            send_limits=SendLimitConfig(limits={1: 2, 2: 2}),
                            master_seed=77)
-        report = run_experiment(cfg, [Treatment("nf", decide_no_filter, baseline=True)],
+        report = run_experiment(cfg, [Treatment("nf", NO_FILTER, baseline=True)],
                                 calibration=identity_map(), keep_events=True)
         # replay per-user streak trajectories to attribute events to states
         log = report.events["nf"]
@@ -483,7 +427,7 @@ def test_fit_sim_calibration_is_monotone_and_deterministic():
 
 def test_events_round_trip_through_ingest_format(tmp_path):
     cfg = small_config()
-    report = run_experiment(cfg, [Treatment("nf", decide_no_filter, baseline=True)],
+    report = run_experiment(cfg, [Treatment("nf", NO_FILTER, baseline=True)],
                             calibration=identity_map(), keep_events=True)
     log = report.events["nf"]
     path = tmp_path / "events.jsonl"
@@ -501,8 +445,8 @@ def test_report_table_and_csv_render():
     cfg = small_config()
     report = run_experiment(
         cfg,
-        [Treatment("base", decide_no_filter, baseline=True),
-         Treatment("plus_one", decide_no_filter, limit_adjustment=1)],
+        [Treatment("base", NO_FILTER, baseline=True),
+         Treatment("plus_one", NO_FILTER, limit_adjustment=1)],
         calibration=identity_map())
     table = report.to_table_text()
     assert "Treatment" in table and "base" in table and "plus_one" in table
@@ -527,10 +471,10 @@ def test_arms_do_not_interact(monkeypatch, budget):
                         thresholds=thresholds)
     ks = HeuristicThresholds(by_type={1: 0.2, 2: 0.35})
     treatments = [
-        Treatment("heuristic", partial(decide_heuristic, thresholds=ks), baseline=True),
-        Treatment("no_filter", decide_no_filter),
-        Treatment("rl", partial(decide_rl, table=table)),
-        Treatment("no_filter_minus1", decide_no_filter, limit_adjustment=-1),
+        Treatment("heuristic", ks.table, baseline=True),
+        Treatment("no_filter", NO_FILTER),
+        Treatment("rl", table),
+        Treatment("no_filter_minus1", NO_FILTER, limit_adjustment=-1),
     ]
     calibration = fit_sim_calibration(cfg)
     joint = run_experiment(cfg, treatments, calibration, keep_events=True)
@@ -547,8 +491,9 @@ def test_arms_do_not_interact(monkeypatch, budget):
 def test_array_simulator_matches_scalar_oracle(monkeypatch):
     """Reports, event streams and the warm-up equal the one-call-per-user-pass
     oracle exactly, on a run with churn, limit adjustments of +1 and -1 (the
-    latter taking type 1's limit to 0), the heuristic, an rl table with
-    never-send cells and narrower streak bounds, and no_filter. The block
+    latter taking type 1's limit to 0), the heuristic with type 2's cutoff on
+    a calibrated value, an rl table with never-send cells and narrower streak
+    bounds, and no_filter. The block
     budget is set twice: so that the warm-up (6 passes) and the main run (9
     passes) each span several blocks, the last one ragged, and below one
     user's 24 bytes per pass, so that every block holds one user."""
@@ -558,16 +503,21 @@ def test_array_simulator_matches_scalar_oracle(monkeypatch):
     thresholds[1, :2] = NEVER_SEND  # type 2 stops after any ignore
     table = PolicyTable(bounds=(-2, 2), types=(1, 2),
                         thresholds=thresholds)
-    ks = HeuristicThresholds(by_type={1: 0.2, 2: 0.35})
-    treatments = [
-        Treatment("heuristic", partial(decide_heuristic, thresholds=ks), baseline=True),
-        Treatment("no_filter_plus1", decide_no_filter, limit_adjustment=1),
-        Treatment("no_filter_minus1", decide_no_filter, limit_adjustment=-1),
-        Treatment("rl", partial(decide_rl, table=table)),
-    ]
     warmup = warmup_events_oracle(cfg)
     calibration = fit_isotonic([e.raw_score for e in warmup], [e.outcome for e in warmup])
-    want = run_experiment_oracle(cfg, treatments, calibration, keep_events=True)
+    # a score equal to a cutoff must skip
+    tie = sorted(set(calibration.values))[len(set(calibration.values)) // 2]
+    ks = HeuristicThresholds(by_type={1: 0.2, 2: tie})
+    treatments = [
+        Treatment("heuristic", ks.table, baseline=True),
+        Treatment("no_filter_plus1", NO_FILTER, limit_adjustment=1),
+        Treatment("no_filter_minus1", NO_FILTER, limit_adjustment=-1),
+        Treatment("rl", table),
+    ]
+    # each arm's rule written out for the oracle: the heuristic as score > k
+    rules = [dict(cutoffs=ks.by_type), {}, {},
+             dict(cells=threshold_cells(table), bounds=table.bounds)]
+    want = run_experiment_oracle(cfg, treatments, rules, calibration, keep_events=True)
 
     sizes = {}  # passes -> block sizes, in the order drawn
     draw_block = sim._draw_block
@@ -598,3 +548,8 @@ def test_array_simulator_matches_scalar_oracle(monkeypatch):
     assert report.result("no_filter_minus1").per_type_sends[2] > 0
     rl_type2 = np.count_nonzero(report.events["rl"].user_type == 2)
     assert 0 < rl_type2 < np.count_nonzero(report.events["no_filter_plus1"].user_type == 2)
+    ties_send = PolicyTable(bounds=(-1, 1), types=(1, 2),
+                            thresholds=np.repeat([[0.2], [tie]], 3, axis=1))
+    sends = run_experiment(cfg, [Treatment("ties", ties_send, baseline=True)],
+                           calibration).result("ties").per_type_sends[2]
+    assert sends > report.result("heuristic").per_type_sends[2]
