@@ -30,21 +30,13 @@ def pav(values, weights=None, *, increasing: bool = True) -> list[float]:
     """Weighted isotonic regression by pool-adjacent-violators.
 
     Returns the monotone sequence closest to `values` in weighted least
-    squares. A pool's mean is Σ v·w / Σ w with both sums taken over its
-    members left to right from 0.0, so the result does not depend on the
-    order in which pools were merged. A pool whose total weight is zero
-    falls back to the plain mean of its members (zero-weight entries carry
-    no evidence but must still respect the monotone envelope).
-
-    Each pool keeps its two sums, and a merge continues the left pool's
-    sums over the right pool's members. Where every v·w and w in the merged
-    range is an integral float (and their magnitudes stay below 2**53),
-    every partial sum is an exact integer, so the sums are differences of
-    prefix sums instead: O(1) per merge, with the same bits. That makes the
-    fit linear on every `fit_isotonic` input, whose tie groups pool 0/1
-    outcomes as o/c with weight c. A merge into a growing right block of
-    inexact products, or of a pool with zero total weight, still costs the
-    block's length.
+    squares. A pool's value is the exact Σ v·w / Σ w of its members, or
+    their exact plain mean when its total weight is zero (zero-weight
+    entries carry no evidence but must still respect the monotone
+    envelope), rounded once to the nearest float; a pool of one member
+    keeps its value, -0.0 included. Each pool keeps its sums as integers
+    over one power-of-two scale, so a merge adds two pools' sums and the
+    fit is linear in the number of values.
     """
     vals = [float(v) for v in values]
     if weights is None:
@@ -64,37 +56,23 @@ def pav(values, weights=None, *, increasing: bool = True) -> list[float]:
     if not vals:
         return []
 
-    # blocks are (start, end, mean, Σ v·w, Σ w, exact) over half-open index
-    # ranges. A member is exact when v·w and w are integral and the running
-    # total of exact |v·w| + w stays below 2**53; such sums are exact (and
-    # +0.0 when zero) however they are grouped. The prefix sums take the
-    # exact members only, so an exact block's sums are prefix differences.
-    blocks: list[tuple[int, int, float, float, float, bool]] = []
-    prods: list[float] = []
-    wv_prefix, w_prefix = [0.0], [0.0]
-    magnitude = 0.0
-    for i, (v, w) in enumerate(zip(vals, wts)):
-        p = v * w
-        prods.append(p)
-        exact = p.is_integer() and w.is_integer()
-        if exact:
-            magnitude += abs(p) + w
-            exact = magnitude < 2.0 ** 53
-        wv_prefix.append(wv_prefix[-1] + p if exact else wv_prefix[-1])
-        w_prefix.append(w_prefix[-1] + w if exact else w_prefix[-1])
-        start, end, mean, wv, ws = i, i + 1, v, 0.0 + p, 0.0 + w
+    # every float is an integer over a power of two, so over the largest
+    # denominator `scale` each v and w is the integer v·scale, w·scale
+    v_ratios = [v.as_integer_ratio() for v in vals]
+    w_ratios = [w.as_integer_ratio() for w in wts]
+    scale = max(max(d for _, d in v_ratios), max(d for _, d in w_ratios))
+    scaled_vals = [n * (scale // d) for n, d in v_ratios]
+    scaled_wts = [n * (scale // d) for n, d in w_ratios]
+    # blocks are (start, end, value, Σ v·w, Σ w, Σ v) over half-open index
+    # ranges, with the sums scaled by scale², scale and scale
+    blocks: list[tuple[int, int, float, int, int, int]] = []
+    for i, (v, sv, ws) in enumerate(zip(vals, scaled_vals, scaled_wts)):
+        start, end, mean, wv = i, i + 1, v, sv * ws
         while blocks and blocks[-1][2] > mean:
-            start, split, _, wv, ws, left_exact = blocks.pop()
-            exact = exact and left_exact
-            if exact:
-                wv = wv_prefix[end] - wv_prefix[start]
-                ws = w_prefix[end] - w_prefix[start]
-            else:  # continue the left block's sums over the right block
-                for j in range(split, end):
-                    wv += prods[j]
-                    ws += wts[j]
-            mean = wv / ws if ws > 0.0 else sum(vals[start:end]) / (end - start)
-        blocks.append((start, end, mean, wv, ws, exact))
+            start, _, _, left_wv, left_ws, left_sv = blocks.pop()
+            wv, ws, sv = wv + left_wv, ws + left_ws, sv + left_sv
+            mean = wv / (ws * scale) if ws else sv / ((end - start) * scale)
+        blocks.append((start, end, mean, wv, ws, sv))
     out = []
     for start, end, mean, _, _, _ in blocks:
         out.extend([mean] * (end - start))
@@ -148,7 +126,8 @@ def fit_isotonic(scores, outcomes) -> CalibrationMap:
     Duplicate raw scores are pooled into one point (mean outcome, weighted
     by the number of scores pooled) before the monotone fit, so breakpoints
     come out strictly ascending. Requires at least two scores; raw scores
-    and outcomes must lie in [0, 1].
+    and outcomes must lie in [0, 1], and so does each fitted value, a mean
+    of outcomes rounded once.
     """
     scores = np.asarray(scores, dtype=float)
     outcomes = np.asarray(outcomes, dtype=float)
@@ -171,8 +150,6 @@ def fit_isotonic(scores, outcomes) -> CalibrationMap:
     counts = np.bincount(group)
     pooled = np.bincount(group, weights=outcomes[order]) / counts
     fitted = pav(pooled.tolist(), counts.tolist(), increasing=True)
-    # monotone fit of 0/1 outcomes stays inside [0, 1] up to float noise
-    fitted = [min(max(v, 0.0), 1.0) for v in fitted]
     return CalibrationMap(breakpoints=tuple(sorted_scores[first_of_group].tolist()),
                           values=tuple(fitted))
 

@@ -137,6 +137,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    # the table's CSV goes beside --out with a .csv extension, so a .csv
+    # --out would be overwritten by it (on a case-insensitive disk too)
+    stem, ext = os.path.splitext(args.out)
+    if ext.lower() == ".csv":
+        raise ValidationError(f"--out {args.out} would be overwritten by the policy CSV; "
+                              f"give the policy JSON another extension")
     cfg = _load_json(args.config, "config") if args.config else {}
     with _reading("solve config", ValidationError):
         config = SolverConfig(gamma=_resolve(args.gamma, cfg, "gamma", number, 0.9),
@@ -149,7 +155,7 @@ def cmd_solve(args) -> int:
     payload = table.to_dict()
     payload["provenance"] = _provenance("solve", resolved, {"model": args.model})
     _write_json(args.out, payload)
-    csv_path = os.path.splitext(args.out)[0] + ".csv"
+    csv_path = stem + ".csv"
     _atomic_write(csv_path, table.to_csv_text())
 
     print(f"solved policy table ({len(table.types)} types x "
@@ -308,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--config", help="JSON file with default parameters")
     solve.add_argument("--gamma", type=float, help="discount factor in [0, 1) (default 0.9)")
     solve.add_argument("--horizon", type=int, help="decision opportunities (default 250)")
-    solve.add_argument("--out", required=True, help="output policy JSON path "
+    solve.add_argument("--out", required=True, help="output policy JSON path, not a .csv "
                                                     "(a .csv sibling is written too)")
 
     cal = sub.add_parser("calibrate", help="fit the isotonic calibration map")

@@ -1,16 +1,16 @@
 """Independent reference implementations used to check the real code.
 
 Everything here is written from first principles with its own data
-structures: a quadratic-time isotonic fit, a no-memoization tree
-enumeration of the send/skip recursion, the 2-D array recursion with a
-fixed-point test after every step, a closed-form threshold root, the
-streak rule, calibration lookup and send decisions for one candidate at a
-time, the log reader as one `json.loads` per line, the ingest dataset as a
-per-user split, baseline and replay, and the simulator as one Python call
-per user-pass. None of it imports from the
-package's algorithm internals; the simulator oracle builds the package's
-report type, decides each send with `decide_oracle`, and keeps each send
-as its own `OracleSend` record rather than a package type.
+structures: a quadratic-time isotonic fit whose pools take exact fraction
+means, a no-memoization tree enumeration of the send/skip recursion, the
+2-D array recursion with a fixed-point test after every step, a
+closed-form threshold root, the streak rule, calibration lookup and send
+decisions for one candidate at a time, the log reader as one `json.loads`
+per line, the ingest dataset as a per-user split, baseline and replay,
+and the simulator as one Python call per user-pass. None of it imports
+from the package's algorithm internals; the simulator oracle builds the
+package's report type, decides each send with `decide_oracle`, and keeps
+each send as its own `OracleSend` record rather than a package type.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +35,8 @@ from notif_ltv import (
 
 def pav_oracle(values, weights=None, increasing=True):
     """O(n^2) pool-adjacent-violators: rescan for any adjacent violation,
-    merge the pair, recompute the pooled mean from the original members."""
+    merge the pair, recompute the pooled mean from the original members as
+    an exact fraction, rounded once to the nearest float."""
     vals = [float(v) for v in values]
     if weights is None:
         wts = [1.0] * len(vals)
@@ -47,13 +49,10 @@ def pav_oracle(values, weights=None, increasing=True):
     def group_value(members):
         if len(members) == 1:
             return vals[members[0]]  # never pooled, passes through exactly
-        wsum = sum(wts[i] for i in members)
-        if wsum > 0.0:
-            num = 0.0
-            for i in members:
-                num += vals[i] * wts[i]
-            return num / wsum
-        return sum(vals[i] for i in members) / len(members)
+        wsum = sum(Fraction(wts[i]) for i in members)
+        if wsum > 0:
+            return float(sum(Fraction(vals[i]) * Fraction(wts[i]) for i in members) / wsum)
+        return float(sum(Fraction(vals[i]) for i in members) / len(members))
 
     changed = True
     while changed:

@@ -40,6 +40,11 @@ class TestPav:
     def test_empty_input(self):
         assert pav([]) == []
 
+    @pytest.mark.parametrize("increasing", [True, False])
+    def test_pool_of_huge_values_stays_finite(self, increasing):
+        vals = [1e308, 5e307] if increasing else [5e307, 1e308]
+        assert pav(vals, [10.0, 10.0], increasing=increasing) == [7.5e307, 7.5e307]
+
     @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=10),
            st.data())
     def test_matches_quadratic_oracle(self, vals, data):
@@ -58,12 +63,16 @@ def float_bits(xs):
 
 # (values, weights) for pav: 0/1 outcomes pooled into o/c with weight c, as
 # fit_isotonic pools tie groups; a few values under fractional and zero
-# weights; unweighted 0/1; and integers whose sums cross 2**53
+# weights; values and weights whose products and sums round in floats;
+# unweighted 0/1; and integers whose sums cross 2**53
 pav_inputs = st.one_of(
     st.lists(st.integers(1, 30).flatmap(lambda c: st.tuples(st.integers(0, c), st.just(c))),
              max_size=40).map(lambda ocs: ([o / c for o, c in ocs], [c for _, c in ocs])),
     st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.1, 0.3, 0.5, 1.0]),
                        st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+             max_size=40).map(lambda vws: ([v for v, _ in vws], [w for _, w in vws])),
+    st.lists(st.tuples(st.sampled_from([0.1, 0.2, 0.7, 1 / 3, 2 / 3]),
+                       st.sampled_from([0.1, 0.3, 1.0, 3.0, 7.0])),
              max_size=40).map(lambda vws: ([v for v, _ in vws], [w for _, w in vws])),
     st.lists(st.sampled_from([0.0, 1.0]), max_size=40).map(lambda vs: (vs, None)),
     st.lists(st.tuples(st.integers(-2 ** 52, 2 ** 52), st.sampled_from([0.0, 1.0, 3.0])),
@@ -79,26 +88,45 @@ class TestPavLinear:
         assert (float_bits(pav(vals, wts, increasing=increasing))
                 == float_bits(pav_oracle(vals, wts, increasing)))
 
-    def test_decreasing_values_pool_in_linear_time(self):
+    @pytest.mark.parametrize("wts, want", [
+        pytest.param(None, [10000.5] * 20000, id="unit-weights"),
+        pytest.param([0.0] * 40000, [20000.5] * 40000, id="zero-weights"),
+    ])
+    def test_decreasing_values_pool_in_linear_time(self, wts, want):
         start = time.perf_counter()
-        got = pav([float(20000 - i) for i in range(20000)])
+        got = pav([float(len(want) - i) for i in range(len(want))], wts)
         assert time.perf_counter() - start < 2.0
-        assert got == [10000.5] * 20000
+        assert got == want
 
-    def test_singletons_then_heavy_tie_group_pool_in_linear_time(self):
-        """Opened singletons followed by one ignore group four times their
-        weight, as from a ranker clipping scores at its maximum."""
+    @pytest.mark.parametrize("group, weight, want", [
+        # one ignore group four times their weight, as from a ranker
+        # clipping scores at its maximum
+        pytest.param(0.0, 80000.0, 0.2, id="ignore-group"),
+        # 7 opens in 25 sends, whose 7/25 times 25 is not 7 in floats
+        pytest.param(7 / 25, 25.0, 20007 / 20025, id="inexact-group"),
+    ])
+    def test_singletons_then_heavy_tie_group_pool_in_linear_time(self, group, weight, want):
+        """Opened singletons followed by one tie group that pulls them all
+        into its pool."""
         start = time.perf_counter()
-        got = pav([1.0] * 20000 + [0.0], [1.0] * 20000 + [80000.0])
+        got = pav([1.0] * 20000 + [group], [1.0] * 20000 + [weight])
         assert time.perf_counter() - start < 2.0
-        assert got == [0.2] * 20001
+        assert got == [want] * 20001
 
-    def test_anti_ranked_fit_runs_in_linear_time(self):
-        scores = np.arange(20000) / 20000
+    @pytest.mark.parametrize("scores, outcomes, want", [
+        pytest.param(np.arange(20000) / 20000, np.arange(20000) < 10000,
+                     0.5, id="halves"),
+        # opened distinct scores below one 25-send tie group of 7 opens
+        pytest.param(np.concatenate((np.arange(20000) / 40000, [0.75] * 25)),
+                     np.concatenate((np.ones(20000), [1] * 7 + [0] * 18)),
+                     20007 / 20025, id="inexact-tie-group"),
+    ])
+    def test_anti_ranked_fit_runs_in_linear_time(self, scores, outcomes, want):
         start = time.perf_counter()
-        cmap = fit_isotonic(scores, scores < 0.5)
+        cmap = fit_isotonic(scores, outcomes)
         assert time.perf_counter() - start < 2.0
-        assert cmap.values == (0.5,) * 20000
+        assert cmap.values == (want,) * len(cmap.values)
+        assert len(cmap.values) == len(np.unique(scores))
 
     @pytest.mark.parametrize("vals, wts, message", [
         ([1.0, math.nan], None, "values must be finite, got nan"),

@@ -141,6 +141,14 @@ class TestSolve:
         rows = (tmp_path / "p0.csv").read_text().strip().split("\n")[1:]
         assert all(row.split(",")[2] == "0.0" for row in rows)
 
+    @pytest.mark.parametrize("name", ["p.csv", "p.CSV"])
+    def test_csv_out_is_validation_error(self, model_path, tmp_path, capsys, name):
+        """The CSV sibling of a .csv --out is that file itself."""
+        assert run(["solve", model_path, "--out", tmp_path / name]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {tmp_path / name} ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl", "model.json"]
+
     def test_invalid_gamma_is_validation_error(self, model_path, tmp_path):
         assert run(["solve", model_path, "--gamma", "1.0",
                     "--out", tmp_path / "p.json"]) == 1
