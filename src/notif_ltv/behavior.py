@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import CalibrationMap, apply_calibration, pav
-from .core import (DEFAULT_STREAK_BOUNDS, USER_TYPES, integral, listed, per_type, read_field,
-                   type_rows, validate_streak_bounds)
+from .core import (DEFAULT_STREAK_BOUNDS, USER_TYPES, StreakTable, integral, number, per_type,
+                   read_field, type_rows, validate_streak_bounds)
 from .ingest import RecordSet
 
 # keeps estimated factors strictly positive even for all-ignore cells
@@ -31,71 +31,33 @@ _MEAN_OPEN_EPS = 1e-6
 
 
 @dataclass
-class FactorTable:
-    """Per-(type, streak) multiplicative factors with their sample counts.
-
-    factors and counts are arrays of shape (len(types), n_streaks) where
-    column j holds streak bounds[0] + j. The streak-0 column is pinned to 1:
-    it is the no-history state and carries no deviation by convention.
-    `factor` and `count` look cells up as `PolicyTable.threshold` does: by
-    `type_rows` and a streak clamped into the bounds, over arrays.
+class FactorTable(StreakTable):
+    """Per-(type, streak) multiplicative factors with their sample counts,
+    laid out and looked up as every `StreakTable`. The streak-0 column is
+    pinned to 1: it is the no-history state and carries no deviation by
+    convention.
     """
 
-    bounds: tuple[int, int]
-    types: tuple[int, ...]
+    ARRAYS = {"factors": (float, number), "counts": (np.int64, integral)}
+
     factors: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self):
-        self.bounds = validate_streak_bounds(self.bounds)
-        self.types = tuple(int(c) for c in self.types)
-        n_streaks = self.bounds[1] - self.bounds[0] + 1
-        self.factors = np.asarray(self.factors, dtype=float)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        shape = (len(self.types), n_streaks)
-        if self.factors.shape != shape or self.counts.shape != shape:
-            raise ValueError(f"factor/count arrays must have shape {shape}")
+        super().__post_init__()
         if not np.all(np.isfinite(self.factors) & (self.factors > 0.0)):
             raise ValueError("factors must be finite and strictly positive")
 
     def factor(self, user_type, streak):
-        """Factor of each (type, streak), elementwise over types and streaks
-        that numpy broadcasts, the streak clamped into the bounds first; one
-        pair gives a numpy float. A type without a row raises KeyError."""
-        lo, hi = self.bounds
-        return self.factors[type_rows(self.types, user_type), np.clip(streak, lo, hi) - lo]
+        """Factor of each (type, streak), as `StreakTable.at` looks it up."""
+        return self.at(self.factors, user_type, streak)
 
     def count(self, user_type, streak):
         """Sample count of each (type, streak), looked up as `factor` is."""
-        lo, hi = self.bounds
-        return self.counts[type_rows(self.types, user_type), np.clip(streak, lo, hi) - lo]
+        return self.at(self.counts, user_type, streak)
 
     def replace_factors(self, new_factors: np.ndarray) -> "FactorTable":
-        return FactorTable(bounds=self.bounds, types=self.types,
-                           factors=np.asarray(new_factors, dtype=float),
-                           counts=self.counts.copy())
-
-    def to_dict(self) -> dict:
-        return {
-            "streak_bounds": list(self.bounds),
-            "types": list(self.types),
-            "factors": {str(c): [float(v) for v in self.factors[i]]
-                        for i, c in enumerate(self.types)},
-            "counts": {str(c): [int(v) for v in self.counts[i]]
-                       for i, c in enumerate(self.types)},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FactorTable":
-        lo, hi = validate_streak_bounds(read_field(d, "streak_bounds", listed, 2, integral))
-        types = read_field(d, "types", listed, None, integral)
-        factors = read_field(d, "factors", per_type, listed, hi - lo + 1)
-        counts = read_field(d, "counts", per_type, listed, hi - lo + 1, integral)
-        if not sorted(factors) == sorted(counts) == sorted(types):
-            raise ValueError(f"factors and counts need one row per type in types {list(types)}")
-        return cls(bounds=(lo, hi), types=types,
-                   factors=np.array([factors[c] for c in types], dtype=float),
-                   counts=np.array([counts[c] for c in types], dtype=np.int64))
+        return FactorTable(self.bounds, self.types, new_factors, self.counts.copy())
 
 
 def estimate_factors(records: RecordSet,
@@ -213,6 +175,9 @@ class BehaviorModel:
         bad = {c: v for c, v in self.type_mean_open.items() if not 0.0 <= v <= 1.0}
         if bad:
             raise ValueError(f"mean open rates must lie in [0, 1], got {bad}")
+        missing = [c for c in self.types if c not in self.type_mean_open]
+        if missing:
+            raise ValueError(f"type_mean_open has no entry for user type(s) {missing}")
 
     @property
     def types(self) -> tuple[int, ...]:

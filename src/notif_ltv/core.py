@@ -1,5 +1,6 @@
-"""Configuration types and the streak state machine shared by the whole
-pipeline; the send log itself is `ingest.SendLog`.
+"""Configuration types, the streak state machine and the (type, streak)
+table layout shared by the whole pipeline; the send log itself is
+`ingest.SendLog`.
 
 The streak is a signed count of consecutive identical outcomes on sent
 notifications: s=+3 means the user opened the last three, s=-2 means they
@@ -8,14 +9,17 @@ ignored the last two. An ignore after a positive run flips the streak to -1
 Decisions not to send leave the streak untouched. Streaks are clamped to
 fixed bounds so model tables and the solver state space stay finite.
 
-`advance_streak` and `type_rows` are written once, in numpy: they take
-anything numpy broadcasts, a block of users being the normal call, and
-return numpy values; one Python scalar comes back as a numpy scalar.
+`advance_streak`, `type_rows` and `StreakTable.at` are written once, in
+numpy: they take anything numpy broadcasts, a block of users being the
+normal call, and return numpy values; one Python scalar comes back as a
+numpy scalar.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -131,6 +135,66 @@ def validate_streak_bounds(bounds: tuple[int, int]) -> tuple[int, int]:
     if lo > -1 or hi < 1:
         raise ValueError(f"streak_bounds {bounds} must satisfy lo <= -1 <= 1 <= hi")
     return (lo, hi)
+
+
+@dataclass
+class StreakTable:
+    """One value per (user type, streak) cell, in each of the arrays a
+    subclass lists in ARRAYS: field name -> (dtype, reader of one JSON cell).
+
+    Every array has shape (len(types), n_streaks): row i holds types[i] and
+    column j holds streak bounds[0] + j. In JSON each array is an object of
+    per-type rows; JSON has no infinity, so a +inf cell is written as null.
+    """
+
+    ARRAYS: ClassVar[dict] = {}
+
+    bounds: tuple[int, int]
+    types: tuple[int, ...]
+
+    def __post_init__(self):
+        self.bounds = validate_streak_bounds(self.bounds)
+        self.types = tuple(int(c) for c in self.types)
+        shape = (len(self.types), self.bounds[1] - self.bounds[0] + 1)
+        for name, (dtype, _) in self.ARRAYS.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+
+    def at(self, values: np.ndarray, user_type, streak):
+        """The cell of `values` for each (type, streak), elementwise over
+        types and streaks that numpy broadcasts, the streak clamped into the
+        bounds first; one pair gives a numpy scalar. A type without a row
+        raises KeyError."""
+        lo, hi = self.bounds
+        return values[type_rows(self.types, user_type), np.clip(streak, lo, hi) - lo]
+
+    def columns(self, values: np.ndarray, bounds: tuple[int, int]) -> np.ndarray:
+        """The columns of `values` for the streaks of `bounds`, which must lie
+        within the table's."""
+        (lo, hi), (tlo, thi) = bounds, self.bounds
+        if lo < tlo or hi > thi:
+            raise ValueError(f"streak bounds {bounds} exceed the table's {self.bounds}")
+        return values[:, lo - tlo:hi - tlo + 1]
+
+    def to_dict(self) -> dict:
+        d = {"streak_bounds": list(self.bounds), "types": list(self.types)}
+        for name in self.ARRAYS:
+            d[name] = {str(c): [None if v == math.inf else v for v in row]
+                       for c, row in zip(self.types, getattr(self, name).tolist())}
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        lo, hi = validate_streak_bounds(read_field(d, "streak_bounds", listed, 2, integral))
+        types = read_field(d, "types", listed, None, integral)
+        arrays = {}
+        for name, (_, read) in cls.ARRAYS.items():
+            rows = read_field(d, name, per_type, listed, hi - lo + 1, read)
+            if sorted(rows) != sorted(types):
+                raise ValueError(f"{name} needs one row per type in types {list(types)}")
+            arrays[name] = [rows[c] for c in types]
+        return cls(bounds=(lo, hi), types=types, **arrays)
 
 
 @dataclass(frozen=True)

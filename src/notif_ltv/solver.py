@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import BehaviorModel
-from .core import (SolverConfig, advance_streak, integral, listed, number, per_type, read_field,
-                   type_rows, validate_streak_bounds)
+from .core import SolverConfig, StreakTable, advance_streak, number
 
 # threshold meaning "no score justifies sending"; any score compares below it
 NEVER_SEND = math.inf
@@ -52,17 +51,10 @@ def _grid(model: BehaviorModel, config: SolverConfig):
     and the column each streak moves to after an open (up) or an ignore
     (down)."""
     lo, hi = config.streak_bounds
-    mlo, mhi = model.factors.bounds
-    if lo < mlo or hi > mhi:
-        raise ValueError(
-            f"solver bounds {config.streak_bounds} exceed model bounds {model.factors.bounds}")
-    missing = [c for c in model.types if c not in model.type_mean_open]
-    if missing:
-        raise ValueError(f"model has no mean open rate for type(s) {missing}")
     streaks = np.arange(lo, hi + 1)
     up = advance_streak(streaks, 1, (lo, hi)) - lo
     down = advance_streak(streaks, 0, (lo, hi)) - lo
-    factors = model.factors.factors[:, lo - mlo:hi - mlo + 1]
+    factors = model.factors.columns(model.factors.factors, config.streak_bounds)
     ybar = np.array([[model.type_mean_open[c]] for c in model.types], dtype=float)
     return factors, ybar, up, down
 
@@ -131,63 +123,40 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
     return values.reshape(factors.shape)
 
 
-@dataclass
-class PolicyTable:
-    """Solved send thresholds per (user type, streak).
+def _threshold(value, name: str) -> float:
+    """A threshold cell: a finite JSON number, or null for never-send."""
+    if value is None:
+        return NEVER_SEND
+    v = number(value, name)
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite number or null (never send), got {value!r}")
+    return v
 
-    thresholds has shape (len(types), n_streaks), column j holding streak
-    bounds[0] + j as in `FactorTable`. It holds calibrated scores in [0, 1];
-    math.inf (NEVER_SEND) marks cells where sending is never worthwhile.
-    Anything else, NaN included, is rejected.
+
+@dataclass
+class PolicyTable(StreakTable):
+    """Solved send thresholds per (user type, streak), laid out and looked up
+    as every `StreakTable`. They are calibrated scores in [0, 1]; math.inf
+    (NEVER_SEND), written as null, marks cells where sending is never
+    worthwhile. Anything else, NaN included, is rejected.
     """
 
-    bounds: tuple[int, int]
-    types: tuple[int, ...]
+    ARRAYS = {"thresholds": (float, _threshold)}
+
     thresholds: np.ndarray
 
     def __post_init__(self):
-        self.bounds = validate_streak_bounds(self.bounds)
-        self.types = tuple(int(c) for c in self.types)
-        self.thresholds = np.asarray(self.thresholds, dtype=float)
-        lo, hi = self.bounds
-        shape = (len(self.types), hi - lo + 1)
-        if self.thresholds.shape != shape:
-            raise ValueError(f"thresholds must have shape {shape}")
+        super().__post_init__()
         t = self.thresholds
         if not np.all(((t >= 0.0) & (t <= 1.0)) | (t == NEVER_SEND)):
             raise ValueError("thresholds must lie in [0, 1] or be never-send (+inf)")
 
     def threshold(self, user_type, streak):
-        """Lookup with the streak clamped into the table bounds first.
-
-        Elementwise over types and streaks that numpy broadcasts, giving an
-        array; one (type, streak) pair gives a numpy float. A type without a
-        row raises KeyError.
-        """
-        lo, hi = self.bounds
-        return self.thresholds[type_rows(self.types, user_type), np.clip(streak, lo, hi) - lo]
+        """Threshold of each (type, streak), as `StreakTable.at` looks it up."""
+        return self.at(self.thresholds, user_type, streak)
 
     def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "types": list(self.types),
-            "streak_bounds": list(self.bounds),
-            "thresholds": {
-                str(c): [None if math.isinf(v) else float(v) for v in self.thresholds[i]]
-                for i, c in enumerate(self.types)
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolicyTable":
-        lo, hi = validate_streak_bounds(read_field(d, "streak_bounds", listed, 2, integral))
-        types = read_field(d, "types", listed, None, integral)
-        rows = read_field(d, "thresholds", per_type, listed, hi - lo + 1,
-                          lambda v, name: NEVER_SEND if v is None else number(v, name))
-        if sorted(rows) != sorted(types):
-            raise ValueError(f"thresholds need one row per type in types {list(types)}")
-        return cls(bounds=(lo, hi), types=types,
-                   thresholds=np.array([rows[c] for c in types], dtype=float))
+        return {"version": 1, **super().to_dict()}
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()

@@ -174,6 +174,16 @@ class TestSolve:
         assert run(["solve", model_path, "--out", tmp_path / "p.json"]) == 2
         assert capsys.readouterr().err.startswith(f"error: model {model_path}: ")
 
+    def test_model_without_a_mean_open_rate_is_one_error_line(self, model_path, tmp_path,
+                                                              capsys):
+        doc = json.loads(model_path.read_text())
+        del doc["type_mean_open"]["6"]
+        model_path.write_text(json.dumps(doc))
+        assert run(["solve", model_path, "--out", tmp_path / "p.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: model {model_path}: type_mean_open has no entry for user type(s) [6]\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl", "model.json"]
+
     @pytest.mark.parametrize("horizon, code", [(2.5, 1), (5.0, 0)])
     def test_config_horizon_must_be_integral(self, model_path, tmp_path, horizon, code):
         cfg = tmp_path / "solve.json"
@@ -395,6 +405,27 @@ class TestSimulate:
             {"name": "rl", "policy": "rl", "table_path": "policy.json"}]))
         assert run(["simulate", "--sim-config", sim_config_path,
                     "--treatments", rl, "--out-dir", tmp_path / "o"]) == 2
+
+    @pytest.mark.parametrize("token", ["Infinity", "1e999", "-Infinity", "NaN"])
+    def test_rl_threshold_other_than_a_finite_number_or_null_is_data_error(
+            self, sim_config_path, tmp_path, capsys, token):
+        """null is the one spelling of never-send."""
+        table = PolicyTable(bounds=(-4, 4), types=(1, 2), thresholds=np.full((2, 9), 0.3))
+        doc = table.to_dict()
+        doc["thresholds"]["1"][2] = 0.125
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps(doc).replace("0.125", token))
+        rl = tmp_path / "rl.json"
+        rl.write_text(json.dumps([
+            {"name": "no_filter", "policy": "no_filter", "baseline": True},
+            {"name": "rl", "policy": "rl", "table_path": "policy.json"}]))
+        out_dir = tmp_path / "o"
+        assert run(["simulate", "--sim-config", sim_config_path,
+                    "--treatments", rl, "--out-dir", out_dir]) == 2
+        assert capsys.readouterr().err == (
+            f"error: policy table {policy_path}: thresholds[1][2] must be a finite number "
+            f"or null (never send), got {float(token)!r}\n")
+        assert not out_dir.exists()
 
     def test_heuristic_missing_a_drawn_type_is_validation_error(self, sim_config_path,
                                                                 tmp_path, capsys):

@@ -1,4 +1,6 @@
-"""Streak state machine and core type validation."""
+"""Streak state machine, core type validation and the (type, streak) table."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, strategies as st
 
 import notif_ltv
 from notif_ltv import (
+    FactorTable,
+    PolicyTable,
     SendLimitConfig,
     SolverConfig,
     advance_streak,
@@ -127,6 +131,47 @@ class TestSendLimitConfig:
     def test_from_dict_loads_integral_floats(self):
         cfg = SendLimitConfig.from_dict({"limits": {"1": 3.0}, "adjustment": -1.0})
         assert cfg.limits == {1: 3} and cfg.adjustment == -1
+
+
+def _table_fields(cls, bounds=(-2, 2), types=(1, 2), shape=None):
+    """Constructor arguments of a `cls` table holding 1 in every cell."""
+    shape = shape or (len(types), bounds[1] - bounds[0] + 1)
+    return dict(bounds=bounds, types=types,
+                **{name: np.ones(shape, dtype) for name, (dtype, _) in cls.ARRAYS.items()})
+
+
+def _edited_rows(cls, edit):
+    """The JSON document of a valid two-type `cls` table, edit(rows) applied
+    to the per-type rows of each of its arrays."""
+    doc = json.loads(json.dumps(cls(**_table_fields(cls)).to_dict()))
+    for name in cls.ARRAYS:
+        edit(doc[name])
+    return doc
+
+
+TABLE_FAULTS = {  # case -> (raise it for a table class, message pattern)
+    "type without a row": (lambda cls: cls.from_dict(_edited_rows(cls, lambda r: r.pop("2"))),
+                           "needs one row per type in types"),
+    "row for a type not in types": (
+        lambda cls: cls.from_dict(_edited_rows(cls, lambda r: r.update({"3": r["1"]}))),
+        "needs one row per type in types"),
+    "row of the wrong length": (
+        lambda cls: cls.from_dict(_edited_rows(cls, lambda r: r["1"].pop())),
+        r"\[1\] must be a list of 5 "),
+    "array of the wrong shape": (lambda cls: cls(**_table_fields(cls, shape=(2, 4))),
+                                 r"must have shape \(2, 5\)"),
+    "bounds with lo > -1": (lambda cls: cls(**_table_fields(cls, bounds=(0, 2))),
+                            "must satisfy lo <= -1"),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_FAULTS)
+@pytest.mark.parametrize("cls", [FactorTable, PolicyTable])
+def test_table_boundary_faults_are_value_errors(cls, case):
+    """Both table types share one bounds, shape and per-type-row check."""
+    raise_it, message = TABLE_FAULTS[case]
+    with pytest.raises(ValueError, match=message):
+        raise_it(cls)
 
 
 def test_package_exports_are_unique_and_resolve():
