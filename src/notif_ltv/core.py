@@ -32,7 +32,10 @@ _REQUIRED = object()
 
 
 def validate_user_type(value: int, name: str = "user_type") -> int:
-    """Check that `value` is one of the known user types and return it."""
+    """Check that `value` is one of the known user types and return it as an
+    int; a numpy integer counts as one."""
+    if isinstance(value, np.integer):
+        value = int(value)
     if isinstance(value, bool) or not isinstance(value, int) or value not in USER_TYPES:
         raise ValueError(f"unknown {name} {value!r}; expected one of {list(USER_TYPES)}")
     return value
@@ -154,7 +157,9 @@ class StreakTable:
 
     def __post_init__(self):
         self.bounds = validate_streak_bounds(self.bounds)
-        self.types = tuple(int(c) for c in self.types)
+        self.types = tuple(validate_user_type(c, "table type") for c in self.types)
+        if len(set(self.types)) != len(self.types):
+            raise ValueError(f"types {list(self.types)} hold a user type twice")
         shape = (len(self.types), self.bounds[1] - self.bounds[0] + 1)
         for name, (dtype, _) in self.ARRAYS.items():
             setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))

@@ -25,7 +25,9 @@ drawn once, up front, one user at a time, and the score transform then runs
 once over the whole block. The draws are shared by every arm, and all arms
 step the block together one pass at a time (`simulate_pass`): streak, sends
 today, reachability and the stream cursor are one (arms, users) array each,
-and outcomes and churn resolve in one step over every arm's sends.
+and outcomes and churn resolve in one step over every arm's sends. A block
+records who each pass sent to and which sends opened in two masks, and
+every per-user count and every kept send is read off them.
 
 A treatment's policy is a `PolicyTable`, one send threshold per (type,
 streak). Each block looks up every arm's thresholds once into one (arm,
@@ -64,9 +66,10 @@ SECONDS_PER_DAY = 86400
 
 # Cap on a block's draws, 24 bytes per user-pass (a raw score, two uniforms),
 # so a block's memory is bounded at any run length; the calibrated copy of the
-# scores adds 8 bytes more, and the open-probability table 8 bytes per user
-# and streak, whatever the run length. 2 MiB fits 800 users x 90 passes in one
-# block, paying numpy's per-call overhead once a pass for all arms, for ~2 MB.
+# scores adds 8 bytes more, the send and open masks 2 bytes per user-pass per
+# arm, and the open-probability table 8 bytes per user and streak. 2 MiB fits
+# 800 users x 90 passes in one block, paying numpy's per-call overhead once a
+# pass for all arms, for ~2 MB.
 BLOCK_BYTES = 2 << 20
 
 # salts for the per-user streams, the last word of each user's seed
@@ -85,16 +88,13 @@ def ramp_factor_table(bounds: tuple[int, int],
     """
     lo, hi = validate_streak_bounds(bounds)
     types = tuple(sorted(ramps))
-    n = hi - lo + 1
-    factors = np.ones((len(types), n))
-    for i, c in enumerate(types):
-        neg_end, pos_end = ramps[c]
-        for s in range(lo, hi + 1):
-            if s > 0:
-                factors[i, s - lo] = 1.0 + (s / hi) * (pos_end - 1.0)
-            elif s < 0:
-                factors[i, s - lo] = 1.0 + (s / lo) * (neg_end - 1.0)
-    counts = np.zeros((len(types), n), dtype=np.int64)
+    ends = np.array([ramps[c] for c in types], dtype=float).reshape(-1, 2)
+    s = np.arange(lo, hi + 1)
+    # both branches run at every streak; like Python floats, inf or nan is silent
+    with np.errstate(all="ignore"):
+        factors = np.where(s > 0, 1.0 + (s / hi) * (ends[:, 1:] - 1.0),
+                           np.where(s < 0, 1.0 + (s / lo) * (ends[:, :1] - 1.0), 1.0))
+    counts = np.zeros(factors.shape, dtype=np.int64)
     return FactorTable(bounds=(lo, hi), types=types, factors=factors, counts=counts)
 
 
@@ -494,9 +494,9 @@ def generate_population(config: SimConfig) -> UserBlock:
 
 @dataclass
 class BlockState:
-    """Every arm's mutable state for a block of users: one (arms, users)
-    array per field, row a holding arm a's entry for each user, and the
-    lookups every pass reads, built once per block."""
+    """Every arm's mutable state for a block of users, one (arms, users)
+    array per field with row a for arm a, and the lookups every pass reads,
+    built once per block. `_run_block` records each pass's sends and opens."""
 
     block: UserBlock
     effective_limit: np.ndarray
@@ -505,7 +505,6 @@ class BlockState:
     p_open: np.ndarray  # (users, streaks) open probability, min(f_true * baseline, 1)
     streak: np.ndarray
     sends_today: np.ndarray
-    active_today: np.ndarray
     reachable: np.ndarray
     cursor: np.ndarray  # next unread column of block.uniforms
 
@@ -532,8 +531,7 @@ class BlockState:
                    p_open=np.minimum(factors[block.rows] * block.baseline[:, None], 1.0),
                    streak=np.zeros(shape, dtype=np.int64),
                    sends_today=np.zeros(shape, dtype=np.int64),
-                   active_today=np.zeros(shape, dtype=bool), reachable=np.ones(shape, dtype=bool),
-                   cursor=np.zeros(shape, dtype=np.intp))
+                   reachable=np.ones(shape, dtype=bool), cursor=np.zeros(shape, dtype=np.intp))
 
 
 def simulate_pass(state: BlockState, calibrated: np.ndarray, *, bounds: tuple[int, int],
@@ -565,7 +563,6 @@ def simulate_pass(state: BlockState, calibrated: np.ndarray, *, bounds: tuple[in
     cursor[sent] += 1
     streak[sent] = advance_streak(before, opened, bounds)
     state.sends_today.reshape(-1)[sent] += 1
-    state.active_today.reshape(-1)[sent[opened]] = True
     if churn_rate > 0.0:
         ignored = sent[~opened]
         churned = block.uniforms[user[~opened], cursor[ignored]] < churn_rate
@@ -586,46 +583,31 @@ def _events(log: tuple[list[np.ndarray], ...], passes_per_day: int) -> SendLog:
                              raw, outcome)
 
 
-def _run_block(state: BlockState, calibrated: np.ndarray,
-               logs: list[tuple[list[np.ndarray], ...]] | None, *, config: SimConfig,
-               days: int, weights: list[float]) -> dict:
-    """Step every arm of a fresh state through every pass of its block and
-    return the per-user columns by name, (arms, users) except the shared
-    row; arm a's sends are appended to logs[a] unless logs is None."""
-    block = state.block
-    arms, n = state.streak.shape
-    sends, opens, active_days, max_day_sends = (np.zeros((arms, n), dtype=np.int64)
-                                                for _ in range(4))
-    discounted = np.zeros((arms, n))
-    flat_opens, flat_discounted = opens.reshape(-1), discounted.reshape(-1)
-    arm_starts = n * np.arange(arms + 1)
-    passes = config.passes_per_day
-    for day in range(days):
-        # a churned user's counters stay at zero from here on
-        state.sends_today[:] = 0
-        state.active_today[:] = False
-        for p in range(passes):
-            t = day * passes + p
-            sent, opened = simulate_pass(state, calibrated[:, t], bounds=config.streak_bounds,
-                                         churn_rate=config.churn_rate)
-            openers = sent[opened]
-            flat_opens[openers] += 1
-            # each user's discounted opens add up in pass order
-            flat_discounted[openers] += weights[t]
-            if logs is not None:
-                cuts = np.searchsorted(sent, arm_starts)
-                for arm, log in enumerate(logs):
-                    lo, hi = cuts[arm], cuts[arm + 1]
-                    row = sent[lo:hi] - arm_starts[arm]
-                    for col, values in zip(log, (
-                            block.index[row], block.user_type[row], np.full(len(row), t),
-                            block.raw_scores[row, t], opened[lo:hi])):
-                        col.append(values)
-        sends += state.sends_today
-        active_days += state.active_today
-        np.maximum(max_day_sends, state.sends_today, out=max_day_sends)
-    return dict(row=block.rows, sends=sends, opens=opens, discounted=discounted,
-                active_days=active_days, max_day_sends=max_day_sends, reachable=state.reachable)
+def _run_block(state: BlockState, calibrated: np.ndarray, *, config: SimConfig,
+               weights: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step every arm of a fresh state through every pass of its block.
+
+    Returns two pass-major (passes, arms, users) masks, sent and opened:
+    [t, arm, row] says whether pass t sent to the block's user row in that
+    arm, and whether that send was opened. Also returns each user's
+    discounted opens, (arms, users), added up in pass order.
+    """
+    passes = calibrated.shape[1]
+    sent_mask, opened_mask = (np.zeros((passes, state.streak.size), dtype=bool)
+                              for _ in range(2))
+    discounted = np.zeros(state.streak.size)
+    for t in range(passes):
+        if t % config.passes_per_day == 0:
+            state.sends_today[:] = 0
+        sent, opened = simulate_pass(state, calibrated[:, t], bounds=config.streak_bounds,
+                                     churn_rate=config.churn_rate)
+        openers = sent[opened]
+        sent_mask[t, sent] = True
+        opened_mask[t, openers] = True
+        discounted[openers] += weights[t]
+    shape = state.streak.shape
+    return (sent_mask.reshape(passes, *shape), opened_mask.reshape(passes, *shape),
+            discounted.reshape(shape))
 
 
 def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]],
@@ -635,7 +617,7 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
     BLOCK_BYTES of draws, or one user: each block's draws are made once and
     all arms step through its passes together before the next block is
     drawn. Returns each arm's per-user columns, in user-index order, and
-    a list of each arm's kept sends as lists of arrays, or None."""
+    each arm's kept sends as lists of arrays or None, both from the masks."""
     factors = apply_kappa(config.true_factors, config.kappa_true).factors
     passes = days * config.passes_per_day
     weights = []
@@ -654,8 +636,20 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
         calibrated = apply_calibration(calibration, block.raw_scores)
         state = BlockState.start(block, limits[:, block.rows], tables, factors=factors,
                                  bounds=config.streak_bounds)
-        blocks.append(_run_block(state, calibrated, logs, config=config, days=days,
-                                 weights=weights))
+        sent, opened, discounted = _run_block(state, calibrated, config=config, weights=weights)
+        by_day = (days, config.passes_per_day, *sent.shape[1:])
+        blocks.append(dict(
+            row=block.rows, sends=np.count_nonzero(sent, axis=0),
+            opens=np.count_nonzero(opened, axis=0), discounted=discounted,
+            active_days=np.count_nonzero(opened.reshape(by_day).any(axis=1), axis=0),
+            max_day_sends=np.count_nonzero(sent.reshape(by_day), axis=1).max(axis=0),
+            reachable=state.reachable))
+        for arm, log in enumerate(logs or ()):
+            # user-major, each user's sends in pass order
+            row, t = np.nonzero(sent[:, arm].T)
+            for col, values in zip(log, (block.index[row], block.user_type[row], t,
+                                         block.raw_scores[row, t], opened[t, arm, row])):
+                col.append(values)
     columns = {key: np.concatenate([cols[key] for cols in blocks], axis=-1) for key in blocks[0]}
     return [{key: col if key == "row" else col[arm] for key, col in columns.items()}
             for arm in range(len(arms))], logs
@@ -680,8 +674,8 @@ def warmup_events(config: SimConfig) -> SendLog:
 
 def fit_sim_calibration(config: SimConfig) -> CalibrationMap:
     """Calibration fitted on a fresh warm-up's sends, from its columns in
-    pass order: the fit sorts scores stably and pools each tie group's 0/1
-    outcomes as exact sums, so the map equals the fit on the columns of
+    user-index order: the fit sorts scores stably and pools each tie group's
+    0/1 outcomes as exact sums, so the map equals the fit on the columns of
     `warmup_events(config)`."""
     *_, raw, outcome = _warmup(config)
     return fit_isotonic(np.concatenate(raw), np.concatenate(outcome))

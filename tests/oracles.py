@@ -4,13 +4,14 @@ Everything here is written from first principles with its own data
 structures: a quadratic-time isotonic fit whose pools take exact fraction
 means, a no-memoization tree enumeration of the send/skip recursion, the
 2-D array recursion with a fixed-point test after every step, a
-closed-form threshold root, the streak rule, calibration lookup and send
-decisions for one candidate at a time, the log reader as one `json.loads`
-per line, the ingest dataset as a per-user split, baseline and replay,
-and the simulator as one Python call per user-pass. None of it imports
-from the package's algorithm internals; the simulator oracle builds the
-package's report type, decides each send with `decide_oracle`, and keeps
-each send as its own `OracleSend` record rather than a package type.
+closed-form threshold root, the ramp ground truth one cell at a time, the
+streak rule, calibration lookup and send decisions for one candidate at a
+time, the log reader as one `json.loads` per line, the ingest dataset as a
+per-user split, baseline and replay, and the simulator as one Python call
+per user-pass. None of it imports from the package's algorithm internals;
+the simulator oracle builds the package's report type, decides each send
+with `decide_oracle`, and keeps each send as its own `OracleSend` record
+rather than a package type.
 """
 
 from __future__ import annotations
@@ -181,6 +182,23 @@ def threshold_oracle(factors, ybar, gamma, bounds, streak, steps):
     if slope <= 0.0:
         return None  # flat or decreasing advantage cannot cross upward
     return gamma * (v_stay - v_down) / slope
+
+
+def ramp_factor_oracle(bounds, ramps):
+    """The ramp ground truth one cell at a time: row i holds the i-th type of
+    sorted(ramps), streak 0 sits at 1, and each branch runs linearly from 1
+    to its end, ramps[c] = (value at bounds[0], value at bounds[1])."""
+    lo, hi = bounds
+    types = sorted(ramps)
+    factors = np.ones((len(types), hi - lo + 1))
+    for i, c in enumerate(types):
+        neg_end, pos_end = ramps[c]
+        for s in range(lo, hi + 1):
+            if s > 0:
+                factors[i, s - lo] = 1.0 + (s / hi) * (pos_end - 1.0)
+            elif s < 0:
+                factors[i, s - lo] = 1.0 + (s / lo) * (neg_end - 1.0)
+    return factors
 
 
 # --- lookups: one candidate at a time, from plain tuples and dicts -------------

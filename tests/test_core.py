@@ -162,16 +162,26 @@ TABLE_FAULTS = {  # case -> (raise it for a table class, message pattern)
                                  r"must have shape \(2, 5\)"),
     "bounds with lo > -1": (lambda cls: cls(**_table_fields(cls, bounds=(0, 2))),
                             "must satisfy lo <= -1"),
+    "duplicate type": (lambda cls: cls(**_table_fields(cls, types=(1, 1))),
+                       r"types \[1, 1\] hold a user type twice"),
+    "unknown type": (lambda cls: cls(**_table_fields(cls, types=(7,))), "unknown table type 7"),
 }
 
 
 @pytest.mark.parametrize("case", TABLE_FAULTS)
 @pytest.mark.parametrize("cls", [FactorTable, PolicyTable])
 def test_table_boundary_faults_are_value_errors(cls, case):
-    """Both table types share one bounds, shape and per-type-row check."""
+    """Both table types share one bounds, type, shape and per-type-row check."""
     raise_it, message = TABLE_FAULTS[case]
     with pytest.raises(ValueError, match=message):
         raise_it(cls)
+
+
+def test_table_types_given_as_numpy_integers_load_as_ints():
+    """A types array from numpy becomes plain ints, so to_dict's JSON dumps."""
+    table = PolicyTable(**_table_fields(PolicyTable, types=np.array([1, 2])))
+    assert [type(c) for c in table.types] == [int, int]
+    assert PolicyTable.from_dict(json.loads(json.dumps(table.to_dict()))).types == (1, 2)
 
 
 def test_package_exports_are_unique_and_resolve():

@@ -5,9 +5,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from check_arms import differences as arm_differences
-from hypothesis import given, settings, strategies as st
-from oracles import (run_experiment_oracle, streak_oracle, threshold_cells,
-                     warmup_events_oracle)
+from hypothesis import example, given, settings, strategies as st
+from oracles import (ramp_factor_oracle, run_experiment_oracle, streak_oracle,
+                     threshold_cells, warmup_events_oracle)
 
 from notif_ltv import (
     NEVER_SEND,
@@ -75,6 +75,19 @@ class TestRampFactorTable:
         table = ramp_factor_table((-5, 5), {1: (0.5, 1.5)})
         vals = [table.factor(1, s) for s in range(-5, 6)]
         assert vals == sorted(vals)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lo=st.integers(-40, -1), hi=st.integers(1, 40),
+           ramps=st.dictionaries(st.integers(1, 6), st.tuples(
+               *[st.floats(0.05, 3.0, exclude_min=True)] * 2), max_size=6))
+    @example(lo=-1, hi=1, ramps={})
+    @example(lo=-7, hi=3, ramps={2: (0.4, 1.6), 5: (1.3, 0.7)})
+    def test_matches_cell_by_cell_oracle(self, lo, hi, ramps):
+        """Bit for bit, on asymmetric bounds, ends below and above 1 and an
+        empty ramp map."""
+        table = ramp_factor_table((lo, hi), ramps)
+        assert table.types == tuple(sorted(ramps))
+        assert table.factors.tobytes() == ramp_factor_oracle((lo, hi), ramps).tobytes()
 
 
 class TestGeneratePopulation:
