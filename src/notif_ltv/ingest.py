@@ -7,8 +7,8 @@ module owns the format both ways: `read_log` reads it and `SendLog.to_jsonl`
 writes a log back, which is how the simulator's sends are emitted.
 
 `read_log` walks the file once, 4096 lines at a time. It decodes a chunk
-with one `json.loads` of the chunk as a JSON array when each line is
-provably one array element, and checks the fields a column at a time. A
+with one `json.loads` as a JSON array when three whole-chunk counts prove
+each line one array element, and checks the fields a column at a time. A
 chunk that is not one object per line, or fails a check, goes through the
 per-line loop of `_parse_line`, which defines the accepted set and names
 the chunk's first bad line; the read then goes on with the next chunk.
@@ -80,9 +80,11 @@ class SendLog:
         # ids stay Python strings: a numpy 'U' array drops trailing NULs
         users = tuple(sorted(set(user_id)))
         rank = {uid: r for r, uid in enumerate(users)}
-        user = np.array([rank[uid] for uid in user_id], dtype=np.int64)
+        user = np.fromiter(map(rank.__getitem__, user_id), np.int64, len(user_id))
         timestamp = np.asarray(timestamp, dtype=np.int64)
-        order = np.lexsort((timestamp, user))  # stable: equal keys keep input order
+        # lexsort((timestamp, user)) in two stable passes; a narrow user key sorts by radix
+        order = np.argsort(timestamp, kind="stable")
+        order = order[np.argsort(user.astype(np.min_scalar_type(len(users)))[order], kind="stable")]
         return cls(users=users, user=user[order],
                    user_type=np.asarray(user_type, dtype=np.int64)[order],
                    timestamp=timestamp[order],
@@ -187,29 +189,32 @@ def read_log(path) -> SendLog:
 
 
 def _read_chunk(chunk: list[str], type_of: dict[str, int]) -> tuple | None:
-    """A chunk's columns from one `json.loads` of its lines as an array, or
+    r"""A chunk's columns from one `json.loads` of its lines as an array, or
     None where `_read_lines` must decide.
 
-    The lines are decoded together when every non-blank line holds exactly
-    one `{` and one `}` and the array holds as many objects as lines. Then
-    no brace is inside a string, so the k-th object lies on line k alone
-    and equals `json.loads` of that line. The fields are checked a column
+    The lines, stripped of JSON whitespace, are joined with "\n," into one
+    array text. A stripped line holds no newline, so for n lines, n - 1
+    `}\n,{` in a text from `[{` to `}]` mean each line starts with `{` and
+    ends with `}`; n of each brace then mean one of each a line. With n
+    objects in the array, no brace is inside a string, so object k is line
+    k alone and equals `json.loads` of it. The fields are checked a column
     at a time with `_parse_line`'s rules; `type_of` is filled only once
     every other check has passed, and `setdefault` leaves it as a per-line
     pass would, so a declined chunk can be read again line by line.
     """
-    lines = list(filter(str.strip, chunk))
-    if set(map(str.count, lines, repeat("{"))) != {1} \
-            or set(map(str.count, lines, repeat("}"))) != {1}:
+    lines = list(filter(None, map(str.strip, chunk, repeat(" \t\r\n"))))
+    n, text = len(lines), "[" + "\n,".join(lines) + "]"
+    del lines  # a second copy of the chunk's text through the decode raises peak RSS
+    if not (text.startswith("[{") and text.endswith("}]")) \
+            or text.count("}\n,{") != n - 1 or text.count("{") != n or text.count("}") != n:
         return None
-    text = "[" + ",".join(lines) + "]"
     if not text.isascii() and _RAW_BYTE.search(text):
         return None
     try:
         objs = json.loads(text)
     except (ValueError, RecursionError):  # bad JSON, an int too long, nesting too deep
         return None
-    if len(objs) != len(lines) or set(map(type, objs)) != {dict}:
+    if len(objs) != n or set(map(type, objs)) != {dict}:
         return None
     try:
         ids, types, stamps, scores, opens = (list(map(itemgetter(k), objs)) for k in _FIELDS)

@@ -126,6 +126,11 @@ class SimConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.days < 1 or self.passes_per_day < 1 or self.calibration_days < 1:
             raise ValueError("days, passes_per_day and calibration_days must be >= 1")
+        # one user's draws must fit one block, and each pass of a day needs its own second
+        if max(self.days, self.calibration_days) * self.passes_per_day > BLOCK_BYTES // 24 \
+                or self.passes_per_day > SECONDS_PER_DAY:
+            raise ValueError(f"passes_per_day must be <= {SECONDS_PER_DAY} and max(days, "
+                             f"calibration_days) * passes_per_day <= {BLOCK_BYTES // 24}")
         if not 0.0 <= self.kappa_true <= 1.0:
             raise ValueError(f"kappa_true must be in [0, 1], got {self.kappa_true}")
         if not 0.0 <= self.gamma < 1.0:
@@ -614,10 +619,10 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
               calibration: CalibrationMap, *, days: int, keep_events: bool,
               latent_salt: int = _LATENT, policy_salt: int = _POLICY) -> tuple[list, list]:
     """Run every (table, limits) arm over blocks of users holding at most
-    BLOCK_BYTES of draws, or one user: each block's draws are made once and
-    all arms step through its passes together before the next block is
-    drawn. Returns each arm's per-user columns, in user-index order, and
-    each arm's kept sends as lists of arrays or None, both from the masks."""
+    BLOCK_BYTES of draws: each block's draws are made once and all arms
+    step through its passes together before the next block is drawn.
+    Returns each arm's per-user columns, in user-index order, and each
+    arm's kept sends as lists of arrays or None, both from the masks."""
     factors = apply_kappa(config.true_factors, config.kappa_true).factors
     passes = days * config.passes_per_day
     weights = []
@@ -629,7 +634,7 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
     limits = np.array([[lim.effective_limit(c) for c in config.types] for _, lim in arms])
     blocks = []
     logs = [([], [], [], [], []) for _ in arms] if keep_events else None
-    size = max(1, BLOCK_BYTES // (24 * passes))
+    size = BLOCK_BYTES // (24 * passes)
     for start in range(0, config.num_users, size):
         stop = min(start + size, config.num_users)
         block = _draw_block(config, start, stop, passes, latent_salt, policy_salt)

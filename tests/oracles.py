@@ -308,6 +308,22 @@ def read_log_oracle(path):
                    outcome=np.array(columns[4], dtype=np.int64))
 
 
+def from_rows_oracle(user_id, user_type, timestamp, raw_score, outcome):
+    """Reference for `SendLog.from_rows`: each row's rank among the sorted
+    distinct ids, then one `np.lexsort` by rank and timestamp, which is
+    stable, so rows with equal keys keep their input order."""
+    users = tuple(sorted(set(user_id)))
+    rank = {uid: r for r, uid in enumerate(users)}
+    user = np.array([rank[uid] for uid in user_id], dtype=np.int64)
+    timestamp = np.asarray(timestamp, dtype=np.int64)
+    order = np.lexsort((timestamp, user))
+    return SendLog(users=users, user=user[order],
+                   user_type=np.asarray(user_type, dtype=np.int64)[order],
+                   timestamp=timestamp[order],
+                   raw_score=np.asarray(raw_score, dtype=float)[order],
+                   outcome=np.asarray(outcome, dtype=np.int64)[order])
+
+
 def build_dataset_oracle(rows, min_samples, bounds):
     """Records of a send log given as dicts in file order, as tuples
     (user_id, user_type, streak, outcome, baseline_rate, raw_score).

@@ -353,6 +353,22 @@ class TestSimulate:
             "error: simulation config: master_seed must be >= 0, got -1\n")
         assert not out_dir.exists()
 
+    def test_horizon_past_one_block_is_validation_error(self, sim_config_path, treatments_path,
+                                                        tmp_path, capsys, monkeypatch):
+        def never_called(*args, **kwargs):
+            raise AssertionError("the config passed validation")
+        monkeypatch.setattr(notif_ltv.sim, "_simulate", never_called)
+        doc = json.loads(sim_config_path.read_text())
+        doc["days"] = 1e12
+        sim_config_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        assert run(["simulate", "--sim-config", sim_config_path, "--treatments",
+                    treatments_path, "--out-dir", out_dir, "--emit-log"]) == 1
+        assert capsys.readouterr().err == (
+            "error: simulation config: passes_per_day must be <= 86400 and "
+            "max(days, calibration_days) * passes_per_day <= 87381\n")
+        assert not out_dir.exists()
+
     def test_share_for_a_type_without_true_factors_is_validation_error(
             self, sim_config_path, treatments_path, tmp_path, capsys):
         doc = json.loads(sim_config_path.read_text())

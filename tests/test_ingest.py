@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from notif_ltv import LogParseError, SendLog, build_dataset, ingest, read_log
-from oracles import build_dataset_oracle, read_log_oracle
+from oracles import build_dataset_oracle, from_rows_oracle, read_log_oracle
 
 
 def write_log(path, rows):
@@ -147,6 +147,10 @@ class TestChunkedRead:
           json.dumps(row(ts=1)) + ", " + json.dumps(row(ts=2)) + "\n"], 3),
         # each line holds one { and one }, but one of each is in a string
         ([json.dumps(row())[:-1] + ', "a": "}", "b": [1\n', '"{", 2]}\n'], 1),
+        # each line starts with { and ends with }, but the chunk holds more
+        # braces than lines
+        ([json.dumps(row())[:-1] + ', "a": [{"b": 1}\n', '{"c": 2}], "d": [{"e": 1}\n',
+          '{"f": 3}]}\n', ", ".join(json.dumps(row(ts=t)) for t in range(3)) + "\n"], 4),
     ])
     def test_object_split_across_lines_is_invalid_json_on_its_first_line(self, tmp_path, lines,
                                                                          objects):
@@ -251,6 +255,38 @@ class TestChunkedRead:
         path = tmp_path / "log.jsonl"
         write_log(path, [row(uid="u\udcff")])
         assert read_log(path).users == ("u\udcff",)
+
+
+class TestFromRows:
+    """from_rows orders rows as the oracle's one lexsort by user rank and
+    timestamp does, equal keys keeping their input order."""
+
+    @staticmethod
+    def assert_like_oracle(columns):
+        assert_same_log(SendLog.from_rows(*columns), from_rows_oracle(*columns))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_shuffled_rows_with_tied_and_negative_timestamps(self, data):
+        keys = data.draw(st.lists(st.tuples(
+            st.sampled_from(["a", "b", "b\0", "c"]),
+            st.integers(-3, 3) | st.sampled_from([-2 ** 63, 2 ** 63 - 1])), max_size=40))
+        keys = data.draw(st.permutations(keys))
+        # each row's score is its input position, so a tie's order shows in the bytes
+        self.assert_like_oracle(([uid for uid, _ in keys], [len(uid) for uid, _ in keys],
+                                 [ts for _, ts in keys], [i / 64 for i in range(len(keys))],
+                                 [i % 2 for i in range(len(keys))]))
+
+    @pytest.mark.parametrize("users, key", [(200, np.uint8), (70_000, np.uint32)])
+    def test_user_key_wider_than_a_radix_pass(self, users, key):
+        # 70,000 ranks need more than 16 bits, where numpy's stable sort is
+        # no longer a radix sort
+        assert np.min_scalar_type(users) == key
+        rng = np.random.default_rng(users)
+        n = 2 * users
+        ids = rng.permutation(np.arange(n) % users)
+        self.assert_like_oracle(([f"u{i}" for i in ids.tolist()], [1] * n,
+                                 rng.integers(-5, 5, n), np.arange(n) / n, [1] * n))
 
 
 EDGE_FIELDS = [("uid", ""), ("uid", 7), ("utype", True), ("utype", 1.0), ("utype", 7),

@@ -122,6 +122,22 @@ class TestGeneratePopulation:
         with pytest.raises(ValueError, match="num_users must be <= 2\\*\\*32"):
             small_config(num_users=2**32 + 1)
 
+    @pytest.mark.parametrize("days, passes_per_day, calibration_days, valid", [
+        (87381, 1, 2, True), (87382, 1, 2, False), (1, 1, 87382, False),
+        (1, 86400, 1, True), (1, 86401, 1, False)])
+    def test_horizon_bounded_by_one_block_and_a_second_a_pass(self, days, passes_per_day,
+                                                              calibration_days, valid):
+        # one user's draws, 24 bytes a pass, fit BLOCK_BYTES at 87,381 passes
+        assert sim.BLOCK_BYTES // 24 == 87381
+        kwargs = dict(days=days, passes_per_day=passes_per_day,
+                      calibration_days=calibration_days)
+        if valid:
+            assert small_config(**kwargs).days == days
+        else:
+            with pytest.raises(ValueError, match=r"max\(days, calibration_days\) \* "
+                                                 r"passes_per_day <= 87381$"):
+                small_config(**kwargs)
+
     def test_share_for_a_type_without_true_factors_rejected(self):
         with pytest.raises(ValueError, match="user type 3 a share of 0.5"):
             small_config(type_shares={1: 0.5, 2: 0.0, 3: 0.5})
@@ -508,8 +524,8 @@ def test_array_simulator_matches_scalar_oracle(monkeypatch):
     a calibrated value, an rl table with never-send cells and narrower streak
     bounds, and no_filter. The block
     budget is set twice: so that the warm-up (6 passes) and the main run (9
-    passes) each span several blocks, the last one ragged, and below one
-    user's 24 bytes per pass, so that every block holds one user."""
+    passes) each span several blocks, the last one ragged, and to one main-run
+    user's draws, 24 bytes per pass, so that every block holds one user."""
     cfg = small_config(num_users=293, days=3, passes_per_day=3,
                        churn_rate=0.15, send_limits=SendLimitConfig(limits={1: 1, 2: 3}))
     thresholds = np.random.default_rng(5).uniform(0.0, 0.6, size=(2, 5))
@@ -541,7 +557,7 @@ def test_array_simulator_matches_scalar_oracle(monkeypatch):
 
     monkeypatch.setattr(sim, "_draw_block", spy)
     for budget, warm, main in ((24 * 9 * 100, [150, 143], [100, 100, 93]),
-                               (24 * 6 - 1, [1] * 293, [1] * 293)):
+                               (24 * 9, [1] * 293, [1] * 293)):
         monkeypatch.setattr(sim, "BLOCK_BYTES", budget)
         sizes.clear()
         assert rows(warmup_events(cfg)) == warmup
