@@ -9,8 +9,8 @@ positive streaks, falling with negative ones), and finally shrunk toward 1
 by the causal fraction kappa, since the raw estimate is correlational.
 
 Records arrive as the columns of a `RecordSet`. The per-cell and per-type
-sums (`np.add.at`, `np.bincount`) add in record order, so they equal a
-loop over the records bit for bit.
+sums are `np.bincount`s, which add in record order, so they equal a loop
+over the records bit for bit.
 """
 
 from __future__ import annotations
@@ -78,15 +78,12 @@ def estimate_factors(records: RecordSet,
     if low < bounds[0] or high > bounds[1]:
         raise ValueError(f"records hold streaks {low}..{high}, outside the streak bounds "
                          f"{bounds}")
-    n_streaks = bounds[1] - bounds[0] + 1
-    cell = (type_rows(types, records.user_type), records.streak - bounds[0])
-    opens = np.zeros((len(types), n_streaks))
-    expected = np.zeros((len(types), n_streaks))
-    counts = np.zeros((len(types), n_streaks), dtype=np.int64)
-    np.add.at(opens, cell, records.outcome)
-    np.add.at(expected, cell, records.baseline_rate)
-    np.add.at(counts, cell, 1)
-    factors = np.ones((len(types), n_streaks))
+    shape = (len(types), bounds[1] - bounds[0] + 1)
+    # the range check above keeps each streak inside its type's row
+    cell = type_rows(types, records.user_type) * shape[1] + (records.streak - bounds[0])
+    opens, expected, counts = (np.bincount(cell, w, minlength=shape[0] * shape[1]).reshape(shape)
+                               for w in (records.outcome, records.baseline_rate, None))
+    factors = np.ones(shape)
     populated = expected > 0.0
     factors[populated] = np.maximum(opens[populated] / expected[populated], _FACTOR_FLOOR)
     factors[:, -bounds[0]] = 1.0  # streak-0 column
@@ -140,14 +137,13 @@ def summarize_types(records: RecordSet,
     The mean score stands in for the open probability of a typical future
     notification for that type, which is all the solver needs about the
     score distribution. With calibration=None the raw scores are taken as
-    already calibrated. Every requested type must have records; records of
-    other types are ignored.
+    already calibrated. Every requested type must have records, and a record
+    of any other type raises KeyError, as in `estimate_factors`.
     """
     if len(records) == 0:
         raise ValueError("cannot summarize an empty record set")
-    requested = np.isin(records.user_type, types)
-    rows = type_rows(types, records.user_type[requested])
-    scores = records.raw_score[requested]
+    rows = type_rows(types, records.user_type)
+    scores = records.raw_score
     if calibration is not None:
         scores = apply_calibration(calibration, scores)
     score_sum = np.bincount(rows, weights=scores, minlength=len(types))

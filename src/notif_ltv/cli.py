@@ -71,9 +71,11 @@ def _load_json(path, what: str):
         raise DataError(f"invalid JSON in {what} file {path}: {exc}") from exc
 
 
-def _provenance(command: str, resolved: dict, inputs: dict) -> dict:
+def _provenance(command: str, resolved: dict, *files: str) -> dict:
+    """The command, its resolved configuration, and a hash of the input file
+    at each of the keys `files` of `resolved` that is set."""
     return {"command": command, "config": resolved,
-            "inputs": {str(p): _sha256(p) for p in inputs.values() if p}}
+            "inputs": {str(resolved[k]): _sha256(resolved[k]) for k in files if resolved[k]}}
 
 
 @contextlib.contextmanager
@@ -118,8 +120,7 @@ def cmd_fit(args) -> int:
     resolved = {"log": args.log, "kappa": kappa, "min_samples": min_samples,
                 "calibration": args.calibration}
     payload = model.to_dict()
-    payload["provenance"] = _provenance("fit", resolved,
-                                        {"log": args.log, "calibration": args.calibration})
+    payload["provenance"] = _provenance("fit", resolved, "log", "calibration")
     _write_json(args.out, payload)
 
     n_cells = model.factors.bounds[1] - model.factors.bounds[0] + 1
@@ -153,7 +154,7 @@ def cmd_solve(args) -> int:
 
     resolved = {"model": args.model, "gamma": config.gamma, "horizon": config.horizon}
     payload = table.to_dict()
-    payload["provenance"] = _provenance("solve", resolved, {"model": args.model})
+    payload["provenance"] = _provenance("solve", resolved, "model")
     _write_json(args.out, payload)
     csv_path = stem + ".csv"
     _atomic_write(csv_path, table.to_csv_text())
@@ -185,7 +186,7 @@ def cmd_calibrate(args) -> int:
 
     resolved = {"log": args.log, "now": now, "window_hours": window_hours}
     payload = cmap.to_dict()
-    payload["provenance"] = _provenance("calibrate", resolved, {"log": args.log})
+    payload["provenance"] = _provenance("calibrate", resolved, "log")
     _write_json(args.out, payload)
     in_window = int(np.count_nonzero(window_mask(log.timestamp, now, window_hours)))
     print(f"fitted calibration on window ({now - window_hours * 3600}, {now}] "
@@ -269,9 +270,7 @@ def cmd_simulate(args) -> int:
                 "seed": config.master_seed}
     payload = report.to_dict()
     payload["config"] = config.to_dict()
-    payload["provenance"] = _provenance("simulate", resolved,
-                                        {"sim_config": args.sim_config,
-                                         "treatments": args.treatments})
+    payload["provenance"] = _provenance("simulate", resolved, "sim_config", "treatments")
     report_path = os.path.join(args.out_dir, "report.json")
     _write_json(report_path, payload)
     table_text = report.to_table_text()

@@ -665,8 +665,10 @@ def _warmup(config: SimConfig) -> tuple[list[np.ndarray], ...]:
     score/outcome distribution, as `_events` columns, on dedicated per-user
     sub-streams so it neither consumes nor duplicates the draws of the
     measured treatments."""
-    identity = CalibrationMap(breakpoints=(0.0, 1.0), values=(0.0, 1.0))
-    _, (log,) = _simulate(config, [(policy.NO_FILTER, config.send_limits)], identity,
+    # calibrated scores only meet thresholds, and NO_FILTER's are 0, so any
+    # valid map serves; this one maps every score below 1.0 to 0.0
+    zero_below_one = CalibrationMap(breakpoints=(0.0, 1.0), values=(0.0, 1.0))
+    _, (log,) = _simulate(config, [(policy.NO_FILTER, config.send_limits)], zero_below_one,
                           days=config.calibration_days, keep_events=True,
                           latent_salt=_WARMUP_LATENT, policy_salt=_WARMUP_POLICY)
     return log

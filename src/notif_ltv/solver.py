@@ -59,11 +59,6 @@ def _grid(model: BehaviorModel, config: SolverConfig):
     return factors, ybar, up, down
 
 
-def _send_value(p_open, next_values, up, down, gamma):
-    return (p_open * (1.0 + gamma * next_values[:, up])
-            + (1.0 - p_open) * (gamma * next_values[:, down]))
-
-
 def q_send(model: BehaviorModel, config: SolverConfig, next_values: np.ndarray, p):
     """Value of sending a notification with open probability p, per cell.
 
@@ -72,7 +67,9 @@ def q_send(model: BehaviorModel, config: SolverConfig, next_values: np.ndarray, 
     the streak and earns 1 now; the ignore branch breaks it.
     """
     factors, _, up, down = _grid(model, config)
-    return _send_value(np.minimum(factors * p, 1.0), next_values, up, down, config.gamma)
+    p_open, gamma = np.minimum(factors * p, 1.0), config.gamma
+    return (p_open * (1.0 + gamma * next_values[:, up])
+            + (1.0 - p_open) * (gamma * next_values[:, down]))
 
 
 def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.ndarray:
@@ -84,8 +81,8 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
     A step is one flat kernel over the raveled grid, written into buffers
     allocated once: skip = gamma V, one gather of skip at the up and down
     columns gives gamma V_up and gamma V_down together (scaling commutes
-    with gathering), and send takes the operations of `_send_value` in the
-    same order, so the values are the bits of that backup step by step.
+    with gathering), and send takes the operations of `q_send` in the same
+    order, so the values are the bits of its backup step by step.
 
     The loop stops early at its fixed point, so a huge `steps` costs no more
     than reaching it. It tests for it every _FIXED_POINT_STRIDE steps, not
@@ -183,13 +180,15 @@ def solve_policy(model: BehaviorModel, config: SolverConfig) -> PolicyTable:
     values = state_values(model, config, config.horizon - 1)
     factors, _, up, down = _grid(model, config)
     gamma = config.gamma
+    v_up, v_down = values[:, up], values[:, down]
     skip = gamma * values
-    always = q_send(model, config, values, 0.0) - skip >= 0.0
-    never = q_send(model, config, values, 1.0) - skip < 0.0
+    # q_send's send values at scores 0 (exactly gamma V_down, as V >= +0.0) and 1
+    always = gamma * v_down >= skip
+    p1 = np.minimum(factors, 1.0)
+    never = p1 * (1.0 + gamma * v_up) + (1.0 - p1) * (gamma * v_down) < skip
     # a perfect score sends in every remaining cell; the root refines that
     thresholds = np.where(always, 0.0, np.where(never, NEVER_SEND, 1.0))
-    v_down = values[:, down]
-    slope = factors * (1.0 + gamma * (values[:, up] - v_down))
+    slope = factors * (1.0 + gamma * (v_up - v_down))
     root = ~always & ~never & (slope > 0.0)
     np.divide(gamma * (values - v_down), slope, out=thresholds, where=root)
     # rounding can push the root a hair past 1, where sending already wins

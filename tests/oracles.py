@@ -4,11 +4,12 @@ Everything here is written from first principles with its own data
 structures: a quadratic-time isotonic fit whose pools take exact fraction
 means, a no-memoization tree enumeration of the send/skip recursion, the
 2-D array recursion with a fixed-point test after every step, a
-closed-form threshold root, the ramp ground truth one cell at a time, the
-streak rule, calibration lookup and send decisions for one candidate at a
-time, the log reader as one `json.loads` per line, the ingest dataset as a
-per-user split, baseline and replay, and the simulator as one Python call
-per user-pass. None of it imports from the package's algorithm internals;
+closed-form threshold root, the policy table with its always- and
+never-send masks from two public `q_send` calls, the ramp ground truth one
+cell at a time, the streak rule, calibration lookup and send decisions for
+one candidate at a time, the log reader as one `json.loads` per line, the
+ingest dataset as a per-user split, baseline and replay, and the simulator
+as one Python call per user-pass. None of it imports from the package's algorithm internals;
 the simulator oracle builds the package's report type, decides each send
 with `decide_oracle`, and keeps each send as its own `OracleSend` record
 rather than a package type.
@@ -31,6 +32,8 @@ from notif_ltv import (
     LogParseError,
     SendLog,
     TreatmentResult,
+    q_send,
+    state_values,
 )
 
 
@@ -154,6 +157,29 @@ def state_values_reference(model, config, steps):
 
 
 NEVER = float("inf")
+
+
+def solve_policy_oracle(model, config):
+    """The thresholds `solve_policy` solves, post-processing written with the
+    public functions: values from `state_values`, and the always- and
+    never-send masks from `q_send` at scores 0 and 1."""
+    values = state_values(model, config, config.horizon - 1)
+    lo, hi = config.streak_bounds
+    mlo = model.factors.bounds[0]
+    factors = model.factors.factors[:, lo - mlo:hi - mlo + 1]
+    up = np.array([streak_oracle(s, True, (lo, hi)) - lo for s in range(lo, hi + 1)])
+    down = np.array([streak_oracle(s, False, (lo, hi)) - lo for s in range(lo, hi + 1)])
+    gamma = config.gamma
+    skip = gamma * values
+    always = q_send(model, config, values, 0.0) - skip >= 0.0
+    never = q_send(model, config, values, 1.0) - skip < 0.0
+    thresholds = np.where(always, 0.0, np.where(never, NEVER, 1.0))
+    v_down = values[:, down]
+    slope = factors * (1.0 + gamma * (values[:, up] - v_down))
+    root = ~always & ~never & (slope > 0.0)
+    np.divide(gamma * (values - v_down), slope, out=thresholds, where=root)
+    np.minimum(thresholds, 1.0, out=thresholds, where=root)
+    return thresholds
 
 
 def threshold_oracle(factors, ybar, gamma, bounds, streak, steps):

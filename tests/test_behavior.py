@@ -278,6 +278,11 @@ class TestSummarizeTypes:
         with pytest.raises(ValueError):
             summarize_types(columns([]))
 
+    def test_records_of_an_unrequested_type_raise_key_error(self):
+        # the rule of estimate_factors: every record's type must be requested
+        with pytest.raises(KeyError, match=r"\[2\]"):
+            summarize_types(columns([rec(utype=1), rec(utype=2)]), types=(1,))
+
 
 def test_column_sums_equal_a_loop_over_the_records():
     """estimate_factors and summarize_types add in record order, so every

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from notif_ltv import (
     NEVER_SEND,
@@ -16,7 +17,8 @@ from notif_ltv import (
 )
 from notif_ltv import solver
 from conftest import make_model
-from oracles import NEVER, state_values_reference, threshold_oracle, tree_value_oracle
+from oracles import (NEVER, solve_policy_oracle, state_values_reference, threshold_oracle,
+                     tree_value_oracle)
 
 
 def config_for(model, **kwargs):
@@ -374,3 +376,21 @@ class TestFlatKernel:
                 assert got.tobytes() == backup_step(model, cfg, v).tobytes(), \
                     (model.types, gamma, steps)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_tables_are_the_q_send_formula_bit_for_bit(self, data):
+        """solve_policy's thresholds have the bits of the post-processing
+        that takes its always- and never-send masks from two q_send calls."""
+        lo, hi = data.draw(st.integers(-6, -1)), data.draw(st.integers(1, 6))
+        types = tuple(range(1, data.draw(st.integers(1, 6)) + 1))
+        factor = st.one_of(st.sampled_from([1e-12, 50.0]),
+                           st.floats(0.05, 3.0, exclude_min=True, exclude_max=True))
+        mean_open = st.one_of(st.sampled_from([1e-6, 1.0 - 1e-6]),
+                              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        fmap = {(c, s): data.draw(factor) for c in types for s in range(lo, hi + 1) if s != 0}
+        model = make_model(fmap, {c: data.draw(mean_open) for c in types}, (lo, hi),
+                           types=types)
+        gamma = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 0.999, exclude_max=True)))
+        cfg = config_for(model, gamma=gamma, horizon=data.draw(st.integers(1, 60)))
+        got = solve_policy(model, cfg).thresholds
+        assert got.tobytes() == solve_policy_oracle(model, cfg).tobytes()
