@@ -89,14 +89,17 @@ class CalibrationMap:
     def __post_init__(self):
         if len(self.breakpoints) != len(self.values) or not self.breakpoints:
             raise ValueError("breakpoints and values must be non-empty and equal length")
-        bad = [b for b in self.breakpoints if not math.isfinite(b)]
-        if bad:
-            raise ValueError(f"breakpoints must be finite, got {bad[0]}")
-        if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
+        breakpoints = np.asarray(self.breakpoints, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        finite = np.isfinite(breakpoints)
+        if not finite.all():
+            first = self.breakpoints[int(np.argmin(finite))]
+            raise ValueError(f"breakpoints must be finite, got {first}")
+        if (breakpoints[1:] <= breakpoints[:-1]).any():
             raise ValueError("breakpoints must be strictly ascending")
-        if any(v2 < v1 for v1, v2 in zip(self.values, self.values[1:])):
+        if (values[1:] < values[:-1]).any():
             raise ValueError("values must be non-decreasing")
-        if any(not 0.0 <= v <= 1.0 for v in self.values):
+        if not ((values >= 0.0) & (values <= 1.0)).all():
             raise ValueError("values must lie in [0, 1]")
 
     def to_dict(self) -> dict:

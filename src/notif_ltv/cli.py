@@ -59,8 +59,33 @@ def _atomic_write(path, text: str) -> None:
     os.replace(tmp, path)
 
 
+# the types whose JSON text the C encoder writes without ", " in it
+_SCALARS = frozenset({float, int, bool, type(None)})
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), with `indent` the newline
+    and spaces that start each line at `value`'s depth.
+
+    The stdlib writes an indented document with its pure-Python encoder, one
+    call per item; here a non-empty list of scalars is one C-encoder call,
+    whose ", " separators become the indented line breaks. A non-empty dict
+    with str keys recurses; anything else is the stdlib's own text, whose
+    every newline (encoded JSON holds no raw one) takes `indent` instead.
+    """
+    inner = indent + "  "
+    if isinstance(value, list) and value and all(type(v) in _SCALARS for v in value):
+        return "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + indent + "]"
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        return ("{" + ",".join(inner + json.dumps(k) + ": " + _dumps(value[k], inner)
+                               for k in sorted(value)) + indent + "}")
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
+
+
 def _write_json(path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write json.dumps(payload, indent=2, sort_keys=True) and a newline, as
+    `_dumps` builds the same text."""
+    _atomic_write(path, _dumps(payload) + "\n")
 
 
 def _load_json(path, what: str):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
@@ -86,11 +87,19 @@ def document(value, name: str) -> dict:
 
 def listed(value, name: str, length: int | None = None, read=number, *args) -> tuple:
     """A JSON list, of `length` items if given, as a tuple of
-    read(item, "name[i]", *args)."""
+    read(item, "name[i]", *args).
+
+    The items are read in one pass under `name`; only when that raises
+    ValueError are they read again one by one, so the error names the first
+    bad item's index."""
     if not isinstance(value, list) or length not in (None, len(value)):
         noun = {integral: "integers", document: "objects"}.get(read, "numbers")
         size = "" if length is None else f"{length} "
         raise ValueError(f"{name} must be a list of {size}{noun}, got {value!r}")
+    try:
+        return tuple(map(read, value, repeat(name), *map(repeat, args)))
+    except ValueError:
+        pass
     return tuple(read(item, f"{name}[{i}]", *args) for i, item in enumerate(value))
 
 
@@ -206,8 +215,9 @@ class StreakTable:
 class SolverConfig:
     """Knobs for the long-term-value solver.
 
-    gamma discounts future opens per decision opportunity; horizon is the
-    number of remaining opportunities the backward recursion unrolls,
+    gamma discounts future opens per decision opportunity, stored plus 0.0
+    so that a gamma of -0.0 is +0.0 and no solver value is -0.0; horizon is
+    the number of remaining opportunities the backward recursion unrolls,
     stored as an int. Thresholds are exact roots, so there is no search
     resolution to configure.
     """
@@ -221,6 +231,7 @@ class SolverConfig:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         if int(self.horizon) != self.horizon or self.horizon < 1:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
+        object.__setattr__(self, "gamma", self.gamma + 0.0)
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "streak_bounds", validate_streak_bounds(self.streak_bounds))
 

@@ -15,9 +15,10 @@ min(f*p, 1) can clip, neither of which is linear in p. On the true-factor
 config of acceptance check c7, value iteration over 32 per-type quantile
 atoms of the calibrated score moved the predicted discounted opens per user
 from 1.126 to 1.150.
-Each step is one flat kernel over the raveled grid: a single gather reads
-the up and down columns of the discounted values, and preallocated buffers
-take every intermediate. The fixed-point test runs every few steps rather
+Each step is one flat kernel of six array calls over the raveled grid: a
+single gather reads the up and down columns of the discounted values,
+preallocated buffers take every intermediate, and np.maximum keeps the
+larger of send and skip. The fixed-point test runs every few steps rather
 than every step, which is exact because a step at the fixed point returns
 its input bit for bit.
 
@@ -77,19 +78,27 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
     (type, streak) cell at once: shape (len(types), n_streaks).
 
     Future notifications are represented by the type-mean open probability.
-    Each step keeps the larger of sending and skipping, ties going to send.
-    A step is one flat kernel over the raveled grid, written into buffers
-    allocated once: skip = gamma V, one gather of skip at the up and down
-    columns gives gamma V_up and gamma V_down together (scaling commutes
-    with gathering), and send takes the operations of `q_send` in the same
-    order, so the values are the bits of its backup step by step.
+    Each step keeps the larger of sending and skipping. A step is one flat
+    kernel over the raveled grid, written into buffers allocated once:
+    skip = gamma V, one gather of skip at the up and down columns gives
+    gamma V_up and gamma V_down together (scaling commutes with gathering),
+    send takes the operations of `q_send` in the same order, and
+    np.maximum(send, skip) is the next V, so the values are the bits of
+    its backup step by step.
+
+    No NaN and no -0.0 reaches np.maximum, which leaves open which operand
+    it returns on a tie: factors are finite and > 0, mean open rates lie in
+    [0, 1], and gamma lies in [0, 1) with SolverConfig storing a zero as
+    +0.0. So skip = gamma V is finite and >= +0.0 whenever V is, the ignore
+    term (1 - p) gamma V_down is too, and adding it to the open term, which
+    is -0.0 only when p is, makes send >= +0.0. Every value is therefore
+    finite and >= +0.0, equal values have equal bits, and a tie returns the
+    same bits whichever operand wins.
 
     The loop stops early at its fixed point, so a huge `steps` costs no more
     than reaching it. It tests for it every _FIXED_POINT_STRIDE steps, not
-    every step, and still returns the bits of running all `steps`: factors
-    are finite and > 0, mean open rates lie in [0, 1] and gamma in [0, 1),
-    so every value is finite and >= +0.0 (no NaN, no -0.0), equality is
-    bit equality, and a step at the fixed point returns its input bit for
+    every step, and still returns the bits of running all `steps`: equality
+    is bit equality, and a step at the fixed point returns its input bit for
     bit, as does every step after it.
     """
     factors, ybar, up, down = _grid(model, config)
@@ -103,17 +112,15 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
     values = np.zeros(n)
     skip = np.empty(n)
     gathered = np.empty(2 * n)
-    send = gathered[:n]
-    sends = np.empty(n, dtype=bool)
+    send, ignored = gathered[:n], gathered[n:]
     for step in range(1, steps + 1):
         np.multiply(gamma, values, out=skip)
         skip.take(index, out=gathered)
         np.add(1.0, send, out=send)
         np.multiply(weights, gathered, out=gathered)
-        np.add(send, gathered[n:], out=send)
-        # skip becomes the next values: send where send >= skip, NaN skips
-        np.greater_equal(send, skip, out=sends)
-        np.copyto(skip, send, where=sends)
+        np.add(send, ignored, out=send)
+        # skip becomes the next values, the larger of send and skip
+        np.maximum(send, skip, out=skip)
         if step % _FIXED_POINT_STRIDE == 0 and np.array_equal(skip, values):
             break
         values, skip = skip, values
@@ -159,11 +166,10 @@ class PolicyTable(StreakTable):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["user_type", "streak", "threshold"])
-        lo, hi = self.bounds
-        for i, c in enumerate(self.types):
-            for s in range(lo, hi + 1):
-                v = self.thresholds[i, s - lo]
-                writer.writerow([c, s, "never_send" if math.isinf(v) else repr(float(v))])
+        streaks = range(self.bounds[0], self.bounds[1] + 1)
+        for c, row in zip(self.types, self.thresholds.tolist()):
+            writer.writerows([c, s, "never_send" if math.isinf(v) else repr(v)]
+                             for s, v in zip(streaks, row))
         return buf.getvalue()
 
 

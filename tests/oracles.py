@@ -5,9 +5,9 @@ structures: a quadratic-time isotonic fit whose pools take exact fraction
 means, a no-memoization tree enumeration of the send/skip recursion, the
 2-D array recursion with a fixed-point test after every step, a
 closed-form threshold root, the policy table with its always- and
-never-send masks from two public `q_send` calls, the ramp ground truth one
-cell at a time, the streak rule, calibration lookup and send decisions for
-one candidate at a time, the log reader as one `json.loads` per line, the
+never-send masks from two public `q_send` calls, the policy CSV and the
+ramp ground truth one cell at a time, the streak rule, calibration lookup
+and send decisions for one candidate at a time, the log reader as one `json.loads` per line, the
 ingest dataset as a per-user split, baseline and replay, and the simulator
 as one Python call per user-pass. None of it imports from the package's algorithm internals;
 the simulator oracle builds the package's report type, decides each send
@@ -17,6 +17,8 @@ rather than a package type.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from bisect import bisect_right
@@ -180,6 +182,20 @@ def solve_policy_oracle(model, config):
     np.divide(gamma * (values - v_down), slope, out=thresholds, where=root)
     np.minimum(thresholds, 1.0, out=thresholds, where=root)
     return thresholds
+
+
+def policy_csv_oracle(table):
+    """`PolicyTable.to_csv_text` one cell at a time: a header, then per type
+    and streak the cell's numpy scalar as repr(float(v)), or never_send."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["user_type", "streak", "threshold"])
+    lo, hi = table.bounds
+    for i, c in enumerate(table.types):
+        for s in range(lo, hi + 1):
+            v = table.thresholds[i, s - lo]
+            writer.writerow([c, s, "never_send" if math.isinf(v) else repr(float(v))])
+    return buf.getvalue()
 
 
 def threshold_oracle(factors, ybar, gamma, bounds, streak, steps):

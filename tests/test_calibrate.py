@@ -351,6 +351,23 @@ class TestCalibrationMapValidation:
         cmap = CalibrationMap(breakpoints=(0.1, 0.3), values=(0.5, 1.0))
         assert CalibrationMap.from_dict(cmap.to_dict()) == cmap
 
+    @pytest.mark.parametrize("breakpoints, values, message", [
+        ((), (), "breakpoints and values must be non-empty and equal length"),
+        ((0.1, 0.2), (0.5,), "breakpoints and values must be non-empty and equal length"),
+        # the first non-finite breakpoint is named, before the order is checked
+        ((0.1, -math.inf, math.nan), (0.9, 0.5, 0.1), "breakpoints must be finite, got -inf"),
+        ((math.nan, 0.1, math.inf), (0.1, 0.2, 0.3), "breakpoints must be finite, got nan"),
+        ((0.1, 0.1), (0.9, 0.5), "breakpoints must be strictly ascending"),
+        ((0.1, 0.3, 0.2), (0.1, 0.2, 0.3), "breakpoints must be strictly ascending"),
+        ((0.1, 0.3), (1.5, 0.2), "values must be non-decreasing"),
+        ((0.1, 0.3), (-0.5, 0.2), "values must lie in [0, 1]"),
+        ((0.1, 0.3), (0.2, math.nan), "values must lie in [0, 1]"),
+    ])
+    def test_each_fault_raises_its_message(self, breakpoints, values, message):
+        with pytest.raises(ValueError) as caught:
+            CalibrationMap(breakpoints=breakpoints, values=values)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_breakpoints_must_be_finite(self, bad):
         # a NaN breakpoint would make the array lookup (0.1 at 0.3) and the

@@ -16,10 +16,28 @@ from hypothesis import given, settings, strategies as st
 
 import notif_ltv
 from notif_ltv import NEVER_SEND, BehaviorModel, CalibrationMap, PolicyTable, ramp_factor_table
-from notif_ltv.cli import main
+from notif_ltv.cli import _dumps, main
 
 # an integer that no float can hold
 HUGE = 10 ** 400
+
+# strings with the writer's list separator, a newline, quotes and non-ASCII
+_TEXT = st.one_of(st.text(max_size=8),
+                  st.sampled_from([", ", "a, b", "\n", 'say "hi"', "naïve, ü", "\\, /", "€"]))
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.floats(),
+                    st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]),
+                    _TEXT)
+# tuples and int-keyed dicts take the writer's delegated path
+_DOCUMENTS = st.recursive(_SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=6), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, inner, max_size=6), st.dictionaries(st.integers(), inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_json_writer_gives_the_stdlib_indented_text(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 @pytest.fixture
@@ -630,7 +648,10 @@ def test_full_pipeline_round_trip(tmp_path):
     log = warm_dir / "events_no_filter.jsonl"
 
     def artifact(path, keys, **config):
-        doc = json.loads(path.read_text())
+        text = path.read_text()
+        doc = json.loads(text)
+        # every command writes the stdlib's indented, key-sorted text
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert set(doc) == set(keys) | {"provenance"}
         assert {key: doc["provenance"]["config"][key] for key in config} == config
         return doc

@@ -1,6 +1,7 @@
 """Streak state machine, core type validation and the (type, streak) table."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from notif_ltv import (
     SolverConfig,
     advance_streak,
 )
+from notif_ltv.core import integral, listed, per_type
 from oracles import streak_oracle
 
 
@@ -97,6 +99,28 @@ class TestSolverConfig:
     def test_integral_float_horizon_is_stored_as_int(self):
         cfg = SolverConfig(horizon=5.0)
         assert cfg.horizon == 5 and type(cfg.horizon) is int
+
+    def test_negative_zero_gamma_is_stored_as_positive_zero(self):
+        assert math.copysign(1.0, SolverConfig(gamma=-0.0).gamma) == 1.0
+
+
+class TestListed:
+    def test_reads_every_item_with_the_reader_and_its_arguments(self):
+        assert listed([1, 2.0], "xs") == (1.0, 2.0)
+        assert listed([3.0, -1], "bounds", 2, integral) == (3, -1)
+        rows = per_type({"1": [0.5, 1], "2": [2, 3]}, "factors", listed, 2)
+        assert rows == {1: (0.5, 1.0), 2: (2.0, 3.0)}
+
+    def test_error_names_the_first_bad_item(self):
+        with pytest.raises(ValueError, match=r"^breakpoints\[1\] must be a number, got 'x'$"):
+            listed([0.1, "x", None], "breakpoints")
+        with pytest.raises(ValueError, match=r"^streak_bounds\[0\] must be an integer, got 0.5$"):
+            listed([0.5, 1], "streak_bounds", 2, integral)
+
+    def test_error_through_per_type_names_the_row_and_the_item(self):
+        doc = {"1": [1.0] * 5, "2": [1.0, 1.0, 1.0, None, True]}
+        with pytest.raises(ValueError, match=r"^factors\[2\]\[3\] must be a number, got None$"):
+            per_type(doc, "factors", listed, 5)
 
 
 class TestSendLimitConfig:

@@ -17,8 +17,8 @@ from notif_ltv import (
 )
 from notif_ltv import solver
 from conftest import make_model
-from oracles import (NEVER, solve_policy_oracle, state_values_reference, threshold_oracle,
-                     tree_value_oracle)
+from oracles import (NEVER, policy_csv_oracle, solve_policy_oracle, state_values_reference,
+                     threshold_oracle, tree_value_oracle)
 
 
 def config_for(model, **kwargs):
@@ -256,6 +256,17 @@ class TestPolicyTable:
         assert len(lines) == 1 + 5
         assert lines[-1].endswith("never_send")
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_csv_is_the_per_cell_oracle(self, data):
+        lo, hi = data.draw(st.integers(-5, -1)), data.draw(st.integers(1, 5))
+        types = tuple(data.draw(st.permutations(range(1, 7)))[:data.draw(st.integers(1, 6))])
+        cell = st.one_of(st.just(NEVER_SEND), st.sampled_from([0.0, -0.0, 5e-324, 1.0]),
+                         st.floats(0.0, 1.0))
+        thresholds = [[data.draw(cell) for _ in range(hi - lo + 1)] for _ in types]
+        table = PolicyTable(bounds=(lo, hi), types=types, thresholds=thresholds)
+        assert table.to_csv_text() == policy_csv_oracle(table)
+
 
 def random_small_models(seed, trials):
     """Random one- or two-type models on bounds up to (-2, 2), with a random
@@ -321,11 +332,14 @@ class TestFlatKernel:
 
     STEPS = (0, 1, 15, 16, 17, 250, 999)
 
-    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.8, 0.99])
+    @pytest.mark.parametrize("gamma", [0.0, -0.0, 0.5, 0.8, 0.99])
     def test_random_models_match_the_reference_bit_for_bit(self, gamma):
         models = [m for m, *_ in random_small_models(99, 12)]
         models.append(make_model({(1, 1): 3.0, (1, -1): 0.4}, ybar=1.0, bounds=(-1, 1)))
         models.append(make_model({(1, 1): 1.5, (1, -1): 0.4}, ybar=0.0, bounds=(-1, 1)))
+        # a mean open of -0.0 gives -0.0 open terms, which a gamma of -0.0
+        # would carry into the values
+        models.append(make_model({}, ybar=-0.0, bounds=(-2, 2)))
         for model in models:
             cfg = config_for(model, gamma=gamma)
             for steps in self.STEPS:
@@ -334,7 +348,7 @@ class TestFlatKernel:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (model.types, steps)
 
-    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.8, 0.99])
+    @pytest.mark.parametrize("gamma", [0.0, -0.0, 0.5, 0.8, 0.99])
     def test_full_scale_model_matches_the_reference_bit_for_bit(self, gamma):
         model = full_scale_model()
         cfg = config_for(model, gamma=gamma)
