@@ -140,7 +140,9 @@ def cmd_fit(args) -> int:
     if len(records) == 0:
         raise DataError(f"no users eligible: every user has fewer than "
                         f"{min_samples} first-half sends")
-    model = fit_behavior_model(records, kappa=kappa, calibration=calibration)
+    # the types the records hold; solve handles a model of fewer than six
+    types = tuple(np.unique(records.user_type).tolist())
+    model = fit_behavior_model(records, kappa=kappa, calibration=calibration, types=types)
 
     resolved = {"log": args.log, "kappa": kappa, "min_samples": min_samples,
                 "calibration": args.calibration}
@@ -171,8 +173,9 @@ def cmd_solve(args) -> int:
                               f"give the policy JSON another extension")
     cfg = _load_json(args.config, "config") if args.config else {}
     with _reading("solve config", ValidationError):
-        config = SolverConfig(gamma=_resolve(args.gamma, cfg, "gamma", number, 0.9),
-                              horizon=_resolve(args.horizon, cfg, "horizon", integral, 250))
+        config = SolverConfig(
+            gamma=_resolve(args.gamma, cfg, "gamma", number, SolverConfig.gamma),
+            horizon=_resolve(args.horizon, cfg, "horizon", integral, SolverConfig.horizon))
     with _reading(f"model {args.model}", DataError):
         model = BehaviorModel.from_dict(_load_json(args.model, "model"))
     table = solve_policy(model, dataclasses.replace(config, streak_bounds=model.factors.bounds))
@@ -336,8 +339,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve the send-threshold policy table")
     solve.add_argument("model", help="behavior model JSON from fit")
     solve.add_argument("--config", help="JSON file with default parameters")
-    solve.add_argument("--gamma", type=float, help="discount factor in [0, 1) (default 0.9)")
-    solve.add_argument("--horizon", type=int, help="decision opportunities (default 250)")
+    solve.add_argument("--gamma", type=float,
+                       help=f"discount factor in [0, 1) (default {SolverConfig.gamma})")
+    solve.add_argument("--horizon", type=int,
+                       help=f"decision opportunities (default {SolverConfig.horizon})")
     solve.add_argument("--out", required=True, help="output policy JSON path, not a .csv "
                                                     "(a .csv sibling is written too)")
 

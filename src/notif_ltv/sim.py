@@ -205,9 +205,10 @@ class SimConfig:
             kappa_true=read_field(d, "kappa_true", number),
             send_limits=SendLimitConfig.from_dict(read_field(d, "send_limits", document)),
             master_seed=read_field(d, "master_seed", integral),
-            gamma=read_field(d, "gamma", number, default=0.9),
-            churn_rate=read_field(d, "churn_rate", number, default=0.0),
-            calibration_days=read_field(d, "calibration_days", integral, default=2),
+            gamma=read_field(d, "gamma", number, default=cls.gamma),
+            churn_rate=read_field(d, "churn_rate", number, default=cls.churn_rate),
+            calibration_days=read_field(d, "calibration_days", integral,
+                                        default=cls.calibration_days),
         )
 
 
@@ -576,16 +577,15 @@ def simulate_pass(state: BlockState, calibrated: np.ndarray, *, bounds: tuple[in
     return sent, opened
 
 
-def _events(log: tuple[list[np.ndarray], ...], passes_per_day: int) -> SendLog:
-    """One arm's kept sends (user index, user type, pass, raw score, outcome)
-    as a SendLog, whose rows `SendLog.from_rows` orders by user and then time,
-    stably. Pass p of day d is stamped d days plus p / passes_per_day of a
-    day; user ids are u{index:07d}, which sort in index order up to 10**7."""
-    index, user_type, t, raw, outcome = (np.concatenate(col) for col in log)
+def _events(kept: list[tuple[np.ndarray, ...]], passes_per_day: int) -> SendLog:
+    """One arm's kept sends as a SendLog, from each block's (user id, user
+    type, pass, raw score, outcome) columns; `SendLog.from_rows` orders the
+    rows by user and then time, stably. Pass p of day d is stamped d days
+    plus p / passes_per_day of a day."""
+    user_id, user_type, t, raw, outcome = map(np.concatenate, zip(*kept))
     step = SECONDS_PER_DAY // passes_per_day
     ts = (t // passes_per_day) * SECONDS_PER_DAY + (t % passes_per_day) * step
-    return SendLog.from_rows([f"u{i:07d}" for i in index.tolist()], user_type, ts,
-                             raw, outcome)
+    return SendLog.from_rows(user_id.tolist(), user_type, ts, raw, outcome)
 
 
 def _run_block(state: BlockState, calibrated: np.ndarray, *, config: SimConfig,
@@ -621,8 +621,8 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
     """Run every (table, limits) arm over blocks of users holding at most
     BLOCK_BYTES of draws: each block's draws are made once and all arms
     step through its passes together before the next block is drawn.
-    Returns each arm's per-user columns, in user-index order, and each
-    arm's kept sends as lists of arrays or None, both from the masks."""
+    Returns each arm's per-user columns, in user-index order, and, if
+    keep_events, each arm's kept sends as a SendLog, both off the masks."""
     factors = apply_kappa(config.true_factors, config.kappa_true).factors
     passes = days * config.passes_per_day
     weights = []
@@ -633,7 +633,7 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
     tables = [table for table, _ in arms]
     limits = np.array([[lim.effective_limit(c) for c in config.types] for _, lim in arms])
     blocks = []
-    logs = [([], [], [], [], []) for _ in arms] if keep_events else None
+    kept = [[] for _ in arms] if keep_events else None
     size = BLOCK_BYTES // (24 * passes)
     for start in range(0, config.num_users, size):
         stop = min(start + size, config.num_users)
@@ -649,22 +649,24 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
             active_days=np.count_nonzero(opened.reshape(by_day).any(axis=1), axis=0),
             max_day_sends=np.count_nonzero(sent.reshape(by_day), axis=1).max(axis=0),
             reachable=state.reachable))
-        for arm, log in enumerate(logs or ()):
-            # user-major, each user's sends in pass order
-            row, t = np.nonzero(sent[:, arm].T)
-            for col, values in zip(log, (block.index[row], block.user_type[row], t,
-                                         block.raw_scores[row, t], opened[t, arm, row])):
-                col.append(values)
+        if keep_events:
+            # one id per user, u{index:07d}, which sort in index order up to 10**7
+            ids = np.array([f"u{i:07d}" for i in block.index.tolist()], dtype=object)
+            for arm, chunks in enumerate(kept):
+                # user-major, each user's sends in pass order
+                row, t = np.nonzero(sent[:, arm].T)
+                chunks.append((ids[row], block.user_type[row], t, block.raw_scores[row, t],
+                               opened[t, arm, row]))
     columns = {key: np.concatenate([cols[key] for cols in blocks], axis=-1) for key in blocks[0]}
-    return [{key: col if key == "row" else col[arm] for key, col in columns.items()}
-            for arm in range(len(arms))], logs
+    return ([{key: col if key == "row" else col[arm] for key, col in columns.items()}
+             for arm in range(len(arms))],
+            [_events(chunks, config.passes_per_day) for chunks in kept] if keep_events else None)
 
 
-def _warmup(config: SimConfig) -> tuple[list[np.ndarray], ...]:
-    """Kept sends of the short no-filter run used to observe the
-    score/outcome distribution, as `_events` columns, on dedicated per-user
-    sub-streams so it neither consumes nor duplicates the draws of the
-    measured treatments."""
+def warmup_events(config: SimConfig) -> SendLog:
+    """Sends of the short no-filter run used to observe the score/outcome
+    distribution, on dedicated per-user sub-streams so it neither consumes
+    nor duplicates the draws of the measured treatments."""
     # calibrated scores only meet thresholds, and NO_FILTER's are 0, so any
     # valid map serves; this one maps every score below 1.0 to 0.0
     zero_below_one = CalibrationMap(breakpoints=(0.0, 1.0), values=(0.0, 1.0))
@@ -674,18 +676,11 @@ def _warmup(config: SimConfig) -> tuple[list[np.ndarray], ...]:
     return log
 
 
-def warmup_events(config: SimConfig) -> SendLog:
-    """Sends of the calibration warm-up as a SendLog."""
-    return _events(_warmup(config), config.passes_per_day)
-
-
 def fit_sim_calibration(config: SimConfig) -> CalibrationMap:
-    """Calibration fitted on a fresh warm-up's sends, from its columns in
-    user-index order: the fit sorts scores stably and pools each tie group's
-    0/1 outcomes as exact sums, so the map equals the fit on the columns of
-    `warmup_events(config)`."""
-    *_, raw, outcome = _warmup(config)
-    return fit_isotonic(np.concatenate(raw), np.concatenate(outcome))
+    """Calibration fitted on the raw scores and outcomes of a fresh
+    warm-up's sends, `warmup_events(config)`."""
+    log = warmup_events(config)
+    return fit_isotonic(log.raw_score, log.outcome)
 
 
 def check_treatments(treatments: list[Treatment]) -> None:
@@ -742,5 +737,4 @@ def run_experiment(config: SimConfig, treatments: list[Treatment],
         baseline_name=next(t.name for t in treatments if t.baseline), results=results,
         max_daily_sends={t.name: int(col["max_day_sends"].max())
                          for t, col in zip(treatments, columns)},
-        events={t.name: _events(log, config.passes_per_day)
-                for t, log in zip(treatments, logs)} if keep_events else None)
+        events=dict(zip((t.name for t in treatments), logs)) if keep_events else None)

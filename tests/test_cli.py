@@ -129,6 +129,18 @@ class TestFit:
         assert "breakpoints must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_log_of_two_types_fits_and_solves(self, send_log, tmp_path):
+        lines = [line for line in send_log.read_text().splitlines(keepends=True)
+                 if json.loads(line)["user_type"] in (1, 2)]
+        send_log.write_text("".join(lines))
+        model, policy = tmp_path / "m.json", tmp_path / "p.json"
+        assert run(["fit", send_log, "--kappa", "0.2", "--out", model]) == 0
+        doc = json.loads(model.read_text())
+        assert doc["types"] == [1, 2]
+        assert set(doc["type_mean_open"]) == {"1", "2"}
+        assert run(["solve", model, "--out", policy]) == 0
+        assert json.loads(policy.read_text())["types"] == [1, 2]
+
     def test_rerun_is_byte_identical(self, send_log, tmp_path):
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
         run(["fit", send_log, "--kappa", "0.3", "--out", out1])

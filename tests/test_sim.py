@@ -454,6 +454,24 @@ def test_fit_sim_calibration_is_monotone_and_deterministic():
     assert all(b >= a for a, b in zip(c1.values, c1.values[1:]))
 
 
+def test_warm_up_runs_through_warmup_events(monkeypatch):
+    """The module-level name is the one entry point, as a tracer wrapping it
+    sees: an experiment without a calibration calls it once, and the fitted
+    map is the fit on its log's columns."""
+    cfg = small_config(num_users=120)
+    logs = []
+
+    def spy(config):
+        logs.append(warmup_events(config))
+        return logs[-1]
+
+    monkeypatch.setattr(sim, "warmup_events", spy)
+    run_experiment(cfg, [Treatment("nf", NO_FILTER, baseline=True)])
+    assert len(logs) == 1
+    assert fit_sim_calibration(cfg) == fit_isotonic(logs[-1].raw_score, logs[-1].outcome)
+    assert len(logs) == 2
+
+
 def test_events_round_trip_through_ingest_format(tmp_path):
     cfg = small_config()
     report = run_experiment(cfg, [Treatment("nf", NO_FILTER, baseline=True)],
