@@ -16,7 +16,8 @@ from .behavior import (
     monotone_project,
     summarize_types,
 )
-from .calibrate import CalibrationMap, apply_calibration, fit_isotonic, pav, refresh
+from .calibrate import (CalibrationMap, apply_calibration, fit_isotonic, pav, refresh,
+                        score_thresholds)
 from .core import (
     DEFAULT_STREAK_BOUNDS,
     USER_TYPES,
@@ -68,7 +69,8 @@ __all__ = [
     "estimate_factors",
     "fit_behavior_model", "fit_isotonic", "fit_sim_calibration",
     "generate_population", "monotone_project", "pav", "q_send",
-    "ramp_factor_table", "read_log", "refresh", "run_experiment", "simulate_pass",
+    "ramp_factor_table", "read_log", "refresh", "run_experiment", "score_thresholds",
+    "simulate_pass",
     "solve_policy", "state_values",
     "summarize_types", "warmup_events",
 ]

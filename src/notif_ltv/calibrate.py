@@ -7,7 +7,10 @@ score takes the value of the greatest breakpoint at or below it, and scores
 below the first breakpoint clamp to the first value. The lookup searches
 only the first breakpoint of each run of equal values, which gives the same
 value: a fitted map has far fewer pools than breakpoints (33 against 4,056
-on the benchmark's warm-up). `refresh` refits on
+on the benchmark's warm-up). `score_thresholds` maps a calibrated
+threshold back to the least raw score that reaches it, so a caller that
+compares many scores with few thresholds maps the thresholds once.
+`refresh` refits on
 the sends of a `SendLog` inside a trailing time window, selected with a
 mask over its timestamp column, and `fit_isotonic` takes that window's
 raw-score and outcome columns as they are. A window with fewer than two
@@ -167,6 +170,23 @@ def apply_calibration(cmap: CalibrationMap, raw_score):
     idx = np.searchsorted(starts, raw_score, side="right")
     idx -= 1  # -1, below the first breakpoint, clips to 0
     return np.take(values, idx, mode="clip")
+
+
+def score_thresholds(cmap: CalibrationMap, threshold):
+    """The least raw score whose calibrated value reaches each threshold:
+    -inf where the first run's value already does, +inf where no run's
+    does, and otherwise the first breakpoint of the first run that does.
+
+    So `apply_calibration(cmap, s) >= t` holds exactly when
+    `s >= score_thresholds(cmap, t)`, for every finite raw score s and
+    every threshold t that is not NaN: a threshold can be compared on the
+    raw scale once instead of looking up every score. Elementwise like
+    `apply_calibration`.
+    """
+    starts, values = cmap._runs
+    # runs are non-decreasing, and -0.0 and +0.0 compare equal here as in >=
+    idx = np.searchsorted(values, threshold, side="left")
+    return np.concatenate(([-math.inf], starts[1:], [math.inf])).take(idx)
 
 
 def window_mask(timestamp: np.ndarray, now, window_hours: int) -> np.ndarray:

@@ -4,8 +4,8 @@ Each simulated user has a user type and a latent baseline open rate drawn
 from a per-type Beta distribution; the ground-truth streak response
 multiplies that baseline exactly the way the fitted behavior model assumes
 it does. Every
-pass draws a candidate score (a noisy signal of the user's baseline), runs
-it through the calibration map and the treatment's policy, and on a send
+pass draws a candidate score (a noisy signal of the user's baseline), sends
+where its calibrated value reaches the treatment's threshold, and on a send
 resolves the outcome and advances the streak.
 
 Treatments are compared with common random numbers: user i's latent stream
@@ -21,8 +21,8 @@ and num_users at most 2**32: each user index is one 32-bit seed word.
 
 The loop runs over time and numpy runs over users, taken in blocks of
 consecutive indices whose draws fit in BLOCK_BYTES. A block's streams are
-drawn once, up front, one user at a time, and the score transform then runs
-once over the whole block. The draws are shared by every arm, and all arms
+drawn once, up front, one user at a time, and each user-pass keeps the
+logit of its candidate score. The draws are shared by every arm, and all arms
 step the block together one pass at a time (`simulate_pass`): streak, sends
 today, reachability and the stream cursor are one (arms, users) array each,
 and outcomes and churn resolve in one step over every arm's sends. A block
@@ -30,9 +30,16 @@ records who each pass sent to and which sends opened in two masks, and
 every per-user count and every kept send is read off them.
 
 A treatment's policy is a `PolicyTable`, one send threshold per (type,
-streak). Each block looks up every arm's thresholds once into one (arm,
-type, streak) array, and each pass decides every arm with one gather from
-that array and one compare.
+streak) on the calibrated scale. Each block looks up every arm's thresholds
+once into one (arm, type, streak) array and maps each through the
+calibration to the least raw score that reaches it (`score_thresholds`),
+so no score is ever calibrated: each pass decides every arm with one
+gather from that array and one compare of raw scores. A pass compares the
+approximate scores 1 / (1 + np.exp(-logit)), computed once per block, and
+recomputes the exact math.exp score only where the approximation lies
+within _NEAR of the threshold; the two differ by a few ulps at most, so
+every decision is the exact score's. Exact scores are computed only there
+and for kept sends, whose raw_score column holds them.
 
 A population is a `UserBlock` (`generate_population` draws every user as
 one block), and the sends of the calibration warm-up and of each kept arm
@@ -54,7 +61,9 @@ import numpy as np
 
 from . import policy
 from .behavior import FactorTable, apply_kappa
-from .calibrate import CalibrationMap, apply_calibration, fit_isotonic
+from .calibrate import CalibrationMap, fit_isotonic, score_thresholds
+# The simulator maps thresholds, not scores; perfbench's tracer wraps this name.
+from .calibrate import apply_calibration  # noqa: F401
 from .core import (SendLimitConfig, advance_streak, document, integral, listed, number, per_type,
                    read_field, validate_streak_bounds)
 from .ingest import SendLog
@@ -64,10 +73,10 @@ from .solver import NEVER_SEND, PolicyTable
 
 SECONDS_PER_DAY = 86400
 
-# Cap on a block's draws, 24 bytes per user-pass (a raw score, two uniforms),
-# so a block's memory is bounded at any run length; the calibrated copy of the
-# scores adds 8 bytes more, the send and open masks 2 bytes per user-pass per
-# arm, and the open-probability table 8 bytes per user and streak. 2 MiB fits
+# Cap on a block's draws, 24 bytes per user-pass (a logit, two uniforms), so
+# a block's memory is bounded at any run length; the approximate scores add 8
+# bytes more, the send and open masks 2 bytes per user-pass per arm, and the
+# open-probability table 8 bytes per user and streak. 2 MiB fits
 # 800 users x 90 passes in one block, paying numpy's per-call overhead once a
 # pass for all arms, for ~2 MB.
 BLOCK_BYTES = 2 << 20
@@ -425,21 +434,47 @@ def _seed_state_type() -> type:
     return SeedState
 
 
+def _logistic(logits: np.ndarray) -> np.ndarray:
+    """The exact candidate scores 1 / (1 + exp(-logit)), elementwise, with
+    math.exp rather than np.exp, whose vectorized kernel can differ from it
+    in the last bits. Where exp(-logit) overflows the score is 0.0, the IEEE
+    value of 1 / (1 + inf) that np.exp gives."""
+    neg = np.negative(logits).reshape(-1).tolist()
+    try:
+        e = np.fromiter(map(math.exp, neg), float, count=len(neg))
+    except OverflowError:
+        e = np.fromiter(map(_exp_or_inf, neg), float, count=len(neg))
+    e += 1.0
+    return np.divide(1.0, e, out=e).reshape(np.shape(logits))
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass
 class UserBlock:
     """Everything drawn for a block of consecutive users, shared by every arm.
 
-    Row j is user index[j]. raw_scores holds one candidate score per pass;
-    uniforms is the user's policy stream, two draws per pass (an outcome
-    and a churn draw at most), read left to right.
+    Row j is user index[j]. logits holds the logit of one candidate score
+    per pass; uniforms is the user's policy stream, two draws per pass (an
+    outcome and a churn draw at most), read left to right.
     """
 
     index: np.ndarray
     rows: np.ndarray  # position of each user's type in config.types
     user_type: np.ndarray
     baseline: np.ndarray
-    raw_scores: np.ndarray
+    logits: np.ndarray
     uniforms: np.ndarray
+
+    @property
+    def raw_scores(self) -> np.ndarray:
+        """Each user-pass's exact candidate score, 1 / (1 + exp(-logit))."""
+        return _logistic(self.logits)
 
 
 def _draw_block(config: SimConfig, start: int, stop: int, passes: int,
@@ -460,7 +495,7 @@ def _draw_block(config: SimConfig, start: int, stop: int, passes: int,
     baseline = np.empty(n)
     logit = np.empty(n)
     noise = np.empty(n)
-    raw = np.empty((n, passes))
+    logits = np.empty((n, passes))
     uniforms = np.empty((n, 2 * passes))
     for j in range(n):
         latent_rng = np.random.Generator(np.random.PCG64(seed_state(latent_seeds[j])))
@@ -473,22 +508,18 @@ def _draw_block(config: SimConfig, start: int, stop: int, passes: int,
         baseline[j] = b
         logit[j] = math.log(b / (1.0 - b))
         noise[j] = config.score_noise[user_type]
-        latent_rng.standard_normal(out=raw[j])
+        latent_rng.standard_normal(out=logits[j])
         policy_rng = np.random.Generator(np.random.PCG64(seed_state(policy_seeds[j])))
         policy_rng.random(out=uniforms[j])
-    # candidate score: the baseline perturbed by type-level logit noise,
-    # 1 / (1 + exp(-logit)), for the whole block at once; math.exp rather
-    # than np.exp, whose vectorized kernel can differ from it in the last bit
-    raw *= noise[:, None]
-    raw += logit[:, None]
-    np.negative(raw, out=raw)
-    raw = np.fromiter(map(math.exp, memoryview(raw.reshape(-1))), float,
-                      count=raw.size).reshape(n, passes)
-    raw += 1.0
-    np.divide(1.0, raw, out=raw)
+    # candidate logit: the baseline's perturbed by type-level noise, for the
+    # whole block at once; a huge noise overflows to an infinite logit, whose
+    # score is 0 or 1, as with Python floats
+    with np.errstate(over="ignore"):
+        logits *= noise[:, None]
+    logits += logit[:, None]
     return UserBlock(index=index, rows=rows,
                      user_type=np.array(config.types)[rows], baseline=baseline,
-                     raw_scores=raw, uniforms=uniforms)
+                     logits=logits, uniforms=uniforms)
 
 
 def generate_population(config: SimConfig) -> UserBlock:
@@ -498,6 +529,12 @@ def generate_population(config: SimConfig) -> UserBlock:
                        _LATENT, _POLICY)
 
 
+# a pass decides on np.exp's approximate score and recomputes the exact one
+# where the two could fall on either side of a threshold: they differ by a
+# few ulps at most, far less than this
+_NEAR = 2.0 ** -30
+
+
 @dataclass
 class BlockState:
     """Every arm's mutable state for a block of users, one (arms, users)
@@ -505,75 +542,109 @@ class BlockState:
     built once per block. `_run_block` records each pass's sends and opens."""
 
     block: UserBlock
+    scores: np.ndarray  # (passes, users) approximate scores, 1 / (1 + np.exp(-logit))
     effective_limit: np.ndarray
-    thresholds: np.ndarray  # (arms, types, streaks) send thresholds, flattened
+    thresholds: np.ndarray  # (arms, types, streaks) least raw score that sends, flattened
     offset: np.ndarray  # (arm * types + row) * streaks - lo: plus a streak, its threshold
-    p_open: np.ndarray  # (users, streaks) open probability, min(f_true * baseline, 1)
+    p_open: np.ndarray  # (users, streaks) open probability, min(f_true * baseline, 1), flattened
+    open_offset: np.ndarray  # flat (arms, users) row * streaks - lo: plus a streak, its p_open
+    advance: np.ndarray  # the streak after a send, at (2 * streak + opened) mod its length
     streak: np.ndarray
     sends_today: np.ndarray
     reachable: np.ndarray
-    cursor: np.ndarray  # next unread column of block.uniforms
+    cursor: np.ndarray  # position of the next unread uniform in the flattened block.uniforms
 
     @classmethod
     def start(cls, block: UserBlock, effective_limit: np.ndarray, tables: list[PolicyTable],
-              *, factors: np.ndarray, bounds: tuple[int, int]) -> "BlockState":
+              calibration: CalibrationMap, *, factors: np.ndarray,
+              bounds: tuple[int, int]) -> "BlockState":
         """Fresh state for the arms whose policies are tables and whose
         limits are the (arms, users) effective_limit; factors is the
         effective ground-truth factor array, one row per type.
 
-        Only the types the block holds are looked up, so a table without a
-        row for one of them raises KeyError; the other rows stay NEVER_SEND.
+        Each threshold is mapped through the calibration once, to the least
+        raw score that reaches it (`score_thresholds`), so a pass compares
+        raw scores. Only the types the block holds are looked up, so a table
+        without a row for one of them raises KeyError; the other rows never
+        send.
         """
         shape = effective_limit.shape
         types, streaks = factors.shape
+        lo, hi = bounds
         present, first = np.unique(block.rows, return_index=True)
-        cells = np.ix_(block.user_type[first], np.arange(bounds[0], bounds[1] + 1))
+        cells = np.ix_(block.user_type[first], np.arange(lo, hi + 1))
         thresholds = np.full((len(tables), types, streaks), NEVER_SEND)
         for arm, table in enumerate(tables):
             thresholds[arm, present] = table.threshold(*cells)
-        offset = (np.arange(shape[0])[:, None] * types + block.rows) * streaks - bounds[0]
-        return cls(block=block, effective_limit=effective_limit,
-                   thresholds=thresholds.reshape(-1), offset=offset,
-                   p_open=np.minimum(factors[block.rows] * block.baseline[:, None], 1.0),
+        offset = (np.arange(shape[0])[:, None] * types + block.rows) * streaks - lo
+        # every (streak, outcome) pair, at the key a pass computes for it
+        s, opened = np.repeat(np.arange(lo, hi + 1), 2), np.tile([False, True], streaks)
+        advance = np.empty(2 * streaks, dtype=np.int64)
+        advance[(2 * s + opened) % advance.size] = advance_streak(s, opened, bounds)
+        # pass-major, so each pass reads one contiguous row
+        with np.errstate(over="ignore"):  # exp(-logit) overflows to inf, the score to 0.0
+            scores = np.exp(np.negative(block.logits.T, order="C"))
+        scores += 1.0
+        user = np.broadcast_to(np.arange(len(block.index)), shape)
+        return cls(block=block, scores=np.divide(1.0, scores, out=scores),
+                   effective_limit=effective_limit,
+                   thresholds=score_thresholds(calibration, thresholds).reshape(-1),
+                   offset=offset,
+                   p_open=np.minimum(factors[block.rows] * block.baseline[:, None],
+                                     1.0).reshape(-1),
+                   open_offset=(user * streaks - lo).reshape(-1), advance=advance,
                    streak=np.zeros(shape, dtype=np.int64),
                    sends_today=np.zeros(shape, dtype=np.int64),
-                   reachable=np.ones(shape, dtype=bool), cursor=np.zeros(shape, dtype=np.intp))
+                   reachable=np.ones(shape, dtype=bool),
+                   cursor=user * block.uniforms.shape[1])
 
 
-def simulate_pass(state: BlockState, calibrated: np.ndarray, *, bounds: tuple[int, int],
-                  churn_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """One decision opportunity for every user of a block in every arm.
+def simulate_pass(state: BlockState, t: int, *, churn_rate: float) -> tuple[np.ndarray,
+                                                                           np.ndarray]:
+    """Pass t of the block, one decision opportunity for every user in every
+    arm.
 
-    calibrated holds each user's calibrated candidate score for this pass,
-    the same in every arm. An arm sends where the score reaches its
-    threshold for the user's type and streak, the user is under the limit
-    and is reachable. On a send the outcome resolves at
-    min(f_true * baseline, 1), the streak advances, and an ignore may churn
-    the user when churn is enabled; a skip leaves the streak as it was. The
-    sends of all arms step together over the flattened state. Returns the
-    flat indices arm * users + row sent to, ascending, and whether each of
-    those sends was opened.
+    An arm sends where the user's candidate score for the pass, the same in
+    every arm, reaches its raw threshold for the user's type and streak, the
+    user is under the limit and is reachable. The score is the approximate
+    one, or the exact one where the two lie within _NEAR of the threshold,
+    so every decision is the exact score's. On a send the outcome resolves
+    at min(f_true * baseline, 1), the streak advances, and an ignore may
+    churn the user when churn is enabled; a skip leaves the streak as it
+    was. The sends of all arms step together over the flattened state.
+    Returns the flat indices arm * users + row sent to, ascending, and
+    whether each of those sends was opened.
     """
-    block = state.block
-    n = state.streak.shape[1]
-    send = calibrated >= state.thresholds.take(state.offset + state.streak)
+    score = state.scores[t]
+    threshold = state.thresholds.take(state.offset + state.streak)
+    gap = score - threshold
+    send = gap >= 0.0
+    if np.abs(gap, out=gap).min() <= _NEAR:
+        arm, row = np.nonzero(gap <= _NEAR)
+        send[arm, row] = _logistic(state.block.logits[row, t]) >= threshold[arm, row]
     send &= state.sends_today < state.effective_limit
     send &= state.reachable
-    sent = np.flatnonzero(send)
-    user = sent % n
+    state.sends_today += send
+    sent = send.reshape(-1).nonzero()[0]
     streak, cursor = state.streak.reshape(-1), state.cursor.reshape(-1)
-    before = streak[sent]
-    streaks = state.p_open.shape[1]
-    p_open = state.p_open.take(user * streaks + (before - bounds[0]))
-    opened = block.uniforms[user, cursor[sent]] < p_open
-    cursor[sent] += 1
-    streak[sent] = advance_streak(before, opened, bounds)
-    state.sends_today.reshape(-1)[sent] += 1
+    before = streak.take(sent)
+    at = cursor.take(sent)
+    uniforms = state.block.uniforms.reshape(-1)
+    opened = uniforms.take(at) < state.p_open.take(state.open_offset.take(sent) + before)
+    before *= 2
+    before += opened
+    streak[sent] = state.advance.take(before, mode="wrap")
+    at += 1
     if churn_rate > 0.0:
-        ignored = sent[~opened]
-        churned = block.uniforms[user[~opened], cursor[ignored]] < churn_rate
-        cursor[ignored] += 1
-        state.reachable.reshape(-1)[ignored[churned]] = False
+        # an ignore reads its churn draw next and moves the cursor past it; a
+        # user reads at most two draws a pass, so every send's next draw lies
+        # in its own row and all are read, opened or not
+        churned = uniforms.take(at) < churn_rate
+        churned &= ~opened
+        state.reachable.reshape(-1)[sent[churned]] = False
+        at += 1
+        at -= opened
+    cursor[sent] = at
     return sent, opened
 
 
@@ -588,7 +659,7 @@ def _events(kept: list[tuple[np.ndarray, ...]], passes_per_day: int) -> SendLog:
     return SendLog.from_rows(user_id.tolist(), user_type, ts, raw, outcome)
 
 
-def _run_block(state: BlockState, calibrated: np.ndarray, *, config: SimConfig,
+def _run_block(state: BlockState, *, config: SimConfig,
                weights: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step every arm of a fresh state through every pass of its block.
 
@@ -597,15 +668,14 @@ def _run_block(state: BlockState, calibrated: np.ndarray, *, config: SimConfig,
     arm, and whether that send was opened. Also returns each user's
     discounted opens, (arms, users), added up in pass order.
     """
-    passes = calibrated.shape[1]
+    passes = len(state.scores)
     sent_mask, opened_mask = (np.zeros((passes, state.streak.size), dtype=bool)
                               for _ in range(2))
     discounted = np.zeros(state.streak.size)
     for t in range(passes):
         if t % config.passes_per_day == 0:
             state.sends_today[:] = 0
-        sent, opened = simulate_pass(state, calibrated[:, t], bounds=config.streak_bounds,
-                                     churn_rate=config.churn_rate)
+        sent, opened = simulate_pass(state, t, churn_rate=config.churn_rate)
         openers = sent[opened]
         sent_mask[t, sent] = True
         opened_mask[t, openers] = True
@@ -638,10 +708,9 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
     for start in range(0, config.num_users, size):
         stop = min(start + size, config.num_users)
         block = _draw_block(config, start, stop, passes, latent_salt, policy_salt)
-        calibrated = apply_calibration(calibration, block.raw_scores)
-        state = BlockState.start(block, limits[:, block.rows], tables, factors=factors,
-                                 bounds=config.streak_bounds)
-        sent, opened, discounted = _run_block(state, calibrated, config=config, weights=weights)
+        state = BlockState.start(block, limits[:, block.rows], tables, calibration,
+                                 factors=factors, bounds=config.streak_bounds)
+        sent, opened, discounted = _run_block(state, config=config, weights=weights)
         by_day = (days, config.passes_per_day, *sent.shape[1:])
         blocks.append(dict(
             row=block.rows, sends=np.count_nonzero(sent, axis=0),
@@ -655,7 +724,8 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
             for arm, chunks in enumerate(kept):
                 # user-major, each user's sends in pass order
                 row, t = np.nonzero(sent[:, arm].T)
-                chunks.append((ids[row], block.user_type[row], t, block.raw_scores[row, t],
+                chunks.append((ids[row], block.user_type[row], t,
+                               _logistic(block.logits[row, t]),
                                opened[t, arm, row]))
     columns = {key: np.concatenate([cols[key] for cols in blocks], axis=-1) for key in blocks[0]}
     return ([{key: col if key == "row" else col[arm] for key, col in columns.items()}
@@ -667,8 +737,9 @@ def warmup_events(config: SimConfig) -> SendLog:
     """Sends of the short no-filter run used to observe the score/outcome
     distribution, on dedicated per-user sub-streams so it neither consumes
     nor duplicates the draws of the measured treatments."""
-    # calibrated scores only meet thresholds, and NO_FILTER's are 0, so any
-    # valid map serves; this one maps every score below 1.0 to 0.0
+    # a map only moves thresholds, and every map's values reach NO_FILTER's
+    # 0, whose raw threshold is then -inf, so any valid map serves; this one
+    # maps every score below 1.0 to 0.0
     zero_below_one = CalibrationMap(breakpoints=(0.0, 1.0), values=(0.0, 1.0))
     _, (log,) = _simulate(config, [(policy.NO_FILTER, config.send_limits)], zero_below_one,
                           days=config.calibration_days, keep_events=True,

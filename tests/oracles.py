@@ -449,7 +449,10 @@ def simulate_pass_oracle(user, rule, calibration, latent_rng, policy_rng, *, con
     sigma = config.score_noise[user.user_type]
     b = user.baseline
     logit = math.log(b / (1.0 - b)) + sigma * latent_rng.standard_normal()
-    raw = 1.0 / (1.0 + math.exp(-logit))
+    try:
+        raw = 1.0 / (1.0 + math.exp(-logit))
+    except OverflowError:  # exp(-logit) is inf, and 1 / (1 + inf) is 0.0
+        raw = 0.0
     calibrated = calibration_oracle(calibration, raw)
     if not decide_oracle(user.user_type, user.streak, calibrated, user.sends_today,
                          effective_limit, **rule):

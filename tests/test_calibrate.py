@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from notif_ltv import (
+    NEVER_SEND,
     CalibrationMap,
     SendLog,
     apply_calibration,
     fit_isotonic,
     pav,
     refresh,
+    score_thresholds,
 )
 from oracles import calibration_oracle, isotonic_fit_oracle, pav_oracle
 
@@ -290,6 +292,46 @@ class TestRunLookup:
         cmap = CalibrationMap(breakpoints=tuple(bps.tolist()), values=(0.3,) * len(bps))
         assert len(cmap._runs[0]) == 1
         self.check(cmap)
+
+
+class TestScoreThresholds:
+    """score_thresholds maps a calibrated threshold to the least raw score
+    that reaches it, so comparing a raw score with it decides as comparing
+    the score's calibrated value with the threshold."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_raw_compare_decides_as_calibrated_compare(self, data):
+        """On maps with repeated values and with separate -0.0 and +0.0 runs,
+        thresholds that equal run values, 0, -0.0, 1 or NEVER_SEND, and
+        scores on, beside and below the breakpoints."""
+        n = data.draw(st.integers(1, 8))
+        bps = sorted(data.draw(st.sets(st.floats(0.05, 1), min_size=n, max_size=n)))
+        # a few levels, so runs repeat; sorted keeps -0.0 and +0.0 in draw order
+        levels = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1)
+        vals = sorted(data.draw(st.lists(levels, min_size=n, max_size=n)))
+        cmap = CalibrationMap(breakpoints=tuple(bps), values=tuple(vals))
+        thresholds = data.draw(st.lists(
+            st.sampled_from(vals + [0.0, -0.0, 1.0, NEVER_SEND]) | st.floats(0, 1),
+            min_size=1, max_size=8))
+        scores = np.concatenate([bps, np.nextafter(bps, -1.0), np.nextafter(bps, 2.0),
+                                 [0.0, 0.04, -1.0, -math.inf],
+                                 data.draw(st.lists(st.floats(-0.5, 1.5), max_size=10))])
+        raw = score_thresholds(cmap, np.array(thresholds))
+        assert raw.shape == (len(thresholds),)
+        calibrated = [calibration_oracle(cmap, x) for x in scores.tolist()]
+        for t, r in zip(thresholds, raw.tolist()):
+            assert [s >= r for s in scores.tolist()] == [v >= t for v in calibrated], (t, r)
+            # the least such score: -inf, +inf, or a breakpoint that reaches t
+            # where the float below it does not
+            if math.isfinite(r):
+                assert r in bps and calibration_oracle(cmap, r) >= t
+                assert calibration_oracle(cmap, math.nextafter(r, -math.inf)) < t
+
+    def test_run_starts_and_infinities(self):
+        cmap = CalibrationMap(breakpoints=(0.1, 0.2, 0.3, 0.4), values=(-0.0, 0.0, 0.5, 0.5))
+        got = score_thresholds(cmap, np.array([-0.0, 0.0, 1e-300, 0.5, 0.7, NEVER_SEND]))
+        assert got.tolist() == [-math.inf, -math.inf, 0.3, 0.3, math.inf, math.inf]
 
 
 def send_log(events):

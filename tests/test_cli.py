@@ -343,6 +343,20 @@ class TestSimulate:
         assert (out_dir / "events_no_filter.jsonl").exists()
         assert "Treatment" in capsys.readouterr().out
 
+    def test_huge_score_noise_runs(self, sim_config_path, treatments_path, tmp_path):
+        """A score noise of 1000 drives logits past the range of math.exp;
+        such a score is 0.0 and the command succeeds."""
+        doc = json.loads(sim_config_path.read_text())
+        doc["score_noise"] = {"1": 1000.0, "2": 1000.0}
+        sim_config_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert run(["simulate", "--sim-config", sim_config_path,
+                    "--treatments", treatments_path, "--out-dir", out_dir,
+                    "--emit-log"]) == 0
+        scores = {json.loads(line)["raw_score"]
+                  for line in (out_dir / "events_no_filter.jsonl").read_text().splitlines()}
+        assert 0.0 in scores
+
     def test_baseline_deltas_are_zero(self, sim_config_path, treatments_path, tmp_path):
         out_dir = tmp_path / "out"
         run(["simulate", "--sim-config", sim_config_path,

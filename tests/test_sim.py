@@ -18,11 +18,13 @@ from notif_ltv import (
     SendLimitConfig,
     SimConfig,
     Treatment,
+    apply_calibration,
     fit_isotonic,
     fit_sim_calibration,
     generate_population,
     ramp_factor_table,
     run_experiment,
+    score_thresholds,
     simulate_pass,
     warmup_events,
 )
@@ -203,15 +205,15 @@ class TestSeedStates:
 class TestSimulatePass:
     def run_pass(self, table, cfg, *, streak=0, sends_today=0, limit=5):
         """One pass of a one-user block (type 1, baseline 0.4)."""
+        # logit 0 is a score of 0.5
         block = UserBlock(index=np.array([0]), rows=np.array([0]), user_type=np.array([1]),
-                          baseline=np.array([0.4]), raw_scores=np.array([[0.5]]),
+                          baseline=np.array([0.4]), logits=np.array([[0.0]]),
                           uniforms=np.random.default_rng(7).random((1, 2)))
-        state = BlockState.start(block, np.array([[limit]]), [table],
+        state = BlockState.start(block, np.array([[limit]]), [table], identity_map(),
                                  factors=cfg.true_factors.factors, bounds=cfg.streak_bounds)
         state.streak[:] = streak
         state.sends_today[:] = sends_today
-        sent, opened = simulate_pass(state, np.array([0.5]), bounds=cfg.streak_bounds,
-                                     churn_rate=cfg.churn_rate)
+        sent, opened = simulate_pass(state, 0, churn_rate=cfg.churn_rate)
         return state, sent, opened
 
     def test_no_filter_under_limit_always_sends(self):
@@ -233,20 +235,23 @@ class TestSimulatePass:
         cfg = small_config()
         block = UserBlock(index=np.array([0, 1]), rows=np.array([0, 1]),
                           user_type=np.array([1, 2]), baseline=np.array([0.4, 0.3]),
-                          raw_scores=np.array([[0.5], [0.5]]),
+                          logits=np.array([[0.0], [0.0]]),
                           uniforms=np.random.default_rng(7).random((2, 2)))
         state = BlockState.start(block, np.array([[2, 2], [2, 2]]), [NO_FILTER, NO_FILTER],
-                                 factors=cfg.true_factors.factors, bounds=cfg.streak_bounds)
+                                 identity_map(), factors=cfg.true_factors.factors,
+                                 bounds=cfg.streak_bounds)
         state.streak[:] = [[1, -1], [3, -2]]
         state.sends_today[1] = 2
-        sent, opened = simulate_pass(state, np.array([0.5, 0.5]), bounds=cfg.streak_bounds,
-                                     churn_rate=0.5)
+        # each cursor starts at its user's first uniform in the flat stream
+        start = state.cursor.copy()
+        assert start.tolist() == [[0, 2], [0, 2]]
+        sent, opened = simulate_pass(state, 0, churn_rate=0.5)
         assert sent.tolist() == [0, 1]
         assert len(opened) == 2
         assert state.streak[1].tolist() == [3, -2]
-        assert state.cursor[1].tolist() == [0, 0]
+        assert state.cursor[1].tolist() == start[1].tolist()
         assert state.sends_today.tolist() == [[1, 1], [2, 2]]
-        assert state.cursor[0].tolist() == [1 if o else 2 for o in opened.tolist()]
+        assert (state.cursor[0] - start[0]).tolist() == [1 if o else 2 for o in opened.tolist()]
 
     def test_outcome_advances_streak(self):
         cfg = small_config()
@@ -285,10 +290,12 @@ class TestSendThresholds:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_table_holds_each_arms_thresholds(self, data):
-        """A block's threshold array holds each arm's threshold at every
-        (type, streak) cell of a type the block holds, and NEVER_SEND in the
-        rows of the others; a pass sends where the score reaches it, and
-        none at the limit."""
+        """A block's threshold array holds each arm's threshold, mapped to the
+        least raw score that reaches it, at every (type, streak) cell of a
+        type the block holds, and NEVER_SEND in the rows of the others; a
+        pass sends where the calibrated score reaches the arm's threshold,
+        and none at the limit. The map's breakpoints may sit on the block's
+        exact scores, so ties reach the exact fallback."""
         ks = HeuristicThresholds(by_type={c: data.draw(THRESHOLDS.filter(lambda v: v <= 1.0))
                                           for c in self.TYPES})
         cells = data.draw(st.lists(THRESHOLDS, min_size=10, max_size=10))
@@ -298,14 +305,24 @@ class TestSendThresholds:
         tables = [ks.table, NO_FILTER, table]
         rows = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=6)))
         n = len(rows)
+        # logits beyond about 709 in size give scores of exactly 0 and 1
+        logits = data.draw(st.lists(st.one_of(st.floats(-40, 40), st.sampled_from([-800.0, 800.0])),
+                                    min_size=n, max_size=n))
         block = UserBlock(index=np.arange(n), rows=rows, user_type=np.array(self.TYPES)[rows],
-                          baseline=np.full(n, 0.3), raw_scores=np.zeros((n, 1)),
+                          baseline=np.full(n, 0.3), logits=np.array(logits)[:, None],
                           uniforms=np.zeros((n, 2)))
-        state = BlockState.start(block, np.ones((len(tables), n), dtype=np.int64), tables,
+        scores = block.raw_scores[:, 0]
+        bps = sorted(set(data.draw(st.lists(st.one_of(st.sampled_from(scores.tolist()),
+                                                      st.floats(0, 1)), min_size=1, max_size=5))))
+        vals = sorted(data.draw(st.lists(st.one_of(st.just(-0.0), st.floats(0, 1)),
+                                         min_size=len(bps), max_size=len(bps))))
+        cmap = CalibrationMap(breakpoints=tuple(bps), values=tuple(vals))
+        state = BlockState.start(block, np.ones((len(tables), n), dtype=np.int64), tables, cmap,
                                  factors=np.ones((len(self.TYPES), 9)), bounds=self.BOUNDS)
 
         lo, hi = self.BOUNDS
         got = state.thresholds.reshape(len(tables), len(self.TYPES), hi - lo + 1)
+        calibrated = np.full(got.shape, NEVER_SEND)
         for arm, t in enumerate(tables):
             want = threshold_cells(t)
             tlo, thi = t.bounds
@@ -313,15 +330,16 @@ class TestSendThresholds:
                 if row not in rows:
                     assert (got[arm, row] == NEVER_SEND).all()
                     continue
+                calibrated[arm, row] = [want[c, min(max(s, tlo), thi)] for s in range(lo, hi + 1)]
                 assert got[arm, row].tolist() == \
-                    [want[c, min(max(s, tlo), thi)] for s in range(lo, hi + 1)], (arm, row)
+                    score_thresholds(cmap, calibrated[arm, row]).tolist(), (arm, row)
 
         # every streak starts at 0
-        score = np.array(data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
-        sent, _ = simulate_pass(state, score, bounds=self.BOUNDS, churn_rate=0.0)
-        assert sent.tolist() == np.flatnonzero(score >= got[:, rows, -lo]).tolist()
+        sent, _ = simulate_pass(state, 0, churn_rate=0.0)
+        reach = apply_calibration(cmap, scores) >= calibrated[:, rows, -lo]
+        assert sent.tolist() == np.flatnonzero(reach).tolist()
         state.sends_today[:] = state.effective_limit
-        sent, _ = simulate_pass(state, score, bounds=self.BOUNDS, churn_rate=0.0)
+        sent, _ = simulate_pass(state, 0, churn_rate=0.0)
         assert sent.size == 0
 
     def test_only_types_a_block_holds_are_looked_up(self):
@@ -333,6 +351,108 @@ class TestSendThresholds:
         assert run_experiment(cfg, [treatment]).result("h").total_sends > 0
         with pytest.raises(KeyError, match=r"no entry for user type\(s\) \[2\]"):
             run_experiment(small_config(), [treatment], identity_map())
+
+
+class TestExactFallback:
+    """A pass decides on np.exp's approximate scores and recomputes the exact
+    math.exp score only where the approximation lies within sim._NEAR of a
+    raw threshold; every decision is the exact score's."""
+
+    def test_nudged_approximation_still_decides_by_the_exact_score(self):
+        """Arm 0's raw threshold is a user's exact score s and arm 1's the
+        next float above it. Nudging the approximate score below s, then
+        above the next float, by less than the margin moves no decision;
+        outside the margin the approximation decides alone, which is why the
+        margin must exceed the gap between np.exp and math.exp."""
+        cfg = small_config()
+        block = UserBlock(index=np.array([0]), rows=np.array([0]), user_type=np.array([1]),
+                          baseline=np.array([0.4]), logits=np.full((1, 3), 0.3),
+                          uniforms=np.random.default_rng(7).random((1, 6)))
+        s = float(block.raw_scores[0, 0])
+        cmap = CalibrationMap(breakpoints=(0.0, s, np.nextafter(s, 1.0)), values=(0.0, 0.5, 1.0))
+        tables = [PolicyTable(bounds=cfg.streak_bounds, types=(1, 2),
+                              thresholds=np.full((2, 9), v)) for v in (0.5, 1.0)]
+        state = BlockState.start(block, np.full((2, 1), 5), tables, cmap,
+                                 factors=cfg.true_factors.factors, bounds=cfg.streak_bounds)
+        assert state.thresholds.reshape(2, 2, 9)[:, 0].tolist() == \
+            [[s] * 9, [np.nextafter(s, 1.0)] * 9]
+        assert 2.0 ** -32 < sim._NEAR < 2.0 ** -29
+        state.scores[:, 0] = s - 2.0 ** -32, s + 2.0 ** -32, s - 2.0 ** -29
+        assert [simulate_pass(state, t, churn_rate=0.0)[0].tolist() for t in range(3)] == \
+            [[0], [0], []]
+
+    def test_ties_on_breakpoints_match_scalar_oracle(self, monkeypatch):
+        """The map's breakpoints are exact scores the main run draws, and
+        every arm's raw thresholds are breakpoints. For each type, one user's
+        first-pass approximation misses its exact score, and a breakpoint
+        sits between the two, on the streak-0 cell's threshold: a pass that
+        trusted the approximation would decide that user-pass the other way.
+        Reports and kept sends equal the oracle's."""
+        cfg = small_config(num_users=300, days=3, passes_per_day=3, churn_rate=0.1)
+        population = generate_population(cfg)
+        exact = population.raw_scores[:, 0]
+        approx = 1.0 / (1.0 + np.exp(-population.logits[:, 0]))
+        traps = []
+        for c in (1, 2):
+            j = np.flatnonzero((population.user_type == c) & (approx != exact))[0]
+            traps.append(exact[j] if approx[j] < exact[j] else np.nextafter(exact[j], 1.0))
+        bps = np.unique(np.concatenate([traps, population.raw_scores[::7].ravel()]))
+        values = np.linspace(0.0, 1.0, len(bps))
+        cmap = CalibrationMap(breakpoints=tuple(bps.tolist()), values=tuple(values.tolist()))
+        cells = np.random.default_rng(3).choice(values, size=(2, 5))
+        cells[:, 2] = values[np.searchsorted(bps, traps)]  # streak 0
+        table = PolicyTable(bounds=(-2, 2), types=(1, 2), thresholds=cells)
+        ks = HeuristicThresholds(by_type={1: float(values[5]), 2: float(values[9])})
+        treatments = [Treatment("heuristic", ks.table, baseline=True),
+                      Treatment("no_filter_minus1", NO_FILTER, limit_adjustment=-1),
+                      Treatment("rl", table)]
+        rules = [dict(cutoffs=ks.by_type), {},
+                 dict(cells=threshold_cells(table), bounds=table.bounds)]
+
+        exact = []
+        logistic = sim._logistic
+
+        def spy(logits):
+            exact.append(np.size(logits))
+            return logistic(logits)
+
+        monkeypatch.setattr(sim, "_logistic", spy)
+        report = run_experiment(cfg, treatments, cmap)
+        assert sum(exact) > 0  # only the fallback computes exact scores here
+        report = run_experiment(cfg, treatments, cmap, keep_events=True)
+        want = run_experiment_oracle(cfg, treatments, rules, cmap, keep_events=True)
+        assert report.to_dict() == want.to_dict()
+        assert report.max_daily_sends == want.max_daily_sends
+        for name, log in report.events.items():
+            assert rows(log) == want.events[name], name
+
+
+@pytest.mark.parametrize("noise", [1000.0, 1e308])
+def test_huge_score_noise_matches_scalar_oracle(noise):
+    """With a huge score noise the logits run past the range of math.exp,
+    and at 1e308 past the largest float to infinity; where exp(-logit)
+    overflows the score is 0.0, and the warm-up, the calibration, the
+    report and the kept sends equal the oracle's."""
+    assert sim._logistic(np.array([-800.0, 800.0, 0.0, -np.inf, np.inf])).tolist() == \
+        [0.0, 1.0, 0.5, 0.0, 1.0]
+    cfg = small_config(num_users=50, days=3, passes_per_day=3, churn_rate=0.1,
+                       score_noise={1: noise, 2: noise})
+    assert (generate_population(cfg).logits < -710).any()
+    warmup = warmup_events_oracle(cfg)
+    assert rows(warmup_events(cfg)) == warmup
+    calibration = fit_sim_calibration(cfg)
+    assert calibration == fit_isotonic([e.raw_score for e in warmup],
+                                       [e.outcome for e in warmup])
+    ks = HeuristicThresholds(by_type={1: 0.2, 2: 0.35})
+    treatments = [Treatment("heuristic", ks.table, baseline=True),
+                  Treatment("no_filter", NO_FILTER)]
+    report = run_experiment(cfg, treatments, calibration, keep_events=True)
+    want = run_experiment_oracle(cfg, treatments, [dict(cutoffs=ks.by_type), {}], calibration,
+                                 keep_events=True)
+    assert report.to_dict() == want.to_dict()
+    for name, log in report.events.items():
+        assert rows(log) == want.events[name], name
+    assert 0.0 in report.events["no_filter"].raw_score.tolist()
 
 
 class TestRunExperiment:
