@@ -561,3 +561,28 @@ def run_experiment_oracle(config, treatments, rules, calibration, keep_events=Fa
     baseline = next(t.name for t in treatments if t.baseline)
     return ExperimentReport(baseline_name=baseline, results=results, max_daily_sends=max_daily,
                             events=all_events if keep_events else None)
+
+
+def simulate_columns_oracle(config, treatments, rules, calibration):
+    """The column table of `sim._simulate` for the main run, one user and one
+    pass at a time: "row" one entry per user, every other column one list
+    per arm with one entry per user."""
+    columns = {key: [] for key in ("sends", "opens", "active_days", "max_day_sends",
+                                   "reachable", "discounted")}
+    for t, rule in zip(treatments, rules, strict=True):
+        limits = config.send_limits.with_extra_adjustment(t.limit_adjustment)
+        arm = {key: [] for key in columns}
+        row = []
+        for i in range(config.num_users):
+            user, stats, events = simulate_user_oracle(config, i, rule, calibration, limits,
+                                                       config.days)
+            for key, value in (("sends", len(events)), ("opens", stats["opens"]),
+                               ("active_days", stats["dau_days"]),
+                               ("max_day_sends", stats["max_day_sends"]),
+                               ("reachable", user.reachable),
+                               ("discounted", stats["discounted"])):
+                arm[key].append(value)
+            row.append(config.types.index(user.user_type))
+        for key, values in arm.items():
+            columns[key].append(values)
+    return {"row": row, **columns}

@@ -140,6 +140,16 @@ class TestPavLinear:
         with pytest.raises(ValueError, match=message):
             pav(vals, wts)
 
+    @pytest.mark.parametrize("wts, message", [
+        ([1.0], "weights must match values in length"),
+        ([1.0, 1.0, 1.0], "weights must match values in length"),
+        ([1.0, -1.0], "weights must be non-negative"),
+        ([-0.5, 2.0], "weights must be non-negative"),
+    ])
+    def test_rejects_weights_that_do_not_fit_the_values(self, wts, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pav([1.0, 0.0], wts)
+
 
 class TestFitIsotonic:
     def test_pools_violation(self):

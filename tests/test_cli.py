@@ -73,6 +73,18 @@ class TestFit:
         assert "provenance" in doc
         assert "cells populated" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args, message", [
+        ([], "fit requires --kappa (or 'kappa' in the config file)"),
+        (["--kappa", "0.2", "--min-samples", "0"], "min_samples must be >= 1, got 0"),
+        (["--kappa", "0.2", "--min-samples", "-3"], "min_samples must be >= 1, got -3"),
+    ])
+    def test_missing_kappa_or_bad_min_samples_is_one_error_line(self, send_log, tmp_path,
+                                                                capsys, args, message):
+        out = tmp_path / "m.json"
+        assert run(["fit", send_log, "--out", out, *args]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_bad_kappa_fails_validation_before_reading(self, tmp_path):
         missing = tmp_path / "nope.jsonl"
         assert run(["fit", missing, "--kappa", "1.2", "--out", tmp_path / "m.json"]) == 1
@@ -286,6 +298,19 @@ class TestCalibrate:
         assert run(["calibrate", log, "--now", "0", "--out", tmp_path / "cal.json"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: invalid JSON (") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("config", [None, {"window_hours": 48}], ids=["flags", "config"])
+    def test_missing_now_is_one_error_line(self, send_log, tmp_path, capsys, config):
+        args = []
+        if config is not None:
+            cfg = tmp_path / "cal_config.json"
+            cfg.write_text(json.dumps(config))
+            args = ["--config", cfg]
+        out = tmp_path / "cal.json"
+        assert run(["calibrate", send_log, "--out", out, *args]) == 1
+        assert capsys.readouterr().err == \
+            "error: calibrate requires --now (or 'now' in the config file)\n"
+        assert not out.exists()
 
     def test_zero_window_is_validation_error(self, send_log, tmp_path):
         assert run(["calibrate", send_log, "--now", "0", "--window-hours", "0",
@@ -598,6 +623,17 @@ class TestSimulate:
             {"name": "more", "policy": "no_filter", "limit_adjustment": 1.5}]))
         assert run(["simulate", "--sim-config", sim_config_path, "--treatments",
                     treatments, "--out-dir", tmp_path / "o"]) == 1
+
+    @pytest.mark.parametrize("emit_log", [[], ["--emit-log"]], ids=["no-log", "emit-log"])
+    def test_empty_treatments_list_is_one_error_line(self, sim_config_path, tmp_path, capsys,
+                                                     emit_log):
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        out_dir = tmp_path / "o"
+        assert run(["simulate", "--sim-config", sim_config_path, "--treatments", empty,
+                    "--out-dir", out_dir, *emit_log]) == 1
+        assert capsys.readouterr().err == "error: treatments: the file defines no treatments\n"
+        assert not out_dir.exists()
 
     def test_treatments_object_is_validation_error(self, sim_config_path, treatments_path,
                                                    tmp_path, capsys):

@@ -15,7 +15,7 @@ from notif_ltv import (
     SolverConfig,
     advance_streak,
 )
-from notif_ltv.core import integral, listed, per_type
+from notif_ltv.core import integral, listed, per_type, read_field
 from oracles import streak_oracle
 
 
@@ -105,6 +105,12 @@ class TestSolverConfig:
 
 
 class TestListed:
+    @pytest.mark.parametrize("doc", [{}, {"Days": 3, "day": 3}])
+    def test_absent_field_without_a_default_is_an_error(self, doc):
+        with pytest.raises(ValueError, match=r"^missing required field 'days'$"):
+            read_field(doc, "days", integral)
+        assert read_field(doc, "days", integral, default=None) is None
+
     def test_reads_every_item_with_the_reader_and_its_arguments(self):
         assert listed([1, 2.0], "xs") == (1.0, 2.0)
         assert listed([3.0, -1], "bounds", 2, integral) == (3, -1)

@@ -1,13 +1,14 @@
 """Synthetic population determinism, pass mechanics, and harness metrics."""
 
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from check_arms import differences as arm_differences
 from hypothesis import example, given, settings, strategies as st
-from oracles import (ramp_factor_oracle, run_experiment_oracle, streak_oracle,
-                     threshold_cells, warmup_events_oracle)
+from oracles import (ramp_factor_oracle, run_experiment_oracle, simulate_columns_oracle,
+                     streak_oracle, threshold_cells, warmup_events_oracle)
 
 from notif_ltv import (
     NEVER_SEND,
@@ -139,6 +140,32 @@ class TestGeneratePopulation:
             with pytest.raises(ValueError, match=r"max\(days, calibration_days\) \* "
                                                  r"passes_per_day <= 87381$"):
                 small_config(**kwargs)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(days=0), "days, passes_per_day and calibration_days must be >= 1"),
+        (dict(passes_per_day=0), "days, passes_per_day and calibration_days must be >= 1"),
+        (dict(calibration_days=0), "days, passes_per_day and calibration_days must be >= 1"),
+        (dict(kappa_true=1.5), "kappa_true must be in [0, 1], got 1.5"),
+        (dict(kappa_true=-0.25), "kappa_true must be in [0, 1], got -0.25"),
+        (dict(gamma=1.0), "gamma must be in [0, 1), got 1.0"),
+        (dict(gamma=-0.5), "gamma must be in [0, 1), got -0.5"),
+        (dict(churn_rate=1.5), "churn_rate must be in [0, 1], got 1.5"),
+        (dict(churn_rate=-0.25), "churn_rate must be in [0, 1], got -0.25"),
+        (dict(type_shares={1: 0.5, 2: 0.25}),
+         "type_shares must be non-negative and sum to 1, got 0.75"),
+        (dict(type_shares={1: 1.5, 2: -0.5}),
+         "type_shares must be non-negative and sum to 1, got 1.0"),
+    ])
+    def test_out_of_range_setting_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**overrides)
+
+    @pytest.mark.parametrize("name, value", [
+        ("type_shares", {1: 1.0}), ("baseline_beta", {1: (4.0, 6.0)}),
+        ("score_noise", {1: 0.5}), ("send_limits", SendLimitConfig(limits={1: 2}))])
+    def test_per_type_map_lacking_a_type_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} has no entry for user type 2$"):
+            small_config(**{name: value})
 
     def test_share_for_a_type_without_true_factors_rejected(self):
         with pytest.raises(ValueError, match="user type 3 a share of 0.5"):
@@ -490,6 +517,15 @@ class TestRunExperiment:
                                  Treatment("b", NO_FILTER)],
                            calibration=identity_map())
 
+    @pytest.mark.parametrize("name", ["missing", "A", ""])
+    def test_result_of_an_unknown_name_is_key_error(self, name):
+        report = run_experiment(small_config(num_users=2),
+                                [Treatment("a", NO_FILTER, baseline=True)],
+                                calibration=identity_map())
+        with pytest.raises(KeyError) as caught:
+            report.result(name)
+        assert caught.value.args == (f"no treatment named {name!r}",)
+
     def test_opens_never_exceed_sends_and_rates_consistent(self):
         cfg = small_config()
         report = run_experiment(cfg, [Treatment("nf", NO_FILTER, baseline=True)],
@@ -663,7 +699,9 @@ def test_array_simulator_matches_scalar_oracle(monkeypatch):
     bounds, and no_filter. The block
     budget is set twice: so that the warm-up (6 passes) and the main run (9
     passes) each span several blocks, the last one ragged, and to one main-run
-    user's draws, 24 bytes per pass, so that every block holds one user."""
+    user's draws, 24 bytes per pass, so that every block holds one user. At
+    both budgets `_simulate`'s per-user columns equal the oracle's user by
+    user."""
     cfg = small_config(num_users=293, days=3, passes_per_day=3,
                        churn_rate=0.15, send_limits=SendLimitConfig(limits={1: 1, 2: 3}))
     thresholds = np.random.default_rng(5).uniform(0.0, 0.6, size=(2, 5))
@@ -685,6 +723,9 @@ def test_array_simulator_matches_scalar_oracle(monkeypatch):
     rules = [dict(cutoffs=ks.by_type), {}, {},
              dict(cells=threshold_cells(table), bounds=table.bounds)]
     want = run_experiment_oracle(cfg, treatments, rules, calibration, keep_events=True)
+    want_columns = simulate_columns_oracle(cfg, treatments, rules, calibration)
+    arms = [(t.table, cfg.send_limits.with_extra_adjustment(t.limit_adjustment))
+            for t in treatments]
 
     sizes = {}  # passes -> block sizes, in the order drawn
     draw_block = sim._draw_block
@@ -708,6 +749,10 @@ def test_array_simulator_matches_scalar_oracle(monkeypatch):
         assert report.events.keys() == want.events.keys()
         for name, log in report.events.items():
             assert rows(log) == want.events[name], name
+        columns, _ = sim._simulate(cfg, arms, calibration, days=cfg.days, keep_events=False)
+        assert columns.keys() == want_columns.keys()
+        for key, want_column in want_columns.items():
+            assert columns[key].tolist() == want_column, key
 
     # the run exercises what it claims to
     assert min(r.reachability_proxy for r in report.results) < 1.0
