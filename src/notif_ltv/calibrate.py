@@ -28,6 +28,8 @@ import numpy as np
 from .core import listed, read_field
 from .ingest import SendLog
 
+DEFAULT_WINDOW_HOURS = 24
+
 
 def pav(values, weights=None, *, increasing: bool = True) -> list[float]:
     """Weighted isotonic regression by pool-adjacent-violators.
@@ -196,7 +198,7 @@ def window_mask(timestamp: np.ndarray, now, window_hours: int) -> np.ndarray:
     return (timestamp > start) & (timestamp <= math.floor(now))
 
 
-def refresh(log: SendLog, now, window_hours: int = 24) -> CalibrationMap:
+def refresh(log: SendLog, now, window_hours: int = DEFAULT_WINDOW_HOURS) -> CalibrationMap:
     """Refit on the sends of `log` in the window (now - window_hours, now].
 
     Raises ValueError when fewer than two sends fall inside the window.

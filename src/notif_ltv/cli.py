@@ -25,7 +25,7 @@ import numpy as np
 
 from . import policy
 from .behavior import BehaviorModel, fit_behavior_model
-from .calibrate import CalibrationMap, refresh, window_mask
+from .calibrate import DEFAULT_WINDOW_HOURS, CalibrationMap, refresh, window_mask
 from .core import SolverConfig, document, flag, integral, listed, number, read_field, text
 from .ingest import DEFAULT_MIN_SAMPLES, LogParseError, read_log, build_dataset
 # A treatment is a table, so nothing here calls a decide_* function; only
@@ -203,7 +203,8 @@ def cmd_calibrate(args) -> int:
     cfg = _load_json(args.config, "config") if args.config else {}
     with _reading("calibrate config", ValidationError):
         now = _resolve(args.now, cfg, "now", integral, None)
-        window_hours = _resolve(args.window_hours, cfg, "window_hours", integral, 24)
+        window_hours = _resolve(args.window_hours, cfg, "window_hours", integral,
+                                DEFAULT_WINDOW_HOURS)
     if now is None:
         raise ValidationError("calibrate requires --now (or 'now' in the config file)")
     if window_hours <= 0:
@@ -288,6 +289,14 @@ def cmd_simulate(args) -> int:
             treatments.append(_build_treatment(entry, base_dir, drawn))
     with _reading("treatments", ValidationError):
         check_treatments(treatments)
+        # --emit-log writes events_<name>.jsonl, and a case-insensitive disk
+        # stores two names that differ only in case as one file
+        folded = {}
+        for t in treatments:
+            other = folded.setdefault(t.name.casefold(), t.name)
+            if other != t.name:
+                raise ValueError(f"treatment names {other!r} and {t.name!r} differ only in "
+                                 "case, so their event logs would share a file name")
 
     report = run_experiment(config, treatments, keep_events=args.emit_log)
 
@@ -351,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--config", help="JSON file with default parameters")
     cal.add_argument("--now", type=int, help="window end, seconds since epoch")
     cal.add_argument("--window-hours", type=int, dest="window_hours",
-                     help="lookback window (default 24)")
+                     help=f"lookback window (default {DEFAULT_WINDOW_HOURS})")
     cal.add_argument("--out", required=True, help="output calibration JSON path")
 
     simp = sub.add_parser("simulate", help="run an A/B experiment in the simulator")

@@ -21,14 +21,15 @@ and num_users at most 2**32: each user index is one 32-bit seed word.
 
 The simulation loop, `_simulate`, runs over time and numpy runs over users,
 taken in blocks of consecutive indices whose draws fit in BLOCK_BYTES. A
-block's streams are drawn once, up front, one user at a time, and each
-user-pass keeps the logit of its candidate score. The draws are shared by
-every arm, and all arms step the block together one pass at a time
-(`simulate_pass`): streak, sends today, reachability and the stream cursor
-are one (arms, users) array each, and outcomes and churn resolve in one step
-over every arm's sends. A block records who each pass sent to and which
-sends opened in two masks; every kept send and every per-user column of the
-table that `run_experiment` sums is read off them.
+block's streams are drawn once, up front: the loop over its users makes only
+the stream draws, and the baseline's clamp, its logit and the score noise are
+block steps that give each user's bits. The draws are shared by every arm,
+and all arms step the block together one pass at a time (`simulate_pass`):
+streak, sends today, reachability and the stream cursor are one (arms,
+users) array each, and outcomes and churn resolve in one step over every
+arm's sends. A block records who each pass sent to and which sends opened in
+two masks; every kept send and every per-user column of the table that
+`run_experiment` sums is read off them.
 
 A treatment's policy is a `PolicyTable`, one send threshold per (type,
 streak) on the calibrated scale. Each block looks up every arm's thresholds
@@ -469,40 +470,34 @@ def _draw_block(config: SimConfig, start: int, stop: int, passes: int,
     one standard normal per pass, and from the policy stream 2 * passes
     uniforms. User i's streams are the generators numpy's default_rng gives
     for SeedSequence([master_seed, i, salt]), so a user's draws depend
-    neither on the block it lands in nor on how its seed is derived."""
+    neither on the block it lands in nor on how its seed is derived. The
+    loop over users makes only these stream draws; the baseline's clamp, its
+    logit and the score noise are block steps that give each user's bits."""
     n = stop - start
     index = np.arange(start, stop)
     latent_seeds = _seed_states(config.master_seed, index, latent_salt)
     policy_seeds = _seed_states(config.master_seed, index, policy_salt)
     cum_shares = list(accumulate(config.type_shares[c] for c in config.types))
     last = len(config.types) - 1
+    shapes = [config.baseline_beta[c] for c in config.types]
     seed_state = _seed_state_type()
     rows = np.empty(n, dtype=np.intp)
     baseline = np.empty(n)
-    logit = np.empty(n)
-    noise = np.empty(n)
     logits = np.empty((n, passes))
     uniforms = np.empty((n, 2 * passes))
     for j in range(n):
         latent_rng = np.random.Generator(np.random.PCG64(seed_state(latent_seeds[j])))
         # the first type whose cumulative share exceeds the draw, else the last
-        row = min(bisect_right(cum_shares, latent_rng.random()), last)
-        user_type = config.types[row]
-        alpha, beta = config.baseline_beta[user_type]
-        b = min(max(float(latent_rng.beta(alpha, beta)), 1e-6), 1.0 - 1e-6)
-        rows[j] = row
-        baseline[j] = b
-        logit[j] = math.log(b / (1.0 - b))
-        noise[j] = config.score_noise[user_type]
+        row = rows[j] = min(bisect_right(cum_shares, latent_rng.random()), last)
+        baseline[j] = latent_rng.beta(*shapes[row])
         latent_rng.standard_normal(out=logits[j])
         policy_rng = np.random.Generator(np.random.PCG64(seed_state(policy_seeds[j])))
         policy_rng.random(out=uniforms[j])
-    # candidate logit: the baseline's perturbed by type-level noise, for the
-    # whole block at once; a huge noise overflows to an infinite logit, whose
-    # score is 0 or 1, as with Python floats
-    with np.errstate(over="ignore"):
-        logits *= noise[:, None]
-    logits += logit[:, None]
+    np.clip(baseline, 1e-6, 1.0 - 1e-6, out=baseline)
+    with np.errstate(over="ignore"):  # a huge noise: an infinite logit, as with Python floats
+        logits *= np.array([config.score_noise[c] for c in config.types])[rows, None]
+    # math.log, as np.log's vector kernel can differ from it in the last bit
+    logits += np.fromiter(map(math.log, (baseline / (1.0 - baseline)).tolist()), float)[:, None]
     return UserBlock(index=index, rows=rows,
                      user_type=np.array(config.types)[rows], baseline=baseline,
                      logits=logits, uniforms=uniforms)
@@ -655,11 +650,7 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
     d days plus p / passes_per_day of a day."""
     factors = apply_kappa(config.true_factors, config.kappa_true).factors
     passes = days * config.passes_per_day
-    weights = []
-    weight = 1.0
-    for _ in range(passes):
-        weights.append(weight)
-        weight *= config.gamma
+    weights = np.cumprod([1.0] + [config.gamma] * (passes - 1))
     day, pass_of_day = np.divmod(np.arange(passes), config.passes_per_day)
     stamps = day * SECONDS_PER_DAY + pass_of_day * (SECONDS_PER_DAY // config.passes_per_day)
     tables = [table for table, _ in arms]
@@ -683,6 +674,7 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
             openers = sent[opened]
             masks[0][t, sent] = True
             masks[1][t, openers] = True
+            # summed off the open mask, it would need a float temporary as large as the mask
             discounted[openers] += weights[t]
         sent, opened = (mask.reshape(passes, *shape) for mask in masks)
         by_day = (days, config.passes_per_day, *shape)

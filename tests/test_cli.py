@@ -463,6 +463,23 @@ class TestSimulate:
             "error: treatments: duplicate treatment names in ['x', 'x']\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("emit_log", [[], ["--emit-log"]], ids=["no-log", "emit-log"])
+    def test_names_differing_only_in_case_rejected(self, sim_config_path, tmp_path, capsys,
+                                                   emit_log):
+        """events_a.jsonl and events_A.jsonl are one file on a case-insensitive
+        disk, so such names are rejected whether or not the logs are written."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([
+            {"name": "a", "policy": "no_filter", "baseline": True},
+            {"name": "A", "policy": "no_filter"}]))
+        out_dir = tmp_path / "o"
+        assert run(["simulate", "--sim-config", sim_config_path,
+                    "--treatments", bad, "--out-dir", out_dir, *emit_log]) == 1
+        assert capsys.readouterr().err == (
+            "error: treatments: treatment names 'a' and 'A' differ only in case, so their "
+            "event logs would share a file name\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flags", [(False, False), (True, True)], ids=["none", "two"])
     def test_baseline_count_other_than_one_is_validation_error(self, sim_config_path,
                                                                tmp_path, capsys, flags):
@@ -914,6 +931,46 @@ def test_undecodable_json_is_one_error_line_naming_the_file(mutation_log, label,
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: invalid JSON in "), err
     assert os.path.join(tmp, file_name) in lines[0]
+
+
+# every file a command reads, with that command: READERS' documents, and the
+# send log as calibrate and as fit read it
+BYTE_READERS = {label: (file_name, command)
+                for label, (file_name, _, command, _) in READERS.items()}
+BYTE_READERS["log for calibrate"] = ("log.jsonl", ["calibrate", "log.jsonl", "--now",
+                                                   str(40 * 3600), "--out", "c.json"])
+BYTE_READERS["log for fit"] = ("log.jsonl", ["fit", "log.jsonl", "--kappa", "0.2",
+                                             "--out", "m.json"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_truncated_file_or_one_byte_deleted_or_doubled_is_a_run_or_one_error_line(
+        mutation_log, data):
+    """A file cut short, or with one byte deleted or doubled, either still
+    reads (exit 0) or ends in one `error:` line and exit 1 or 2 with
+    nothing written."""
+    label = data.draw(st.sampled_from(sorted(BYTE_READERS)), "label")
+    file_name, command = BYTE_READERS[label]
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_documents(tmp, VALID, mutation_log)
+        path = os.path.join(tmp, file_name)
+        with open(path, "rb") as fh:
+            body = fh.read()
+        at = data.draw(st.integers(0, len(body) - 1), "at")
+        body = data.draw(st.sampled_from([body[:at], body[:at] + body[at + 1:],
+                                          body[:at + 1] + body[at:]]), "mutated")
+        # a fresh file: the log is a symlink to the shared one, which stays as it is
+        os.remove(path)
+        with open(path, "wb") as fh:
+            fh.write(body)
+        before = sorted(os.listdir(tmp))
+        got, err = _run_in(tmp, command)
+        if got == 0:
+            return
+        assert got in (1, 2) and sorted(os.listdir(tmp)) == before
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 # Each artifact as earlier versions wrote it, with keys that no reader reads

@@ -454,17 +454,10 @@ class TestExactFallback:
             assert rows(log) == want.events[name], name
 
 
-@pytest.mark.parametrize("noise", [1000.0, 1e308])
-def test_huge_score_noise_matches_scalar_oracle(noise):
-    """With a huge score noise the logits run past the range of math.exp,
-    and at 1e308 past the largest float to infinity; where exp(-logit)
-    overflows the score is 0.0, and the warm-up, the calibration, the
-    report and the kept sends equal the oracle's."""
-    assert sim._logistic(np.array([-800.0, 800.0, 0.0, -np.inf, np.inf])).tolist() == \
-        [0.0, 1.0, 0.5, 0.0, 1.0]
-    cfg = small_config(num_users=50, days=3, passes_per_day=3, churn_rate=0.1,
-                       score_noise={1: noise, 2: noise})
-    assert (generate_population(cfg).logits < -710).any()
+def assert_matches_scalar_oracle(cfg):
+    """The warm-up, the calibration, and the report and kept sends of a
+    heuristic and a no_filter arm equal the scalar oracle's on cfg; returns
+    the report."""
     warmup = warmup_events_oracle(cfg)
     assert rows(warmup_events(cfg)) == warmup
     calibration = fit_sim_calibration(cfg)
@@ -479,7 +472,34 @@ def test_huge_score_noise_matches_scalar_oracle(noise):
     assert report.to_dict() == want.to_dict()
     for name, log in report.events.items():
         assert rows(log) == want.events[name], name
+    return report
+
+
+@pytest.mark.parametrize("noise", [1000.0, 1e308])
+def test_huge_score_noise_matches_scalar_oracle(noise):
+    """With a huge score noise the logits run past the range of math.exp,
+    and at 1e308 past the largest float to infinity; where exp(-logit)
+    overflows the score is 0.0, and the warm-up, the calibration, the
+    report and the kept sends equal the oracle's."""
+    assert sim._logistic(np.array([-800.0, 800.0, 0.0, -np.inf, np.inf])).tolist() == \
+        [0.0, 1.0, 0.5, 0.0, 1.0]
+    cfg = small_config(num_users=50, days=3, passes_per_day=3, churn_rate=0.1,
+                       score_noise={1: noise, 2: noise})
+    assert (generate_population(cfg).logits < -710).any()
+    report = assert_matches_scalar_oracle(cfg)
     assert 0.0 in report.events["no_filter"].raw_score.tolist()
+
+
+def test_clamped_baselines_match_scalar_oracle():
+    """Beta shapes far below 1 draw baselines at or past both ends of the
+    clamp [1e-6, 1 - 1e-6], which the block applies after its draws and the
+    oracle to each user's draw; the warm-up, the calibration, the report and
+    the kept sends equal the oracle's."""
+    cfg = small_config(num_users=50, days=3, passes_per_day=3, churn_rate=0.1,
+                       baseline_beta={1: (0.02, 0.02), 2: (0.05, 3.0)})
+    baseline = generate_population(cfg).baseline
+    assert (baseline == 1e-6).any() and (baseline == 1.0 - 1e-6).any()
+    assert_matches_scalar_oracle(cfg)
 
 
 class TestRunExperiment:
