@@ -37,19 +37,12 @@ from .solver import PolicyTable, solve_policy
 
 
 class ValidationError(Exception):
-    """Bad parameters; nothing was read or written."""
+    """Bad parameters in a flag, config file or treatments file; nothing was
+    written."""
 
 
 class DataError(Exception):
     """Inputs were unreadable, malformed, or insufficient."""
-
-
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _atomic_write(path, text: str) -> None:
@@ -96,11 +89,14 @@ def _load_json(path, what: str):
         raise DataError(f"invalid JSON in {what} file {path}: {exc}") from exc
 
 
-def _provenance(command: str, resolved: dict, *files: str) -> dict:
-    """The command, its resolved configuration, and a hash of the input file
-    at each of the keys `files` of `resolved` that is set."""
-    return {"command": command, "config": resolved,
-            "inputs": {str(resolved[k]): _sha256(resolved[k]) for k in files if resolved[k]}}
+def _provenance(command: str, resolved: dict, *paths) -> dict:
+    """The command, its resolved configuration, and the SHA-256 of each input
+    file in `paths` that is set."""
+    inputs = {}
+    for path in filter(None, paths):
+        with open(path, "rb") as fh:
+            inputs[str(path)] = hashlib.file_digest(fh, "sha256").hexdigest()
+    return {"command": command, "config": resolved, "inputs": inputs}
 
 
 @contextlib.contextmanager
@@ -147,7 +143,7 @@ def cmd_fit(args) -> int:
     resolved = {"log": args.log, "kappa": kappa, "min_samples": min_samples,
                 "calibration": args.calibration}
     payload = model.to_dict()
-    payload["provenance"] = _provenance("fit", resolved, "log", "calibration")
+    payload["provenance"] = _provenance("fit", resolved, args.log, args.calibration)
     _write_json(args.out, payload)
 
     n_cells = model.factors.bounds[1] - model.factors.bounds[0] + 1
@@ -182,7 +178,7 @@ def cmd_solve(args) -> int:
 
     resolved = {"model": args.model, "gamma": config.gamma, "horizon": config.horizon}
     payload = table.to_dict()
-    payload["provenance"] = _provenance("solve", resolved, "model")
+    payload["provenance"] = _provenance("solve", resolved, args.model)
     _write_json(args.out, payload)
     csv_path = stem + ".csv"
     _atomic_write(csv_path, table.to_csv_text())
@@ -215,7 +211,7 @@ def cmd_calibrate(args) -> int:
 
     resolved = {"log": args.log, "now": now, "window_hours": window_hours}
     payload = cmap.to_dict()
-    payload["provenance"] = _provenance("calibrate", resolved, "log")
+    payload["provenance"] = _provenance("calibrate", resolved, args.log)
     _write_json(args.out, payload)
     in_window = int(np.count_nonzero(window_mask(log.timestamp, now, window_hours)))
     print(f"fitted calibration on window ({now - window_hours * 3600}, {now}] "
@@ -236,15 +232,30 @@ def _cover(types: list[int], covered) -> None:
         raise ValueError(f"thresholds have no entry for user type(s) {missing}")
 
 
-def _build_treatment(entry: dict, base_dir: str, types: list[int]) -> Treatment:
-    """The treatment of one entry, whose thresholds must cover every user type
-    in `types`."""
-    name = read_field(entry, "name", text)
+def _check_file_name(name: str) -> None:
+    """Raise ValueError unless events_<name>.jsonl.tmp, the longest file name
+    --emit-log writes for a treatment, can be a file name."""
     if "/" in name or "\0" in name:
-        # --emit-log writes events_<name>.jsonl
         raise ValueError(f"treatment name {name!r} cannot be part of a file name: "
                          "it holds '/' or NUL")
+    try:
+        size = len(f"events_{name}.jsonl.tmp".encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate, which a JSON string can escape
+        raise ValueError(f"treatment name {name!r} is not UTF-8 text: it holds a lone "
+                         "surrogate") from None
+    if size > 255:  # NAME_MAX on Linux and macOS
+        raise ValueError(f"treatment name {name!r} is too long: events_<name>.jsonl.tmp "
+                         f"takes {size} bytes, more than a file name's 255")
+
+
+def _build_treatment(entry: dict, base_dir: str,
+                     types: list[int]) -> tuple[Treatment, str | None]:
+    """The treatment of one entry, whose thresholds must cover every user type
+    in `types`, and the path of the policy table it read, if any."""
+    name = read_field(entry, "name", text)
+    _check_file_name(name)
     kind = read_field(entry, "policy", text)
+    path = None
     if kind == "no_filter":
         table = policy.NO_FILTER
     elif kind == "heuristic":
@@ -262,7 +273,7 @@ def _build_treatment(entry: dict, base_dir: str, types: list[int]) -> Treatment:
                          "(expected no_filter, heuristic, or rl)")
     return Treatment(name=name, table=table,
                      limit_adjustment=read_field(entry, "limit_adjustment", integral, default=0),
-                     baseline=read_field(entry, "baseline", flag, default=False))
+                     baseline=read_field(entry, "baseline", flag, default=False)), path
 
 
 def cmd_simulate(args) -> int:
@@ -283,10 +294,12 @@ def cmd_simulate(args) -> int:
     # a policy is looked up for every user type that can be drawn, so check
     # them all here rather than fail in whichever block first draws one
     drawn = [c for c, share in config.type_shares.items() if share > 0]
-    treatments = []
+    treatments, tables = [], []
     for i, entry in enumerate(entries):
         with _reading(f"treatments[{i}]", ValidationError):
-            treatments.append(_build_treatment(entry, base_dir, drawn))
+            treatment, table_path = _build_treatment(entry, base_dir, drawn)
+        treatments.append(treatment)
+        tables.append(table_path)
     with _reading("treatments", ValidationError):
         check_treatments(treatments)
         # --emit-log writes events_<name>.jsonl, and a case-insensitive disk
@@ -307,7 +320,8 @@ def cmd_simulate(args) -> int:
                 "seed": config.master_seed}
     payload = report.to_dict()
     payload["config"] = config.to_dict()
-    payload["provenance"] = _provenance("simulate", resolved, "sim_config", "treatments")
+    payload["provenance"] = _provenance("simulate", resolved, args.sim_config, args.treatments,
+                                        *tables)
     report_path = os.path.join(args.out_dir, "report.json")
     _write_json(report_path, payload)
     table_text = report.to_table_text()

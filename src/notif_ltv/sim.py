@@ -685,15 +685,13 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
             max_day_sends=np.count_nonzero(sent.reshape(by_day), axis=1).max(axis=0),
             reachable=state.reachable))
         if keep_events:
-            # one id per user, u{index:07d}, which sort in index order up to 10**7
             ids = np.array([f"u{i:07d}" for i in block.index.tolist()], dtype=object)
             for arm, chunks in enumerate(kept):
-                # user-major, each user's sends in pass order
-                row, t = np.nonzero(sent[:, arm].T)
+                t, row = np.nonzero(sent[:, arm])
                 chunks.append((ids[row], block.user_type[row], stamps[t],
                                _logistic(block.logits[row, t]), opened[t, arm, row]))
     columns = {key: np.concatenate([cols[key] for cols in blocks], axis=-1) for key in blocks[0]}
-    # SendLog.from_rows orders each arm's rows by user and then time, stably
+    # from_rows orders rows by user, then time; each pass of a day has its own second
     return columns, ([SendLog.from_rows(*(np.concatenate(c) for c in zip(*chunks)))
                       for chunks in kept] if keep_events else None)
 

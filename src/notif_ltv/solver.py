@@ -194,7 +194,8 @@ def solve_policy(model: BehaviorModel, config: SolverConfig) -> PolicyTable:
     never = p1 * (1.0 + gamma * v_up) + (1.0 - p1) * (gamma * v_down) < skip
     # a perfect score sends in every remaining cell; the root refines that
     thresholds = np.where(always, 0.0, np.where(never, NEVER_SEND, 1.0))
-    slope = factors * (1.0 + gamma * (v_up - v_down))
+    with np.errstate(over="ignore"):  # a factor near the float limit gives slope inf, root 0
+        slope = factors * (1.0 + gamma * (v_up - v_down))
     root = ~always & ~never & (slope > 0.0)
     np.divide(gamma * (values - v_down), slope, out=thresholds, where=root)
     # rounding can push the root a hair past 1, where sending already wins

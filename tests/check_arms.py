@@ -52,7 +52,7 @@ def main(sim_path, treatments_path) -> int:
         entries = json.load(fh)
     base_dir = os.path.dirname(os.path.abspath(treatments_path))
     drawn = [c for c, share in config.type_shares.items() if share > 0]
-    treatments = [_build_treatment(entry, base_dir, drawn) for entry in entries]
+    treatments = [_build_treatment(entry, base_dir, drawn)[0] for entry in entries]
     calibration = fit_sim_calibration(config)
     joint = run_experiment(config, treatments, calibration, keep_events=True)
     failed = False

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -667,7 +668,8 @@ class TestSimulate:
         assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("emit_log", [[], ["--emit-log"]], ids=["no-log", "emit-log"])
-    @pytest.mark.parametrize("name", ["nf/x", "nf\0x"], ids=["slash", "nul"])
+    @pytest.mark.parametrize("name", ["nf/x", "nf\0x", "nf\ud800", "x" * 250],
+                             ids=["slash", "nul", "lone-surrogate", "250-chars"])
     def test_name_that_cannot_be_a_file_name_is_validation_error(
             self, sim_config_path, tmp_path, capsys, name, emit_log):
         bad = tmp_path / "bad.json"
@@ -679,6 +681,41 @@ class TestSimulate:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: treatments[1]: "), lines
         assert sorted(os.listdir(tmp_path)) == before
+
+    def test_longest_name_writes_its_event_log(self, sim_config_path, tmp_path):
+        """events_<name>.jsonl.tmp may take the 255 bytes of a file name: a
+        238-byte name, here 119 two-byte characters, is written."""
+        name = "é" * 119
+        named = tmp_path / "named.json"
+        named.write_text(json.dumps([{"name": "base", "policy": "no_filter", "baseline": True},
+                                     {"name": name, "policy": "no_filter"}]))
+        out_dir = tmp_path / "out"
+        assert run(["simulate", "--sim-config", sim_config_path, "--treatments", named,
+                    "--out-dir", out_dir, "--emit-log"]) == 0
+        assert (out_dir / f"events_{name}.jsonl").exists()
+
+    def test_provenance_hashes_the_rl_policy_table(self, sim_config_path, tmp_path):
+        """An rl arm's table is an input: the report lists its SHA-256, which
+        an edit of one threshold changes."""
+        rl = tmp_path / "rl.json"
+        rl.write_text(json.dumps([
+            {"name": "heuristic", "policy": "heuristic", "baseline": True,
+             "thresholds": {"1": 0.3, "2": 0.25}},
+            {"name": "rl", "policy": "rl", "table_path": "policy.json"}]))
+        policy_path = tmp_path / "policy.json"
+        doc = PolicyTable(bounds=(-4, 4), types=(1, 2), thresholds=np.full((2, 9), 0.3)).to_dict()
+        digests = []
+        for threshold in (0.3, 0.35):
+            doc["thresholds"]["1"][0] = threshold
+            policy_path.write_text(json.dumps(doc))
+            out_dir = tmp_path / f"out{threshold}"
+            assert run(["simulate", "--sim-config", sim_config_path, "--treatments", rl,
+                        "--out-dir", out_dir]) == 0
+            inputs = json.loads((out_dir / "report.json").read_text())["provenance"]["inputs"]
+            assert set(inputs) == {str(sim_config_path), str(rl), str(policy_path)}
+            assert inputs[str(policy_path)] == hashlib.sha256(policy_path.read_bytes()).hexdigest()
+            digests.append(inputs[str(policy_path)])
+        assert digests[0] != digests[1]
 
     def test_per_type_csv_quotes_a_name_holding_a_comma(self, sim_config_path, tmp_path):
         named = tmp_path / "named.json"
@@ -973,6 +1010,41 @@ def test_truncated_file_or_one_byte_deleted_or_doubled_is_a_run_or_one_error_lin
     assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+# number tokens at and past the edges of a float and an int64, spelled as
+# JSON writes them or as Python's json also reads them
+NUMBER_TOKENS = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "0", "-0", "-0.0", "1",
+                 "-1", "0.5", "1e308", "18446744073709551616"]
+# (reader label, key path, token) for every number value of every document
+NUMBER_MUTATIONS = [(label, path, token)
+                    for label, (_, doc, _, _) in READERS.items()
+                    for path, value in _positions(doc)
+                    if isinstance(value, (int, float)) and not isinstance(value, bool)
+                    for token in NUMBER_TOKENS]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation=st.sampled_from(NUMBER_MUTATIONS))
+def test_one_number_token_in_place_of_a_number_is_a_run_or_one_error_line(mutation_log,
+                                                                          mutation):
+    """Any one number value of any document spelled as another number token
+    either still runs (exit 0) or ends in one `error:` line and exit 1 or 2
+    with nothing written."""
+    label, path, token = mutation
+    file_name, doc, command, _ = READERS[label]
+    sentinel = "<number>"
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_documents(tmp, VALID, mutation_log)
+        with open(os.path.join(tmp, file_name), "w") as fh:
+            fh.write(json.dumps(_replaced(doc, path, sentinel)).replace(f'"{sentinel}"', token))
+        before = sorted(os.listdir(tmp))
+        got, err = _run_in(tmp, command)
+        if got == 0:
+            return
+        assert got in (1, 2) and sorted(os.listdir(tmp)) == before
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 # Each artifact as earlier versions wrote it, with keys that no reader reads
 # any more, next to the document the current version writes for it.
 LEGACY = {
@@ -1004,5 +1076,8 @@ def test_legacy_policy_file_simulates_as_the_current_one(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(SIMULATE) == 0
         with open(os.path.join("out", "report.json"), "rb") as fh:
-            reports.append(fh.read())
+            report = json.load(fh)
+        # the table is an input, hashed into the provenance under its absolute path
+        del report["provenance"]["inputs"][os.path.abspath("policy.json")]
+        reports.append(report)
     assert reports[0] == reports[1]

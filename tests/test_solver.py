@@ -146,6 +146,14 @@ class TestFindThreshold:
             else:
                 assert got == pytest.approx(want, abs=1e-12)
 
+    def test_factor_near_the_float_limit_sends_everything(self):
+        """The root's slope overflows to inf, without a warning, and the root
+        is 0: an open is as good as certain."""
+        model = make_model({(1, -1): 1e308, (1, 0): 2.0, (1, 1): 2.0, (1, 2): 2.0},
+                           ybar=0.3, bounds=(-2, 2))
+        cfg = config_for(model, gamma=0.9)
+        assert np.all(solve_policy(model, cfg).thresholds == 0.0)
+
     def test_thresholds_never_exceed_type_mean_score(self):
         # sending at the type-mean score always beats pure waiting (the
         # state value itself is realized by such a send), so the threshold
