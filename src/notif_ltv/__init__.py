@@ -42,7 +42,6 @@ from .sim import (
     TreatmentResult,
     UserBlock,
     fit_sim_calibration,
-    generate_population,
     ramp_factor_table,
     run_experiment,
     simulate_pass,
@@ -68,7 +67,7 @@ __all__ = [
     "decide_heuristic", "decide_no_filter", "decide_rl",
     "estimate_factors",
     "fit_behavior_model", "fit_isotonic", "fit_sim_calibration",
-    "generate_population", "monotone_project", "pav", "q_send",
+    "monotone_project", "pav", "q_send",
     "ramp_factor_table", "read_log", "refresh", "run_experiment", "score_thresholds",
     "simulate_pass",
     "solve_policy", "state_values",

@@ -129,30 +129,25 @@ def apply_kappa(table: FactorTable, kappa: float) -> FactorTable:
 
 
 def summarize_types(records: RecordSet,
-                    calibration: CalibrationMap | None = None,
-                    types: tuple[int, ...] = USER_TYPES,
-                    ) -> dict[int, float]:
-    """Per-type mean calibrated score of sent notifications.
+                    calibration: CalibrationMap | None = None) -> dict[int, float]:
+    """Per-type mean calibrated score of sent notifications, for each user
+    type the records hold, in ascending type order.
 
     The mean score stands in for the open probability of a typical future
     notification for that type, which is all the solver needs about the
     score distribution. With calibration=None the raw scores are taken as
-    already calibrated. Every requested type must have records, and a record
-    of any other type raises KeyError, as in `estimate_factors`.
+    already calibrated.
     """
     if len(records) == 0:
         raise ValueError("cannot summarize an empty record set")
-    rows = type_rows(types, records.user_type)
+    types, rows = np.unique(records.user_type, return_inverse=True)
     scores = records.raw_score
     if calibration is not None:
         scores = apply_calibration(calibration, scores)
-    score_sum = np.bincount(rows, weights=scores, minlength=len(types))
-    score_n = np.bincount(rows, minlength=len(types))
-    missing = [c for c, n in zip(types, score_n) if n == 0]
-    if missing:
-        raise ValueError(f"no records for user type(s) {missing}")
+    score_sum = np.bincount(rows, weights=scores)
+    score_n = np.bincount(rows)
     return {c: min(max(total / n, _MEAN_OPEN_EPS), 1.0 - _MEAN_OPEN_EPS)
-            for c, total, n in zip(types, score_sum.tolist(), score_n.tolist())}
+            for c, total, n in zip(types.tolist(), score_sum.tolist(), score_n.tolist())}
 
 
 @dataclass
@@ -193,15 +188,15 @@ class BehaviorModel:
 
 def fit_behavior_model(records: RecordSet, kappa: float,
                        calibration: CalibrationMap | None = None,
-                       bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS,
-                       types: tuple[int, ...] = USER_TYPES) -> BehaviorModel:
-    """Estimate, project, kappa-correct, and summarize in one pass.
+                       bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS) -> BehaviorModel:
+    """Estimate, project, kappa-correct, and summarize in one pass, for the
+    user types the records hold.
 
     Projection runs before the kappa scaling: scaling is affine around 1,
     so it preserves monotonicity, and projecting first denoises the raw
     estimate once.
     """
-    raw = estimate_factors(records, bounds, types)
+    type_mean_open = summarize_types(records, calibration)
+    raw = estimate_factors(records, bounds, tuple(type_mean_open))
     projected = monotone_project(raw)
-    return BehaviorModel(factors=apply_kappa(projected, kappa),
-                         type_mean_open=summarize_types(records, calibration, types))
+    return BehaviorModel(factors=apply_kappa(projected, kappa), type_mean_open=type_mean_open)

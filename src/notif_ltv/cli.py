@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import json
@@ -136,9 +135,7 @@ def cmd_fit(args) -> int:
     if len(records) == 0:
         raise DataError(f"no users eligible: every user has fewer than "
                         f"{min_samples} first-half sends")
-    # the types the records hold; solve handles a model of fewer than six
-    types = tuple(np.unique(records.user_type).tolist())
-    model = fit_behavior_model(records, kappa=kappa, calibration=calibration, types=types)
+    model = fit_behavior_model(records, kappa=kappa, calibration=calibration)
 
     resolved = {"log": args.log, "kappa": kappa, "min_samples": min_samples,
                 "calibration": args.calibration}
@@ -174,7 +171,7 @@ def cmd_solve(args) -> int:
             horizon=_resolve(args.horizon, cfg, "horizon", integral, SolverConfig.horizon))
     with _reading(f"model {args.model}", DataError):
         model = BehaviorModel.from_dict(_load_json(args.model, "model"))
-    table = solve_policy(model, dataclasses.replace(config, streak_bounds=model.factors.bounds))
+    table = solve_policy(model, config)
 
     resolved = {"model": args.model, "gamma": config.gamma, "horizon": config.horizon}
     payload = table.to_dict()

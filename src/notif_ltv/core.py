@@ -183,14 +183,6 @@ class StreakTable:
         lo, hi = self.bounds
         return values[type_rows(self.types, user_type), np.clip(streak, lo, hi) - lo]
 
-    def columns(self, values: np.ndarray, bounds: tuple[int, int]) -> np.ndarray:
-        """The columns of `values` for the streaks of `bounds`, which must lie
-        within the table's."""
-        (lo, hi), (tlo, thi) = bounds, self.bounds
-        if lo < tlo or hi > thi:
-            raise ValueError(f"streak bounds {bounds} exceed the table's {self.bounds}")
-        return values[:, lo - tlo:hi - tlo + 1]
-
     def to_dict(self) -> dict:
         d = {"streak_bounds": list(self.bounds), "types": list(self.types)}
         for name in self.ARRAYS:
@@ -219,21 +211,21 @@ class SolverConfig:
     so that a gamma of -0.0 is +0.0 and no solver value is -0.0; horizon is
     the number of remaining opportunities the backward recursion unrolls,
     stored as an int. Thresholds are exact roots, so there is no search
-    resolution to configure.
+    resolution to configure, and the solved table takes the model's types
+    and streak bounds, so neither is configured here either.
     """
 
     gamma: float = 0.9
     horizon: int = 250
-    streak_bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if int(self.horizon) != self.horizon or self.horizon < 1:
+        # the range test comes first: int() raises on an infinite or NaN horizon
+        if not 1 <= self.horizon < math.inf or int(self.horizon) != self.horizon:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
         object.__setattr__(self, "gamma", self.gamma + 0.0)
         object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "streak_bounds", validate_streak_bounds(self.streak_bounds))
 
 
 @dataclass

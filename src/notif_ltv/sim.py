@@ -43,10 +43,10 @@ within _NEAR of the threshold; the two differ by a few ulps at most, so
 every decision is the exact score's. Exact scores are computed only there
 and for kept sends, whose raw_score column holds them.
 
-A population is a `UserBlock` (`generate_population` draws every user as
-one block), and the sends of the calibration warm-up and of each kept arm
-come out as an ingest `SendLog`, so they feed `fit` and `calibrate`
-directly and are written with `SendLog.to_jsonl`.
+A population is drawn one `UserBlock` at a time (`_draw_block`), and the
+sends of the calibration warm-up and of each kept arm come out as an ingest
+`SendLog`, so they feed `fit` and `calibrate` directly and are written with
+`SendLog.to_jsonl`.
 """
 
 from __future__ import annotations
@@ -458,11 +458,6 @@ class UserBlock:
     logits: np.ndarray
     uniforms: np.ndarray
 
-    @property
-    def raw_scores(self) -> np.ndarray:
-        """Each user-pass's exact candidate score, 1 / (1 + exp(-logit))."""
-        return _logistic(self.logits)
-
 
 def _draw_block(config: SimConfig, start: int, stop: int, passes: int,
                 latent_salt: int, policy_salt: int) -> UserBlock:
@@ -501,13 +496,6 @@ def _draw_block(config: SimConfig, start: int, stop: int, passes: int,
     return UserBlock(index=index, rows=rows,
                      user_type=np.array(config.types)[rows], baseline=baseline,
                      logits=logits, uniforms=uniforms)
-
-
-def generate_population(config: SimConfig) -> UserBlock:
-    """Every user's draws for a run of config.days, as one block in
-    user-index order; same seed, same population."""
-    return _draw_block(config, 0, config.num_users, config.days * config.passes_per_day,
-                       _LATENT, _POLICY)
 
 
 # a pass decides on np.exp's approximate score and recomputes the exact one

@@ -47,15 +47,14 @@ NEVER_SEND = math.inf
 _FIXED_POINT_STRIDE = 16
 
 
-def _grid(model: BehaviorModel, config: SolverConfig):
-    """Factors over the solver's streak bounds, the type-mean open column,
-    and the column each streak moves to after an open (up) or an ignore
-    (down)."""
-    lo, hi = config.streak_bounds
+def _grid(model: BehaviorModel):
+    """The model's factors, the type-mean open column, and the column each
+    streak moves to after an open (up) or an ignore (down)."""
+    lo, hi = model.factors.bounds
     streaks = np.arange(lo, hi + 1)
     up = advance_streak(streaks, 1, (lo, hi)) - lo
     down = advance_streak(streaks, 0, (lo, hi)) - lo
-    factors = model.factors.columns(model.factors.factors, config.streak_bounds)
+    factors = model.factors.factors
     ybar = np.array([[model.type_mean_open[c]] for c in model.types], dtype=float)
     return factors, ybar, up, down
 
@@ -67,7 +66,7 @@ def q_send(model: BehaviorModel, config: SolverConfig, next_values: np.ndarray, 
     n_streaks); p broadcasts against that grid. The open branch advances
     the streak and earns 1 now; the ignore branch breaks it.
     """
-    factors, _, up, down = _grid(model, config)
+    factors, _, up, down = _grid(model)
     p_open, gamma = np.minimum(factors * p, 1.0), config.gamma
     return (p_open * (1.0 + gamma * next_values[:, up])
             + (1.0 - p_open) * (gamma * next_values[:, down]))
@@ -101,7 +100,7 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
     is bit equality, and a step at the fixed point returns its input bit for
     bit, as does every step after it.
     """
-    factors, ybar, up, down = _grid(model, config)
+    factors, ybar, up, down = _grid(model)
     gamma = config.gamma
     p_open = np.minimum(factors * ybar, 1.0).ravel()
     n = p_open.size
@@ -174,7 +173,8 @@ class PolicyTable(StreakTable):
 
 
 def solve_policy(model: BehaviorModel, config: SolverConfig) -> PolicyTable:
-    """Solve one threshold per (type, streak) cell.
+    """Solve one threshold per (type, streak) cell of the model's factor
+    table; the policy table has the model's types and streak bounds.
 
     A cell whose advantage of sending over skipping is non-negative at score
     0 always sends (threshold 0); one whose advantage is negative even at
@@ -184,7 +184,7 @@ def solve_policy(model: BehaviorModel, config: SolverConfig) -> PolicyTable:
     opening and ignoring. Identical inputs give bit-identical tables.
     """
     values = state_values(model, config, config.horizon - 1)
-    factors, _, up, down = _grid(model, config)
+    factors, _, up, down = _grid(model)
     gamma = config.gamma
     v_up, v_down = values[:, up], values[:, down]
     skip = gamma * values
@@ -200,4 +200,4 @@ def solve_policy(model: BehaviorModel, config: SolverConfig) -> PolicyTable:
     np.divide(gamma * (values - v_down), slope, out=thresholds, where=root)
     # rounding can push the root a hair past 1, where sending already wins
     np.minimum(thresholds, 1.0, out=thresholds, where=root)
-    return PolicyTable(bounds=config.streak_bounds, types=model.types, thresholds=thresholds)
+    return PolicyTable(bounds=model.factors.bounds, types=model.types, thresholds=thresholds)

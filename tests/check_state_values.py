@@ -46,8 +46,7 @@ def main(path) -> int:
     failed = False
     for gamma in GAMMAS:
         for horizon in HORIZONS:
-            config = SolverConfig(gamma=gamma, horizon=horizon,
-                                  streak_bounds=model.factors.bounds)
+            config = SolverConfig(gamma=gamma, horizon=horizon)
             found = differences(model, config)
             failed |= bool(found)
             print(f"gamma {gamma} horizon {horizon}: "

@@ -139,9 +139,8 @@ def state_values_reference(model, config, steps):
     keeps send where it is at least skip with np.where, and stops as soon as
     a step returns the values it was given. The grid is rebuilt here from
     the model's fields and `streak_oracle`'s rule."""
-    lo, hi = config.streak_bounds
-    mlo = model.factors.bounds[0]
-    factors = model.factors.factors[:, lo - mlo:hi - mlo + 1]
+    lo, hi = model.factors.bounds
+    factors = model.factors.factors
     ybar = np.array([[model.type_mean_open[c]] for c in model.types], dtype=float)
     up = np.array([streak_oracle(s, True, (lo, hi)) - lo for s in range(lo, hi + 1)])
     down = np.array([streak_oracle(s, False, (lo, hi)) - lo for s in range(lo, hi + 1)])
@@ -166,9 +165,8 @@ def solve_policy_oracle(model, config):
     public functions: values from `state_values`, and the always- and
     never-send masks from `q_send` at scores 0 and 1."""
     values = state_values(model, config, config.horizon - 1)
-    lo, hi = config.streak_bounds
-    mlo = model.factors.bounds[0]
-    factors = model.factors.factors[:, lo - mlo:hi - mlo + 1]
+    lo, hi = model.factors.bounds
+    factors = model.factors.factors
     up = np.array([streak_oracle(s, True, (lo, hi)) - lo for s in range(lo, hi + 1)])
     down = np.array([streak_oracle(s, False, (lo, hi)) - lo for s in range(lo, hi + 1)])
     gamma = config.gamma

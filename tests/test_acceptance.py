@@ -61,14 +61,14 @@ def _nontrivial_model(types=ALL_TYPES, bounds=(-15, 15), ybar=None):
 def test_c1_myopic_reductions_give_all_zero_tables():
     start = time.perf_counter()
     model = _nontrivial_model()
-    cfg = SolverConfig(gamma=0.0, horizon=250, streak_bounds=(-15, 15))
+    cfg = SolverConfig(gamma=0.0, horizon=250)
     table_gamma0 = solve_policy(model, cfg)
     assert np.all(table_gamma0.thresholds == 0.0)
 
     neutral = BehaviorModel(factors=apply_kappa(model.factors, 0.0),
                             type_mean_open=model.type_mean_open)
     table_kappa0 = solve_policy(
-        neutral, SolverConfig(gamma=0.9, horizon=250, streak_bounds=(-15, 15)))
+        neutral, SolverConfig(gamma=0.9, horizon=250))
     assert np.all(table_kappa0.thresholds == 0.0)
 
     # every (type, streak, score, sends, limit) of the grid as one block
@@ -103,7 +103,7 @@ def test_c2_solver_matches_exhaustive_tree_oracle():
             ybars[c] = float(rng.uniform(0.05, 0.95))
             fmap.update({(c, s): f for s, f in fs.items() if s != 0})
         model = make_model(fmap, ybars, bounds, types=types)
-        cfg = SolverConfig(gamma=gamma, horizon=horizon, streak_bounds=bounds)
+        cfg = SolverConfig(gamma=gamma, horizon=horizon)
         values = state_values(model, cfg, horizon)
         table = solve_policy(model, cfg)
         for i, c in enumerate(types):
@@ -143,7 +143,7 @@ def test_c3_monte_carlo_expectation_matches_mean_score_value():
         ybar = float(rng.uniform(0.1, 0.8))
         model = make_model(fmap, ybar, bounds)
         cfg = SolverConfig(gamma=float(rng.uniform(0.0, 0.95)),
-                           horizon=int(rng.integers(2, 7)), streak_bounds=bounds)
+                           horizon=int(rng.integers(2, 7)))
         s = int(rng.integers(-bound, bound + 1))
         f = model.factors.factor(1, s)
         # spread keeping the sampled support unclipped and inside [0, 1]
@@ -166,8 +166,7 @@ def test_c3_monte_carlo_expectation_matches_mean_score_value():
 def test_c4_full_scale_solve_completes_quickly():
     model = _nontrivial_model()
     start = time.perf_counter()
-    table = solve_policy(model, SolverConfig(gamma=0.9, horizon=250,
-                                             streak_bounds=(-15, 15)))
+    table = solve_policy(model, SolverConfig(gamma=0.9, horizon=250))
     elapsed = time.perf_counter() - start
     assert table.thresholds.shape == (6, 31)
     assert np.all(np.isfinite(table.thresholds))
@@ -294,7 +293,7 @@ def directional_run():
 
     model = BehaviorModel(factors=apply_kappa(config.true_factors, config.kappa_true),
                           type_mean_open=ybar)
-    table = solve_policy(model, SolverConfig(gamma=0.9, horizon=250, streak_bounds=(-15, 15)))
+    table = solve_policy(model, SolverConfig(gamma=0.9, horizon=250))
     # heuristic cutoffs tuned the way production cutoffs are: to pass a
     # target share of candidate scores (here the bottom 4 percent per type)
     ks = HeuristicThresholds(by_type={c: float(np.quantile(scores[c], 0.04))

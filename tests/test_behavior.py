@@ -262,26 +262,23 @@ class TestSummarizeTypes:
     def test_mean_of_calibrated_scores(self):
         cmap = CalibrationMap(breakpoints=(0.0, 0.5), values=(0.2, 0.4))
         records = [rec(score=0.1), rec(score=0.7)]  # calibrate to 0.2, 0.4
-        mean_open = summarize_types(columns(records), cmap, types=(1,))
+        mean_open = summarize_types(columns(records), cmap)
         assert mean_open[1] == pytest.approx(0.3)
 
     def test_identity_calibration_uses_raw_scores(self):
         records = [rec(score=0.1)] * 3
-        mean_open = summarize_types(columns(records), None, types=(1,))
+        mean_open = summarize_types(columns(records), None)
         assert mean_open[1] == pytest.approx(0.1)
 
-    def test_missing_type_reported(self):
-        with pytest.raises(ValueError, match=r"\[2, 3\]"):
-            summarize_types(columns([rec(utype=1)]), types=(1, 2, 3))
+    def test_types_are_those_the_records_hold_in_ascending_order(self):
+        records = [rec(utype=5, score=0.2), rec(utype=2, score=0.4), rec(utype=5, score=0.4)]
+        mean_open = summarize_types(columns(records))
+        assert list(mean_open) == [2, 5]
+        assert mean_open == pytest.approx({2: 0.4, 5: 0.3})
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             summarize_types(columns([]))
-
-    def test_records_of_an_unrequested_type_raise_key_error(self):
-        # the rule of estimate_factors: every record's type must be requested
-        with pytest.raises(KeyError, match=r"\[2\]"):
-            summarize_types(columns([rec(utype=1), rec(utype=2)]), types=(1,))
 
 
 def test_column_sums_equal_a_loop_over_the_records():
@@ -349,6 +346,6 @@ class TestBehaviorModel:
         records = []
         for i, (streak, outcome) in enumerate([(1, 1), (2, 0), (1, 1), (2, 0)]):
             records.append(rec(uid=f"u{i}", streak=streak, outcome=outcome, baseline=0.5))
-        model = fit_behavior_model(columns(records), kappa=0.5, bounds=(-2, 2), types=(1,))
+        model = fit_behavior_model(columns(records), kappa=0.5, bounds=(-2, 2))
         f1, f2 = model.factors.factor(1, 1), model.factors.factor(1, 2)
         assert f2 >= f1 or abs(f2 - f1) < 1e-12

@@ -16,8 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import notif_ltv
-from notif_ltv import NEVER_SEND, BehaviorModel, CalibrationMap, PolicyTable, ramp_factor_table
+from notif_ltv import (NEVER_SEND, BehaviorModel, CalibrationMap, PolicyTable, SolverConfig,
+                       build_dataset, fit_behavior_model, ramp_factor_table, read_log,
+                       solve_policy)
 from notif_ltv.cli import _dumps, main
+from conftest import make_model
 
 # an integer that no float can hold
 HUGE = 10 ** 400
@@ -142,17 +145,30 @@ class TestFit:
         assert "breakpoints must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_log_of_two_types_fits_and_solves(self, send_log, tmp_path):
+    @pytest.fixture
+    def two_type_log(self, send_log):
+        """send_log cut to the sends of its users of types 1 and 2."""
         lines = [line for line in send_log.read_text().splitlines(keepends=True)
                  if json.loads(line)["user_type"] in (1, 2)]
         send_log.write_text("".join(lines))
+        return send_log
+
+    def test_log_of_two_types_fits_and_solves(self, two_type_log, tmp_path):
         model, policy = tmp_path / "m.json", tmp_path / "p.json"
-        assert run(["fit", send_log, "--kappa", "0.2", "--out", model]) == 0
+        assert run(["fit", two_type_log, "--kappa", "0.2", "--out", model]) == 0
         doc = json.loads(model.read_text())
         assert doc["types"] == [1, 2]
         assert set(doc["type_mean_open"]) == {"1", "2"}
         assert run(["solve", model, "--out", policy]) == 0
         assert json.loads(policy.read_text())["types"] == [1, 2]
+
+    def test_library_fit_of_two_types_is_the_fit_command_model(self, two_type_log, tmp_path):
+        out = tmp_path / "m.json"
+        assert run(["fit", two_type_log, "--kappa", "0.2", "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        del doc["provenance"]
+        model = fit_behavior_model(build_dataset(read_log(two_type_log)), kappa=0.2)
+        assert model.to_dict() == doc
 
     def test_rerun_is_byte_identical(self, send_log, tmp_path):
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
@@ -177,6 +193,19 @@ class TestSolve:
         csv_lines = (tmp_path / "policy.csv").read_text().strip().split("\n")
         assert len(csv_lines) == 1 + 6 * 31
         assert "thresholds in" in capsys.readouterr().out
+
+    def test_library_solve_is_the_solve_command_table(self, tmp_path):
+        # narrower than the default streak bounds (-15, 15); the table takes the model's
+        model = make_model({(c, s): 1.0 + 0.1 * c * s for c in (1, 2) for s in range(-4, 5)},
+                           {1: 0.3, 2: 0.6}, (-4, 4), types=(1, 2))
+        model_path, out = tmp_path / "model.json", tmp_path / "policy.json"
+        model_path.write_text(json.dumps(model.to_dict()))
+        assert run(["solve", model_path, "--gamma", "0.9", "--horizon", "60",
+                    "--out", out]) == 0
+        written = PolicyTable.from_dict(json.loads(out.read_text()))
+        table = solve_policy(model, SolverConfig(gamma=0.9, horizon=60))
+        assert (table.bounds, table.types) == (written.bounds, written.types) == ((-4, 4), (1, 2))
+        assert table.thresholds.tobytes() == written.thresholds.tobytes()
 
     def test_zero_gamma_emits_all_zero_csv(self, model_path, tmp_path):
         out = tmp_path / "p0.json"

@@ -82,18 +82,18 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.gamma == 0.9
         assert cfg.horizon == 250
-        assert cfg.streak_bounds == (-15, 15)
 
     @pytest.mark.parametrize("kwargs", [
         {"gamma": 1.0},
         {"gamma": -0.1},
         {"horizon": 0},
         {"horizon": 2.5},
-        {"streak_bounds": (0, 15)},
-        {"streak_bounds": (-15, 0)},
+        pytest.param({"horizon": math.inf}, id="horizon-inf"),
+        pytest.param({"horizon": math.nan}, id="horizon-nan"),
     ])
     def test_rejects_out_of_domain_values(self, kwargs):
-        with pytest.raises(ValueError):
+        (field, value), = kwargs.items()
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value}$"):
             SolverConfig(**kwargs)
 
     def test_integral_float_horizon_is_stored_as_int(self):

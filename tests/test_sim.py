@@ -22,7 +22,6 @@ from notif_ltv import (
     apply_calibration,
     fit_isotonic,
     fit_sim_calibration,
-    generate_population,
     ramp_factor_table,
     run_experiment,
     score_thresholds,
@@ -49,6 +48,13 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+def draw_population(cfg):
+    """Every user's draws for a run of cfg.days, as one block in user-index
+    order: the block the simulation loop draws when they fit in one."""
+    return sim._draw_block(cfg, 0, cfg.num_users, cfg.days * cfg.passes_per_day,
+                           sim._LATENT, sim._POLICY)
 
 
 def identity_map():
@@ -96,11 +102,11 @@ class TestRampFactorTable:
 class TestGeneratePopulation:
     def test_same_seed_same_population(self):
         cfg = small_config()
-        assert same_block(generate_population(cfg), generate_population(cfg))
+        assert same_block(draw_population(cfg), draw_population(cfg))
 
     def test_different_seed_differs(self):
-        a = generate_population(small_config(master_seed=1))
-        b = generate_population(small_config(master_seed=2))
+        a = draw_population(small_config(master_seed=1))
+        b = draw_population(small_config(master_seed=2))
         assert not same_block(a, b)
 
     def test_zero_users_rejected(self):
@@ -175,10 +181,10 @@ class TestGeneratePopulation:
 
     def test_degenerate_share_assigns_single_type(self):
         cfg = small_config(type_shares={1: 1.0, 2: 0.0})
-        assert set(generate_population(cfg).user_type.tolist()) == {1}
+        assert set(draw_population(cfg).user_type.tolist()) == {1}
 
     def test_baselines_inside_open_interval(self):
-        baseline = generate_population(small_config()).baseline
+        baseline = draw_population(small_config()).baseline
         assert ((0.0 < baseline) & (baseline < 1.0)).all()
 
     @pytest.mark.parametrize("beta", [(0.0, 2.0), (2.0, -1.0), (float("nan"), 2.0),
@@ -194,9 +200,10 @@ class TestGeneratePopulation:
 
     def test_zero_score_noise_accepted(self):
         cfg = small_config(score_noise={1: 0.0, 2: 0.0})
-        block = generate_population(cfg)
-        want = np.broadcast_to(block.baseline[:, None], block.raw_scores.shape)
-        np.testing.assert_allclose(block.raw_scores, want, rtol=1e-12)
+        block = draw_population(cfg)
+        scores = sim._logistic(block.logits)
+        want = np.broadcast_to(block.baseline[:, None], scores.shape)
+        np.testing.assert_allclose(scores, want, rtol=1e-12)
 
 
 class TestSeedStates:
@@ -338,7 +345,7 @@ class TestSendThresholds:
         block = UserBlock(index=np.arange(n), rows=rows, user_type=np.array(self.TYPES)[rows],
                           baseline=np.full(n, 0.3), logits=np.array(logits)[:, None],
                           uniforms=np.zeros((n, 2)))
-        scores = block.raw_scores[:, 0]
+        scores = sim._logistic(block.logits)[:, 0]
         bps = sorted(set(data.draw(st.lists(st.one_of(st.sampled_from(scores.tolist()),
                                                       st.floats(0, 1)), min_size=1, max_size=5))))
         vals = sorted(data.draw(st.lists(st.one_of(st.just(-0.0), st.floats(0, 1)),
@@ -395,7 +402,7 @@ class TestExactFallback:
         block = UserBlock(index=np.array([0]), rows=np.array([0]), user_type=np.array([1]),
                           baseline=np.array([0.4]), logits=np.full((1, 3), 0.3),
                           uniforms=np.random.default_rng(7).random((1, 6)))
-        s = float(block.raw_scores[0, 0])
+        s = float(sim._logistic(block.logits)[0, 0])
         cmap = CalibrationMap(breakpoints=(0.0, s, np.nextafter(s, 1.0)), values=(0.0, 0.5, 1.0))
         tables = [PolicyTable(bounds=cfg.streak_bounds, types=(1, 2),
                               thresholds=np.full((2, 9), v)) for v in (0.5, 1.0)]
@@ -416,14 +423,15 @@ class TestExactFallback:
         trusted the approximation would decide that user-pass the other way.
         Reports and kept sends equal the oracle's."""
         cfg = small_config(num_users=300, days=3, passes_per_day=3, churn_rate=0.1)
-        population = generate_population(cfg)
-        exact = population.raw_scores[:, 0]
+        population = draw_population(cfg)
+        scores = sim._logistic(population.logits)
+        exact = scores[:, 0]
         approx = 1.0 / (1.0 + np.exp(-population.logits[:, 0]))
         traps = []
         for c in (1, 2):
             j = np.flatnonzero((population.user_type == c) & (approx != exact))[0]
             traps.append(exact[j] if approx[j] < exact[j] else np.nextafter(exact[j], 1.0))
-        bps = np.unique(np.concatenate([traps, population.raw_scores[::7].ravel()]))
+        bps = np.unique(np.concatenate([traps, scores[::7].ravel()]))
         values = np.linspace(0.0, 1.0, len(bps))
         cmap = CalibrationMap(breakpoints=tuple(bps.tolist()), values=tuple(values.tolist()))
         cells = np.random.default_rng(3).choice(values, size=(2, 5))
@@ -485,7 +493,7 @@ def test_huge_score_noise_matches_scalar_oracle(noise):
         [0.0, 1.0, 0.5, 0.0, 1.0]
     cfg = small_config(num_users=50, days=3, passes_per_day=3, churn_rate=0.1,
                        score_noise={1: noise, 2: noise})
-    assert (generate_population(cfg).logits < -710).any()
+    assert (draw_population(cfg).logits < -710).any()
     report = assert_matches_scalar_oracle(cfg)
     assert 0.0 in report.events["no_filter"].raw_score.tolist()
 
@@ -497,7 +505,7 @@ def test_clamped_baselines_match_scalar_oracle():
     the kept sends equal the oracle's."""
     cfg = small_config(num_users=50, days=3, passes_per_day=3, churn_rate=0.1,
                        baseline_beta={1: (0.02, 0.02), 2: (0.05, 3.0)})
-    baseline = generate_population(cfg).baseline
+    baseline = draw_population(cfg).baseline
     assert (baseline == 1e-6).any() and (baseline == 1.0 - 1e-6).any()
     assert_matches_scalar_oracle(cfg)
 

@@ -21,13 +21,8 @@ from oracles import (NEVER, policy_csv_oracle, solve_policy_oracle, state_values
                      threshold_oracle, tree_value_oracle)
 
 
-def config_for(model, **kwargs):
-    kwargs.setdefault("streak_bounds", model.factors.bounds)
-    return SolverConfig(**kwargs)
-
-
-def col(cfg, streak):
-    return streak - cfg.streak_bounds[0]
+def col(model, streak):
+    return streak - model.factors.bounds[0]
 
 
 def advantage(model, cfg, p):
@@ -47,29 +42,29 @@ def backup_step(model, cfg, v):
 
 class TestQFunctions:
     def test_send_at_last_step_is_clipped_open_probability(self, small_model):
-        cfg = config_for(small_model, gamma=0.9)
+        cfg = SolverConfig(gamma=0.9)
         q = q_send(small_model, cfg, state_values(small_model, cfg, 0), 0.5)
-        assert q[0, col(cfg, 1)] == pytest.approx(1.2 * 0.5)
+        assert q[0, col(small_model, 1)] == pytest.approx(1.2 * 0.5)
 
     def test_send_with_zero_gamma_is_myopic(self, small_model):
-        cfg = config_for(small_model, gamma=0.0)
+        cfg = SolverConfig(gamma=0.0)
         q = q_send(small_model, cfg, state_values(small_model, cfg, 4), 0.7)
-        assert q[0, col(cfg, -1)] == pytest.approx(min(0.8 * 0.7, 1.0))
+        assert q[0, col(small_model, -1)] == pytest.approx(min(0.8 * 0.7, 1.0))
 
     def test_send_with_zero_score_keeps_only_ignore_branch(self, small_model):
-        cfg = config_for(small_model, gamma=0.9)
+        cfg = SolverConfig(gamma=0.9)
         nxt = state_values(small_model, cfg, 2)
         q = q_send(small_model, cfg, nxt, 0.0)
-        assert q[0, col(cfg, 0)] == pytest.approx(0.9 * nxt[0, col(cfg, -1)])
+        assert q[0, col(small_model, 0)] == pytest.approx(0.9 * nxt[0, col(small_model, -1)])
 
     def test_open_probability_clips_at_one(self):
         model = make_model({(1, 1): 3.0}, ybar=0.5, bounds=(-1, 1))
-        cfg = config_for(model, gamma=0.0)
+        cfg = SolverConfig(gamma=0.0)
         q = q_send(model, cfg, state_values(model, cfg, 0), 0.9)
-        assert q[0, col(cfg, 1)] == pytest.approx(1.0)
+        assert q[0, col(model, 1)] == pytest.approx(1.0)
 
     def test_q_send_accepts_vectorized_scores(self, small_model):
-        cfg = config_for(small_model, gamma=0.9)
+        cfg = SolverConfig(gamma=0.9)
         nxt = state_values(small_model, cfg, 3)
         ps = np.array([0.0, 0.3, 0.9])
         vec = q_send(small_model, cfg, nxt, ps[:, None, None])
@@ -80,27 +75,27 @@ class TestQFunctions:
 
 class TestStateValue:
     def test_zero_steps_is_zero(self, small_model):
-        cfg = config_for(small_model)
+        cfg = SolverConfig()
         values = state_values(small_model, cfg, 0)
         assert values.shape == (1, 3)
         assert np.all(values == 0.0)
 
     def test_neutral_factors_make_value_streak_independent(self):
         model = make_model({}, ybar=0.4, bounds=(-5, 5))  # f == 1 everywhere
-        cfg = config_for(model, gamma=0.9)
+        cfg = SolverConfig(gamma=0.9)
         values = state_values(model, cfg, 12)[0]
         assert max(values) - min(values) == 0.0
 
     def test_small_instance_matches_tree_oracle(self, small_model):
-        cfg = config_for(small_model, gamma=0.9)
+        cfg = SolverConfig(gamma=0.9)
         factors = {-1: 0.8, 0: 1.0, 1: 1.2}
         values = state_values(small_model, cfg, 3)
         for s in (-1, 0, 1):
             want = tree_value_oracle(factors, 0.5, 0.9, (-1, 1), s, 3)
-            assert values[0, col(cfg, s)] == pytest.approx(want, abs=1e-12)
+            assert values[0, col(small_model, s)] == pytest.approx(want, abs=1e-12)
 
     def test_value_bounds_and_monotone_in_steps(self, small_model):
-        cfg = config_for(small_model, gamma=0.9)
+        cfg = SolverConfig(gamma=0.9)
         prev = np.zeros((1, 3))
         for steps in range(1, 30):
             v = state_values(small_model, cfg, steps)
@@ -115,7 +110,7 @@ class TestStateValue:
             factor_map[(1, s)] = 1.0 + 0.04 * s
             factor_map[(1, -s)] = 1.0 - 0.05 * s
         model = make_model(factor_map, ybar=0.35, bounds=(-5, 5))
-        cfg = config_for(model, gamma=0.9)
+        cfg = SolverConfig(gamma=0.9)
         values = state_values(model, cfg, 40)[0]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -124,16 +119,16 @@ class TestFindThreshold:
     """The thresholds solve_policy finds, cell by cell."""
 
     def test_zero_gamma_sends_everything(self, small_model):
-        cfg = config_for(small_model, gamma=0.0)
+        cfg = SolverConfig(gamma=0.0)
         assert np.all(solve_policy(small_model, cfg).thresholds == 0.0)
 
     def test_neutral_factors_send_everything(self):
         model = make_model({}, ybar=0.5, bounds=(-3, 3))
-        cfg = config_for(model, gamma=0.9)
+        cfg = SolverConfig(gamma=0.9)
         assert np.all(solve_policy(model, cfg).thresholds == 0.0)
 
     def test_matches_closed_form_root_from_oracle_values(self, small_model):
-        cfg = config_for(small_model, gamma=0.9, horizon=3)
+        cfg = SolverConfig(gamma=0.9, horizon=3)
         factors = {-1: 0.8, 0: 1.0, 1: 1.2}
         table = solve_policy(small_model, cfg)
         for s in (-1, 0, 1):
@@ -151,7 +146,7 @@ class TestFindThreshold:
         is 0: an open is as good as certain."""
         model = make_model({(1, -1): 1e308, (1, 0): 2.0, (1, 1): 2.0, (1, 2): 2.0},
                            ybar=0.3, bounds=(-2, 2))
-        cfg = config_for(model, gamma=0.9)
+        cfg = SolverConfig(gamma=0.9)
         assert np.all(solve_policy(model, cfg).thresholds == 0.0)
 
     def test_thresholds_never_exceed_type_mean_score(self):
@@ -168,7 +163,7 @@ class TestFindThreshold:
                 fmap[(1, -s)] = float(rng.uniform(0.2, 2.5))
             ybar = float(rng.uniform(0.05, 0.95))
             model = make_model(fmap, ybar, (-bound, bound))
-            cfg = config_for(model, gamma=float(rng.uniform(0, 0.95)),
+            cfg = SolverConfig(gamma=float(rng.uniform(0, 0.95)),
                              horizon=int(rng.integers(1, 9)))
             thresholds = solve_policy(model, cfg).thresholds
             assert np.all(thresholds != NEVER_SEND)
@@ -179,7 +174,7 @@ class TestFindThreshold:
         # every interior threshold t is where the advantage crosses zero:
         # sending at t does not lose, sending just below t does
         model = full_scale_model()
-        cfg = config_for(model, gamma=0.95, horizon=horizon)
+        cfg = SolverConfig(gamma=0.95, horizon=horizon)
         t = solve_policy(model, cfg).thresholds
         interior = (t > 0.0) & np.isfinite(t)
         assert t.shape == (6, 31)
@@ -196,17 +191,17 @@ class TestSolvePolicy:
                       for s in range(-15, 16) if s != 0}
         model = make_model(factor_map, ybar=0.3, bounds=(-15, 15),
                            types=tuple(range(1, 7)))
-        cfg = config_for(model, gamma=0.9, horizon=40)
+        cfg = SolverConfig(gamma=0.9, horizon=40)
         table = solve_policy(model, cfg)
         assert table.thresholds.shape == (6, 31)
 
     def test_zero_gamma_gives_all_zero_table(self, small_model):
-        cfg = config_for(small_model, gamma=0.0)
+        cfg = SolverConfig(gamma=0.0)
         table = solve_policy(small_model, cfg)
         assert np.all(table.thresholds == 0.0)
 
     def test_deterministic_bit_identical(self, small_model):
-        cfg = config_for(small_model, gamma=0.9, horizon=30)
+        cfg = SolverConfig(gamma=0.9, horizon=30)
         t1 = solve_policy(small_model, cfg)
         t2 = solve_policy(small_model, cfg)
         assert np.array_equal(t1.thresholds, t2.thresholds)
@@ -214,8 +209,8 @@ class TestSolvePolicy:
     def test_horizon_convergence(self):
         factor_map = {(1, s): 1.0 + 0.02 * s for s in range(-4, 5) if s != 0}
         model = make_model(factor_map, ybar=0.4, bounds=(-4, 4))
-        t_short = solve_policy(model, config_for(model, gamma=0.9, horizon=250))
-        t_long = solve_policy(model, config_for(model, gamma=0.9, horizon=300))
+        t_short = solve_policy(model, SolverConfig(gamma=0.9, horizon=250))
+        t_long = solve_policy(model, SolverConfig(gamma=0.9, horizon=300))
         assert np.max(np.abs(t_short.thresholds - t_long.thresholds)) < 1e-4
 
     def test_huge_horizon_stops_at_the_fixed_point(self):
@@ -225,13 +220,9 @@ class TestSolvePolicy:
                       for s in range(-15, 16) if s != 0}
         model = make_model(factor_map, ybar=0.3, bounds=(-15, 15),
                            types=tuple(range(1, 7)))
-        t_huge = solve_policy(model, config_for(model, gamma=0.9, horizon=10**12))
-        t_5000 = solve_policy(model, config_for(model, gamma=0.9, horizon=5000))
+        t_huge = solve_policy(model, SolverConfig(gamma=0.9, horizon=10**12))
+        t_5000 = solve_policy(model, SolverConfig(gamma=0.9, horizon=5000))
         assert t_huge.thresholds.tobytes() == t_5000.thresholds.tobytes()
-
-    def test_rejects_bounds_wider_than_model(self, small_model):
-        with pytest.raises(ValueError):
-            solve_policy(small_model, SolverConfig(streak_bounds=(-5, 5)))
 
 
 class TestPolicyTable:
@@ -301,7 +292,7 @@ def random_small_models(seed, trials):
                 if s != 0:
                     model_map[(c, s)] = f
         model = make_model(model_map, ybars, bounds, types=types)
-        yield model, config_for(model, gamma=gamma, horizon=horizon), factor_maps, ybars
+        yield model, SolverConfig(gamma=gamma, horizon=horizon), factor_maps, ybars
 
 
 def full_scale_model(seed=2024):
@@ -323,7 +314,7 @@ def full_scale_model(seed=2024):
 class TestOracleEquivalenceSweep:
     def test_random_small_instances_match_tree_oracle(self):
         for trial, (model, cfg, factor_maps, ybars) in enumerate(random_small_models(99, 40)):
-            lo, hi = cfg.streak_bounds
+            lo, hi = model.factors.bounds
             values = state_values(model, cfg, cfg.horizon)
             for i, c in enumerate(model.types):
                 for s in range(lo, hi + 1):
@@ -349,7 +340,7 @@ class TestFlatKernel:
         # would carry into the values
         models.append(make_model({}, ybar=-0.0, bounds=(-2, 2)))
         for model in models:
-            cfg = config_for(model, gamma=gamma)
+            cfg = SolverConfig(gamma=gamma)
             for steps in self.STEPS:
                 got = state_values(model, cfg, steps)
                 want = state_values_reference(model, cfg, steps)
@@ -359,14 +350,14 @@ class TestFlatKernel:
     @pytest.mark.parametrize("gamma", [0.0, -0.0, 0.5, 0.8, 0.99])
     def test_full_scale_model_matches_the_reference_bit_for_bit(self, gamma):
         model = full_scale_model()
-        cfg = config_for(model, gamma=gamma)
+        cfg = SolverConfig(gamma=gamma)
         for steps in self.STEPS:
             got = state_values(model, cfg, steps)
             assert got.tobytes() == state_values_reference(model, cfg, steps).tobytes()
 
     def test_huge_steps_end_at_the_reference_fixed_point(self):
         model = full_scale_model()
-        cfg = config_for(model, gamma=0.8)
+        cfg = SolverConfig(gamma=0.8)
         got = state_values(model, cfg, 10**9)
         assert got.tobytes() == state_values_reference(model, cfg, 10**9).tobytes()
         # one more step from there returns the same bits
@@ -377,7 +368,7 @@ class TestFlatKernel:
         models = [full_scale_model()] + [m for m, *_ in random_small_models(5, 6)]
         for model in models:
             for gamma in (0.0, 0.8, 0.95):
-                cfg = config_for(model, gamma=gamma, horizon=horizon)
+                cfg = SolverConfig(gamma=gamma, horizon=horizon)
                 got = solve_policy(model, cfg).thresholds
                 with monkeypatch.context() as patch:
                     patch.setattr(solver, "state_values", state_values_reference)
@@ -391,7 +382,7 @@ class TestFlatKernel:
         models = [m for m, *_ in random_small_models(11, 10)] + [full_scale_model()]
         for model in models:
             for gamma in (0.0, 0.5, 0.9, 0.99):
-                cfg = config_for(model, gamma=gamma)
+                cfg = SolverConfig(gamma=gamma)
                 steps = int(rng.integers(0, 60))
                 v = state_values(model, cfg, steps)
                 got = state_values(model, cfg, steps + 1)
@@ -413,6 +404,6 @@ class TestFlatKernel:
         model = make_model(fmap, {c: data.draw(mean_open) for c in types}, (lo, hi),
                            types=types)
         gamma = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 0.999, exclude_max=True)))
-        cfg = config_for(model, gamma=gamma, horizon=data.draw(st.integers(1, 60)))
+        cfg = SolverConfig(gamma=gamma, horizon=data.draw(st.integers(1, 60)))
         got = solve_policy(model, cfg).thresholds
         assert got.tobytes() == solve_policy_oracle(model, cfg).tobytes()
