@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import CalibrationMap, apply_calibration, pav
-from .core import (DEFAULT_STREAK_BOUNDS, USER_TYPES, StreakTable, integral, number, per_type,
-                   read_field, type_rows, validate_streak_bounds)
+from .core import StreakTable, integral, number, per_type, read_field, validate_streak_bounds
 from .ingest import RecordSet
 
 # keeps estimated factors strictly positive even for all-ignore cells
@@ -60,10 +59,9 @@ class FactorTable(StreakTable):
         return FactorTable(self.bounds, self.types, new_factors, self.counts.copy())
 
 
-def estimate_factors(records: RecordSet,
-                     bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS,
-                     types: tuple[int, ...] = USER_TYPES) -> FactorTable:
-    """Ratio estimator for the streak factors.
+def estimate_factors(records: RecordSet) -> FactorTable:
+    """Ratio estimator for the streak factors, over the user types the
+    records hold, in ascending order, and the streak bounds they carry.
 
     For each (type, streak) cell, the factor is the sum of observed opens
     divided by the sum of the senders' baseline rates over the records in
@@ -73,21 +71,23 @@ def estimate_factors(records: RecordSet,
     """
     if len(records) == 0:
         raise ValueError("cannot estimate factors from an empty record set")
-    bounds = validate_streak_bounds(bounds)
+    bounds = validate_streak_bounds(records.bounds)
     low, high = int(records.streak.min()), int(records.streak.max())
     if low < bounds[0] or high > bounds[1]:
-        raise ValueError(f"records hold streaks {low}..{high}, outside the streak bounds "
+        raise ValueError(f"records hold streaks {low}..{high}, outside their streak bounds "
                          f"{bounds}")
+    types, rows = np.unique(records.user_type, return_inverse=True)
     shape = (len(types), bounds[1] - bounds[0] + 1)
     # the range check above keeps each streak inside its type's row
-    cell = type_rows(types, records.user_type) * shape[1] + (records.streak - bounds[0])
+    cell = rows * shape[1] + (records.streak - bounds[0])
     opens, expected, counts = (np.bincount(cell, w, minlength=shape[0] * shape[1]).reshape(shape)
                                for w in (records.outcome, records.baseline_rate, None))
     factors = np.ones(shape)
     populated = expected > 0.0
     factors[populated] = np.maximum(opens[populated] / expected[populated], _FACTOR_FLOOR)
     factors[:, -bounds[0]] = 1.0  # streak-0 column
-    return FactorTable(bounds=bounds, types=types, factors=factors, counts=counts)
+    return FactorTable(bounds=bounds, types=tuple(types.tolist()), factors=factors,
+                       counts=counts)
 
 
 def monotone_project(raw: FactorTable) -> FactorTable:
@@ -187,16 +187,14 @@ class BehaviorModel:
 
 
 def fit_behavior_model(records: RecordSet, kappa: float,
-                       calibration: CalibrationMap | None = None,
-                       bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS) -> BehaviorModel:
+                       calibration: CalibrationMap | None = None) -> BehaviorModel:
     """Estimate, project, kappa-correct, and summarize in one pass, for the
-    user types the records hold.
+    user types the records hold and at the streak bounds they carry.
 
     Projection runs before the kappa scaling: scaling is affine around 1,
     so it preserves monotonicity, and projecting first denoises the raw
     estimate once.
     """
-    type_mean_open = summarize_types(records, calibration)
-    raw = estimate_factors(records, bounds, tuple(type_mean_open))
-    projected = monotone_project(raw)
-    return BehaviorModel(factors=apply_kappa(projected, kappa), type_mean_open=type_mean_open)
+    projected = monotone_project(estimate_factors(records))
+    return BehaviorModel(factors=apply_kappa(projected, kappa),
+                         type_mean_open=summarize_types(records, calibration))

@@ -9,10 +9,9 @@ ignored the last two. An ignore after a positive run flips the streak to -1
 Decisions not to send leave the streak untouched. Streaks are clamped to
 fixed bounds so model tables and the solver state space stay finite.
 
-`advance_streak`, `type_rows` and `StreakTable.at` are written once, in
-numpy: they take anything numpy broadcasts, a block of users being the
-normal call, and return numpy values; one Python scalar comes back as a
-numpy scalar.
+`advance_streak` and `StreakTable.at` are written once, in numpy: they
+take anything numpy broadcasts, a block of users being the normal call,
+and return numpy values; one Python scalar comes back as a numpy scalar.
 """
 
 from __future__ import annotations
@@ -121,26 +120,6 @@ def read_field(doc: dict, key: str, read, *args, default=_REQUIRED):
     return read(doc[key], key, *args)
 
 
-def type_rows(types: tuple[int, ...], user_type):
-    """Position of each user type in `types`, elementwise over anything numpy
-    broadcasts; one type gives a numpy integer.
-
-    Raises KeyError naming the user types that have no position.
-    """
-    user_type = np.asarray(user_type)
-    keys = np.asarray(types)
-    if keys.size:
-        rows = (user_type[..., None] == keys).argmax(axis=-1)
-        known = keys[rows] == user_type
-    else:  # argmax cannot reduce an empty axis, and no type has a position
-        rows = np.zeros(user_type.shape, dtype=np.intp)
-        known = np.zeros(user_type.shape, dtype=bool)
-    if not known.all():
-        absent = sorted(set(user_type[~known].tolist()))
-        raise KeyError(f"no entry for user type(s) {absent}")
-    return rows
-
-
 def validate_streak_bounds(bounds: tuple[int, int]) -> tuple[int, int]:
     """Streak bounds must bracket both reachable signs: lo <= -1 and hi >= 1."""
     lo, hi = int(bounds[0]), int(bounds[1])
@@ -179,9 +158,20 @@ class StreakTable:
         """The cell of `values` for each (type, streak), elementwise over
         types and streaks that numpy broadcasts, the streak clamped into the
         bounds first; one pair gives a numpy scalar. A type without a row
-        raises KeyError."""
+        raises KeyError naming it."""
         lo, hi = self.bounds
-        return values[type_rows(self.types, user_type), np.clip(streak, lo, hi) - lo]
+        user_type = np.asarray(user_type)
+        keys = np.asarray(self.types)
+        if keys.size:
+            rows = (user_type[..., None] == keys).argmax(axis=-1)
+            known = keys[rows] == user_type
+        else:  # argmax cannot reduce an empty axis, and no type has a row
+            rows = np.zeros(user_type.shape, dtype=np.intp)
+            known = np.zeros(user_type.shape, dtype=bool)
+        if not known.all():
+            absent = sorted(set(user_type[~known].tolist()))
+            raise KeyError(f"no entry for user type(s) {absent}")
+        return values[rows, np.clip(streak, lo, hi) - lo]
 
     def to_dict(self) -> dict:
         d = {"streak_bounds": list(self.bounds), "types": list(self.types)}
@@ -260,12 +250,13 @@ class SendLimitConfig:
                    adjustment=read_field(d, "adjustment", integral, default=0))
 
 
-def advance_streak(s, outcome, bounds: tuple[int, int] = DEFAULT_STREAK_BOUNDS):
+def advance_streak(s, outcome, bounds: tuple[int, int]):
     """Next streak after a *sent* notification resolves.
 
     An open extends a non-negative run (max(s, 0) + 1); an ignore extends a
     non-positive run (min(s, 0) - 1). Either way a run of the opposite sign
-    restarts at +-1 rather than decrementing. The result is clamped.
+    restarts at +-1 rather than decrementing. The result is clamped to
+    bounds, (lo, hi).
 
     Elementwise over streaks and outcomes that numpy broadcasts, giving an
     array of the broadcast shape; one streak and outcome give a numpy integer.

@@ -107,10 +107,13 @@ class RecordSet:
     """Sent notifications as columns, each with the streak the user was in
     when it went out and the user's baseline open rate.
 
-    user holds positions in the source log's users; raw_score is carried
-    through so downstream summaries can calibrate it.
+    bounds are the streak bounds the streaks were clamped to, and so the
+    bounds of a factor table estimated from these records; user holds
+    positions in the source log's users; raw_score is carried through so
+    downstream summaries can calibrate it.
     """
 
+    bounds: tuple[int, int]
     user: np.ndarray
     user_type: np.ndarray
     streak: np.ndarray
@@ -269,7 +272,8 @@ def build_dataset(log: SendLog, min_samples: int = DEFAULT_MIN_SAMPLES,
     streak in force when it was sent: 0 at the top of the second half
     (first-half history is the baseline window and is deliberately not
     carried over), then what replaying the observed outcomes with
-    `advance_streak` gives. Records keep the log's row order.
+    `advance_streak` gives, clamped to bounds. Records keep the log's row
+    order and carry the bounds.
     """
     if min_samples < 1:
         raise ValueError("min_samples must be >= 1")
@@ -293,6 +297,6 @@ def build_dataset(log: SendLog, min_samples: int = DEFAULT_MIN_SAMPLES,
     run = np.maximum.accumulate(np.where(top | (outcome != np.roll(outcome, 1)), i, 0))
     after = np.clip(np.where(outcome, i + 1 - run, run - i - 1), *bounds)
     streak = np.where(top, 0, np.roll(after, 1))
-    return RecordSet(user=user, user_type=log.user_type[rows], streak=streak,
+    return RecordSet(bounds=bounds, user=user, user_type=log.user_type[rows], streak=streak,
                      outcome=outcome, baseline_rate=baseline,
                      raw_score=log.raw_score[rows])

@@ -173,10 +173,6 @@ class SimConfig:
                                  f"got {sigma}")
 
     @property
-    def streak_bounds(self) -> tuple[int, int]:
-        return self.true_factors.bounds
-
-    @property
     def types(self) -> tuple[int, ...]:
         return self.true_factors.types
 
@@ -527,11 +523,11 @@ class BlockState:
 
     @classmethod
     def start(cls, block: UserBlock, effective_limit: np.ndarray, tables: list[PolicyTable],
-              calibration: CalibrationMap, *, factors: np.ndarray,
-              bounds: tuple[int, int]) -> "BlockState":
+              calibration: CalibrationMap, truth: FactorTable) -> "BlockState":
         """Fresh state for the arms whose policies are tables and whose
-        limits are the (arms, users) effective_limit; factors is the
-        effective ground-truth factor array, one row per type.
+        limits are the (arms, users) effective_limit; truth is the effective
+        ground-truth factor table, whose rows block.rows index and whose
+        streak bounds the streaks step within.
 
         Each threshold is mapped through the calibration once, to the least
         raw score that reaches it (`score_thresholds`), so a pass compares
@@ -540,8 +536,8 @@ class BlockState:
         send.
         """
         shape = effective_limit.shape
-        types, streaks = factors.shape
-        lo, hi = bounds
+        types, streaks = truth.factors.shape
+        lo, hi = truth.bounds
         present, first = np.unique(block.rows, return_index=True)
         cells = np.ix_(block.user_type[first], np.arange(lo, hi + 1))
         thresholds = np.full((len(tables), types, streaks), NEVER_SEND)
@@ -551,7 +547,7 @@ class BlockState:
         # every (streak, outcome) pair, at the key a pass computes for it
         s, opened = np.repeat(np.arange(lo, hi + 1), 2), np.tile([False, True], streaks)
         advance = np.empty(2 * streaks, dtype=np.int64)
-        advance[(2 * s + opened) % advance.size] = advance_streak(s, opened, bounds)
+        advance[(2 * s + opened) % advance.size] = advance_streak(s, opened, truth.bounds)
         # pass-major, so each pass reads one contiguous row
         with np.errstate(over="ignore"):  # exp(-logit) overflows to inf, the score to 0.0
             scores = np.exp(np.negative(block.logits.T, order="C"))
@@ -561,7 +557,7 @@ class BlockState:
                    effective_limit=effective_limit,
                    thresholds=score_thresholds(calibration, thresholds).reshape(-1),
                    offset=offset,
-                   p_open=np.minimum(factors[block.rows] * block.baseline[:, None],
+                   p_open=np.minimum(truth.factors[block.rows] * block.baseline[:, None],
                                      1.0).reshape(-1),
                    open_offset=(user * streaks - lo).reshape(-1), advance=advance,
                    streak=np.zeros(shape, dtype=np.int64),
@@ -636,7 +632,7 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
     pass order), each (arms, users) with row a for arm a. Also returns, if
     keep_events, each arm's kept sends as a SendLog, pass p of day d stamped
     d days plus p / passes_per_day of a day."""
-    factors = apply_kappa(config.true_factors, config.kappa_true).factors
+    truth = apply_kappa(config.true_factors, config.kappa_true)
     passes = days * config.passes_per_day
     weights = np.cumprod([1.0] + [config.gamma] * (passes - 1))
     day, pass_of_day = np.divmod(np.arange(passes), config.passes_per_day)
@@ -649,8 +645,7 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
     for start in range(0, config.num_users, size):
         stop = min(start + size, config.num_users)
         block = _draw_block(config, start, stop, passes, latent_salt, policy_salt)
-        state = BlockState.start(block, limits[:, block.rows], tables, calibration,
-                                 factors=factors, bounds=config.streak_bounds)
+        state = BlockState.start(block, limits[:, block.rows], tables, calibration, truth)
         shape = state.streak.shape
         # two arrays: one holding both read about 0.1 MB more peak RSS on ab_test
         masks = [np.zeros((passes, state.streak.size), dtype=bool) for _ in range(2)]

@@ -457,7 +457,7 @@ def simulate_pass_oracle(user, rule, calibration, latent_rng, policy_rng, *, con
         return None
     p_open = min(factors[user.user_type, user.streak] * user.baseline, 1.0)
     outcome = 1 if policy_rng.random() < p_open else 0
-    user.streak = streak_oracle(user.streak, outcome, config.streak_bounds)
+    user.streak = streak_oracle(user.streak, outcome, config.true_factors.bounds)
     user.sends_today += 1
     if outcome:
         user.active_today = True
@@ -468,7 +468,7 @@ def simulate_pass_oracle(user, rule, calibration, latent_rng, policy_rng, *, con
 
 
 def _effective_factors(config):
-    lo, _ = config.streak_bounds
+    lo, _ = config.true_factors.bounds
     table = config.true_factors
     return {(c, lo + j): max((float(f) - 1.0) * config.kappa_true + 1.0, 1e-12)
             for i, c in enumerate(table.types) for j, f in enumerate(table.factors[i])}

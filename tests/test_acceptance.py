@@ -207,7 +207,7 @@ def test_c5_ingest_then_estimation_recovers_scaled_factors():
 
     records = build_dataset(log, min_samples=10, bounds=bounds)
 
-    estimated = estimate_factors(records, bounds=bounds)
+    estimated = estimate_factors(records)
     effective = apply_kappa(truth, kappa_true)
     for i, c in enumerate(ALL_TYPES):
         for s in range(lo, hi + 1):

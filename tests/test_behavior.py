@@ -32,10 +32,12 @@ def rec(uid="u1", utype=1, streak=1, outcome=1, baseline=0.5, score=0.5):
                baseline_rate=baseline, raw_score=score)
 
 
-def columns(records) -> RecordSet:
-    """The RecordSet of a list of Rec rows, user ids numbered as first seen."""
+def columns(records, bounds=(-15, 15)) -> RecordSet:
+    """The RecordSet of a list of Rec rows at the given streak bounds, user
+    ids numbered as first seen."""
     code = {}
-    return RecordSet(user=np.array([code.setdefault(r.user_id, len(code)) for r in records],
+    return RecordSet(bounds=bounds,
+                     user=np.array([code.setdefault(r.user_id, len(code)) for r in records],
                                    dtype=np.int64),
                      user_type=np.array([r.user_type for r in records], dtype=np.int64),
                      streak=np.array([r.streak for r in records], dtype=np.int64),
@@ -49,25 +51,25 @@ class TestEstimateFactors:
         records = [rec(streak=2, baseline=0.5, outcome=1),
                    rec(streak=2, baseline=0.25, outcome=0),
                    rec(streak=2, baseline=0.5, outcome=1)]
-        table = estimate_factors(columns(records), bounds=(-3, 3))
+        table = estimate_factors(columns(records, bounds=(-3, 3)))
         assert table.factor(1, 2) == pytest.approx(2 / 1.25)  # = 1.6
         assert table.count(1, 2) == 3
 
     def test_empty_cells_default_to_one(self):
-        table = estimate_factors(columns([rec(streak=1)]), bounds=(-8, 8))
-        assert table.factor(3, 7) == 1.0
-        assert table.count(3, 7) == 0
+        table = estimate_factors(columns([rec(streak=1)], bounds=(-8, 8)))
+        assert table.factor(1, 7) == 1.0
+        assert table.count(1, 7) == 0
 
     def test_outcomes_matching_baselines_give_factor_one(self):
         # opens exactly equal the baseline-predicted opens: 1+0 == 0.6+0.4
         records = [rec(uid="a", streak=1, baseline=0.6, outcome=1),
                    rec(uid="b", streak=1, baseline=0.4, outcome=0)]
-        table = estimate_factors(columns(records), bounds=(-2, 2))
+        table = estimate_factors(columns(records, bounds=(-2, 2)))
         assert table.factor(1, 1) == pytest.approx(1.0)
 
     def test_streak_zero_cell_pinned_to_one(self):
         records = [rec(streak=0, baseline=0.1, outcome=1)] * 5
-        table = estimate_factors(columns(records), bounds=(-2, 2))
+        table = estimate_factors(columns(records, bounds=(-2, 2)))
         assert table.factor(1, 0) == 1.0
         assert table.count(1, 0) == 5
 
@@ -75,14 +77,19 @@ class TestEstimateFactors:
         with pytest.raises(ValueError):
             estimate_factors(columns([]))
 
-    @pytest.mark.parametrize("second_half, streaks", [(0, r"-20\.\.0"), (1, r"0\.\.20")],
-                             ids=["all ignores", "all opens"])
-    def test_streaks_outside_the_bounds_rejected(self, second_half, streaks):
-        # built at wider bounds than the estimate's default (-15, 15)
+    @pytest.mark.parametrize("second_half", [0, 1], ids=["all ignores", "all opens"])
+    def test_records_fit_at_the_bounds_they_were_built_at(self, second_half):
+        # wider than the default (-15, 15), with runs of 20 at one end
         outcomes = [1, 0] * 15 + [second_half] * 30
         log = SendLog.from_rows(["u1"] * 60, [1] * 60, range(60), [0.5] * 60, outcomes)
         records = build_dataset(log, min_samples=1, bounds=(-20, 20))
-        with pytest.raises(ValueError, match=streaks + r".*\(-15, 15\)"):
+        table = estimate_factors(records)
+        assert table.bounds == (-20, 20)
+        assert table.count(1, 20 if second_half else -20) == 10
+
+    def test_streaks_outside_the_records_bounds_rejected(self):
+        records = columns([rec(streak=3)], bounds=(-2, 2))
+        with pytest.raises(ValueError, match=r"3\.\.3.*\(-2, 2\)"):
             estimate_factors(records)
 
     def test_recovers_known_factors_within_three_sigma(self):
@@ -104,7 +111,7 @@ class TestEstimateFactors:
             p = min(true[s] * b, 1.0)
             records.append(rec(uid=f"u{users[i]}", streak=s,
                                outcome=int(opens[i] < p), baseline=b))
-        table = estimate_factors(columns(records), bounds=bounds)
+        table = estimate_factors(columns(records, bounds=bounds))
         for s, f_true in true.items():
             if s == 0:
                 continue  # pinned by convention
@@ -301,7 +308,7 @@ def test_column_sums_equal_a_loop_over_the_records():
             + apply_calibration(cmap, r.raw_score)
         score_n[r.user_type] = score_n.get(r.user_type, 0) + 1
 
-    table = estimate_factors(columns(records), bounds=(-4, 4))
+    table = estimate_factors(columns(records, bounds=(-4, 4)))
     for (c, s), n in counts.items():
         assert table.count(c, s) == n
         if s != 0:
@@ -321,10 +328,20 @@ class TestBehaviorModel:
                                    streak=int(rng.integers(-3, 4)),
                                    outcome=int(rng.random() < 0.4),
                                    baseline=0.4, score=float(rng.random())))
-        model = fit_behavior_model(columns(records), kappa=0.3, bounds=(-5, 5))
+        model = fit_behavior_model(columns(records, bounds=(-5, 5)), kappa=0.3)
         loaded = type(model).from_dict(json.loads(json.dumps(model.to_dict())))
         assert np.array_equal(loaded.factors.factors, model.factors.factors)
         assert loaded.type_mean_open == model.type_mean_open
+
+    def test_model_takes_the_bounds_and_types_of_its_records(self):
+        # two users of types 2 and 5, each with runs longer than 4 in the second half
+        outcomes = [1, 0] * 5 + [1] * 6 + [0] * 4
+        log = SendLog.from_rows(["a"] * 20 + ["b"] * 20, [2] * 20 + [5] * 20, list(range(40)),
+                                [0.5] * 40, outcomes + outcomes[::-1])
+        model = fit_behavior_model(build_dataset(log, min_samples=1, bounds=(-4, 4)), kappa=0.4)
+        assert model.factors.bounds == (-4, 4)
+        assert model.types == (2, 5)
+        assert sorted(model.type_mean_open) == [2, 5]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
     def test_factor_table_rejects_non_finite_or_non_positive_factors(self, bad):
@@ -346,6 +363,6 @@ class TestBehaviorModel:
         records = []
         for i, (streak, outcome) in enumerate([(1, 1), (2, 0), (1, 1), (2, 0)]):
             records.append(rec(uid=f"u{i}", streak=streak, outcome=outcome, baseline=0.5))
-        model = fit_behavior_model(columns(records), kappa=0.5, bounds=(-2, 2))
+        model = fit_behavior_model(columns(records, bounds=(-2, 2)), kappa=0.5)
         f1, f2 = model.factors.factor(1, 1), model.factors.factor(1, 2)
         assert f2 >= f1 or abs(f2 - f1) < 1e-12

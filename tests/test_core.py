@@ -21,29 +21,29 @@ from oracles import streak_oracle
 
 class TestAdvanceStreak:
     def test_ignore_after_positive_run_flips_to_minus_one(self):
-        assert advance_streak(3, 0) == -1
+        assert advance_streak(3, 0, (-15, 15)) == -1
 
     def test_open_from_fresh_state(self):
-        assert advance_streak(0, 1) == 1
+        assert advance_streak(0, 1, (-15, 15)) == 1
 
     def test_ignore_at_lower_clamp_stays_clamped(self):
-        assert advance_streak(-15, 0, bounds=(-15, 15)) == -15
+        assert advance_streak(-15, 0, (-15, 15)) == -15
 
     def test_open_after_negative_run_flips_to_plus_one(self):
-        assert advance_streak(-7, 1) == 1
+        assert advance_streak(-7, 1, (-15, 15)) == 1
 
     def test_open_extends_positive_run(self):
-        assert advance_streak(4, 1) == 5
+        assert advance_streak(4, 1, (-15, 15)) == 5
 
     def test_ignore_extends_negative_run(self):
-        assert advance_streak(-4, 0) == -5
+        assert advance_streak(-4, 0, (-15, 15)) == -5
 
     def test_open_at_upper_clamp_stays_clamped(self):
-        assert advance_streak(15, 1, bounds=(-15, 15)) == 15
+        assert advance_streak(15, 1, (-15, 15)) == 15
 
     @given(st.integers(-15, 15), st.integers(0, 1))
     def test_result_sign_matches_outcome(self, s, outcome):
-        nxt = advance_streak(s, outcome)
+        nxt = advance_streak(s, outcome, (-15, 15))
         if outcome:
             assert nxt >= 1
         else:

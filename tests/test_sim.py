@@ -244,7 +244,7 @@ class TestSimulatePass:
                           baseline=np.array([0.4]), logits=np.array([[0.0]]),
                           uniforms=np.random.default_rng(7).random((1, 2)))
         state = BlockState.start(block, np.array([[limit]]), [table], identity_map(),
-                                 factors=cfg.true_factors.factors, bounds=cfg.streak_bounds)
+                                 cfg.true_factors)
         state.streak[:] = streak
         state.sends_today[:] = sends_today
         sent, opened = simulate_pass(state, 0, churn_rate=cfg.churn_rate)
@@ -272,8 +272,7 @@ class TestSimulatePass:
                           logits=np.array([[0.0], [0.0]]),
                           uniforms=np.random.default_rng(7).random((2, 2)))
         state = BlockState.start(block, np.array([[2, 2], [2, 2]]), [NO_FILTER, NO_FILTER],
-                                 identity_map(), factors=cfg.true_factors.factors,
-                                 bounds=cfg.streak_bounds)
+                                 identity_map(), cfg.true_factors)
         state.streak[:] = [[1, -1], [3, -2]]
         state.sends_today[1] = 2
         # each cursor starts at its user's first uniform in the flat stream
@@ -351,8 +350,9 @@ class TestSendThresholds:
         vals = sorted(data.draw(st.lists(st.one_of(st.just(-0.0), st.floats(0, 1)),
                                          min_size=len(bps), max_size=len(bps))))
         cmap = CalibrationMap(breakpoints=tuple(bps), values=tuple(vals))
+        truth = ramp_factor_table(self.BOUNDS, {c: (1.0, 1.0) for c in self.TYPES})
         state = BlockState.start(block, np.ones((len(tables), n), dtype=np.int64), tables, cmap,
-                                 factors=np.ones((len(self.TYPES), 9)), bounds=self.BOUNDS)
+                                 truth)
 
         lo, hi = self.BOUNDS
         got = state.thresholds.reshape(len(tables), len(self.TYPES), hi - lo + 1)
@@ -404,10 +404,9 @@ class TestExactFallback:
                           uniforms=np.random.default_rng(7).random((1, 6)))
         s = float(sim._logistic(block.logits)[0, 0])
         cmap = CalibrationMap(breakpoints=(0.0, s, np.nextafter(s, 1.0)), values=(0.0, 0.5, 1.0))
-        tables = [PolicyTable(bounds=cfg.streak_bounds, types=(1, 2),
+        tables = [PolicyTable(bounds=cfg.true_factors.bounds, types=(1, 2),
                               thresholds=np.full((2, 9), v)) for v in (0.5, 1.0)]
-        state = BlockState.start(block, np.full((2, 1), 5), tables, cmap,
-                                 factors=cfg.true_factors.factors, bounds=cfg.streak_bounds)
+        state = BlockState.start(block, np.full((2, 1), 5), tables, cmap, cfg.true_factors)
         assert state.thresholds.reshape(2, 2, 9)[:, 0].tolist() == \
             [[s] * 9, [np.nextafter(s, 1.0)] * 9]
         assert 2.0 ** -32 < sim._NEAR < 2.0 ** -29
