@@ -695,8 +695,13 @@ def warmup_events(config: SimConfig) -> SendLog:
 
 def fit_sim_calibration(config: SimConfig) -> CalibrationMap:
     """Calibration fitted on the raw scores and outcomes of a fresh
-    warm-up's sends, `warmup_events(config)`."""
+    warm-up's sends, `warmup_events(config)`. Raises ValueError when the
+    warm-up sends fewer than the two the fit needs."""
     log = warmup_events(config)
+    if len(log.raw_score) < 2:
+        raise ValueError(f"the calibration warm-up sent {len(log.raw_score)} notifications "
+                         f"over calibration_days = {config.calibration_days} days; "
+                         "its calibration fit needs at least 2")
     return fit_isotonic(log.raw_score, log.outcome)
 
 

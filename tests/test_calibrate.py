@@ -81,6 +81,43 @@ pav_inputs = st.one_of(
              max_size=40).map(lambda vws: ([float(v) for v, _ in vws], [w for _, w in vws])),
 )
 
+# fractions that floats round: v*w is not exact for most weights
+INEXACT = [1 / 3, 2 / 3, 2 / 7, 7 / 25, 0.1, 0.7, 0.0, 1.0]
+
+
+@st.composite
+def equal_value_runs(draw):
+    """(values, weights): runs of one to 50 bit-equal inexact fractions, and
+    weights >= 1, all up to 5 or up to 2**40."""
+    runs = draw(st.lists(st.tuples(st.sampled_from(INEXACT), st.integers(1, 50)), max_size=12))
+    vals = [v for v, length in runs for _ in range(length)]
+    top = draw(st.sampled_from([5, 2 ** 40]))
+    wts = draw(st.lists(st.integers(1, top), min_size=len(vals), max_size=len(vals)))
+    return vals, [float(w) for w in wts]
+
+
+@st.composite
+def scored_outcomes(draw):
+    """(scores, outcomes), up to 200 pairs: tie groups of one to four sends
+    or of 25 (so 7 opens in 25 sends), with 0/1 or fractional outcomes, whose
+    scores rank the groups by mean outcome, against it, or at random, and
+    whose pairs come in a random order."""
+    sizes = draw(st.lists(st.one_of(st.integers(1, 4), st.just(25)), min_size=2, max_size=40))
+    while sum(sizes) > 200:
+        sizes.pop()
+    if draw(st.booleans()):
+        outcome = st.sampled_from([0.0, 0.1, 0.3, 1 / 3, 2 / 7, 0.7, 1.0])
+    else:
+        outcome = st.sampled_from([0, 1])
+    groups = [draw(st.lists(outcome, min_size=size, max_size=size)) for size in sizes]
+    scores = sorted(draw(st.lists(st.floats(0, 1), min_size=len(groups),
+                                  max_size=len(groups), unique=True)))
+    ranking = draw(st.sampled_from(["well-ranked", "anti-ranked", "random"]))
+    if ranking != "random":
+        groups.sort(key=lambda g: sum(g) / len(g), reverse=ranking == "anti-ranked")
+    pairs = draw(st.permutations([(s, o) for s, g in zip(scores, groups) for o in g]))
+    return [s for s, _ in pairs], [o for _, o in pairs]
+
 
 class TestPavLinear:
     @settings(max_examples=400, deadline=None)
@@ -89,6 +126,21 @@ class TestPavLinear:
         vals, wts = inputs
         assert (float_bits(pav(vals, wts, increasing=increasing))
                 == float_bits(pav_oracle(vals, wts, increasing)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(equal_value_runs(), st.booleans())
+    def test_run_of_equal_values_fits_as_one_member(self, inputs, increasing):
+        """Pooling each run of bit-equal adjacent values into one member with
+        the run's summed weight, then repeating its fitted value over the
+        run, gives the element-wise fit's bits."""
+        vals, wts = inputs
+        bits = float_bits(vals)
+        starts = [i for i in range(len(vals)) if i == 0 or bits[i] != bits[i - 1]]
+        ends = starts[1:] + [len(vals)]
+        fitted = pav([vals[i] for i in starts], [sum(wts[i:j]) for i, j in zip(starts, ends)],
+                     increasing=increasing)
+        expanded = [v for v, i, j in zip(fitted, starts, ends) for _ in range(j - i)]
+        assert float_bits(expanded) == float_bits(pav(vals, wts, increasing=increasing))
 
     @pytest.mark.parametrize("wts, want", [
         pytest.param(None, [10000.5] * 20000, id="unit-weights"),
@@ -122,6 +174,10 @@ class TestPavLinear:
         pytest.param(np.concatenate((np.arange(20000) / 40000, [0.75] * 25)),
                      np.concatenate((np.ones(20000), [1] * 7 + [0] * 18)),
                      20007 / 20025, id="inexact-tie-group"),
+        # no two adjacent tie groups share a mean, so no run pools before
+        # pav, and each anti-ranked pair pools to one half
+        pytest.param(np.arange(20000) / 20000, np.arange(20000) % 2 == 0,
+                     0.5, id="alternating"),
     ])
     def test_anti_ranked_fit_runs_in_linear_time(self, scores, outcomes, want):
         start = time.perf_counter()
@@ -205,6 +261,15 @@ class TestFitIsotonic:
             bps, fitted = isotonic_fit_oracle(pairs)
             assert list(cmap.breakpoints) == bps
             assert list(cmap.values) == fitted
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_outcomes())
+    def test_matches_oracle_bit_for_bit(self, inputs):
+        scores, outcomes = inputs
+        cmap = fit_isotonic(scores, outcomes)
+        bps, fitted = isotonic_fit_oracle(list(zip(scores, outcomes)))
+        assert float_bits(cmap.breakpoints) == float_bits(bps)
+        assert float_bits(cmap.values) == float_bits(fitted)
 
 
 class TestApplyCalibration:

@@ -412,6 +412,19 @@ class TestSimulate:
                   for line in (out_dir / "events_no_filter.jsonl").read_text().splitlines()}
         assert 0.0 in scores
 
+    def test_warmup_without_two_sends_is_one_error_line(self, sim_config_path,
+                                                        treatments_path, tmp_path, capsys):
+        doc = json.loads(sim_config_path.read_text())
+        doc["send_limits"]["limits"] = {"1": 0, "2": 0}
+        sim_config_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert run(["simulate", "--sim-config", sim_config_path,
+                    "--treatments", treatments_path, "--out-dir", out_dir]) == 2
+        assert capsys.readouterr().err == (
+            "error: the calibration warm-up sent 0 notifications over calibration_days = 2 "
+            "days; its calibration fit needs at least 2\n")
+        assert not out_dir.exists()
+
     def test_baseline_deltas_are_zero(self, sim_config_path, treatments_path, tmp_path):
         out_dir = tmp_path / "out"
         run(["simulate", "--sim-config", sim_config_path,
