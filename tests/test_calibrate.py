@@ -81,7 +81,8 @@ pav_inputs = st.one_of(
              max_size=40).map(lambda vws: ([float(v) for v, _ in vws], [w for _, w in vws])),
 )
 
-# fractions that floats round: v*w is not exact for most weights
+# fractions that floats round, so v·w is inexact for most weights, and the
+# two ends of [0, 1]
 INEXACT = [1 / 3, 2 / 3, 2 / 7, 7 / 25, 0.1, 0.7, 0.0, 1.0]
 
 
@@ -99,9 +100,9 @@ def equal_value_runs(draw):
 @st.composite
 def scored_outcomes(draw):
     """(scores, outcomes), up to 200 pairs: tie groups of one to four sends
-    or of 25 (so 7 opens in 25 sends), with 0/1 or fractional outcomes, whose
-    scores rank the groups by mean outcome, against it, or at random, and
-    whose pairs come in a random order."""
+    or of 25 (whose means, 7/25 say, floats round), with 0/1 or fractional
+    outcomes, whose scores rank the groups by mean outcome, against it, or
+    at random, and whose pairs come in a random order."""
     sizes = draw(st.lists(st.one_of(st.integers(1, 4), st.just(25)), min_size=2, max_size=40))
     while sum(sizes) > 200:
         sizes.pop()
