@@ -66,7 +66,7 @@ def _dumps(value, indent: str = "\n") -> str:
     every newline (encoded JSON holds no raw one) takes `indent` instead.
     """
     inner = indent + "  "
-    if isinstance(value, list) and value and all(type(v) in _SCALARS for v in value):
+    if isinstance(value, list) and value and set(map(type, value)) <= _SCALARS:
         return "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + indent + "]"
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         return ("{" + ",".join(inner + json.dumps(k) + ": " + _dumps(value[k], inner)
@@ -180,15 +180,18 @@ def cmd_solve(args) -> int:
     csv_path = stem + ".csv"
     _atomic_write(csv_path, table.to_csv_text())
 
+    thresholds = table.thresholds
+    finite = np.isfinite(thresholds)
+    counts = np.count_nonzero(finite, axis=1).tolist()
+    lows = np.min(thresholds, axis=1, initial=math.inf, where=finite).tolist()
+    highs = np.max(thresholds, axis=1, initial=-math.inf, where=finite).tolist()
     print(f"solved policy table ({len(table.types)} types x "
-          f"{table.thresholds.shape[1]} streaks) -> {args.out}, {csv_path}")
-    for i, c in enumerate(table.types):
-        row = table.thresholds[i]
-        finite = row[np.isfinite(row)]
-        lo = finite.min() if finite.size else math.nan
-        hi = finite.max() if finite.size else math.nan
-        never = int(np.isinf(row).sum())
-        print(f"  type {c}: thresholds in [{lo:.6f}, {hi:.6f}], never-send cells: {never}")
+          f"{thresholds.shape[1]} streaks) -> {args.out}, {csv_path}")
+    for c, count, lo, hi in zip(table.types, counts, lows, highs):
+        if not count:  # a row of never-send cells has no finite threshold
+            lo = hi = math.nan
+        print(f"  type {c}: thresholds in [{lo:.6f}, {hi:.6f}], "
+              f"never-send cells: {thresholds.shape[1] - count}")
     return 0
 
 

@@ -84,17 +84,34 @@ def document(value, name: str) -> dict:
     return value
 
 
+# the exact item types `listed` reads in one C pass, per reader
+_PLAIN = {number: frozenset({int, float}), integral: frozenset({int})}
+
+
 def listed(value, name: str, length: int | None = None, read=number, *args) -> tuple:
     """A JSON list, of `length` items if given, as a tuple of
     read(item, "name[i]", *args).
 
     The items are read in one pass under `name`; only when that raises
     ValueError are they read again one by one, so the error names the first
-    bad item's index."""
+    bad item's index. Before those, a list of plain ints and floats read as
+    numbers, or of plain ints read as integers, is read in one C pass of
+    float(): that is what `number` returns, and it raises OverflowError just
+    where `number` and `integral` reject an int outside float range. Any
+    other list, or an overflow, is read as above."""
     if not isinstance(value, list) or length not in (None, len(value)):
         noun = {integral: "integers", document: "objects"}.get(read, "numbers")
         size = "" if length is None else f"{length} "
         raise ValueError(f"{name} must be a list of {size}{noun}, got {value!r}")
+    kinds = _PLAIN.get(read)
+    if kinds is not None and set(map(type, value)) <= kinds:
+        try:
+            floats = tuple(map(float, value))
+        except OverflowError:
+            pass
+        else:
+            # integral(v) of a plain int in float range is v itself
+            return floats if read is number else tuple(value)
     try:
         return tuple(map(read, value, repeat(name), *map(repeat, args)))
     except ValueError:

@@ -18,9 +18,12 @@ from 1.126 to 1.150.
 Each step is one flat kernel of six array calls over the raveled grid: a
 single gather reads the up and down columns of the discounted values,
 preallocated buffers take every intermediate, and np.maximum keeps the
-larger of send and skip. The fixed-point test runs every few steps rather
-than every step, which is exact because a step at the fixed point returns
-its input bit for bit.
+larger of send and skip. On a grid of a few hundred cells numpy's per-call
+overhead, not arithmetic, sets a step's cost, so the calls are the cheapest
+numpy offers: the gather does not buffer its output (its index is checked
+once, before the loop) and no call converts a Python float. The fixed-point
+test runs every few steps rather than every step, which is exact because a
+step at the fixed point returns its input bit for bit.
 
 The policy itself is a table of score thresholds: for each (type, streak)
 cell, the smallest calibrated score at which sending is worth at least as
@@ -30,8 +33,6 @@ probability clip, so that score is the exact root of a linear function.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -85,6 +86,15 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
     np.maximum(send, skip) is the next V, so the values are the bits of
     its backup step by step.
 
+    Each call is made at numpy's per-call floor, which on this small grid
+    is most of a step's cost. The gather runs in take's mode="clip": in the
+    default mode="raise" numpy buffers `out` on every call. Clipping would
+    hide a bad index, so the index is checked once before the loop and an
+    index outside the flat grid raises IndexError there, even for zero
+    steps. gamma and the 1.0 of 1 + gamma V_up are arrays of the grid's
+    length, because a Python float operand costs a scalar conversion on
+    every ufunc call; the products and sums are the same, bit for bit.
+
     No NaN and no -0.0 reaches np.maximum, which leaves open which operand
     it returns on a tie: factors are finite and > 0, mean open rates lie in
     [0, 1], and gamma lies in [0, 1) with SolverConfig storing a zero as
@@ -101,26 +111,32 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
     bit, as does every step after it.
     """
     factors, ybar, up, down = _grid(model)
-    gamma = config.gamma
     p_open = np.minimum(factors * ybar, 1.0).ravel()
     n = p_open.size
     rows = np.arange(0, n, factors.shape[1])[:, None]
     # gathered[:n] is gamma V_up and gathered[n:] gamma V_down, per flat cell
     index = np.concatenate([(rows + up).ravel(), (rows + down).ravel()])
+    # the gather clips rather than raises, so its index is checked here once
+    outside = (index < 0) | (index >= n)
+    if outside.any():
+        raise IndexError(f"index {index[outside][0]} is out of bounds for axis 0 with size {n}")
     weights = np.concatenate([p_open, 1.0 - p_open])
+    # array operands: a Python float costs a scalar conversion on every call
+    gamma, one = np.full(n, config.gamma), np.ones(n)
     values = np.zeros(n)
     skip = np.empty(n)
     gathered = np.empty(2 * n)
     send, ignored = gathered[:n], gathered[n:]
+    multiply, add, maximum, array_equal = np.multiply, np.add, np.maximum, np.array_equal
     for step in range(1, steps + 1):
-        np.multiply(gamma, values, out=skip)
-        skip.take(index, out=gathered)
-        np.add(1.0, send, out=send)
-        np.multiply(weights, gathered, out=gathered)
-        np.add(send, ignored, out=send)
+        multiply(gamma, values, out=skip)
+        skip.take(index, out=gathered, mode="clip")
+        add(one, send, out=send)
+        multiply(weights, gathered, out=gathered)
+        add(send, ignored, out=send)
         # skip becomes the next values, the larger of send and skip
-        np.maximum(send, skip, out=skip)
-        if step % _FIXED_POINT_STRIDE == 0 and np.array_equal(skip, values):
+        maximum(send, skip, out=skip)
+        if step % _FIXED_POINT_STRIDE == 0 and array_equal(skip, values):
             break
         values, skip = skip, values
     return values.reshape(factors.shape)
@@ -162,14 +178,15 @@ class PolicyTable(StreakTable):
         return {"version": 1, **super().to_dict()}
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["user_type", "streak", "threshold"])
+        """The table as CSV: a header, then one user_type,streak,threshold
+        line per cell, the threshold written as repr of the float or as
+        never_send. No field holds a comma, quote or newline, so each line
+        is the text csv.writer writes for it."""
         streaks = range(self.bounds[0], self.bounds[1] + 1)
-        for c, row in zip(self.types, self.thresholds.tolist()):
-            writer.writerows([c, s, "never_send" if math.isinf(v) else repr(v)]
-                             for s, v in zip(streaks, row))
-        return buf.getvalue()
+        return "user_type,streak,threshold\n" + "".join(
+            [f"{c},{s},{'never_send' if v == NEVER_SEND else repr(v)}\n"
+             for c, row in zip(self.types, self.thresholds.tolist())
+             for s, v in zip(streaks, row)])
 
 
 def solve_policy(model: BehaviorModel, config: SolverConfig) -> PolicyTable:

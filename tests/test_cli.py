@@ -207,6 +207,21 @@ class TestSolve:
         assert (table.bounds, table.types) == (written.bounds, written.types) == ((-4, 4), (1, 2))
         assert table.thresholds.tobytes() == written.thresholds.tobytes()
 
+    def test_summary_names_each_rows_range_and_never_send_cells(self, model_path, tmp_path,
+                                                                capsys, monkeypatch):
+        """A row of never-send cells has no finite threshold, and its range
+        prints as nan."""
+        table = PolicyTable(bounds=(-1, 1), types=(4, 1, 6), thresholds=[
+            [0.25, NEVER_SEND, 0.0], [NEVER_SEND] * 3, [1.0, 0.1234567, 0.5]])
+        monkeypatch.setattr(notif_ltv.cli, "solve_policy", lambda model, config: table)
+        out = tmp_path / "policy.json"
+        assert run(["solve", model_path, "--out", out]) == 0
+        assert capsys.readouterr().out == (
+            f"solved policy table (3 types x 3 streaks) -> {out}, {tmp_path / 'policy.csv'}\n"
+            "  type 4: thresholds in [0.000000, 0.250000], never-send cells: 1\n"
+            "  type 1: thresholds in [nan, nan], never-send cells: 3\n"
+            "  type 6: thresholds in [0.123457, 1.000000], never-send cells: 0\n")
+
     def test_zero_gamma_emits_all_zero_csv(self, model_path, tmp_path):
         out = tmp_path / "p0.json"
         run(["solve", model_path, "--gamma", "0", "--horizon", "60", "--out", out])

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import notif_ltv
 from notif_ltv import (
@@ -15,7 +15,7 @@ from notif_ltv import (
     SolverConfig,
     advance_streak,
 )
-from notif_ltv.core import integral, listed, per_type, read_field
+from notif_ltv.core import integral, listed, number, per_type, read_field
 from oracles import streak_oracle
 
 
@@ -104,6 +104,13 @@ class TestSolverConfig:
         assert math.copysign(1.0, SolverConfig(gamma=-0.0).gamma) == 1.0
 
 
+# ints in float range, past it both ways, and at its edge: float() rounds
+# 2**1024 - 2**971 to the largest float and 2**1024 - 2**970 up past it
+_INT = st.one_of(st.integers(-2 ** 60, 2 ** 60), st.integers(-2 ** 1100, 2 ** 1100),
+                 st.sampled_from([2 ** 1024 - 2 ** 971, -(2 ** 1024 - 2 ** 970)]))
+_PLAIN = st.one_of(_INT, st.sampled_from([-0.0, 5.0, math.nan, math.inf, -math.inf]))
+
+
 class TestListed:
     @pytest.mark.parametrize("doc", [{}, {"Days": 3, "day": 3}])
     def test_absent_field_without_a_default_is_an_error(self, doc):
@@ -122,6 +129,24 @@ class TestListed:
             listed([0.1, "x", None], "breakpoints")
         with pytest.raises(ValueError, match=r"^streak_bounds\[0\] must be an integer, got 0.5$"):
             listed([0.5, 1], "streak_bounds", 2, integral)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(_INT, max_size=6), st.lists(_PLAIN, max_size=6),
+                     st.lists(st.one_of(_PLAIN, st.booleans(), st.none(), st.text(max_size=3)),
+                              max_size=6)),
+           st.sampled_from([number, integral]))
+    def test_reads_as_the_item_by_item_reader_does(self, items, read):
+        """Every list, the plain int and float ones that take the one-pass
+        read included, gives the tuple or the first error of reading item
+        by item."""
+        def outcome(call):
+            try:
+                return [(type(v), repr(v)) for v in call()]
+            except ValueError as exc:
+                return str(exc)
+
+        want = outcome(lambda: [read(v, f"xs[{i}]") for i, v in enumerate(items)])
+        assert outcome(lambda: listed(items, "xs", None, read)) == want
 
     def test_error_through_per_type_names_the_row_and_the_item(self):
         doc = {"1": [1.0] * 5, "2": [1.0, 1.0, 1.0, None, True]}

@@ -389,6 +389,27 @@ class TestFlatKernel:
                 assert got.tobytes() == backup_step(model, cfg, v).tobytes(), \
                     (model.types, gamma, steps)
 
+    @pytest.mark.parametrize("column, cell", [("up", -1), ("down", -1), ("up", 0)])
+    @pytest.mark.parametrize("steps", [0, 1, 40])
+    def test_a_gather_index_outside_the_grid_raises_before_the_loop(self, monkeypatch,
+                                                                   column, cell, steps):
+        """The gather clips its index rather than check it; the one check
+        before the loop still rejects a column that leaves the flat grid,
+        past its last cell or before its first, even when no step runs."""
+        model = full_scale_model()
+        grid = solver._grid
+
+        def bad_grid(model):
+            factors, ybar, up, down = grid(model)
+            moved = {"up": up.copy(), "down": down.copy()}
+            moved[column][cell] = factors.shape[1] if cell == -1 else -1
+            return factors, ybar, moved["up"], moved["down"]
+
+        monkeypatch.setattr(solver, "_grid", bad_grid)
+        with pytest.raises(IndexError, match=r"^index -?\d+ is out of bounds for axis 0 "
+                                             r"with size 186$"):
+            state_values(model, SolverConfig(gamma=0.9), steps)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_tables_are_the_q_send_formula_bit_for_bit(self, data):
