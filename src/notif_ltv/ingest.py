@@ -6,12 +6,17 @@ sorted user-id order and kept in timestamp order within each user. This
 module owns the format both ways: `read_log` reads it and `SendLog.to_jsonl`
 writes a log back, which is how the simulator's sends are emitted.
 
-`read_log` walks the file once, 4096 lines at a time. It decodes a chunk
-with one `json.loads` as a JSON array when three whole-chunk counts prove
-each line one array element, and checks the fields a column at a time. A
-chunk that is not one object per line, or fails a check, goes through the
+`read_log` reads the file once in binary, in blocks of about 512 KiB that
+end at a newline, and gives each user id an integer code, in first-seen
+order, as its row is read. It decodes a block with one `json.loads` as a
+JSON array when numpy proves over the block's bytes that each line is one
+`{...}` holding no other brace; a block with blank or padded lines gets the
+same proof from its lines stripped of JSON whitespace. The fields are
+checked a column at a time, and each row's user type against one type per
+code. A block that fails both proofs, or a check, goes through the
 per-line loop of `_parse_line`, which defines the accepted set and names
-the chunk's first bad line; the read then goes on with the next chunk.
+the block's first bad line; the read then goes on with the next block.
+Every `SendLog` is grouped from codes by `SendLog.from_codes`.
 
 `build_dataset` splits each user's rows into halves, estimates a per-user
 baseline open rate on the first half, and turns the second half into a
@@ -23,11 +28,12 @@ that new or unreachable users cannot contaminate the baselines.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -35,16 +41,28 @@ import numpy as np
 from .core import DEFAULT_STREAK_BOUNDS, USER_TYPES, validate_streak_bounds
 
 DEFAULT_MIN_SAMPLES = 10
-# lines per json.loads call in read_log: the decoder shares key strings
-# within one call, and one array of a whole 167k-line log is slower than
-# chunks of this size and holds more than twice the memory
-_CHUNK_LINES = 4096
+# bytes per json.loads call in read_log, completed to the next newline:
+# the decoder shares key strings within one call, and one array of a whole
+# 16 MB log is slower than blocks of this size and holds the memory of
+# every decoded row at once
+_BLOCK_BYTES = 512 * 1024
 _FIELDS = ("user_id", "user_type", "timestamp", "raw_score", "outcome")
 _TYPE_SET = frozenset(USER_TYPES)
 # the file is decoded with errors="surrogateescape", which turns each byte
 # that is not UTF-8 into one of these lone surrogates (strict UTF-8 decoding
 # gives none), so a search finds the bad byte without failing the read
 _RAW_BYTE = re.compile("[\udc80-\udcff]")
+_LF, _OPEN, _CLOSE = b"\n{}"
+
+
+class _Codes(dict):
+    """Each user id's integer code, a new id taking the next one, so codes
+    number ids in first-seen order. `map(codes.__getitem__, ids)` codes a
+    column in one C-level pass that calls Python only for a new id."""
+
+    def __missing__(self, uid: str) -> int:
+        code = self[uid] = len(self)
+        return code
 
 
 class LogParseError(ValueError):
@@ -71,16 +89,24 @@ class SendLog:
         return len(self.user)
 
     @classmethod
-    def from_rows(cls, user_id, user_type, timestamp, raw_score, outcome) -> "SendLog":
-        """Group equal-length columns given in input order into a SendLog.
+    def from_codes(cls, ids, user, user_type, timestamp, raw_score, outcome) -> "SendLog":
+        """Group equal-length columns given in input order into a SendLog,
+        row i being a send to user ids[user[i]].
 
-        The columns must already satisfy `read_log`'s checks: int64
-        timestamps, scores in [0, 1], outcomes 0 or 1, one type per user.
+        ids holds distinct id strings indexed by code; users are those that
+        some row's code names, in sorted() order, so a caller may pass
+        codes it already has, such as user indices. The columns must
+        already satisfy `read_log`'s checks: int64 timestamps, scores in
+        [0, 1], outcomes 0 or 1, one type per user.
         """
+        user = np.asarray(user, dtype=np.int64)
+        present = np.flatnonzero(np.bincount(user, minlength=len(ids))).tolist()
         # ids stay Python strings: a numpy 'U' array drops trailing NULs
-        users = tuple(sorted(set(user_id)))
-        rank = {uid: r for r, uid in enumerate(users)}
-        user = np.fromiter(map(rank.__getitem__, user_id), np.int64, len(user_id))
+        present.sort(key=ids.__getitem__)
+        users = tuple(map(ids.__getitem__, present))
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[present] = np.arange(len(present))
+        user = rank[user]
         timestamp = np.asarray(timestamp, dtype=np.int64)
         # lexsort((timestamp, user)) in two stable passes; a narrow user key sorts by radix
         order = np.argsort(timestamp, kind="stable")
@@ -90,6 +116,13 @@ class SendLog:
                    timestamp=timestamp[order],
                    raw_score=np.asarray(raw_score, dtype=float)[order],
                    outcome=np.asarray(outcome, dtype=np.int64)[order])
+
+    @classmethod
+    def from_rows(cls, user_id, user_type, timestamp, raw_score, outcome) -> "SendLog":
+        """`from_codes` of columns whose users are given by their id strings."""
+        codes = _Codes()
+        user = np.fromiter(map(codes.__getitem__, user_id), np.int64, len(user_id))
+        return cls.from_codes(list(codes), user, user_type, timestamp, raw_score, outcome)
 
     def to_jsonl(self) -> str:
         """The log in `read_log`'s format, one JSON object per row in row
@@ -165,54 +198,114 @@ def read_log(path) -> SendLog:
     appearing under two different types is an error, and so is a byte that
     is not UTF-8; every error names its line, and the earliest line's wins.
 
-    The file is read once, _CHUNK_LINES lines at a time. A chunk that
-    `_read_chunk` declines, such as one with a `{` inside a user_id, goes
-    through `_read_lines` from its own first line number. Both fill type_of
-    as a chunk completes, so a type change is an error on its own line.
+    The file is read once in binary, _BLOCK_BYTES at a time, each block
+    completed to the next LF so that no line or CRLF straddles two blocks.
+    A block that `_read_block` declines, such as one with a `{` inside a
+    user_id, goes through `_read_lines` from its own first line number.
+    Both give each new user id the next integer code and record its type
+    as the block completes, so a type change is an error on its own line.
     """
-    type_of: dict[str, int] = {}
-    # one str per distinct id: the decoder makes a new one per row, and a
-    # chunk's rows kept among its freed objects would hold the heap open
-    same_id: dict[str, str] = {}
+    codes = _Codes()
+    type_of = array("q")  # each code's user type
     # packed numeric columns: 8 bytes a value instead of a Python object
-    user_id, user_type, timestamp = [], array("q"), array("q")
+    user, user_type, timestamp = array("q"), array("q"), array("q")
     raw_score, outcome = array("d"), array("d")
     lineno = 1
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        while chunk := list(islice(fh, _CHUNK_LINES)):
-            ids, types, stamps, scores, opens = (_read_chunk(chunk, type_of)
-                                                 or _read_lines(chunk, lineno, type_of))
-            lineno += len(chunk)
-            user_id += map(same_id.setdefault, ids, ids)
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK_BYTES):
+            if not block.endswith(b"\n"):
+                block += fh.readline()
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            code, types, stamps, scores, opens = _read_block(block, lineno, codes, type_of)
+            lineno += np.count_nonzero(np.frombuffer(block, np.uint8) == _LF)
+            user += code
             user_type += types
             timestamp += stamps
             raw_score += scores
             outcome += opens
-    return SendLog.from_rows(user_id, user_type, timestamp, raw_score, outcome)
+    return SendLog.from_codes(list(codes), user, user_type, timestamp, raw_score, outcome)
 
 
-def _read_chunk(chunk: list[str], type_of: dict[str, int]) -> tuple | None:
-    r"""A chunk's columns from one `json.loads` of its lines as an array, or
-    None where `_read_lines` must decide.
+def _read_block(block: bytes, lineno: int, codes: _Codes, type_of: array) -> tuple:
+    """A block's columns, its first line being line lineno: one `json.loads`
+    of the array text that `_array_text` proves from the bytes, or failing
+    that `_stripped_array_text` from the lines, read by `_read_array`; else
+    `_read_lines`, which raises the block's first error."""
+    lines = None
+    found = _array_text(block)
+    if found is None:
+        lines = _lines(block)
+        found = _stripped_array_text(lines)
+    columns = found and _read_array(*found, codes, type_of)
+    return columns or _read_lines(lines or _lines(block), lineno, codes, type_of)
 
-    The lines, stripped of JSON whitespace, are joined with "\n," into one
-    array text. A stripped line holds no newline, so for n lines, n - 1
-    `}\n,{` in a text from `[{` to `}]` mean each line starts with `{` and
-    ends with `}`; n of each brace then mean one of each a line. With n
-    objects in the array, no brace is inside a string, so object k is line
-    k alone and equals `json.loads` of it. The fields are checked a column
-    at a time with `_parse_line`'s rules; `type_of` is filled only once
-    every other check has passed, and `setdefault` leaves it as a per-line
-    pass would, so a declined chunk can be read again line by line.
+
+def _lines(block: bytes) -> list[str]:
+    """A block's lines as a text-mode read gives them: split after each LF
+    only, each byte that is not UTF-8 decoded to a lone surrogate."""
+    return list(io.StringIO(block.decode("utf-8", "surrogateescape"), newline="\n"))
+
+
+def _array_text(block: bytes) -> tuple[str, int] | None:
+    """The text of a block's lines as one JSON array, and their count, where
+    its bytes prove each line one `{...}` with no other brace; None where
+    they do not, or where a byte is not UTF-8.
+
+    Over the body, the block less its last LF, numpy checks that the first
+    byte is `{`, the last `}`, and each LF follows a `}` and precedes a
+    `{`; then each of the n lines starts with `{` and ends with `}`, and n
+    of each brace in the body mean no other. This is `_stripped_array_text`'s
+    proof, made without a str per line; the lines are then joined with ",".
     """
-    lines = list(filter(None, map(str.strip, chunk, repeat(" \t\r\n"))))
+    body = block[:-1] if block.endswith(b"\n") else block
+    byte = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(byte == _LF)
+    n = len(ends) + 1
+    if not (body.startswith(b"{") and body.endswith(b"}") and (byte[ends - 1] == _CLOSE).all()
+            and (byte[ends + 1] == _OPEN).all()
+            and np.count_nonzero(byte == _OPEN) == n and np.count_nonzero(byte == _CLOSE) == n):
+        return None
+    try:
+        text = body.decode()  # strict UTF-8; ASCII is its fast case
+    except UnicodeDecodeError:
+        return None
+    # join, not +: a second 512 KiB temporary costs more than the copy
+    return "".join(("[", text.replace("\n", ","), "]")), n
+
+
+def _stripped_array_text(lines: list[str]) -> tuple[str, int] | None:
+    r"""The text of the non-blank lines, stripped of JSON whitespace, as one
+    JSON array, and their count, where three whole-text counts prove each
+    line one `{...}` with no other brace; None otherwise.
+
+    The stripped lines are joined with "\n,". A stripped line holds no
+    newline, so for n lines, n - 1 `}\n,{` in a text from `[{` to `}]` mean
+    each line starts with `{` and ends with `}`; n of each brace then mean
+    one of each a line.
+    """
+    lines = list(filter(None, map(str.strip, lines, repeat(" \t\r\n"))))
     n, text = len(lines), "[" + "\n,".join(lines) + "]"
-    del lines  # a second copy of the chunk's text through the decode raises peak RSS
+    del lines  # a second copy of the block's text through the decode raises peak RSS
     if not (text.startswith("[{") and text.endswith("}]")) \
             or text.count("}\n,{") != n - 1 or text.count("{") != n or text.count("}") != n:
         return None
     if not text.isascii() and _RAW_BYTE.search(text):
         return None
+    return text, n
+
+
+def _read_array(text: str, n: int, codes: _Codes, type_of: array) -> tuple | None:
+    """The columns of n lines proved to be the n elements of the array
+    text, or None where `_read_lines` must decide.
+
+    With n objects in the array and n of each brace in the text, no brace
+    is inside a string, so object k is line k alone and equals `json.loads`
+    of it. The fields are checked a column at a time with `_parse_line`'s
+    rules. Only then are the ids coded, each new code taking the type of
+    its first row, and every row's type compared with its code's: a
+    mismatch is a type change, which `_read_lines` names.
+    """
     try:
         objs = json.loads(text)
     except (ValueError, RecursionError):  # bad JSON, an int too long, nesting too deep
@@ -236,16 +329,22 @@ def _read_chunk(chunk: list[str], type_of: dict[str, int]) -> tuple | None:
     score = np.frombuffer(scores, dtype=float)
     if not ((score >= 0.0) & (score <= 1.0)).all():  # NaN fails both
         return None
-    if list(map(type_of.setdefault, ids, types)) != types:
+    user, types = array("q", map(codes.__getitem__, ids)), array("q", types)
+    code, kind = np.frombuffer(user, np.int64), np.frombuffer(types, np.int64)
+    new = np.flatnonzero(code >= len(type_of))
+    if len(new):  # new codes, numbered in first-seen order, take their first row's type
+        _, first = np.unique(code[new], return_index=True)
+        type_of.extend(kind[new[first]].tolist())
+    if not (np.frombuffer(type_of, np.int64)[code] == kind).all():
         return None
-    return ids, array("q", types), stamps, scores, array("d", opens)
+    return user, types, stamps, scores, array("d", opens)
 
 
-def _read_lines(chunk: list[str], lineno: int, type_of: dict[str, int]) -> tuple:
-    """A chunk's columns parsed one line at a time, its first line being
-    line lineno; raises the chunk's first error."""
+def _read_lines(lines: list[str], lineno: int, codes: _Codes, type_of: array) -> tuple:
+    """A block's columns parsed one line at a time, its first line being
+    line lineno; raises the block's first error."""
     rows = []
-    for lineno, line in enumerate(chunk, start=lineno):
+    for lineno, line in enumerate(lines, start=lineno):
         if not line.strip():
             continue
         bad = _RAW_BYTE.search(line)
@@ -253,13 +352,16 @@ def _read_lines(chunk: list[str], lineno: int, type_of: dict[str, int]) -> tuple
             raise LogParseError(f"line {lineno}: byte {ord(bad.group()) - 0xdc00:#04x} "
                                 f"is not valid UTF-8")
         uid, c, ts, score, o = _parse_line(line, lineno)
-        known = type_of.setdefault(uid, c)
-        if known != c:
+        code = codes[uid]
+        if code == len(type_of):
+            type_of.append(c)
+        elif type_of[code] != c:
             raise LogParseError(f"line {lineno}: user {uid!r} changes type "
-                                f"from {known} to {c}")
-        rows.append((uid, c, ts, score, o))
-    ids, types, stamps, scores, opens = zip(*rows) if rows else ((),) * 5
-    return ids, array("q", types), array("q", stamps), array("d", scores), array("d", opens)
+                                f"from {type_of[code]} to {c}")
+        rows.append((code, c, ts, score, o))
+    user, types, stamps, scores, opens = zip(*rows) if rows else ((),) * 5
+    return array("q", user), array("q", types), array("q", stamps), array("d", scores), \
+        array("d", opens)
 
 
 def build_dataset(log: SendLog, min_samples: int = DEFAULT_MIN_SAMPLES,

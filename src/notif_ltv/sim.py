@@ -668,15 +668,18 @@ def _simulate(config: SimConfig, arms: list[tuple[PolicyTable, SendLimitConfig]]
             max_day_sends=np.count_nonzero(sent.reshape(by_day), axis=1).max(axis=0),
             reachable=state.reachable))
         if keep_events:
-            ids = np.array([f"u{i:07d}" for i in block.index.tolist()], dtype=object)
             for arm, chunks in enumerate(kept):
                 t, row = np.nonzero(sent[:, arm])
-                chunks.append((ids[row], block.user_type[row], stamps[t],
+                chunks.append((block.index[row], block.user_type[row], stamps[t],
                                _logistic(block.logits[row, t]), opened[t, arm, row]))
     columns = {key: np.concatenate([cols[key] for cols in blocks], axis=-1) for key in blocks[0]}
-    # from_rows orders rows by user, then time; each pass of a day has its own second
-    return columns, ([SendLog.from_rows(*(np.concatenate(c) for c in zip(*chunks)))
-                      for chunks in kept] if keep_events else None)
+    if not keep_events:
+        return columns, None
+    # user indices are the codes; from_codes orders rows by user id, then
+    # time, and each pass of a day has its own second
+    ids = [f"u{i:07d}" for i in range(config.num_users)]
+    return columns, [SendLog.from_codes(ids, *(np.concatenate(c) for c in zip(*chunks)))
+                     for chunks in kept]
 
 
 def warmup_events(config: SimConfig) -> SendLog:

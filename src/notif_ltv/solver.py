@@ -127,7 +127,7 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
     skip = np.empty(n)
     gathered = np.empty(2 * n)
     send, ignored = gathered[:n], gathered[n:]
-    multiply, add, maximum, array_equal = np.multiply, np.add, np.maximum, np.array_equal
+    multiply, add, maximum = np.multiply, np.add, np.maximum
     for step in range(1, steps + 1):
         multiply(gamma, values, out=skip)
         skip.take(index, out=gathered, mode="clip")
@@ -136,7 +136,8 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
         add(send, ignored, out=send)
         # skip becomes the next values, the larger of send and skip
         maximum(send, skip, out=skip)
-        if step % _FIXED_POINT_STRIDE == 0 and array_equal(skip, values):
+        # bit equality, the fixed point's test, without np.array_equal's wrapper
+        if step % _FIXED_POINT_STRIDE == 0 and skip.tobytes() == values.tobytes():
             break
         values, skip = skip, values
     return values.reshape(factors.shape)

@@ -46,6 +46,16 @@ def assert_reads_like_oracle(path):
     return want
 
 
+def block_lines(monkeypatch, lines, k):
+    """Set _BLOCK_BYTES so that a block of these lines, each ended by one
+    newline byte, holds k of them: a read of that many bytes from the start
+    of a line ends inside its kth line, which the block is completed to."""
+    sizes = [len(line if isinstance(line, bytes) else line.encode()) + 1 for line in lines]
+    size = (k - 1) * max(sizes) + 1
+    assert size <= k * min(sizes)
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", size)
+
+
 def one_user_log(outcomes, uid="u1"):
     """One user's sends at timestamps 0, 1, ..., scores i / 1024 so that a
     record's score names the send it came from."""
@@ -138,7 +148,7 @@ class TestReadLog:
 
 
 class TestChunkedRead:
-    """read_log parses a chunk of lines as one JSON array and falls back to
+    """read_log parses a block of lines as one JSON array and falls back to
     one line at a time; neither may move a line number or change a row."""
 
     @pytest.mark.parametrize("lines, objects", [
@@ -162,21 +172,21 @@ class TestChunkedRead:
         with pytest.raises(LogParseError, match=r"^line 1: invalid JSON"):
             read_log(path)
 
-    def test_malformed_line_after_the_first_chunk_names_its_line(self, tmp_path):
-        n = ingest._CHUNK_LINES
+    def test_malformed_line_after_the_first_chunk_names_its_line(self, tmp_path, monkeypatch):
+        lines = [json.dumps(row(ts=t)) for t in range(8)] + ["not json"]
+        block_lines(monkeypatch, lines[:-1], 3)
         path = tmp_path / "log.jsonl"
-        path.write_text("".join(json.dumps(row(ts=t)) + "\n" for t in range(n)) + "not json\n")
-        with pytest.raises(LogParseError, match=rf"^line {n + 1}: invalid JSON"):
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(LogParseError, match=r"^line 9: invalid JSON"):
             read_log(path)
 
-    def test_type_change_across_a_chunk_boundary_names_its_line(self, tmp_path):
-        n = ingest._CHUNK_LINES
+    def test_type_change_across_a_chunk_boundary_names_its_line(self, tmp_path, monkeypatch):
+        rows = ([row(uid="u1", utype=1)] + [row(uid="u2", utype=3, ts=t) for t in range(3)]
+                + [row(uid="u1", utype=2, ts=1)])
+        block_lines(monkeypatch, [json.dumps(r) for r in rows], 4)
         path = tmp_path / "log.jsonl"
-        write_log(path, [row(uid="u1", utype=1)]
-                  + [row(uid="u2", utype=3, ts=t) for t in range(n - 1)]
-                  + [row(uid="u1", utype=2, ts=1)])
-        with pytest.raises(LogParseError,
-                           match=rf"^line {n + 1}: user 'u1' changes type from 1 to 2$"):
+        write_log(path, rows)
+        with pytest.raises(LogParseError, match=r"^line 5: user 'u1' changes type from 1 to 2$"):
             read_log(path)
 
     def test_blank_lines_inside_a_chunk_keep_line_numbers(self, tmp_path):
@@ -188,46 +198,66 @@ class TestChunkedRead:
 
     @pytest.fixture
     def per_line_chunks(self, monkeypatch):
-        """Chunks of 4 lines; lists the (first line number, lines) of each
-        chunk that goes through the per-line loop."""
+        """Lists the (first line number, lines) of each block that goes
+        through the per-line loop."""
         calls, per_line = [], ingest._read_lines
 
-        def spy(chunk, lineno, type_of):
-            calls.append((lineno, len(chunk)))
-            return per_line(chunk, lineno, type_of)
-        monkeypatch.setattr(ingest, "_CHUNK_LINES", 4)
+        def spy(lines, lineno, codes, type_of):
+            calls.append((lineno, len(lines)))
+            return per_line(lines, lineno, codes, type_of)
         monkeypatch.setattr(ingest, "_read_lines", spy)
         return calls
 
-    def test_valid_log_over_several_chunks_skips_the_per_line_loop(self, tmp_path,
-                                                                   per_line_chunks):
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Lists the (first line number, bytes) of each block read, after the
+        rewrite of line ends, and how many took the stripped guard."""
+        seen, stripped = {"blocks": [], "stripped": 0}, ingest._stripped_array_text
+        read_block = ingest._read_block
+
+        def block_spy(block, lineno, codes, type_of):
+            seen["blocks"].append((lineno, block))
+            return read_block(block, lineno, codes, type_of)
+
+        def stripped_spy(lines):
+            seen["stripped"] += 1
+            return stripped(lines)
+        monkeypatch.setattr(ingest, "_read_block", block_spy)
+        monkeypatch.setattr(ingest, "_stripped_array_text", stripped_spy)
+        return seen
+
+    def test_valid_log_over_several_chunks_skips_the_per_line_loop(self, tmp_path, monkeypatch,
+                                                                   per_line_chunks, blocks):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
         path = tmp_path / "log.jsonl"
         path.write_bytes(b"".join(
             (json.dumps(row(uid=f"u{t % 3}", utype=t % 3 + 1, ts=-t, outcome=t % 2))
              + ("\r\n\n" if t % 4 else " \r")).encode() for t in range(13)))
         log = read_log(path)
-        assert len(log) == 13 and per_line_chunks == []
+        assert len(log) == 13 and per_line_chunks == [] and len(blocks["blocks"]) > 4
         assert_same_log(log, read_log_oracle(path))
 
     @pytest.mark.parametrize("chunk", [1, 2, 4])
     def test_guard_miss_sends_only_its_own_chunk_through_the_per_line_loop(
-            self, tmp_path, per_line_chunks, chunk):
-        # 13 lines in chunks of 4 starting at lines 1, 5, 9 and 13
+            self, tmp_path, monkeypatch, per_line_chunks, chunk):
+        # 13 lines in blocks of 4 starting at lines 1, 5, 9 and 13
         brace = 4 * (chunk - 1) + 1
-        write_log(tmp_path / "log.jsonl",
-                  [row(uid="a{b" if t == brace else f"u{t % 3}", ts=-t, outcome=t % 2)
-                   for t in range(1, 14)])
+        rows = [row(uid="a{b" if t == brace else f"u{t % 3}", ts=-t, outcome=t % 2)
+                for t in range(1, 14)]
+        block_lines(monkeypatch, [json.dumps(r) for r in rows], 4)
+        write_log(tmp_path / "log.jsonl", rows)
         log = read_log(tmp_path / "log.jsonl")
         assert per_line_chunks == [(brace, 4 if chunk < 4 else 1)]
         assert "a{b" in log.users
         assert_same_log(log, read_log_oracle(tmp_path / "log.jsonl"))
 
     @pytest.mark.parametrize("change", [3, 6])
-    def test_type_change_beats_a_malformed_line_in_a_later_chunk(self, tmp_path,
+    def test_type_change_beats_a_malformed_line_in_a_later_chunk(self, tmp_path, monkeypatch,
                                                                   per_line_chunks, change):
         rows = [json.dumps(row(uid="u1" if t in (1, change) else f"v{t}",
                                utype=2 if t == change else 1, ts=t)) for t in range(1, 13)]
-        rows[9] = "not json"  # line 10, in the third chunk
+        rows[9] = "not json".ljust(len(rows[9]))  # line 10, in the third block
+        block_lines(monkeypatch, rows, 4)
         path = tmp_path / "log.jsonl"
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(LogParseError,
@@ -236,14 +266,19 @@ class TestChunkedRead:
         assert per_line_chunks == [(change - (change - 1) % 4, 4)]
 
     @pytest.mark.parametrize("first_chunk", [False, True])
-    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, first_chunk):
-        skip = 0 if first_chunk else ingest._CHUNK_LINES
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, monkeypatch, per_line_chunks,
+                                                   first_chunk):
+        # blocks of 2 lines, the blank line and the bad one in the first or the third
+        skip = 0 if first_chunk else 4
+        lines = [json.dumps(row(ts=t)).encode() for t in range(skip)]
+        bad = json.dumps(row(uid="u?", ts=10)).encode().replace(b"?", b"\xff")
+        block_lines(monkeypatch, lines + [bad, bad], 2)
         path = tmp_path / "log.jsonl"
-        path.write_bytes(b"".join(json.dumps(row(ts=t)).encode() + b"\n" for t in range(skip))
-                         + b"\n" + json.dumps(row(uid="u?")).encode().replace(b"?", b"\xff"))
+        path.write_bytes(b"".join(line + b"\n" for line in lines) + b"\n" + bad)
         with pytest.raises(LogParseError,
                            match=rf"^line {skip + 2}: byte 0xff is not valid UTF-8$"):
             read_log(path)
+        assert per_line_chunks == [(skip + 1, 2)]
 
     def test_earlier_error_comes_before_a_later_byte_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -251,10 +286,87 @@ class TestChunkedRead:
         with pytest.raises(LogParseError, match=r"^line 1: invalid JSON"):
             read_log(path)
 
+    def test_encoded_surrogate_is_a_byte_that_is_not_utf8(self, tmp_path):
+        # the three bytes of U+DCFF, which a surrogatepass decode would accept
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"".join(json.dumps(row(uid=uid, ts=t)).encode() + b"\n" for t, uid
+                                  in enumerate(["u1", "u?", "u2"])).replace(b"?", b"\xed\xb3\xbf"))
+        with pytest.raises(LogParseError, match=r"^line 2: byte 0xed is not valid UTF-8$"):
+            read_log(path)
+
     def test_escaped_surrogate_in_a_user_id_still_reads(self, tmp_path):
         path = tmp_path / "log.jsonl"
         write_log(path, [row(uid="u\udcff")])
         assert read_log(path).users == ("u\udcff",)
+
+    def test_line_straddling_two_blocks_is_completed_by_its_block(self, tmp_path, monkeypatch,
+                                                                  per_line_chunks, blocks):
+        lines = [json.dumps(row(uid=f"u{t % 2}", ts=t)).encode() + b"\n" for t in range(5)]
+        # a read ends 5 bytes into the second line and the fourth
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", len(lines[0]) + 5)
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"".join(lines))
+        assert_same_log(read_log(path), read_log_oracle(path))
+        assert blocks == {"blocks": [(1, lines[0] + lines[1]), (3, lines[2] + lines[3]),
+                                     (5, lines[4])], "stripped": 0}
+        assert per_line_chunks == []
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+    def test_crlf_and_lone_cr_line_ends_take_the_byte_guard(self, tmp_path, monkeypatch,
+                                                             per_line_chunks, blocks, end):
+        lines = [json.dumps(row(uid=f"u{t % 2}", ts=t)).encode() for t in range(5)]
+        # a read ends just past the first CR
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", len(lines[0]) + 1)
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"".join(line + end for line in lines))
+        assert_same_log(read_log(path), read_log_oracle(path))
+        # a CRLF's LF completes each block; with no LF the first read's line
+        # runs to the end of the file
+        parts = [[line] for line in lines] if end == b"\r\n" else [lines]
+        assert blocks == {"blocks": [(1 + sum(map(len, parts[:i])),
+                                      b"".join(line + b"\n" for line in part))
+                                     for i, part in enumerate(parts)], "stripped": 0}
+        assert per_line_chunks == []
+        # and every line keeps its number
+        path.write_bytes(b"".join(line + end for line in lines[:3]) + b"{}" + end)
+        with pytest.raises(LogParseError, match=r"^line 4: missing field 'user_id'$"):
+            read_log(path)
+
+    def test_crlf_whose_cr_ends_a_block_is_one_line_end(self, tmp_path, monkeypatch,
+                                                        per_line_chunks):
+        lines = [json.dumps(row(ts=t)).encode() for t in range(4)]
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", len(lines[0]) + 1)
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"\r\n".join(lines[:2] + [b"[]"] + lines[2:]) + b"\r\n")
+        # blocks of lines 1, 2 and 3-4, the first two ended by a CR and then an LF
+        with pytest.raises(LogParseError, match=r"^line 3: expected a JSON object$"):
+            read_log(path)
+        assert per_line_chunks == [(3, 2)]
+
+    @pytest.mark.parametrize("last", [json.dumps(row(ts=9)), '{"user_id": "u', '{"user_id": "u1"'])
+    def test_last_line_without_a_newline_reads_as_the_oracle_does(self, tmp_path, monkeypatch,
+                                                                   last):
+        # an unterminated string ends at the end of the file, not at a newline
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 100)
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(json.dumps(row(ts=t)) + "\n" for t in range(3)) + last)
+        want = assert_reads_like_oracle(path)
+        if last.endswith("}"):
+            assert len(want) == 4
+        else:
+            assert want.startswith("line 4: invalid JSON")
+
+    # a read ends inside the id's 2-, 3- or 4-byte character
+    @pytest.mark.parametrize("cut", [1, 6, 7, 9, 10, 11])
+    def test_multi_byte_utf8_id_reads_in_the_byte_guard(self, tmp_path, monkeypatch,
+                                                       per_line_chunks, blocks, cut):
+        line = json.dumps(row(uid="\u00fcser\u30e6\U0001f600"), ensure_ascii=False).encode()
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", line.index(b"\xc3") + cut)
+        path = tmp_path / "log.jsonl"
+        path.write_bytes((line + b"\n") * 3)
+        log = assert_reads_like_oracle(path)
+        assert log.users == ("\u00fcser\u30e6\U0001f600",)
+        assert per_line_chunks == [] and blocks["stripped"] == 0
 
 
 class TestFromRows:
@@ -287,6 +399,32 @@ class TestFromRows:
         ids = rng.permutation(np.arange(n) % users)
         self.assert_like_oracle(([f"u{i}" for i in ids.tolist()], [1] * n,
                                  rng.integers(-5, 5, n), np.arange(n) / n, [1] * n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_codes_constructor_on_shuffled_rows(self, data):
+        # code c is ids[c]; codes no row holds name no user
+        ids = data.draw(st.permutations(["a", "b", "b\0", "c", "u9999999", "u10000000"]))
+        keys = data.draw(st.lists(st.tuples(
+            st.integers(0, len(ids) - 1),
+            st.integers(-3, 3) | st.sampled_from([-2 ** 63, 2 ** 63 - 1])), max_size=40))
+        code, stamps = [c for c, _ in keys], [ts for _, ts in keys]
+        columns = ([len(ids[c]) for c in code], stamps, [i / 64 for i in range(len(keys))],
+                   [i % 2 for i in range(len(keys))])
+        assert_same_log(SendLog.from_codes(ids, code, *columns),
+                        from_rows_oracle([ids[c] for c in code], *columns))
+
+    def test_user_indices_as_codes_whose_ids_sort_out_of_code_order(self):
+        # as the simulator calls it: codes are user indices, and the columns
+        # are numpy arrays, outcomes a bool mask; u10000000 sorts before u9999999
+        ids = ["u9999999", "u10000000", "u0000005", "u0000006"]
+        code = np.array([0, 1, 2, 1, 0, 2, 0])
+        columns = (np.array([3, 1, 2, 1, 3, 2, 3]), np.array([5, 4, 4, 4, 4, 0, 4]),
+                   np.arange(7) / 8, np.array([1, 0, 0, 1, 1, 0, 1], dtype=bool))
+        log = SendLog.from_codes(ids, code, *columns)
+        assert log.users == ("u0000005", "u10000000", "u9999999")
+        assert log.timestamp.tolist() == [0, 4, 4, 4, 4, 4, 5]
+        assert_same_log(log, from_rows_oracle([ids[c] for c in code.tolist()], *columns))
 
 
 EDGE_FIELDS = [("uid", ""), ("uid", 7), ("utype", True), ("utype", 1.0), ("utype", 7),
@@ -333,7 +471,8 @@ ADVERSARIAL_LINE = st.one_of(
     # a user whose type changes, a non-object, a missing field
     st.sampled_from([json.dumps(row(uid="a", utype=4)), "[]", '"{}"', "{}"]),
     # bytes that are not UTF-8
-    st.sampled_from([b"\xff", b'{"user_id": "\xe2"}', b"\xc3"]),
+    st.sampled_from([b"\xff", b'{"user_id": "\xe2"}', b"\xc3",
+                     json.dumps(row(uid="u?")).encode().replace(b"?", b"\xed\xb3\xbf")]),
     # past the decoder's limits: an int of 5000 digits, a field nested 100k deep
     st.sampled_from(["9" * 5000, "[" * 100_000 + "]" * 100_000]).map(
         lambda value: json.dumps(row())[:-1] + ', "x": ' + value + "}"),
@@ -345,7 +484,7 @@ ADVERSARIAL_LINE = st.one_of(
 def test_read_log_matches_per_line_oracle(tmp_path_factory, data):
     """read_log and the per-line oracle give equal logs or equal errors on
     files that mix valid rows with lines each path could get wrong; the
-    chunk is a few lines, so every file spans several."""
+    block is a few bytes, so every file spans several."""
     lines = data.draw(st.lists(ROW_LINE, max_size=16))
     for line in data.draw(st.lists(ADVERSARIAL_LINE, max_size=3)):
         lines.insert(data.draw(st.integers(0, len(lines))), line)
@@ -359,7 +498,7 @@ def test_read_log_matches_per_line_oracle(tmp_path_factory, data):
     path.write_bytes(body)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "_CHUNK_LINES", data.draw(st.integers(1, 5)))
+        mp.setattr(ingest, "_BLOCK_BYTES", data.draw(st.integers(1, 64)))
         assert_reads_like_oracle(path)
 
 
@@ -367,7 +506,7 @@ def test_read_log_matches_per_line_oracle(tmp_path_factory, data):
 @given(st.data())
 def test_type_change_matches_per_line_oracle(tmp_path_factory, data):
     """A row of user `a` with type 4 after one with type 1 is the same error
-    from read_log and the oracle, whether the two rows share a chunk or not."""
+    from read_log and the oracle, whether the two rows share a block or not."""
     lines = data.draw(st.lists(ROW_LINE, max_size=16))
     lines.insert(data.draw(st.integers(0, len(lines))),
                  data.draw(ROW_LINE.filter(lambda line: json.loads(line)["user_id"] == "a")))
@@ -378,7 +517,7 @@ def test_type_change_matches_per_line_oracle(tmp_path_factory, data):
     path.write_text("".join(line + "\n" for line in lines))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "_CHUNK_LINES", data.draw(st.integers(1, 5)))
+        mp.setattr(ingest, "_BLOCK_BYTES", data.draw(st.integers(1, 64)))
         assert assert_reads_like_oracle(path) == (
             f"line {at + 1}: user 'a' changes type from 1 to 4")
 
