@@ -200,10 +200,11 @@ def read_log(path) -> SendLog:
 
     The file is read once in binary, _BLOCK_BYTES at a time, each block
     completed to the next LF so that no line or CRLF straddles two blocks.
-    A block that `_read_block` declines, such as one with a `{` inside a
-    user_id, goes through `_read_lines` from its own first line number.
-    Both give each new user id the next integer code and record its type
-    as the block completes, so a type change is an error on its own line.
+    `_read_block` sends a block that no array guard proves, such as one
+    with a `{` inside a user_id, or that fails a check, through
+    `_read_lines` from its own first line number. Both paths give each new
+    user id the next integer code and record its type as the block
+    completes, so a type change is an error on its own line.
     """
     codes = _Codes()
     type_of = array("q")  # each code's user type
@@ -231,7 +232,8 @@ def _read_block(block: bytes, lineno: int, codes: _Codes, type_of: array) -> tup
     """A block's columns, its first line being line lineno: one `json.loads`
     of the array text that `_array_text` proves from the bytes, or failing
     that `_stripped_array_text` from the lines, read by `_read_array`; else
-    `_read_lines`, which raises the block's first error."""
+    `_read_lines`, one line at a time, which raises the block's first
+    error."""
     lines = None
     found = _array_text(block)
     if found is None:
