@@ -6,16 +6,17 @@ sorted user-id order and kept in timestamp order within each user. This
 module owns the format both ways: `read_log` reads it and `SendLog.to_jsonl`
 writes a log back, which is how the simulator's sends are emitted.
 
-`read_log` reads the file once in binary, in blocks of about 512 KiB that
-end at a newline, and gives each user id an integer code, in first-seen
-order, as its row is read. It decodes a block with one `json.loads` as a
-JSON array when numpy proves over the block's bytes that each line is one
-`{...}` holding no other brace; a block with blank or padded lines gets the
-same proof from its lines stripped of JSON whitespace. The fields are
-checked a column at a time, and each row's user type against one type per
-code. A block that fails both proofs, or a check, goes through the
-per-line loop of `_parse_line`, which defines the accepted set and names
-the block's first bad line; the read then goes on with the next block.
+`read_log` reads the file once in binary, 512 KiB at a time, each read
+cut after its last LF or CR into a block of whole lines, and gives each
+user id an integer code, in first-seen order, as its row is read. It
+decodes a block with one `json.loads` as a JSON array when numpy proves
+over the block's bytes that each line is one `{...}` holding no other
+brace; a block with blank or padded lines gets the same proof from its
+lines stripped of JSON whitespace. The fields are checked a column at a
+time, and each row's user type against one type per code. A block that
+fails both proofs, or a check, goes through the per-line loop of
+`_parse_line`, which defines the accepted set and names the block's first
+bad line; the read then goes on with the next block.
 Every `SendLog` is grouped from codes by `SendLog.from_codes`.
 
 `build_dataset` splits each user's rows into halves, estimates a per-user
@@ -32,6 +33,7 @@ import io
 import json
 import re
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
@@ -41,10 +43,10 @@ import numpy as np
 from .core import DEFAULT_STREAK_BOUNDS, USER_TYPES, validate_streak_bounds
 
 DEFAULT_MIN_SAMPLES = 10
-# bytes per json.loads call in read_log, completed to the next newline:
-# the decoder shares key strings within one call, and one array of a whole
-# 16 MB log is slower than blocks of this size and holds the memory of
-# every decoded row at once
+# bytes per read in read_log, each cut after its last line end into the
+# block of one json.loads call: the decoder shares key strings within one
+# call, and one array of a whole 16 MB log is slower than blocks of this
+# size and holds the memory of every decoded row at once
 _BLOCK_BYTES = 512 * 1024
 _FIELDS = ("user_id", "user_type", "timestamp", "raw_score", "outcome")
 _TYPE_SET = frozenset(USER_TYPES)
@@ -198,13 +200,15 @@ def read_log(path) -> SendLog:
     appearing under two different types is an error, and so is a byte that
     is not UTF-8; every error names its line, and the earliest line's wins.
 
-    The file is read once in binary, _BLOCK_BYTES at a time, each block
-    completed to the next LF so that no line or CRLF straddles two blocks.
-    `_read_block` sends a block that no array guard proves, such as one
-    with a `{` inside a user_id, or that fails a check, through
-    `_read_lines` from its own first line number. Both paths give each new
-    user id the next integer code and record its type as the block
-    completes, so a type change is an error on its own line.
+    The file is read once in binary, _BLOCK_BYTES at a time, and `_blocks`
+    cuts each read after its last LF or CR, never inside a CRLF, carrying
+    the rest into the next, so that no line straddles two blocks and a
+    block's memory is bounded whatever ends its lines. `_read_block` sends
+    a block that no array guard proves, such as one with a `{` inside a
+    user_id, or that fails a check, through `_read_lines` from its own first
+    line number. Both paths give each new user id the next integer code and
+    record its type as the block completes, so a type change is an error on
+    its own line.
     """
     codes = _Codes()
     type_of = array("q")  # each code's user type
@@ -213,9 +217,7 @@ def read_log(path) -> SendLog:
     raw_score, outcome = array("d"), array("d")
     lineno = 1
     with open(path, "rb") as fh:
-        while block := fh.read(_BLOCK_BYTES):
-            if not block.endswith(b"\n"):
-                block += fh.readline()
+        for block in _blocks(fh):
             if b"\r" in block:
                 block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             code, types, stamps, scores, opens = _read_block(block, lineno, codes, type_of)
@@ -226,6 +228,38 @@ def read_log(path) -> SendLog:
             raw_score += scores
             outcome += opens
     return SendLog.from_codes(list(codes), user, user_type, timestamp, raw_score, outcome)
+
+
+def _blocks(fh) -> Iterator[bytes]:
+    """The bytes of a binary file as blocks of whole lines: the lines that
+    end within _BLOCK_BYTES of the start of the block's first line, or, where
+    none does, the reads up to the first read in which one does.
+
+    Each read is cut after its last LF or CR and the rest carried into the
+    next, but a CR that ends a read is carried too, as the next byte may be
+    the LF of its CRLF. The reads of a line longer than a block are joined
+    once. A read that reaches the end of the file, which a binary read
+    shorter than asked for does, is not cut: what is left is the last
+    block, ended by a line end or not.
+    """
+    rest, reads = b"", []
+    while True:
+        size = max(_BLOCK_BYTES - len(rest), 1)  # a carried CR fills a block of one byte
+        data = rest + fh.read(size)
+        if len(data) < len(rest) + size:
+            reads.append(data)
+            if last := b"".join(reads):
+                yield last
+            return
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        if cut:
+            reads.append(data[:cut])
+            yield b"".join(reads)
+            rest, reads = data[cut:], []
+        else:  # all one line, or a CR that ends the read
+            held = data.endswith(b"\r")
+            reads.append(data[:-1] if held else data)
+            rest = data[-1:] if held else b""
 
 
 def _read_block(block: bytes, lineno: int, codes: _Codes, type_of: array) -> tuple:

@@ -13,13 +13,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import notif_ltv
 from notif_ltv import (NEVER_SEND, BehaviorModel, CalibrationMap, PolicyTable, SolverConfig,
                        build_dataset, fit_behavior_model, ramp_factor_table, read_log,
                        solve_policy)
-from notif_ltv.cli import _dumps, main
+from notif_ltv.cli import _RUNS_FROM, _dumps, main
 from conftest import make_model
 
 # an integer that no float can hold
@@ -31,8 +31,21 @@ _TEXT = st.one_of(st.text(max_size=8),
 _SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.floats(),
                     st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]),
                     _TEXT)
+# a float list long enough to be written a run at a time: runs of values
+# whose text is special or 17 digits long, signed zeros often neighbours,
+# the list repeated to that length
+_RUN_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.17244224422442245]),
+    st.floats(0, 1))
+_FLOAT_RUNS = st.lists(st.tuples(_RUN_VALUE, st.integers(1, 40)), min_size=1, max_size=8).map(
+    lambda runs: [v for v, n in runs for _ in range(n)]).map(
+    lambda values: values * -(-_RUNS_FROM // len(values)))
+# ints, bools or None among those floats keep the list on the one-call path
+_MIXED_RUNS = st.tuples(_FLOAT_RUNS, st.sampled_from([0, 1, -1, True, None]), st.integers()).map(
+    lambda t: t[0][:t[2] % len(t[0])] + [t[1]] + t[0][t[2] % len(t[0]):])
 # tuples and int-keyed dicts take the writer's delegated path
-_DOCUMENTS = st.recursive(_SCALAR, lambda inner: st.one_of(
+_DOCUMENTS = st.recursive(st.one_of(_SCALAR, _FLOAT_RUNS, _MIXED_RUNS), lambda inner: st.one_of(
     st.lists(inner, max_size=6), st.lists(inner, max_size=4).map(tuple),
     st.dictionaries(_TEXT, inner, max_size=6), st.dictionaries(st.integers(), inner, max_size=4)),
     max_leaves=40)
@@ -40,6 +53,10 @@ _DOCUMENTS = st.recursive(_SCALAR, lambda inner: st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(_DOCUMENTS)
+# -0.0 and 0.0 are equal values, but two runs with two texts
+@example({"values": [0.0] * _RUNS_FROM + [-0.0] * 3 + [0.0]})
+@example([-0.0, 0.0] * _RUNS_FROM)
+@example({"a": [1e16] * _RUNS_FROM + [1] + [5e-324] * 2})
 def test_json_writer_gives_the_stdlib_indented_text(doc):
     assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 

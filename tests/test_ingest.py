@@ -47,12 +47,12 @@ def assert_reads_like_oracle(path):
 
 
 def block_lines(monkeypatch, lines, k):
-    """Set _BLOCK_BYTES so that a block of these lines, each ended by one
-    newline byte, holds k of them: a read of that many bytes from the start
-    of a line ends inside its kth line, which the block is completed to."""
+    """Set _BLOCK_BYTES so that a block of these lines, in this order and
+    each ended by one newline byte, holds k of them: a read of that many
+    bytes from the start of any line holds k whole lines and not k + 1."""
     sizes = [len(line if isinstance(line, bytes) else line.encode()) + 1 for line in lines]
-    size = (k - 1) * max(sizes) + 1
-    assert size <= k * min(sizes)
+    size = max(sum(sizes[i:i + k]) for i in range(len(sizes)))
+    assert size < min((sum(sizes[i:i + k + 1]) for i in range(len(sizes) - k)), default=size + 1)
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", size)
 
 
@@ -272,7 +272,7 @@ class TestChunkedRead:
         skip = 0 if first_chunk else 4
         lines = [json.dumps(row(ts=t)).encode() for t in range(skip)]
         bad = json.dumps(row(uid="u?", ts=10)).encode().replace(b"?", b"\xff")
-        block_lines(monkeypatch, lines + [bad, bad], 2)
+        block_lines(monkeypatch, lines + [b"", bad], 2)
         path = tmp_path / "log.jsonl"
         path.write_bytes(b"".join(line + b"\n" for line in lines) + b"\n" + bad)
         with pytest.raises(LogParseError,
@@ -302,13 +302,13 @@ class TestChunkedRead:
     def test_line_straddling_two_blocks_is_completed_by_its_block(self, tmp_path, monkeypatch,
                                                                   per_line_chunks, blocks):
         lines = [json.dumps(row(uid=f"u{t % 2}", ts=t)).encode() + b"\n" for t in range(5)]
-        # a read ends 5 bytes into the second line and the fourth
+        # each read ends 5 bytes into the next line, which the next block starts with
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", len(lines[0]) + 5)
         path = tmp_path / "log.jsonl"
         path.write_bytes(b"".join(lines))
         assert_same_log(read_log(path), read_log_oracle(path))
-        assert blocks == {"blocks": [(1, lines[0] + lines[1]), (3, lines[2] + lines[3]),
-                                     (5, lines[4])], "stripped": 0}
+        assert blocks == {"blocks": [(1 + t, line) for t, line in enumerate(lines)],
+                          "stripped": 0}
         assert per_line_chunks == []
 
     @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
@@ -320,25 +320,37 @@ class TestChunkedRead:
         path = tmp_path / "log.jsonl"
         path.write_bytes(b"".join(line + end for line in lines))
         assert_same_log(read_log(path), read_log_oracle(path))
-        # a CRLF's LF completes each block; with no LF the first read's line
-        # runs to the end of the file
-        parts = [[line] for line in lines] if end == b"\r\n" else [lines]
-        assert blocks == {"blocks": [(1 + sum(map(len, parts[:i])),
-                                      b"".join(line + b"\n" for line in part))
-                                     for i, part in enumerate(parts)], "stripped": 0}
+        # the CR that ends each read is carried into the next, whose first
+        # byte shows a CRLF or a lone CR, so each block is one line
+        assert blocks == {"blocks": [(1 + t, line + b"\n") for t, line in enumerate(lines)],
+                          "stripped": 0}
         assert per_line_chunks == []
         # and every line keeps its number
         path.write_bytes(b"".join(line + end for line in lines[:3]) + b"{}" + end)
         with pytest.raises(LogParseError, match=r"^line 4: missing field 'user_id'$"):
             read_log(path)
 
+    def test_lone_cr_log_is_read_in_blocks_of_whole_lines(self, tmp_path, monkeypatch,
+                                                          per_line_chunks, blocks):
+        # a log with no LF is cut at its CRs, each read ending a byte into its third line
+        lines = [json.dumps(row(uid=f"u{t % 3}", utype=t % 3 + 1, ts=t)).encode()
+                 for t in range(9)]
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 2 * (len(lines[0]) + 1) + 1)
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"".join(line + b"\r" for line in lines))
+        assert_same_log(read_log(path), read_log_oracle(path))
+        assert blocks == {"blocks": [(1 + t, b"".join(line + b"\n" for line in lines[t:t + 2]))
+                                     for t in range(0, 9, 2)], "stripped": 0}
+        assert per_line_chunks == []
+
     def test_crlf_whose_cr_ends_a_block_is_one_line_end(self, tmp_path, monkeypatch,
                                                         per_line_chunks):
         lines = [json.dumps(row(ts=t)).encode() for t in range(4)]
-        monkeypatch.setattr(ingest, "_BLOCK_BYTES", len(lines[0]) + 1)
+        # reads end at the CRs of lines 3 and 5, so blocks hold lines 1-2, 3-4
+        # and 5, and the CR of line 3 is carried to the block it ends
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 2 * len(lines[0]) + 7)
         path = tmp_path / "log.jsonl"
         path.write_bytes(b"\r\n".join(lines[:2] + [b"[]"] + lines[2:]) + b"\r\n")
-        # blocks of lines 1, 2 and 3-4, the first two ended by a CR and then an LF
         with pytest.raises(LogParseError, match=r"^line 3: expected a JSON object$"):
             read_log(path)
         assert per_line_chunks == [(3, 2)]
