@@ -246,16 +246,18 @@ def _blocks(fh) -> Iterator[bytes]:
     while True:
         size = max(_BLOCK_BYTES - len(rest), 1)  # a carried CR fills a block of one byte
         data = rest + fh.read(size)
-        if len(data) < len(rest) + size:
-            reads.append(data)
-            if last := b"".join(reads):
+        if len(data) < len(rest) + size:  # the end of the file
+            if last := b"".join(reads + [data]):
                 yield last
             return
+        # after the last LF or CR, not counting a CR that ends the read
         cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
         if cut:
             reads.append(data[:cut])
+            rest = data[cut:]
+            del data  # not held while the block is read
             yield b"".join(reads)
-            rest, reads = data[cut:], []
+            reads = []
         else:  # all one line, or a CR that ends the read
             held = data.endswith(b"\r")
             reads.append(data[:-1] if held else data)
