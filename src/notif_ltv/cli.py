@@ -55,11 +55,12 @@ def _atomic_write(path, text: str) -> None:
 
 # the types whose JSON text the C encoder writes without ", " in it
 _SCALARS = frozenset({float, int, bool, type(None)})
-# the shortest float list written a run at a time, its measured break-even:
-# finding the runs costs about 5 us plus 0.035 us a value, against 0.6 us
-# to encode a value, so a list whose every value appears twice is slower at
-# 64 floats (+7%) and 80 (+2%) and faster from 96 (-3%), where a list with
-# no runs pays +12%; policy and model rows, 31 floats, stay below it
+# the shortest float list written a run at a time, its break-even measured
+# on a 2-vCPU Xeon with Python 3.11: finding the runs costs about 5 us plus
+# 0.035 us a value, against 0.6 us to encode a value, so a list whose every
+# value appears twice is slower at 64 floats (+7%) and 80 (+2%) and faster
+# from 96 (-3%), where a list with no runs pays +12%; policy and model
+# rows, 31 floats, stay below it
 _RUNS_FROM = 96
 
 
@@ -93,8 +94,9 @@ def _float_items(values: list[float], sep: str) -> str:
     A run is a stretch of neighbours with equal bits, as `CalibrationMap`
     finds its runs, so -0.0 and 0.0, or NaNs of two payloads, are two runs.
     Only each run's first value is encoded, in one call, and its text is
-    repeated once per value; a list with no runs is one call as it stands.
-    A calibration map's values are few runs of thousands of values each.
+    repeated once per value; a list in which no two neighbours are equal is
+    encoded whole, as `_dumps` encodes a shorter list. A calibration map's
+    values are few runs of thousands of values each.
     """
     bits = np.frombuffer(array("d", values), np.int64)
     first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
