@@ -10,13 +10,12 @@ writes a log back, which is how the simulator's sends are emitted.
 cut after its last LF or CR into a block of whole lines, and gives each
 user id an integer code, in first-seen order, as its row is read. It
 decodes a block with one `json.loads` as a JSON array when numpy proves
-over the block's bytes that each line is one `{...}` holding no other
-brace; a block with blank or padded lines gets the same proof from its
-lines stripped of JSON whitespace. The fields are checked a column at a
-time, and each row's user type against one type per code. A block that
-fails both proofs, or a check, goes through the per-line loop of
-`_parse_line`, which defines the accepted set and names the block's first
-bad line; the read then goes on with the next block.
+over the block's bytes that each non-blank line is one `{...}` holding no
+other brace, padded only by JSON whitespace, whatever ends the lines. The
+fields are checked a column at a time, and each row's user type against
+one type per code. A block that fails the proof, or a check, goes through
+the per-line loop of `_parse_line`, which defines the accepted set and
+names the block's first bad line; the read then goes on with the next block.
 Every `SendLog` is grouped from codes by `SendLog.from_codes`.
 
 `build_dataset` splits each user's rows into halves, estimates a per-user
@@ -35,7 +34,6 @@ import re
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -54,7 +52,9 @@ _TYPE_SET = frozenset(USER_TYPES)
 # that is not UTF-8 into one of these lone surrogates (strict UTF-8 decoding
 # gives none), so a search finds the bad byte without failing the read
 _RAW_BYTE = re.compile("[\udc80-\udcff]")
-_LF, _OPEN, _CLOSE = b"\n{}"
+_LF, _CR, _OPEN, _CLOSE, _COMMA = b"\n\r{},"
+_WHITESPACE = np.frombuffer(b" \t\n\r", np.uint8)  # JSON's (RFC 8259, section 2)
+_STRUCTURE = np.isin(np.arange(256), np.frombuffer(b"\n\r{}", np.uint8))  # by byte value
 
 
 class _Codes(dict):
@@ -204,11 +204,11 @@ def read_log(path) -> SendLog:
     cuts each read after its last LF or CR, never inside a CRLF, carrying
     the rest into the next, so that no line straddles two blocks and a
     block's memory is bounded whatever ends its lines. `_read_block` sends
-    a block that no array guard proves, such as one with a `{` inside a
-    user_id, or that fails a check, through `_read_lines` from its own first
-    line number. Both paths give each new user id the next integer code and
-    record its type as the block completes, so a type change is an error on
-    its own line.
+    a block that the byte proof of `_array_text` fails, such as one with a
+    `{` inside a user_id, or that fails a check, through `_read_lines` from
+    its own first line number, and counts the block's line ends. Both paths
+    give each new user id the next integer code and record its type as the
+    block completes, so a type change is an error on its own line.
     """
     codes = _Codes()
     type_of = array("q")  # each code's user type
@@ -218,10 +218,8 @@ def read_log(path) -> SendLog:
     lineno = 1
     with open(path, "rb") as fh:
         for block in _blocks(fh):
-            if b"\r" in block:
-                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            code, types, stamps, scores, opens = _read_block(block, lineno, codes, type_of)
-            lineno += np.count_nonzero(np.frombuffer(block, np.uint8) == _LF)
+            code, types, stamps, scores, opens, ends = _read_block(block, lineno, codes, type_of)
+            lineno += ends
             user += code
             user_type += types
             timestamp += stamps
@@ -265,81 +263,80 @@ def _blocks(fh) -> Iterator[bytes]:
 
 
 def _read_block(block: bytes, lineno: int, codes: _Codes, type_of: array) -> tuple:
-    """A block's columns, its first line being line lineno: one `json.loads`
-    of the array text that `_array_text` proves from the bytes, or failing
-    that `_stripped_array_text` from the lines, read by `_read_array`; else
-    `_read_lines`, one line at a time, which raises the block's first
-    error."""
-    lines = None
+    """A block's columns, its first line being line lineno, and its count of
+    line ends: one `json.loads` of the array text that `_array_text` proves
+    from the bytes, read by `_read_array`; else `_read_lines`, one line at a
+    time, which raises the block's first error."""
     found = _array_text(block)
-    if found is None:
-        lines = _lines(block)
-        found = _stripped_array_text(lines)
-    columns = found and _read_array(*found, codes, type_of)
-    return columns or _read_lines(lines or _lines(block), lineno, codes, type_of)
+    columns = found and _read_array(*found[:2], codes, type_of)
+    if columns:
+        return *columns, found[2]
+    lines = _lines(block)  # each ends in a line end, save perhaps the file's last
+    return *_read_lines(lines, lineno, codes, type_of), len(lines)
 
 
 def _lines(block: bytes) -> list[str]:
-    """A block's lines as a text-mode read gives them: split after each LF
-    only, each byte that is not UTF-8 decoded to a lone surrogate."""
-    return list(io.StringIO(block.decode("utf-8", "surrogateescape"), newline="\n"))
+    """A block's lines as a text-mode read gives them: split after each LF,
+    CRLF and lone CR, each line end read as LF, each byte that is not UTF-8
+    decoded to a lone surrogate."""
+    return list(io.StringIO(block.decode("utf-8", "surrogateescape"), newline=None))
 
 
-def _array_text(block: bytes) -> tuple[str, int] | None:
-    """The text of a block's lines as one JSON array, and their count, where
-    its bytes prove each line one `{...}` with no other brace; None where
-    they do not, or where a byte is not UTF-8.
+def _array_text(block: bytes) -> tuple[str, int, int] | None:
+    """The text of a block's n non-blank lines as one JSON array, n, and
+    the block's count of line ends, a CRLF counted once, where its bytes
+    prove each non-blank line one `{...}` holding no other brace, padded
+    only by JSON whitespace; None where they do not, or where a byte is not
+    UTF-8.
 
-    Over the body, the block less its last LF, numpy checks that the first
-    byte is `{`, the last `}`, and each LF follows a `}` and precedes a
-    `{`; then each of the n lines starts with `{` and ends with `}`, and n
-    of each brace in the body mean no other. This is `_stripped_array_text`'s
-    proof, made without a str per line; the lines are then joined with ",".
+    LF and CR end lines and space and tab pad them: all of JSON's
+    whitespace. Among the block's braces and line ends, in order, each `{`
+    must come just before a `}`, and each pair between line ends or the
+    block's ends, so that each pair is one line's; every byte outside the
+    pairs must be a line end or padding. A copy of the block with `,` over
+    the byte after each `}` but the last is then, in `[...]`, the lines'
+    array: the ends and padding left are whitespace between its elements,
+    and no byte inside a string changes.
     """
-    body = block[:-1] if block.endswith(b"\n") else block
-    byte = np.frombuffer(body, np.uint8)
-    ends = np.flatnonzero(byte == _LF)
-    n = len(ends) + 1
-    if not (body.startswith(b"{") and body.endswith(b"}") and (byte[ends - 1] == _CLOSE).all()
-            and (byte[ends + 1] == _OPEN).all()
-            and np.count_nonzero(byte == _OPEN) == n and np.count_nonzero(byte == _CLOSE) == n):
+    byte = np.frombuffer(block, np.uint8)
+    at = np.flatnonzero((byte <= _CR) | (byte >= _OPEN))  # LF, CR and braces among a few others
+    kind = byte[at]
+    keep = _STRUCTURE[kind]
+    if not keep.all():
+        at, kind = at[keep], kind[keep]
+    opens, closes = kind == _OPEN, kind == _CLOSE
+    # a } just after each { and nowhere else, and no { just after a }
+    if len(kind) and (closes[0] or opens[-1]) or not (closes[1:] == opens[:-1]).all() \
+            or (closes[:-1] & opens[1:]).any():
         return None
+    first = np.flatnonzero(opens)
+    n, opens, closes = len(first), at[first], at[first + 1]
+    ends = len(kind) - 2 * n  # line-end bytes, a CRLF's two
+    if len(block) - n - int(closes.sum() - opens.sum()) > ends:  # padding outside the pairs
+        start = np.concatenate(([0], closes + 1))
+        size = np.concatenate((opens, [len(block)])) - start
+        offset = np.repeat(start - (np.cumsum(size) - size), size)
+        if not np.isin(byte[offset + np.arange(size.sum())], _WHITESPACE).all():
+            return None
+    text = bytearray().join((b"[", block, b"]"))
+    np.frombuffer(text, np.uint8)[closes[:-1] + 2] = _COMMA
     try:
-        text = body.decode()  # strict UTF-8; ASCII is its fast case
+        text = text.decode()  # strict UTF-8; ASCII is its fast case
     except UnicodeDecodeError:
         return None
-    # join, not +: a second 512 KiB temporary costs more than the copy
-    return "".join(("[", text.replace("\n", ","), "]")), n
-
-
-def _stripped_array_text(lines: list[str]) -> tuple[str, int] | None:
-    r"""The text of the non-blank lines, stripped of JSON whitespace, as one
-    JSON array, and their count, where three whole-text counts prove each
-    line one `{...}` with no other brace; None otherwise.
-
-    The stripped lines are joined with "\n,". A stripped line holds no
-    newline, so for n lines, n - 1 `}\n,{` in a text from `[{` to `}]` mean
-    each line starts with `{` and ends with `}`; n of each brace then mean
-    one of each a line.
-    """
-    lines = list(filter(None, map(str.strip, lines, repeat(" \t\r\n"))))
-    n, text = len(lines), "[" + "\n,".join(lines) + "]"
-    del lines  # a second copy of the block's text through the decode raises peak RSS
-    if not (text.startswith("[{") and text.endswith("}]")) \
-            or text.count("}\n,{") != n - 1 or text.count("{") != n or text.count("}") != n:
-        return None
-    if not text.isascii() and _RAW_BYTE.search(text):
-        return None
-    return text, n
+    cr = kind[:-1] == _CR
+    if cr.any():
+        ends -= np.count_nonzero(cr & (kind[1:] == _LF) & (np.diff(at) == 1))
+    return text, n, ends
 
 
 def _read_array(text: str, n: int, codes: _Codes, type_of: array) -> tuple | None:
-    """The columns of n lines proved to be the n elements of the array
-    text, or None where `_read_lines` must decide.
+    """The columns of n non-blank lines proved to be the n elements of the
+    array text, or None where `_read_lines` must decide.
 
     With n objects in the array and n of each brace in the text, no brace
-    is inside a string, so object k is line k alone and equals `json.loads`
-    of it. The fields are checked a column at a time with `_parse_line`'s
+    is inside a string, so object k is the k-th non-blank line alone and
+    equals `json.loads` of it. The fields are checked a column at a time with `_parse_line`'s
     rules. Only then are the ids coded, each new code taking the type of
     its first row, and every row's type compared with its code's: a
     mismatch is a type change, which `_read_lines` names.
@@ -348,15 +345,15 @@ def _read_array(text: str, n: int, codes: _Codes, type_of: array) -> tuple | Non
         objs = json.loads(text)
     except (ValueError, RecursionError):  # bad JSON, an int too long, nesting too deep
         return None
-    if len(objs) != n or set(map(type, objs)) != {dict}:
+    if len(objs) != n or not set(map(type, objs)) <= {dict}:
         return None
     try:
         ids, types, stamps, scores, opens = (list(map(itemgetter(k), objs)) for k in _FIELDS)
     except KeyError:
         return None
-    if set(map(type, ids)) != {str} or not all(ids) \
-            or set(map(type, types)) != {int} or not set(types) <= _TYPE_SET \
-            or set(map(type, stamps)) != {int} \
+    if not set(map(type, ids)) <= {str} or not all(ids) \
+            or not set(map(type, types)) <= {int} or not set(types) <= _TYPE_SET \
+            or not set(map(type, stamps)) <= {int} \
             or not set(map(type, scores)) <= {float, int} \
             or not set(map(type, opens)) <= {float, int} or not set(opens) <= {0, 1}:
         return None

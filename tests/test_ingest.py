@@ -210,20 +210,18 @@ class TestChunkedRead:
 
     @pytest.fixture
     def blocks(self, monkeypatch):
-        """Lists the (first line number, bytes) of each block read, after the
-        rewrite of line ends, and how many took the stripped guard."""
-        seen, stripped = {"blocks": [], "stripped": 0}, ingest._stripped_array_text
-        read_block = ingest._read_block
+        """Lists the (first line number, bytes) of each block, as read, that
+        the byte proof proves, numbering lines by the proof's own counts of
+        line ends: the numbers hold while every block is proved."""
+        seen, prove, lineno = [], ingest._array_text, [1]
 
-        def block_spy(block, lineno, codes, type_of):
-            seen["blocks"].append((lineno, block))
-            return read_block(block, lineno, codes, type_of)
-
-        def stripped_spy(lines):
-            seen["stripped"] += 1
-            return stripped(lines)
-        monkeypatch.setattr(ingest, "_read_block", block_spy)
-        monkeypatch.setattr(ingest, "_stripped_array_text", stripped_spy)
+        def spy(block):
+            found = prove(block)
+            if found:
+                seen.append((lineno[0], block))
+                lineno[0] += found[2]
+            return found
+        monkeypatch.setattr(ingest, "_array_text", spy)
         return seen
 
     def test_valid_log_over_several_chunks_skips_the_per_line_loop(self, tmp_path, monkeypatch,
@@ -234,7 +232,7 @@ class TestChunkedRead:
             (json.dumps(row(uid=f"u{t % 3}", utype=t % 3 + 1, ts=-t, outcome=t % 2))
              + ("\r\n\n" if t % 4 else " \r")).encode() for t in range(13)))
         log = read_log(path)
-        assert len(log) == 13 and per_line_chunks == [] and len(blocks["blocks"]) > 4
+        assert len(log) == 13 and per_line_chunks == [] and len(blocks) > 4
         assert_same_log(log, read_log_oracle(path))
 
     @pytest.mark.parametrize("chunk", [1, 2, 4])
@@ -307,8 +305,7 @@ class TestChunkedRead:
         path = tmp_path / "log.jsonl"
         path.write_bytes(b"".join(lines))
         assert_same_log(read_log(path), read_log_oracle(path))
-        assert blocks == {"blocks": [(1 + t, line) for t, line in enumerate(lines)],
-                          "stripped": 0}
+        assert blocks == [(1 + t, line) for t, line in enumerate(lines)]
         assert per_line_chunks == []
 
     @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
@@ -322,8 +319,7 @@ class TestChunkedRead:
         assert_same_log(read_log(path), read_log_oracle(path))
         # the CR that ends each read is carried into the next, whose first
         # byte shows a CRLF or a lone CR, so each block is one line
-        assert blocks == {"blocks": [(1 + t, line + b"\n") for t, line in enumerate(lines)],
-                          "stripped": 0}
+        assert blocks == [(1 + t, line + end) for t, line in enumerate(lines)]
         assert per_line_chunks == []
         # and every line keeps its number
         path.write_bytes(b"".join(line + end for line in lines[:3]) + b"{}" + end)
@@ -339,8 +335,8 @@ class TestChunkedRead:
         path = tmp_path / "log.jsonl"
         path.write_bytes(b"".join(line + b"\r" for line in lines))
         assert_same_log(read_log(path), read_log_oracle(path))
-        assert blocks == {"blocks": [(1 + t, b"".join(line + b"\n" for line in lines[t:t + 2]))
-                                     for t in range(0, 9, 2)], "stripped": 0}
+        assert blocks == [(1 + t, b"".join(line + b"\r" for line in lines[t:t + 2]))
+                          for t in range(0, 9, 2)]
         assert per_line_chunks == []
 
     def test_crlf_whose_cr_ends_a_block_is_one_line_end(self, tmp_path, monkeypatch,
@@ -378,7 +374,51 @@ class TestChunkedRead:
         path.write_bytes((line + b"\n") * 3)
         log = assert_reads_like_oracle(path)
         assert log.users == ("\u00fcser\u30e6\U0001f600",)
-        assert per_line_chunks == [] and blocks["stripped"] == 0
+        assert per_line_chunks == []
+        assert b"".join(block for _, block in blocks) == path.read_bytes()
+
+    @pytest.mark.parametrize("size", [None, 256])
+    @pytest.mark.parametrize("lines, end", [
+        ([pad + json.dumps(row(uid=f"u{t % 3}", ts=t)) + pad[::-1]
+          for t, pad in enumerate([" ", "\t", " \t", "\t\t "] * 3)], "\n"),
+        (["", " \t"] + [json.dumps(row(ts=t)) for t in range(4)] + ["", " \t", ""]
+         + [json.dumps(row(ts=t)) for t in range(4, 8)] + [" \t", ""], "\n"),
+        ([json.dumps(row(uid=f"u{t % 2}", ts=t)) for t in range(10)], " \r\n"),
+        ([json.dumps(row(ts=t)) for t in range(3)]
+         + [" \t" * 300 + json.dumps(row(ts=3)) + "\t " * 300]
+         + [json.dumps(row(ts=t)) for t in range(4, 7)], "\n"),
+    ], ids=["padded", "blank", "space-crlf", "padding-past-a-block"])
+    def test_padded_and_blank_lines_take_the_byte_proof(self, tmp_path, monkeypatch,
+                                                        per_line_chunks, blocks, lines, end,
+                                                        size):
+        # the whole file as one block, or blocks of a few lines
+        if size:
+            monkeypatch.setattr(ingest, "_BLOCK_BYTES", size)
+        data = "".join(line + end for line in lines).encode()
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(data)
+        log = assert_reads_like_oracle(path)
+        assert len(log) == sum(map(bool, map(str.strip, lines)))
+        assert per_line_chunks == [] and b"".join(block for _, block in blocks) == data
+        if size is None:
+            assert blocks == [(1, data)]
+        else:
+            assert max(block.count(end.encode()) for _, block in blocks) > 1
+
+    @pytest.mark.parametrize("pad", ["\x0c", "\u00a0"])
+    @pytest.mark.parametrize("alone", [True, False])
+    def test_padding_that_is_not_json_whitespace_takes_the_per_line_loop_of_its_block(
+            self, tmp_path, monkeypatch, per_line_chunks, pad, alone):
+        # str.strip takes these for whitespace and JSON does not: alone on its
+        # line the pad is a blank line, around an object it is invalid JSON
+        lines = [json.dumps(row(uid=f"u{t % 3}", utype=t % 3 + 1, ts=t)) for t in range(9)]
+        lines[4] = pad if alone else pad + lines[4] + pad
+        block_lines(monkeypatch, lines, 3)
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        want = assert_reads_like_oracle(path)
+        assert (len(want) == 8) if alone else want.startswith("line 5: invalid JSON")
+        assert per_line_chunks == [(4, 3)]
 
 
 class TestFromRows:
@@ -496,7 +536,7 @@ ADVERSARIAL_LINE = st.one_of(
 def test_read_log_matches_per_line_oracle(tmp_path_factory, data):
     """read_log and the per-line oracle give equal logs or equal errors on
     files that mix valid rows with lines each path could get wrong; the
-    block is a few bytes, so every file spans several."""
+    block is at most a few rows, so every file of more spans several."""
     lines = data.draw(st.lists(ROW_LINE, max_size=16))
     for line in data.draw(st.lists(ADVERSARIAL_LINE, max_size=3)):
         lines.insert(data.draw(st.integers(0, len(lines))), line)
@@ -510,7 +550,7 @@ def test_read_log_matches_per_line_oracle(tmp_path_factory, data):
     path.write_bytes(body)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "_BLOCK_BYTES", data.draw(st.integers(1, 64)))
+        mp.setattr(ingest, "_BLOCK_BYTES", data.draw(st.integers(1, 512)))
         assert_reads_like_oracle(path)
 
 
@@ -529,7 +569,7 @@ def test_type_change_matches_per_line_oracle(tmp_path_factory, data):
     path.write_text("".join(line + "\n" for line in lines))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "_BLOCK_BYTES", data.draw(st.integers(1, 64)))
+        mp.setattr(ingest, "_BLOCK_BYTES", data.draw(st.integers(1, 512)))
         assert assert_reads_like_oracle(path) == (
             f"line {at + 1}: user 'a' changes type from 1 to 4")
 
