@@ -64,6 +64,10 @@ _SCALARS = frozenset({float, int, bool, type(None)})
 _RUNS_FROM = 96
 
 
+class _Items(list):
+    """A non-empty list held as the JSON texts of its items."""
+
+
 def _dumps(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True), with `indent` the newline
     and spaces that start each line at `value`'s depth.
@@ -72,11 +76,14 @@ def _dumps(value, indent: str = "\n") -> str:
     call per item; here a non-empty list of scalars is one C-encoder call,
     whose ", " separators become the indented line breaks, except that a list
     of at least _RUNS_FROM floats and nothing else is written by `_float_items`
-    a run of equal values at a time. A non-empty dict with str keys recurses;
-    anything else is the stdlib's own text, whose every newline (encoded JSON
-    holds no raw one) takes `indent` instead.
+    a run of equal values at a time; an `_Items` list's texts are joined by
+    the same breaks. A non-empty dict with str keys recurses; anything else
+    is the stdlib's own text, whose every newline (encoded JSON holds no raw
+    one) takes `indent` instead.
     """
     inner = indent + "  "
+    if type(value) is _Items:
+        return "[" + inner + ("," + inner).join(value) + indent + "]"
     if isinstance(value, list) and value and (kinds := set(map(type, value))) <= _SCALARS:
         sep = "," + inner
         items = (_float_items(value, sep) if len(value) >= _RUNS_FROM and kinds == {float}
@@ -191,6 +198,18 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _policy_texts(table: PolicyTable) -> tuple[dict, str]:
+    """The table's JSON document, rows as `_Items`, and CSV text, from one
+    rendering of each row, json.dumps(row)[1:-1].split(", "): a CSV cell is
+    its JSON item, a float's repr, or never_send for null; none needs quotes."""
+    doc = table.to_dict()
+    rows = doc["thresholds"] = {c: _Items(json.dumps(row)[1:-1].split(", "))
+                                for c, row in doc["thresholds"].items()}
+    return doc, "user_type,streak,threshold\n" + "".join(
+        [f"{c},{s},{'never_send' if t == 'null' else t}\n"
+         for c, row in rows.items() for s, t in enumerate(row, table.bounds[0])])
+
+
 def cmd_solve(args) -> int:
     # the table's CSV goes beside --out with a .csv extension, so a .csv
     # --out would be overwritten by it (on a case-insensitive disk too)
@@ -208,11 +227,11 @@ def cmd_solve(args) -> int:
     table = solve_policy(model, config)
 
     resolved = {"model": args.model, "gamma": config.gamma, "horizon": config.horizon}
-    payload = table.to_dict()
+    payload, csv_text = _policy_texts(table)
     payload["provenance"] = _provenance("solve", resolved, args.model)
     _write_json(args.out, payload)
     csv_path = stem + ".csv"
-    _atomic_write(csv_path, table.to_csv_text())
+    _atomic_write(csv_path, csv_text)
 
     thresholds = table.thresholds
     finite = np.isfinite(thresholds)

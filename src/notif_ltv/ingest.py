@@ -119,13 +119,6 @@ class SendLog:
                    raw_score=np.asarray(raw_score, dtype=float)[order],
                    outcome=np.asarray(outcome, dtype=np.int64)[order])
 
-    @classmethod
-    def from_rows(cls, user_id, user_type, timestamp, raw_score, outcome) -> "SendLog":
-        """`from_codes` of columns whose users are given by their id strings."""
-        codes = _Codes()
-        user = np.fromiter(map(codes.__getitem__, user_id), np.int64, len(user_id))
-        return cls.from_codes(list(codes), user, user_type, timestamp, raw_score, outcome)
-
     def to_jsonl(self) -> str:
         """The log in `read_log`'s format, one JSON object per row in row
         order, keys sorted."""

@@ -15,15 +15,13 @@ min(f*p, 1) can clip, neither of which is linear in p. On the true-factor
 config of acceptance check c7, value iteration over 32 per-type quantile
 atoms of the calibrated score moved the predicted discounted opens per user
 from 1.126 to 1.150.
-Each step is one flat kernel of six array calls over the raveled grid: a
-single gather reads the up and down columns of the discounted values,
-preallocated buffers take every intermediate, and np.maximum keeps the
-larger of send and skip. On a grid of a few hundred cells numpy's per-call
-overhead, not arithmetic, sets a step's cost, so the calls are the cheapest
-numpy offers: the gather does not buffer its output (its index is checked
-once, before the loop) and no call converts a Python float. The fixed-point
-test runs every few steps rather than every step, which is exact because a
-step at the fixed point returns its input bit for bit.
+Each step is one flat kernel of six array calls over the raveled grid (a
+gather of the up and down columns, preallocated buffers, np.maximum of send
+and skip) at numpy's per-call floor, which sets a step's cost on a grid of a
+few hundred cells: the gather does not buffer its output, no call converts a
+Python float, and all but np.maximum, whose positional output numpy 2.4
+deprecates, take their output positionally. The fixed-point test runs every
+few steps, exact as a step at the fixed point returns its input's bits.
 
 The policy itself is a table of score thresholds: for each (type, streak)
 cell, the smallest calibrated score at which sending is worth at least as
@@ -92,8 +90,10 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
     hide a bad index, so the index is checked once before the loop and an
     index outside the flat grid raises IndexError there, even for zero
     steps. gamma and the 1.0 of 1 + gamma V_up are arrays of the grid's
-    length, because a Python float operand costs a scalar conversion on
-    every ufunc call; the products and sums are the same, bit for bit.
+    length, as a Python float operand costs a scalar conversion on every
+    call, and outputs are positional, sparing keyword parsing (np.maximum
+    keeps out=: numpy 2.4 deprecates a third positional argument to it);
+    the products and sums are the same, bit for bit.
 
     No NaN and no -0.0 reaches np.maximum, which leaves open which operand
     it returns on a tie: factors are finite and > 0, mean open rates lie in
@@ -121,7 +121,6 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
     if outside.any():
         raise IndexError(f"index {index[outside][0]} is out of bounds for axis 0 with size {n}")
     weights = np.concatenate([p_open, 1.0 - p_open])
-    # array operands: a Python float costs a scalar conversion on every call
     gamma, one = np.full(n, config.gamma), np.ones(n)
     values = np.zeros(n)
     skip = np.empty(n)
@@ -129,11 +128,11 @@ def state_values(model: BehaviorModel, config: SolverConfig, steps: int) -> np.n
     send, ignored = gathered[:n], gathered[n:]
     multiply, add, maximum = np.multiply, np.add, np.maximum
     for step in range(1, steps + 1):
-        multiply(gamma, values, out=skip)
-        skip.take(index, out=gathered, mode="clip")
-        add(one, send, out=send)
-        multiply(weights, gathered, out=gathered)
-        add(send, ignored, out=send)
+        multiply(gamma, values, skip)
+        skip.take(index, None, gathered, "clip")
+        add(one, send, send)
+        multiply(weights, gathered, gathered)
+        add(send, ignored, send)
         # skip becomes the next values, the larger of send and skip
         maximum(send, skip, out=skip)
         # bit equality, the fixed point's test, without np.array_equal's wrapper
@@ -177,17 +176,6 @@ class PolicyTable(StreakTable):
 
     def to_dict(self) -> dict:
         return {"version": 1, **super().to_dict()}
-
-    def to_csv_text(self) -> str:
-        """The table as CSV: a header, then one user_type,streak,threshold
-        line per cell, the threshold written as repr of the float or as
-        never_send. No field holds a comma, quote or newline, so each line
-        is the text csv.writer writes for it."""
-        streaks = range(self.bounds[0], self.bounds[1] + 1)
-        return "user_type,streak,threshold\n" + "".join(
-            [f"{c},{s},{'never_send' if v == NEVER_SEND else repr(v)}\n"
-             for c, row in zip(self.types, self.thresholds.tolist())
-             for s, v in zip(streaks, row)])
 
 
 def solve_policy(model: BehaviorModel, config: SolverConfig) -> PolicyTable:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from notif_ltv import BehaviorModel, FactorTable
+from notif_ltv import BehaviorModel, FactorTable, SendLog
 
 
 def make_model(factor_map, ybar, bounds, types=(1,)):
@@ -26,6 +26,15 @@ def make_model(factor_map, ybar, bounds, types=(1,)):
     else:
         mean_open = {c: float(ybar) for c in types}
     return BehaviorModel(factors=table, type_mean_open=mean_open)
+
+
+def log_from_rows(user_id, user_type, timestamp, raw_score, outcome) -> SendLog:
+    """A SendLog of columns whose users are given by their id strings: each
+    id is coded in first-seen order, as `read_log` codes them, and
+    `SendLog.from_codes` groups the rows."""
+    codes = {}
+    user = [codes.setdefault(uid, len(codes)) for uid in user_id]
+    return SendLog.from_codes(list(codes), user, user_type, timestamp, raw_score, outcome)
 
 
 @pytest.fixture

@@ -183,8 +183,9 @@ def solve_policy_oracle(model, config):
 
 
 def policy_csv_oracle(table):
-    """`PolicyTable.to_csv_text` one cell at a time: a header, then per type
-    and streak the cell's numpy scalar as repr(float(v)), or never_send."""
+    """The policy CSV that `solve` writes (`cli._policy_texts`), one cell at a
+    time through csv.writer: a header, then per type and streak the cell's
+    numpy scalar as repr(float(v)), or never_send."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["user_type", "streak", "threshold"])

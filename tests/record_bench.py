@@ -8,9 +8,14 @@ Runs `perfbench/run.py --trace 0` N times on each workload of BENCHMARK.json,
 at seed 0 and S seconds a run, taking the workloads in turn so a slow spell
 of the machine spreads over all of them. Each run's result is the last line
 of its stdout. With --parent, the commit SHA is checked out into a temporary
-`git worktree` outside the checkout and every run is a pair, one run of each
-tree, the side that runs first alternating from pair to pair; the worktree
-is removed afterwards, on failure too.
+`git worktree` outside the checkout, the change runs from a sibling directory
+beside it that holds the checkout's tracked files as they are in the working
+tree, and every run is a pair, one run of each tree, the side that runs first
+alternating from pair to pair. Neither side runs from the checkout itself, so
+its location does not enter the comparison, and each starts with a copy of
+the checkout's perfbench/.cache, if it has one, so both read the same inputs
+and neither generates them in a timed pair. Both trees are removed
+afterwards, on failure too.
 
 For each workload and side ("change", and "parent" with --parent) the file
 holds the median and quartiles of every end-to-end metric with its values
@@ -48,6 +53,16 @@ RUN_TIMEOUT_S = 900
 def _git(*args: str) -> str:
     return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def _copy_tracked(tree: str) -> None:
+    """Copy every tracked file of the checkout, as the working tree holds it,
+    into tree; a tracked file deleted from the working tree is left out."""
+    for name in filter(None, _git("ls-files", "-z").split("\0")):
+        source = os.path.join(ROOT, name)
+        if os.path.lexists(source):
+            os.makedirs(os.path.dirname(os.path.join(tree, name)), exist_ok=True)
+            shutil.copy2(source, os.path.join(tree, name), follow_symlinks=False)
 
 
 def _run(tree: str, workload: str, seconds: float) -> tuple[dict | None, str]:
@@ -122,8 +137,13 @@ def record(runs: int, seconds: float, parent: str | None) -> tuple[dict, list[st
         if parent is not None:
             doc["parent_sha"] = _git("rev-parse", "--verify", f"{parent}^{{commit}}")
             scratch = tempfile.mkdtemp(prefix="record_bench-")
-            trees["parent"] = os.path.join(scratch, "parent")
+            trees = {side: os.path.join(scratch, side) for side in ("change", "parent")}
             _git("worktree", "add", "--detach", trees["parent"], doc["parent_sha"])
+            _copy_tracked(trees["change"])
+            cache = os.path.join(ROOT, "perfbench", ".cache")
+            if os.path.isdir(cache):
+                for tree in trees.values():
+                    shutil.copytree(cache, os.path.join(tree, "perfbench", ".cache"))
         results = {w: {side: [] for side in trees} for w in workloads}
         for i in range(runs):
             for j, w in enumerate(workloads):

@@ -11,7 +11,6 @@ from notif_ltv import (
     CalibrationMap,
     FactorTable,
     RecordSet,
-    SendLog,
     apply_calibration,
     apply_kappa,
     build_dataset,
@@ -20,7 +19,7 @@ from notif_ltv import (
     monotone_project,
     summarize_types,
 )
-from conftest import make_model
+from conftest import log_from_rows, make_model
 from oracles import pav_oracle
 
 
@@ -81,7 +80,7 @@ class TestEstimateFactors:
     def test_records_fit_at_the_bounds_they_were_built_at(self, second_half):
         # wider than the default (-15, 15), with runs of 20 at one end
         outcomes = [1, 0] * 15 + [second_half] * 30
-        log = SendLog.from_rows(["u1"] * 60, [1] * 60, range(60), [0.5] * 60, outcomes)
+        log = log_from_rows(["u1"] * 60, [1] * 60, range(60), [0.5] * 60, outcomes)
         records = build_dataset(log, min_samples=1, bounds=(-20, 20))
         table = estimate_factors(records)
         assert table.bounds == (-20, 20)
@@ -336,8 +335,8 @@ class TestBehaviorModel:
     def test_model_takes_the_bounds_and_types_of_its_records(self):
         # two users of types 2 and 5, each with runs longer than 4 in the second half
         outcomes = [1, 0] * 5 + [1] * 6 + [0] * 4
-        log = SendLog.from_rows(["a"] * 20 + ["b"] * 20, [2] * 20 + [5] * 20, list(range(40)),
-                                [0.5] * 40, outcomes + outcomes[::-1])
+        log = log_from_rows(["a"] * 20 + ["b"] * 20, [2] * 20 + [5] * 20, list(range(40)),
+                            [0.5] * 40, outcomes + outcomes[::-1])
         model = fit_behavior_model(build_dataset(log, min_samples=1, bounds=(-4, 4)), kappa=0.4)
         assert model.factors.bounds == (-4, 4)
         assert model.types == (2, 5)

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from notif_ltv import (
     NEVER_SEND,
     CalibrationMap,
-    SendLog,
     apply_calibration,
     fit_isotonic,
     pav,
     refresh,
     score_thresholds,
 )
+from conftest import log_from_rows
 from oracles import calibration_oracle, isotonic_fit_oracle, pav_oracle
 
 
@@ -412,7 +412,7 @@ class TestScoreThresholds:
 
 def send_log(events):
     """SendLog of (user_id, user_type, timestamp, raw_score, outcome) tuples."""
-    return SendLog.from_rows(*(zip(*events) if events else ((),) * 5))
+    return log_from_rows(*(zip(*events) if events else ((),) * 5))
 
 
 class TestRefresh:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -238,6 +239,27 @@ class TestSolve:
             "  type 4: thresholds in [0.000000, 0.250000], never-send cells: 1\n"
             "  type 1: thresholds in [nan, nan], never-send cells: 3\n"
             "  type 6: thresholds in [0.123457, 1.000000], never-send cells: 0\n")
+
+    def test_csv_cells_are_the_json_item_texts(self, model_path, tmp_path, monkeypatch):
+        """Each policy.csv cell is the text policy.json holds for the same
+        (type, streak), never_send where that is null. Solving gives no
+        never-send cell, so the table is given by hand: never-send and
+        always-send cells, -0.0, the least subnormal and 17-digit floats."""
+        table = PolicyTable(bounds=(-2, 1), types=(5, 2), thresholds=[
+            [0.0, NEVER_SEND, 1 / 3, 5e-324], [NEVER_SEND, 1.0, -0.0, 0.1 + 0.2]])
+        monkeypatch.setattr(notif_ltv.cli, "solve_policy", lambda model, config: table)
+        out = tmp_path / "policy.json"
+        assert run(["solve", model_path, "--out", out]) == 0
+        # each row's items as written, one to a line at the row's depth
+        items = {c: [line.strip().rstrip(",") for line in body.split("\n")] for c, body in
+                 re.findall(r'\n    "(\d+)": \[\n(.*?)\n    \]', out.read_text(), re.S)}
+        assert items == {"5": ["0.0", "null", "0.3333333333333333", "5e-324"],
+                         "2": ["null", "1.0", "-0.0", "0.30000000000000004"]}
+        with open(tmp_path / "policy.csv", newline="") as fh:
+            header, *cells = csv.reader(fh)
+        assert header == ["user_type", "streak", "threshold"]
+        assert cells == [[c, str(s), "never_send" if t == "null" else t]
+                         for c in ("5", "2") for s, t in zip(range(-2, 2), items[c])]
 
     def test_zero_gamma_emits_all_zero_csv(self, model_path, tmp_path):
         out = tmp_path / "p0.json"

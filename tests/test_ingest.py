@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from notif_ltv import LogParseError, SendLog, build_dataset, ingest, read_log
+from conftest import log_from_rows
 from oracles import build_dataset_oracle, from_rows_oracle, read_log_oracle
 
 
@@ -60,8 +61,7 @@ def one_user_log(outcomes, uid="u1"):
     """One user's sends at timestamps 0, 1, ..., scores i / 1024 so that a
     record's score names the send it came from."""
     n = len(outcomes)
-    return SendLog.from_rows([uid] * n, [1] * n, range(n), [i / 1024 for i in range(n)],
-                             outcomes)
+    return log_from_rows([uid] * n, [1] * n, range(n), [i / 1024 for i in range(n)], outcomes)
 
 
 class TestReadLog:
@@ -422,12 +422,14 @@ class TestChunkedRead:
 
 
 class TestFromRows:
-    """from_rows orders rows as the oracle's one lexsort by user rank and
-    timestamp does, equal keys keeping their input order."""
+    """`SendLog.from_codes`, given ids coded in first-seen order by
+    `log_from_rows` or codes of its caller's own, orders rows as the
+    oracle's one lexsort by user rank and timestamp does, equal keys
+    keeping their input order."""
 
     @staticmethod
     def assert_like_oracle(columns):
-        assert_same_log(SendLog.from_rows(*columns), from_rows_oracle(*columns))
+        assert_same_log(log_from_rows(*columns), from_rows_oracle(*columns))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -631,8 +633,8 @@ class TestFlatten:
         assert records.streak.tolist() == [0, -1]
 
     def test_excluded_baseline_rejected(self):
-        log = SendLog.from_rows(["a"] * 2 + ["b"] * 6, [1] * 8, [0, 1] + list(range(6)),
-                                [0.5] * 8, [1] * 8)
+        log = log_from_rows(["a"] * 2 + ["b"] * 6, [1] * 8, [0, 1] + list(range(6)),
+                            [0.5] * 8, [1] * 8)
         records = build_dataset(log, min_samples=2)
         assert log.users == ("a", "b")
         assert records.user.tolist() == [1] * 3  # user "a" contributes no records
@@ -710,8 +712,8 @@ def test_columnar_dataset_oracle_cases_cover_the_edges():
             + [row(uid="opens_b", utype=2, ts=t, outcome=o) for t, o in enumerate([0, 0, 1, 1, 1])]
             # a second half of one send, kept at min_samples 1 only
             + [row(uid="single", utype=2, ts=t) for t in range(2)])
-    log = SendLog.from_rows(*zip(*[(r["user_id"], r["user_type"], r["timestamp"],
-                                    r["raw_score"], r["outcome"]) for r in rows]))
+    log = log_from_rows(*zip(*[(r["user_id"], r["user_type"], r["timestamp"],
+                                r["raw_score"], r["outcome"]) for r in rows]))
     records = {m: build_dataset(log, min_samples=m, bounds=(-3, 3)) for m in (1, 2)}
     for min_samples, got in records.items():
         want = build_dataset_oracle(rows, min_samples=min_samples, bounds=(-3, 3))

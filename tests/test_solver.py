@@ -16,6 +16,7 @@ from notif_ltv import (
     state_values,
 )
 from notif_ltv import solver
+from notif_ltv.cli import _dumps, _policy_texts
 from conftest import make_model
 from oracles import (NEVER, policy_csv_oracle, solve_policy_oracle, state_values_reference,
                      threshold_oracle, tree_value_oracle)
@@ -249,7 +250,7 @@ class TestPolicyTable:
             PolicyTable(bounds=(-2, 2), types=(1,), thresholds=thresholds)
 
     def test_csv_has_row_per_cell(self):
-        text = self.make_table().to_csv_text()
+        text = _policy_texts(self.make_table())[1]
         lines = text.strip().split("\n")
         assert lines[0] == "user_type,streak,threshold"
         assert len(lines) == 1 + 5
@@ -264,7 +265,10 @@ class TestPolicyTable:
                          st.floats(0.0, 1.0))
         thresholds = [[data.draw(cell) for _ in range(hi - lo + 1)] for _ in types]
         table = PolicyTable(bounds=(lo, hi), types=types, thresholds=thresholds)
-        assert table.to_csv_text() == policy_csv_oracle(table)
+        doc, text = _policy_texts(table)
+        assert text == policy_csv_oracle(table)
+        # the same rendering gives the stdlib's indented JSON text of the table
+        assert _dumps(doc) == json.dumps(table.to_dict(), indent=2, sort_keys=True)
 
 
 def random_small_models(seed, trials):
