@@ -242,9 +242,9 @@ class TestSolve:
 
     def test_csv_cells_are_the_json_item_texts(self, model_path, tmp_path, monkeypatch):
         """Each policy.csv cell is the text policy.json holds for the same
-        (type, streak), never_send where that is null. Solving gives no
-        never-send cell, so the table is given by hand: never-send and
-        always-send cells, -0.0, the least subnormal and 17-digit floats."""
+        (type, streak), never_send where that is null. The table is given
+        by hand, to hold never-send and always-send cells, -0.0, the least
+        subnormal and 17-digit floats."""
         table = PolicyTable(bounds=(-2, 1), types=(5, 2), thresholds=[
             [0.0, NEVER_SEND, 1 / 3, 5e-324], [NEVER_SEND, 1.0, -0.0, 0.1 + 0.2]])
         monkeypatch.setattr(notif_ltv.cli, "solve_policy", lambda model, config: table)
