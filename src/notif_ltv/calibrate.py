@@ -10,7 +10,9 @@ lookup: a raw score takes the value of the greatest breakpoint at or below
 it, and scores below the first breakpoint clamp to the first value. The
 lookup searches only the first breakpoint of each run of equal values,
 which gives the same value: a fitted map has far fewer pools than
-breakpoints (33 against 4,056 on the benchmark's warm-up).
+breakpoints (33 against 4,056 on the benchmark's warm-up). One run finder,
+`CalibrationMap.runs`, serves the lookup, `score_thresholds` and the CLI's
+writer of `cal.json`, which renders each run's value once.
 `score_thresholds` maps a calibrated threshold back to the least raw score
 that reaches it, so a caller that compares many scores with few thresholds
 maps the thresholds once. `refresh` refits on the sends of a `SendLog`
@@ -112,16 +114,18 @@ class CalibrationMap:
     def to_dict(self) -> dict:
         return {"breakpoints": list(self.breakpoints), "values": list(self.values)}
 
-    # the first breakpoint of each run of equal values and that run's value,
-    # as float64 arrays built once per map for the lookup; runs compare value
-    # bits, so -0.0 and +0.0 stay apart. Cached outside the dataclass fields,
-    # so equality and to_dict ignore them
+    # cached outside the dataclass fields, so equality and to_dict ignore it
     @cached_property
-    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, values, lengths): the first breakpoint, the value and the
+        length of each run of equal values, built once per map. Runs compare
+        value bits, so -0.0 and +0.0 stay apart. The one run finder of the
+        lookup, `score_thresholds` and the CLI's writer of the map's values."""
         values = np.asarray(self.values, dtype=float)
         bits = values.view(np.int64)
-        first = np.concatenate(([True], bits[1:] != bits[:-1]))
-        return np.asarray(self.breakpoints, dtype=float)[first], values[first]
+        first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        return (np.asarray(self.breakpoints, dtype=float)[first], values[first],
+                np.diff(first, append=len(values)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationMap":
@@ -182,7 +186,7 @@ def apply_calibration(cmap: CalibrationMap, raw_score):
     Elementwise over an array of raw scores, giving an array of the same
     shape; one score gives a numpy float.
     """
-    starts, values = cmap._runs
+    starts, values, _ = cmap.runs
     idx = np.searchsorted(starts, raw_score, side="right")
     idx -= 1  # -1, below the first breakpoint, clips to 0
     return np.take(values, idx, mode="clip")
@@ -199,7 +203,7 @@ def score_thresholds(cmap: CalibrationMap, threshold):
     raw scale once instead of looking up every score. Elementwise like
     `apply_calibration`.
     """
-    starts, values = cmap._runs
+    starts, values, _ = cmap.runs
     # runs are non-decreasing, and -0.0 and +0.0 compare equal here as in >=
     idx = np.searchsorted(values, threshold, side="left")
     return np.concatenate(([-math.inf], starts[1:], [math.inf])).take(idx)

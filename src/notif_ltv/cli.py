@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from array import array
 from itertools import chain, repeat
 
 import numpy as np
@@ -55,13 +54,6 @@ def _atomic_write(path, text: str) -> None:
 
 # the types whose JSON text the C encoder writes without ", " in it
 _SCALARS = frozenset({float, int, bool, type(None)})
-# the shortest float list written a run at a time, its break-even measured
-# on a 2-vCPU Xeon with Python 3.11: finding the runs costs about 5 us plus
-# 0.035 us a value, against 0.6 us to encode a value, so a list whose every
-# value appears twice is slower at 64 floats (+7%) and 80 (+2%) and faster
-# from 96 (-3%), where a list with no runs pays +12%; policy and model
-# rows, 31 floats, stay below it
-_RUNS_FROM = 96
 
 
 class _Items(list):
@@ -74,45 +66,20 @@ def _dumps(value, indent: str = "\n") -> str:
 
     The stdlib writes an indented document with its pure-Python encoder, one
     call per item; here a non-empty list of scalars is one C-encoder call,
-    whose ", " separators become the indented line breaks, except that a list
-    of at least _RUNS_FROM floats and nothing else is written by `_float_items`
-    a run of equal values at a time; an `_Items` list's texts are joined by
-    the same breaks. A non-empty dict with str keys recurses; anything else
-    is the stdlib's own text, whose every newline (encoded JSON holds no raw
-    one) takes `indent` instead.
+    whose ", " separators become the indented line breaks, and an `_Items`
+    list's texts are joined by the same breaks. A non-empty dict with str
+    keys recurses; anything else is the stdlib's own text, whose every
+    newline (encoded JSON holds no raw one) takes `indent` instead.
     """
     inner = indent + "  "
     if type(value) is _Items:
         return "[" + inner + ("," + inner).join(value) + indent + "]"
-    if isinstance(value, list) and value and (kinds := set(map(type, value))) <= _SCALARS:
-        sep = "," + inner
-        items = (_float_items(value, sep) if len(value) >= _RUNS_FROM and kinds == {float}
-                 else json.dumps(value)[1:-1].replace(", ", sep))
-        return "[" + inner + items + indent + "]"
+    if isinstance(value, list) and value and set(map(type, value)) <= _SCALARS:
+        return "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + indent + "]"
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         return ("{" + ",".join(inner + json.dumps(k) + ": " + _dumps(value[k], inner)
                                for k in sorted(value)) + indent + "}")
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
-
-
-def _float_items(values: list[float], sep: str) -> str:
-    """The items of json.dumps(values), a list of floats, joined by `sep`.
-
-    A run is a stretch of neighbours with equal bits, as `CalibrationMap`
-    finds its runs, so -0.0 and 0.0, or NaNs of two payloads, are two runs.
-    Only each run's first value is encoded, in one call, and its text is
-    repeated once per value; a list in which no two neighbours are equal is
-    encoded whole, as `_dumps` encodes a shorter list. A calibration map's
-    values are few runs of thousands of values each.
-    """
-    bits = np.frombuffer(array("d", values), np.int64)
-    first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    if len(first) == len(values):
-        return json.dumps(values)[1:-1].replace(", ", sep)
-    # a float's text holds no ", ", so the split gives one text a run
-    texts = json.dumps(list(map(values.__getitem__, first.tolist())))[1:-1].split(", ")
-    counts = np.diff(first, append=len(values)).tolist()
-    return sep.join(chain.from_iterable(map(repeat, texts, counts)))
 
 
 def _write_json(path, payload: dict) -> None:
@@ -248,6 +215,17 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _calibration_doc(cmap: CalibrationMap) -> dict:
+    """The map's JSON document, its values as `_Items`: each run's value is
+    rendered once, json.dumps(values)[1:-1].split(", "), and its text repeated
+    over the run (a float's text holds no ", ")."""
+    _, values, lengths = cmap.runs
+    doc = cmap.to_dict()
+    texts = json.dumps(values.tolist())[1:-1].split(", ")
+    doc["values"] = _Items(chain.from_iterable(map(repeat, texts, lengths.tolist())))
+    return doc
+
+
 def cmd_calibrate(args) -> int:
     cfg = _load_json(args.config, "config") if args.config else {}
     with _reading("calibrate config", ValidationError):
@@ -263,7 +241,7 @@ def cmd_calibrate(args) -> int:
     cmap = refresh(log, now=now, window_hours=window_hours)
 
     resolved = {"log": args.log, "now": now, "window_hours": window_hours}
-    payload = cmap.to_dict()
+    payload = _calibration_doc(cmap)
     payload["provenance"] = _provenance("calibrate", resolved, args.log)
     _write_json(args.out, payload)
     in_window = int(np.count_nonzero(window_mask(log.timestamp, now, window_hours)))
@@ -271,7 +249,7 @@ def cmd_calibrate(args) -> int:
           f"-> {args.out}")
     print(f"  {in_window} of {len(log)} sends in the window, "
           f"{len(cmap.breakpoints)} distinct scores")
-    print(f"  {len(cmap.breakpoints)} breakpoints pooled into {len(set(cmap.values))} "
+    print(f"  {len(cmap.breakpoints)} breakpoints pooled into {len(cmap.runs[1])} "
           f"distinct values, raw scores "
           f"[{cmap.breakpoints[0]:.4f}, {cmap.breakpoints[-1]:.4f}], "
           f"calibrated range [{cmap.values[0]:.4f}, {cmap.values[-1]:.4f}]")

@@ -7,15 +7,17 @@ Usage, from the root of a checkout:
 Runs `perfbench/run.py --trace 0` N times on each workload of BENCHMARK.json,
 at seed 0 and S seconds a run, taking the workloads in turn so a slow spell
 of the machine spreads over all of them. Each run's result is the last line
-of its stdout. With --parent, the commit SHA is checked out into a temporary
-`git worktree` outside the checkout, the change runs from a sibling directory
-beside it that holds the checkout's tracked files as they are in the working
-tree, and every run is a pair, one run of each tree, the side that runs first
-alternating from pair to pair. Neither side runs from the checkout itself, so
-its location does not enter the comparison, and each starts with a copy of
-the checkout's perfbench/.cache, if it has one, so both read the same inputs
-and neither generates them in a timed pair. Both trees are removed
-afterwards, on failure too.
+of its stdout. With --parent, the commit SHA is extracted with `git archive`
+into a temporary directory outside the checkout, the change runs from a
+sibling directory beside it that holds the checkout's tracked files as they
+are in the working tree, and every run is a pair, one run of each tree, the
+side that runs first alternating from pair to pair. Both trees are plain
+directories, neither inside a git work tree, so perfbench/run.py takes the
+same path in each, and neither runs from the checkout itself, so its
+location does not enter the comparison. Each starts with a copy of the
+checkout's perfbench/.cache, if it has one, so both read the same inputs and
+neither generates them in a timed pair. Both trees are removed afterwards,
+on failure too.
 
 For each workload and side ("change", and "parent" with --parent) the file
 holds the median and quartiles of every end-to-end metric with its values
@@ -26,7 +28,7 @@ also records nproc, the Python and numpy versions, both SHAs, N, S and the
 seed. Without --out the JSON goes to stdout.
 
 Exits 1 if a run's result is not correct or its last line is not a result,
-after writing the file; 2 if the parent cannot be checked out.
+after writing the file; 2 if the parent cannot be extracted.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 import numpy as np
@@ -138,7 +141,11 @@ def record(runs: int, seconds: float, parent: str | None) -> tuple[dict, list[st
             doc["parent_sha"] = _git("rev-parse", "--verify", f"{parent}^{{commit}}")
             scratch = tempfile.mkdtemp(prefix="record_bench-")
             trees = {side: os.path.join(scratch, side) for side in ("change", "parent")}
-            _git("worktree", "add", "--detach", trees["parent"], doc["parent_sha"])
+            archive = os.path.join(scratch, "parent.tar")
+            _git("archive", f"--output={archive}", doc["parent_sha"])
+            with tarfile.open(archive) as tar:
+                tar.extractall(trees["parent"], filter="data")
+            os.remove(archive)
             _copy_tracked(trees["change"])
             cache = os.path.join(ROOT, "perfbench", ".cache")
             if os.path.isdir(cache):
@@ -158,10 +165,6 @@ def record(runs: int, seconds: float, parent: str | None) -> tuple[dict, list[st
                           file=sys.stderr)
     finally:
         if scratch is not None:
-            if "parent" in trees and os.path.isdir(trees["parent"]):
-                subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
-                                trees["parent"]], capture_output=True)
-            subprocess.run(["git", "-C", ROOT, "worktree", "prune"], capture_output=True)
             shutil.rmtree(scratch, ignore_errors=True)
     for w in workloads:
         sides = {side: _summary(results[w][side], metrics) for side in trees}

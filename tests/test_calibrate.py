@@ -331,7 +331,8 @@ def assert_same_bits(got, want):
 
 class TestRunLookup:
     """The lookup searches only the first breakpoint of each run of equal
-    values, and still gives the bisect oracle's bits for every score."""
+    values, and still gives the bisect oracle's bits for every score; the
+    map's runs cover its values run by run."""
 
     SPECIAL = [-math.inf, -1.0, -0.0, 0.0, 1.0, 2.0, math.inf, math.nan]
 
@@ -345,6 +346,14 @@ class TestRunLookup:
         for x in self.SPECIAL:
             assert_same_bits(np.array([apply_calibration(cmap, x)]),
                              [calibration_oracle(cmap, x)])
+        # the runs cover the values, each with its run value's bits, and
+        # start at their first breakpoints; neighbouring runs differ in bits
+        starts, values, lengths = cmap.runs
+        assert lengths.sum() == len(cmap.values)
+        assert_same_bits(np.repeat(values, lengths), cmap.values)
+        assert_same_bits(starts, np.array(cmap.breakpoints)[np.cumsum(lengths) - lengths])
+        bits = values.view(np.int64)
+        assert (bits[1:] != bits[:-1]).all()
 
     def test_long_runs(self):
         rng = np.random.default_rng(11)
@@ -352,21 +361,21 @@ class TestRunLookup:
         levels = np.sort(rng.uniform(0, 1, 9))
         vals = levels[np.sort(rng.integers(0, len(levels), len(bps)))]
         cmap = CalibrationMap(breakpoints=tuple(bps.tolist()), values=tuple(vals.tolist()))
-        assert len(cmap._runs[0]) == len(np.unique(vals))
+        assert len(cmap.runs[0]) == len(np.unique(vals))
         self.check(cmap)
 
     def test_adjacent_signed_zeros_stay_apart(self):
         vals = (-0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 0.5, 0.5)
         cmap = CalibrationMap(breakpoints=tuple(0.1 * (i + 1) for i in range(len(vals))),
                               values=vals)
-        assert len(cmap._runs[0]) == 5
+        assert len(cmap.runs[0]) == 5
         self.check(cmap)
 
     def test_one_value_map_of_many_breakpoints(self):
         # the shape of a map fitted on an anti-ranked window: one pool
         bps = np.linspace(0.0, 1.0, 6000)
         cmap = CalibrationMap(breakpoints=tuple(bps.tolist()), values=(0.3,) * len(bps))
-        assert len(cmap._runs[0]) == 1
+        assert len(cmap.runs[0]) == 1
         self.check(cmap)
 
 

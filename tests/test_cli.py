@@ -20,7 +20,7 @@ import notif_ltv
 from notif_ltv import (NEVER_SEND, BehaviorModel, CalibrationMap, PolicyTable, SolverConfig,
                        build_dataset, fit_behavior_model, ramp_factor_table, read_log,
                        solve_policy)
-from notif_ltv.cli import _RUNS_FROM, _dumps, main
+from notif_ltv.cli import _calibration_doc, _dumps, main
 from conftest import make_model
 
 # an integer that no float can hold
@@ -32,17 +32,17 @@ _TEXT = st.one_of(st.text(max_size=8),
 _SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.floats(),
                     st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]),
                     _TEXT)
-# a float list long enough to be written a run at a time: runs of values
-# whose text is special or 17 digits long, signed zeros often neighbours,
-# the list repeated to that length
+# a float list of runs of values whose text is special or 17 digits long,
+# signed zeros often neighbours, repeated to at least 96 values, the length
+# of a long list of a map's breakpoints or values
 _RUN_VALUE = st.one_of(
     st.sampled_from([0.0, -0.0]),
     st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.17244224422442245]),
     st.floats(0, 1))
 _FLOAT_RUNS = st.lists(st.tuples(_RUN_VALUE, st.integers(1, 40)), min_size=1, max_size=8).map(
     lambda runs: [v for v, n in runs for _ in range(n)]).map(
-    lambda values: values * -(-_RUNS_FROM // len(values)))
-# ints, bools or None among those floats keep the list on the one-call path
+    lambda values: values * -(-96 // len(values)))
+# ints, bools or None among those floats
 _MIXED_RUNS = st.tuples(_FLOAT_RUNS, st.sampled_from([0, 1, -1, True, None]), st.integers()).map(
     lambda t: t[0][:t[2] % len(t[0])] + [t[1]] + t[0][t[2] % len(t[0]):])
 # tuples and int-keyed dicts take the writer's delegated path
@@ -54,12 +54,40 @@ _DOCUMENTS = st.recursive(st.one_of(_SCALAR, _FLOAT_RUNS, _MIXED_RUNS), lambda i
 
 @settings(max_examples=300, deadline=None)
 @given(_DOCUMENTS)
-# -0.0 and 0.0 are equal values, but two runs with two texts
-@example({"values": [0.0] * _RUNS_FROM + [-0.0] * 3 + [0.0]})
-@example([-0.0, 0.0] * _RUNS_FROM)
-@example({"a": [1e16] * _RUNS_FROM + [1] + [5e-324] * 2})
+# -0.0 and 0.0 are equal values with two texts
+@example({"values": [0.0] * 96 + [-0.0] * 3 + [0.0]})
+@example([-0.0, 0.0] * 96)
+@example({"a": [1e16] * 96 + [1] + [5e-324] * 2})
 def test_json_writer_gives_the_stdlib_indented_text(doc):
     assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+_MAP_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0, 0.17244224422442245]),
+                       st.floats(0, 1))
+
+
+@st.composite
+def calibration_maps(draw):
+    """A map of one to eight runs of 1 to 40 values each, the runs in
+    non-decreasing order (a -0.0 run and a 0.0 run in either order), over
+    strictly ascending breakpoints."""
+    runs = sorted(draw(st.lists(st.tuples(_MAP_VALUE, st.integers(1, 40)),
+                                min_size=1, max_size=8)), key=lambda run: run[0])
+    values = [v for v, n in runs for _ in range(n)]
+    breakpoints = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=len(values), max_size=len(values), unique=True))
+    return CalibrationMap(breakpoints=tuple(sorted(breakpoints)), values=tuple(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(calibration_maps())
+@example(CalibrationMap(breakpoints=(0.1, 0.2, 0.3, 0.4, 0.5), values=(-0.0, -0.0, 0.0, 0.0, 0.0)))
+@example(CalibrationMap(breakpoints=(0.5,), values=(0.17244224422442245,)))
+@example(CalibrationMap(breakpoints=(0.0, 0.25, 0.5, 0.75),
+                        values=(-0.0, 5e-324, 0.17244224422442245, 1.0)))
+def test_calibration_doc_gives_the_stdlib_indented_text(cmap):
+    """cal.json's values, one text a run, read as the stdlib writes them."""
+    assert _dumps(_calibration_doc(cmap)) == json.dumps(cmap.to_dict(), indent=2, sort_keys=True)
 
 
 @pytest.fixture
