@@ -47,14 +47,6 @@ class FactorTable(StreakTable):
         if not np.all(np.isfinite(self.factors) & (self.factors > 0.0)):
             raise ValueError("factors must be finite and strictly positive")
 
-    def factor(self, user_type, streak):
-        """Factor of each (type, streak), as `StreakTable.at` looks it up."""
-        return self.at(self.factors, user_type, streak)
-
-    def count(self, user_type, streak):
-        """Sample count of each (type, streak), looked up as `factor` is."""
-        return self.at(self.counts, user_type, streak)
-
     def replace_factors(self, new_factors: np.ndarray) -> "FactorTable":
         return FactorTable(self.bounds, self.types, new_factors, self.counts.copy())
 

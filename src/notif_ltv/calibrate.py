@@ -35,25 +35,22 @@ from .ingest import SendLog
 DEFAULT_WINDOW_HOURS = 24
 
 
-def pav(values, weights=None, *, increasing: bool = True) -> list[float]:
+def pav(values, weights, *, increasing: bool = True) -> list[float]:
     """Weighted isotonic regression by pool-adjacent-violators.
 
-    Returns the monotone sequence closest to `values` in weighted least
-    squares. A pool's value is the exact Σ v·w / Σ w of its members, or
-    their exact plain mean when its total weight is zero (zero-weight
-    entries carry no evidence but must still respect the monotone
-    envelope), rounded once to the nearest float; a pool of one member
-    keeps its value, -0.0 included. Each pool keeps its sums as integers
-    over one power-of-two scale, so a merge adds two pools' sums and the
-    fit is linear in the number of values.
+    Returns the monotone sequence closest to `values` in least squares
+    weighted by `weights`, one per value. A pool's value is the exact
+    Σ v·w / Σ w of its members, or their exact plain mean when its total
+    weight is zero (zero-weight entries carry no evidence but must still
+    respect the monotone envelope), rounded once to the nearest float; a
+    pool of one member keeps its value, -0.0 included. Each pool keeps its
+    sums as integers over one power-of-two scale, so a merge adds two
+    pools' sums and the fit is linear in the number of values.
     """
     vals = [float(v) for v in values]
-    if weights is None:
-        wts = [1.0] * len(vals)
-    else:
-        wts = [float(w) for w in weights]
-        if len(wts) != len(vals):
-            raise ValueError("weights must match values in length")
+    wts = [float(w) for w in weights]
+    if len(wts) != len(vals):
+        raise ValueError("weights must match values in length")
     for name, xs in (("values", vals), ("weights", wts)):
         bad = [x for x in xs if not math.isfinite(x)]
         if bad:

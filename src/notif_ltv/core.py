@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
@@ -90,15 +89,14 @@ _PLAIN = {number: frozenset({int, float}), integral: frozenset({int})}
 
 def listed(value, name: str, length: int | None = None, read=number, *args) -> tuple:
     """A JSON list, of `length` items if given, as a tuple of
-    read(item, "name[i]", *args).
+    read(item, "name[i]", *args), so an error names the first bad item's
+    index.
 
-    The items are read in one pass under `name`; only when that raises
-    ValueError are they read again one by one, so the error names the first
-    bad item's index. Before those, a list of plain ints and floats read as
-    numbers, or of plain ints read as integers, is read in one C pass of
-    float(): that is what `number` returns, and it raises OverflowError just
-    where `number` and `integral` reject an int outside float range. Any
-    other list, or an overflow, is read as above."""
+    A list of plain ints and floats read as numbers, or of plain ints read
+    as integers, is read instead in one C pass of float(): that is what
+    `number` returns, and it raises OverflowError just where `number` and
+    `integral` reject an int outside float range. Any other list, or an
+    overflow, is read item by item."""
     if not isinstance(value, list) or length not in (None, len(value)):
         noun = {integral: "integers", document: "objects"}.get(read, "numbers")
         size = "" if length is None else f"{length} "
@@ -112,10 +110,6 @@ def listed(value, name: str, length: int | None = None, read=number, *args) -> t
         else:
             # integral(v) of a plain int in float range is v itself
             return floats if read is number else tuple(value)
-    try:
-        return tuple(map(read, value, repeat(name), *map(repeat, args)))
-    except ValueError:
-        pass
     return tuple(read(item, f"{name}[{i}]", *args) for i, item in enumerate(value))
 
 

@@ -359,10 +359,10 @@ def _read_array(text: str, n: int, codes: _Codes, type_of: array) -> tuple | Non
         return None
     user, types = array("q", map(codes.__getitem__, ids)), array("q", types)
     code, kind = np.frombuffer(user, np.int64), np.frombuffer(types, np.int64)
+    # new codes, numbered in first-seen order, take their first row's type
     new = np.flatnonzero(code >= len(type_of))
-    if len(new):  # new codes, numbered in first-seen order, take their first row's type
-        _, first = np.unique(code[new], return_index=True)
-        type_of.extend(kind[new[first]].tolist())
+    _, first = np.unique(code[new], return_index=True)
+    type_of.extend(kind[new[first]].tolist())
     if not (np.frombuffer(type_of, np.int64)[code] == kind).all():
         return None
     return user, types, stamps, scores, array("d", opens)

@@ -1,9 +1,11 @@
 """Runtime send/skip policies.
 
-Every policy applies the daily send-limit gate itself, mirroring the outer
-check of the production decision loop, so no caller can accidentally bypass
+The `decide_*` functions are the reference form of one decision: each
+applies the daily send-limit gate itself, so a caller of one cannot bypass
 it. The caller owns the per-user counters (sends today, streak) and passes
-them in as a DecisionContext.
+them in as a DecisionContext. The simulator calls none of them:
+`sim.simulate_pass` applies the same gate itself, and each arm's
+`PolicyTable` as thresholds on the raw score, to every arm at once.
 
 A context holds a block of candidates, one per user, as equal-length array
 fields, and a policy answers a boolean mask. Each policy is one numpy

@@ -469,7 +469,9 @@ def _draw_block(config: SimConfig, start: int, stop: int, passes: int,
     latent_seeds = _seed_states(config.master_seed, index, latent_salt)
     policy_seeds = _seed_states(config.master_seed, index, policy_salt)
     cum_shares = list(accumulate(config.type_shares[c] for c in config.types))
-    last = len(config.types) - 1
+    # the shares sum to 1 only within 1e-9, so a draw can pass the last sum;
+    # it then takes the last type with a share, as a type without one is never drawn
+    last = max(i for i, c in enumerate(config.types) if config.type_shares[c] > 0)
     shapes = [config.baseline_beta[c] for c in config.types]
     seed_state = _seed_state_type()
     rows = np.empty(n, dtype=np.intp)
@@ -478,7 +480,7 @@ def _draw_block(config: SimConfig, start: int, stop: int, passes: int,
     uniforms = np.empty((n, 2 * passes))
     for j in range(n):
         latent_rng = np.random.Generator(np.random.PCG64(seed_state(latent_seeds[j])))
-        # the first type whose cumulative share exceeds the draw, else the last
+        # the first type whose cumulative share exceeds the draw, else `last`
         row = rows[j] = min(bisect_right(cum_shares, latent_rng.random()), last)
         baseline[j] = latent_rng.beta(*shapes[row])
         latent_rng.standard_normal(out=logits[j])

@@ -427,7 +427,7 @@ def _spawn(config, index, salt):
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, index, salt]))
     u = rng.random()
     cum = 0.0
-    user_type = config.types[-1]
+    user_type = [c for c in config.types if config.type_shares[c] > 0][-1]
     for c in config.types:
         cum += config.type_shares[c]
         if u < cum:

@@ -145,7 +145,7 @@ def test_c3_monte_carlo_expectation_matches_mean_score_value():
         cfg = SolverConfig(gamma=float(rng.uniform(0.0, 0.95)),
                            horizon=int(rng.integers(2, 7)))
         s = int(rng.integers(-bound, bound + 1))
-        f = model.factors.factor(1, s)
+        f = model.factors.at(model.factors.factors, 1, s)
         # spread keeping the sampled support unclipped and inside [0, 1]
         delta = 0.95 * min(ybar, 1.0 - ybar, max(1.0 / f - ybar, 0.0))
         if delta <= 1e-6 or f * (ybar + delta) > 1.0:
@@ -211,25 +211,27 @@ def test_c5_ingest_then_estimation_recovers_scaled_factors():
     effective = apply_kappa(truth, kappa_true)
     for i, c in enumerate(ALL_TYPES):
         for s in range(lo, hi + 1):
-            if s == 0 or estimated.count(c, s) == 0:
+            if s == 0 or estimated.at(estimated.counts, c, s) == 0:
                 continue
             cell = records.baseline_rate[(records.user_type == c)
                                          & (records.streak == s)].tolist()
-            f_true = effective.factor(c, s)
+            f_true = effective.at(effective.factors, c, s)
             den = sum(cell)
             var = sum(min(f_true * b, 1.0) * (1.0 - min(f_true * b, 1.0)) for b in cell)
             sigma = math.sqrt(var) / den
-            err = abs(estimated.factor(c, s) - f_true)
+            err = abs(estimated.at(estimated.factors, c, s) - f_true)
             assert err <= 3.0 * sigma, \
                 f"type {c} streak {s}: err {err:.4f} vs 3 sigma {3 * sigma:.4f}"
 
     projected = monotone_project(estimated)
     for c in ALL_TYPES:
-        assert projected.factor(c, 0) == 1.0
+        assert projected.at(projected.factors, c, 0) == 1.0
         for s in range(1, hi):
-            assert projected.factor(c, s + 1) >= projected.factor(c, s)
+            further, nearer = projected.at(projected.factors, c, [s + 1, s])
+            assert further >= nearer
         for s in range(-1, lo, -1):
-            assert projected.factor(c, s - 1) <= projected.factor(c, s)
+            further, nearer = projected.at(projected.factors, c, [s - 1, s])
+            assert further <= nearer
 
 
 # --- criterion 6: calibration against the quadratic oracle --------------------

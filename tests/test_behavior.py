@@ -51,26 +51,26 @@ class TestEstimateFactors:
                    rec(streak=2, baseline=0.25, outcome=0),
                    rec(streak=2, baseline=0.5, outcome=1)]
         table = estimate_factors(columns(records, bounds=(-3, 3)))
-        assert table.factor(1, 2) == pytest.approx(2 / 1.25)  # = 1.6
-        assert table.count(1, 2) == 3
+        assert table.at(table.factors, 1, 2) == pytest.approx(2 / 1.25)  # = 1.6
+        assert table.at(table.counts, 1, 2) == 3
 
     def test_empty_cells_default_to_one(self):
         table = estimate_factors(columns([rec(streak=1)], bounds=(-8, 8)))
-        assert table.factor(1, 7) == 1.0
-        assert table.count(1, 7) == 0
+        assert table.at(table.factors, 1, 7) == 1.0
+        assert table.at(table.counts, 1, 7) == 0
 
     def test_outcomes_matching_baselines_give_factor_one(self):
         # opens exactly equal the baseline-predicted opens: 1+0 == 0.6+0.4
         records = [rec(uid="a", streak=1, baseline=0.6, outcome=1),
                    rec(uid="b", streak=1, baseline=0.4, outcome=0)]
         table = estimate_factors(columns(records, bounds=(-2, 2)))
-        assert table.factor(1, 1) == pytest.approx(1.0)
+        assert table.at(table.factors, 1, 1) == pytest.approx(1.0)
 
     def test_streak_zero_cell_pinned_to_one(self):
         records = [rec(streak=0, baseline=0.1, outcome=1)] * 5
         table = estimate_factors(columns(records, bounds=(-2, 2)))
-        assert table.factor(1, 0) == 1.0
-        assert table.count(1, 0) == 5
+        assert table.at(table.factors, 1, 0) == 1.0
+        assert table.at(table.counts, 1, 0) == 5
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
@@ -84,7 +84,7 @@ class TestEstimateFactors:
         records = build_dataset(log, min_samples=1, bounds=(-20, 20))
         table = estimate_factors(records)
         assert table.bounds == (-20, 20)
-        assert table.count(1, 20 if second_half else -20) == 10
+        assert table.at(table.counts, 1, 20 if second_half else -20) == 10
 
     def test_streaks_outside_the_records_bounds_rejected(self):
         records = columns([rec(streak=3)], bounds=(-2, 2))
@@ -119,7 +119,7 @@ class TestEstimateFactors:
             var = sum(min(f_true * r.baseline_rate, 1.0)
                       * (1 - min(f_true * r.baseline_rate, 1.0)) for r in cell)
             sigma = np.sqrt(var) / den
-            assert abs(table.factor(1, s) - f_true) < 3 * sigma, f"streak {s}"
+            assert abs(table.at(table.factors, 1, s) - f_true) < 3 * sigma, f"streak {s}"
 
 
 class TestFactorTableLookup:
@@ -138,22 +138,23 @@ class TestFactorTableLookup:
                         for cs, ss in zip(user_type.tolist(), streak.tolist())]
         want_counts = [[table.counts[table.types.index(c), s - lo] for c, s in zip(cs, ss)]
                        for cs, ss in zip(user_type.tolist(), streak.tolist())]
-        assert table.factor(user_type, streak).tolist() == want_factors
-        assert table.count(user_type, streak).tolist() == want_counts
+        assert table.at(table.factors, user_type, streak).tolist() == want_factors
+        assert table.at(table.counts, user_type, streak).tolist() == want_counts
         # one type against a row of streaks broadcasts
-        assert table.factor(5, np.arange(lo, hi + 1)).tolist() == table.factors[1].tolist()
+        assert table.at(table.factors, 5, np.arange(lo, hi + 1)).tolist() == \
+            table.factors[1].tolist()
 
     def test_streaks_outside_the_bounds_clamp(self, table):
-        assert table.factor(5, -40) == table.factors[1, 0]
-        assert table.factor(5, 40) == table.factors[1, -1]
-        assert table.count(np.array([2, 6]), np.array([-4, 3])).tolist() == \
+        assert table.at(table.factors, 5, -40) == table.factors[1, 0]
+        assert table.at(table.factors, 5, 40) == table.factors[1, -1]
+        assert table.at(table.counts, np.array([2, 6]), np.array([-4, 3])).tolist() == \
             [table.counts[0, 0], table.counts[2, -1]]
 
     def test_unknown_type_raises_key_error(self, table):
         with pytest.raises(KeyError, match=r"\[3\]"):
-            table.factor(np.array([2, 3]), 0)
+            table.at(table.factors, np.array([2, 3]), 0)
         with pytest.raises(KeyError):
-            table.count(1, 0)
+            table.at(table.counts, 1, 0)
 
 
 class TestMonotoneProject:
@@ -172,7 +173,7 @@ class TestMonotoneProject:
     def test_positive_branch_pooled(self):
         table = self.make_table(pos=[1.1, 1.3, 1.2], neg=[0.9, 0.8, 0.7])
         out = monotone_project(table)
-        assert [out.factor(1, s) for s in (1, 2, 3)] == [1.1, 1.25, 1.25]
+        assert [out.at(out.factors, 1, s) for s in (1, 2, 3)] == [1.1, 1.25, 1.25]
 
     def test_already_monotone_unchanged(self):
         table = self.make_table(pos=[1.1, 1.2, 1.3], neg=[0.9, 0.8, 0.7])
@@ -182,9 +183,9 @@ class TestMonotoneProject:
     def test_negative_branch_pooled_on_reversed_order(self):
         table = self.make_table(pos=[1.1, 1.2, 1.3], neg=[0.9, 0.95, 0.7])
         out = monotone_project(table)
-        assert out.factor(1, -1) == pytest.approx(0.925)
-        assert out.factor(1, -2) == pytest.approx(0.925)
-        assert out.factor(1, -3) == pytest.approx(0.7)
+        assert out.at(out.factors, 1, -1) == pytest.approx(0.925)
+        assert out.at(out.factors, 1, -2) == pytest.approx(0.925)
+        assert out.at(out.factors, 1, -3) == pytest.approx(0.7)
 
     def test_idempotent_and_preserves_weighted_mean(self):
         rng = np.random.default_rng(5)
@@ -201,7 +202,7 @@ class TestMonotoneProject:
             for sign, raw_vals, wts in ((1, pos, wp), (-1, neg, wn)):
                 cells = [sign * (i + 1) for i in range(3)]
                 before = sum(v * w for v, w in zip(raw_vals, wts))
-                after = sum(once.factor(1, s) * w for s, w in zip(cells, wts))
+                after = sum(once.at(once.factors, 1, s) * w for s, w in zip(cells, wts))
                 assert after == pytest.approx(before, abs=1e-9)
 
     def test_branch_monotonicity_holds_cell_by_cell(self):
@@ -212,11 +213,11 @@ class TestMonotoneProject:
                                     rng.integers(0, 9, 3).tolist(),
                                     rng.integers(0, 9, 3).tolist())
             out = monotone_project(table)
-            assert out.factor(1, 0) == 1.0
+            assert out.at(out.factors, 1, 0) == 1.0
             for s in (1, 2):
-                assert out.factor(1, s + 1) >= out.factor(1, s)
+                assert out.at(out.factors, 1, s + 1) >= out.at(out.factors, 1, s)
             for s in (-1, -2):
-                assert out.factor(1, s - 1) <= out.factor(1, s)
+                assert out.at(out.factors, 1, s - 1) <= out.at(out.factors, 1, s)
 
     def test_matches_pav_oracle_per_branch(self):
         rng = np.random.default_rng(13)
@@ -225,9 +226,9 @@ class TestMonotoneProject:
         wp = [3, 1, 2]
         wn = [2, 0, 5]
         out = monotone_project(self.make_table(pos, neg, wp, wn))
-        assert [out.factor(1, s) for s in (1, 2, 3)] == pav_oracle(pos, wp)
+        assert [out.at(out.factors, 1, s) for s in (1, 2, 3)] == pav_oracle(pos, wp)
         want_neg = pav_oracle(neg, wn, increasing=False)
-        assert [out.factor(1, s) for s in (-1, -2, -3)] == want_neg
+        assert [out.at(out.factors, 1, s) for s in (-1, -2, -3)] == want_neg
 
 
 class TestApplyKappa:
@@ -239,7 +240,7 @@ class TestApplyKappa:
 
     def test_shrinks_toward_one(self):
         out = apply_kappa(self.make_table(1.6), 0.25)
-        assert out.factor(1, 2) == pytest.approx(1.15)
+        assert out.at(out.factors, 1, 2) == pytest.approx(1.15)
 
     def test_zero_neutralizes_table(self):
         out = apply_kappa(self.make_table(1.6), 0.0)
@@ -309,9 +310,9 @@ def test_column_sums_equal_a_loop_over_the_records():
 
     table = estimate_factors(columns(records, bounds=(-4, 4)))
     for (c, s), n in counts.items():
-        assert table.count(c, s) == n
+        assert table.at(table.counts, c, s) == n
         if s != 0:
-            assert table.factor(c, s) == max(opens[c, s] / expected[c, s], 1e-12)
+            assert table.at(table.factors, c, s) == max(opens[c, s] / expected[c, s], 1e-12)
     mean_open = summarize_types(columns(records), cmap)
     for c in range(1, 7):
         assert mean_open[c] == score_sum[c] / score_n[c]
@@ -363,5 +364,5 @@ class TestBehaviorModel:
         for i, (streak, outcome) in enumerate([(1, 1), (2, 0), (1, 1), (2, 0)]):
             records.append(rec(uid=f"u{i}", streak=streak, outcome=outcome, baseline=0.5))
         model = fit_behavior_model(columns(records, bounds=(-2, 2)), kappa=0.5)
-        f1, f2 = model.factors.factor(1, 1), model.factors.factor(1, 2)
+        f1, f2 = model.factors.at(model.factors.factors, 1, [1, 2])
         assert f2 >= f1 or abs(f2 - f1) < 1e-12

@@ -22,14 +22,14 @@ from oracles import calibration_oracle, isotonic_fit_oracle, pav_oracle
 
 class TestPav:
     def test_single_violation_pools(self):
-        assert pav([1.1, 1.3, 1.2]) == [1.1, 1.25, 1.25]
+        assert pav([1.1, 1.3, 1.2], [1.0] * 3) == [1.1, 1.25, 1.25]
 
     def test_monotone_input_is_fixed_point(self):
         vals = [0.1, 0.2, 0.2, 0.9]
-        assert pav(vals) == vals
+        assert pav(vals, [1.0] * 4) == vals
 
     def test_decreasing_direction(self):
-        assert pav([0.9, 0.95], increasing=False) == [0.925, 0.925]
+        assert pav([0.9, 0.95], [1.0] * 2, increasing=False) == [0.925, 0.925]
 
     def test_weights_shift_pooled_mean(self):
         # pooled mean of (1.0 w=3, 0.0 w=1) is 0.75
@@ -40,7 +40,7 @@ class TestPav:
         assert pav([1.2, 1.0, 1.3], [10.0, 0.0, 5.0]) == [1.2, 1.2, 1.3]
 
     def test_empty_input(self):
-        assert pav([]) == []
+        assert pav([], []) == []
 
     @pytest.mark.parametrize("increasing", [True, False])
     def test_pool_of_huge_values_stays_finite(self, increasing):
@@ -66,7 +66,7 @@ def float_bits(xs):
 # (values, weights) for pav: 0/1 outcomes pooled into o/c with weight c, as
 # fit_isotonic pools tie groups; a few values under fractional and zero
 # weights; values and weights whose products and sums round in floats;
-# unweighted 0/1; and integers whose sums cross 2**53
+# 0/1 at unit weight; and integers whose sums cross 2**53
 pav_inputs = st.one_of(
     st.lists(st.integers(1, 30).flatmap(lambda c: st.tuples(st.integers(0, c), st.just(c))),
              max_size=40).map(lambda ocs: ([o / c for o, c in ocs], [c for _, c in ocs])),
@@ -76,7 +76,7 @@ pav_inputs = st.one_of(
     st.lists(st.tuples(st.sampled_from([0.1, 0.2, 0.7, 1 / 3, 2 / 3]),
                        st.sampled_from([0.1, 0.3, 1.0, 3.0, 7.0])),
              max_size=40).map(lambda vws: ([v for v, _ in vws], [w for _, w in vws])),
-    st.lists(st.sampled_from([0.0, 1.0]), max_size=40).map(lambda vs: (vs, None)),
+    st.lists(st.sampled_from([0.0, 1.0]), max_size=40).map(lambda vs: (vs, [1.0] * len(vs))),
     st.lists(st.tuples(st.integers(-2 ** 52, 2 ** 52), st.sampled_from([0.0, 1.0, 3.0])),
              max_size=40).map(lambda vws: ([float(v) for v, _ in vws], [w for _, w in vws])),
 )
@@ -144,7 +144,7 @@ class TestPavLinear:
         assert float_bits(expanded) == float_bits(pav(vals, wts, increasing=increasing))
 
     @pytest.mark.parametrize("wts, want", [
-        pytest.param(None, [10000.5] * 20000, id="unit-weights"),
+        pytest.param([1.0] * 20000, [10000.5] * 20000, id="unit-weights"),
         pytest.param([0.0] * 40000, [20000.5] * 40000, id="zero-weights"),
     ])
     def test_decreasing_values_pool_in_linear_time(self, wts, want):
@@ -188,7 +188,7 @@ class TestPavLinear:
         assert len(cmap.values) == len(np.unique(scores))
 
     @pytest.mark.parametrize("vals, wts, message", [
-        ([1.0, math.nan], None, "values must be finite, got nan"),
+        ([1.0, math.nan], [1.0, 1.0], "values must be finite, got nan"),
         ([1.0, -math.inf], [1.0, 1.0], "values must be finite, got -inf"),
         ([1.0, 0.0], [math.nan, 1.0], "weights must be finite, got nan"),
         ([1.0, 0.0], [1.0, math.inf], "weights must be finite, got inf"),

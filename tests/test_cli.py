@@ -113,6 +113,22 @@ def run(args):
     return main([str(a) for a in args])
 
 
+@pytest.mark.parametrize("args", [
+    ["fit", "events.jsonl", "--kappa", "0.4", "--out", "m.json", "--bogus"],
+    ["calibrate", "events.jsonl", "--now", "0"],
+    ["solve", "model.json", "--horizon", "abc", "--out", "p.json"],
+], ids=["unknown-flag", "missing-out", "bad-horizon"])
+def test_usage_error_exits_2_with_a_usage_line(args, capsys):
+    """argparse rejects a command line before any command runs, with exit
+    code 2 and a usage line; a missing --kappa or --now is a validation
+    error of the command, exit 1."""
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: notif-ltv ") and "error: " in err
+
+
 class TestFit:
     def test_writes_model_with_kappa_recorded(self, send_log, tmp_path, capsys):
         out = tmp_path / "model.json"

@@ -235,6 +235,22 @@ class TestChunkedRead:
         assert len(log) == 13 and per_line_chunks == [] and len(blocks) > 4
         assert_same_log(log, read_log_oracle(path))
 
+    def test_array_of_non_objects_goes_through_the_per_line_loop(self, tmp_path, monkeypatch,
+                                                                  per_line_chunks):
+        """An array text with one element per line is no proof of the
+        block's rows unless every element is an object."""
+        path = tmp_path / "log.jsonl"
+        write_log(path, [row(uid=f"u{t % 3}", utype=t % 3 + 1, ts=t, outcome=t % 2)
+                         for t in range(5)])
+        want, prove = read_log(path), ingest._array_text
+
+        def numbers(block):
+            _, n, ends = prove(block)
+            return "[" + ", ".join(["1"] * n) + "]", n, ends
+        monkeypatch.setattr(ingest, "_array_text", numbers)
+        assert_same_log(read_log(path), want)
+        assert per_line_chunks == [(1, 5)]
+
     @pytest.mark.parametrize("chunk", [1, 2, 4])
     def test_guard_miss_sends_only_its_own_chunk_through_the_per_line_loop(
             self, tmp_path, monkeypatch, per_line_chunks, chunk):

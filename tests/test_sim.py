@@ -76,13 +76,13 @@ def rows(log):
 class TestRampFactorTable:
     def test_endpoints_and_center(self):
         table = ramp_factor_table((-4, 4), {1: (0.6, 1.4)})
-        assert table.factor(1, -4) == pytest.approx(0.6)
-        assert table.factor(1, 4) == pytest.approx(1.4)
-        assert table.factor(1, 0) == 1.0
+        assert table.at(table.factors, 1, -4) == pytest.approx(0.6)
+        assert table.at(table.factors, 1, 4) == pytest.approx(1.4)
+        assert table.at(table.factors, 1, 0) == 1.0
 
     def test_branches_are_monotone(self):
         table = ramp_factor_table((-5, 5), {1: (0.5, 1.5)})
-        vals = [table.factor(1, s) for s in range(-5, 6)]
+        vals = [table.at(table.factors, 1, s) for s in range(-5, 6)]
         assert vals == sorted(vals)
 
     @settings(max_examples=100, deadline=None)
@@ -180,6 +180,14 @@ class TestGeneratePopulation:
         small_config(type_shares={1: 0.5, 2: 0.5, 3: 0.0})
 
     def test_degenerate_share_assigns_single_type(self):
+        cfg = small_config(type_shares={1: 1.0, 2: 0.0})
+        assert set(draw_population(cfg).user_type.tolist()) == {1}
+
+    def test_draw_past_the_last_share_takes_the_last_type_with_a_share(self, monkeypatch):
+        """Shares need sum to 1 only within 1e-9, so a draw can reach past
+        the last cumulative share, as the patched search says every draw
+        does here; it must not give a type whose share is 0."""
+        monkeypatch.setattr(sim, "bisect_right", lambda a, x: len(a))
         cfg = small_config(type_shares={1: 1.0, 2: 0.0})
         assert set(draw_population(cfg).user_type.tolist()) == {1}
 
@@ -620,7 +628,7 @@ class TestStreakConditionalOpenRates:
         for s, n in counts.items():
             if n < 400:
                 continue
-            f_eff = (table.factor(1, s) - 1.0) * 0.5 + 1.0
+            f_eff = (table.at(table.factors, 1, s) - 1.0) * 0.5 + 1.0
             want = min(f_eff * 0.5, 1.0)
             got = opens[s] / n
             sigma = np.sqrt(want * (1 - want) / n)
