@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from check_arms import differences as arm_differences
+from check_ci import arm_differences
 from hypothesis import example, given, settings, strategies as st
 from oracles import (ramp_factor_oracle, run_experiment_oracle, simulate_columns_oracle,
                      streak_oracle, threshold_cells, warmup_events_oracle)
