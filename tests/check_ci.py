@@ -3,7 +3,7 @@
 It takes no arguments. perfbench/run.py generates the seed-0 and seed-1 inputs
 under perfbench/.cache; derived inputs and CLI artifacts go to a temporary
 directory. Each check runs, also after one has failed, and prints `PASS <name>`
-or `FAIL <name>: <what differs>`. Exits 1 if any failed. pytest skips the file.
+or `FAIL <name>: <what differs>`. Exits 1 if any failed. pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import traceback
+from collections.abc import Iterator
 from unittest import mock
 
 import numpy as np
@@ -167,7 +168,7 @@ def arm_differences(joint, alone, name: str) -> list[str]:
     return found
 
 
-def arms(sim_path: str, treatments_path: str):
+def arms(sim_path: str, treatments_path: str) -> Iterator[str]:
     """Each arm of the experiment that `notif-ltv simulate --emit-log` runs on
     the two files against that treatment run alone, as the baseline of a
     one-arm experiment with the same calibration."""
@@ -270,7 +271,7 @@ def policy_csv_differences(path: str) -> list[str]:
     return _bytes_differ(os.path.splitext(path)[0] + ".csv", text.encode(), "policy_csv_oracle")
 
 
-def benchmark_correctness(tmp: str):
+def benchmark_correctness(tmp: str) -> Iterator[str]:
     """Each workload's run at seed 0 must be correct. The runs generate the
     seed-0 inputs that the checks after this one read."""
     for workload in WORKLOADS:
@@ -280,7 +281,7 @@ def benchmark_correctness(tmp: str):
             yield str(exc)
 
 
-def benchmark_recorder(tmp: str):
+def benchmark_recorder(tmp: str) -> Iterator[str]:
     """tests/record_bench.py writes the summary a BENCH_<pr>.json file holds,
     and exits non-zero when a run is not correct or gives no result. One
     one-second run of each workload must give a file with all four workloads
@@ -298,7 +299,7 @@ def benchmark_recorder(tmp: str):
             yield f"bench.json: {workload} lacks a field or a correct result"
 
 
-def traced_simulator_counters(tmp: str):
+def traced_simulator_counters(tmp: str) -> Iterator[str]:
     """The tracer wraps sim.warmup_events, the one function that runs the
     simulator's calibration warm-up, and sim.simulate_pass, which the
     simulation loop in sim._simulate calls through the module global once a
@@ -312,7 +313,7 @@ def traced_simulator_counters(tmp: str):
         yield f"sim.simulate_pass_calls is {metrics['sim.simulate_pass_calls']['value']}"
 
 
-def arms_alone(tmp: str):
+def arms_alone(tmp: str) -> Iterator[str]:
     """The arms step through one shared state array, into which each block
     looks up every arm's policy table, and each must give the results and
     sends of that treatment run alone: on the seed-0 and seed-1 ab_test
@@ -323,7 +324,7 @@ def arms_alone(tmp: str):
     yield from arms(cached("ab_test-0", "sim.json"), edge_treatments(tmp))
 
 
-def arms_across_blocks(tmp: str):
+def arms_across_blocks(tmp: str) -> Iterator[str]:
     """A 2,500-user copy of the seed-0 config runs in three blocks of 970,
     970 and 560 users at 90 passes, so each arm's send and open masks and
     kept sends are joined across blocks; the treatments are the edge copy."""
@@ -332,7 +333,7 @@ def arms_across_blocks(tmp: str):
     yield from arms(_dump(config, os.path.join(tmp, "sim_2500.json")), edge_treatments(tmp))
 
 
-def saturated_scores(tmp: str):
+def saturated_scores(tmp: str) -> Iterator[str]:
     """A score noise of 1000 puts most logits past the range of math.exp, so
     many scores are exactly 0.0 or 1.0 and the warm-up's map pools into two
     runs, the upper one starting near 3.5e-229. simulate must succeed and
@@ -352,7 +353,7 @@ def saturated_scores(tmp: str):
     yield from arms(config_path, treatments_path)
 
 
-def value_recursion(tmp: str):
+def value_recursion(tmp: str) -> Iterator[str]:
     """state_values and solve_policy must give the reference's bits at every
     (gamma, horizon) pair of the sweep, on the seed-0 sweep model and on the
     kappa-shrunk model fitted from the seed-0 daily_refit log with the
@@ -371,7 +372,7 @@ def value_recursion(tmp: str):
                                     state_value_differences(model, config))
 
 
-def json_artifacts(tmp: str):
+def json_artifacts(tmp: str) -> Iterator[str]:
     """The CLI writes JSON with its own indenter, which must give the bytes of
     json.dumps(doc, indent=2, sort_keys=True): for the calibration and model
     of the value recursion check and the sweep policies. A gamma of -0.0 is
@@ -406,7 +407,7 @@ def json_artifacts(tmp: str):
     yield from _bytes_differ(os.path.join(tmp, "policy_g-0.0.csv"), zero, "policy_g0.csv")
 
 
-def provenance_hashes(tmp: str):
+def provenance_hashes(tmp: str) -> Iterator[str]:
     """Every input an artifact lists under provenance.inputs must hash, by
     sha256sum, to the digest recorded there: the calibration, the model and
     the policies of the checks above, and the saturated-score report, whose
@@ -423,7 +424,7 @@ def provenance_hashes(tmp: str):
         yield from proc.stderr.splitlines()
 
 
-def calibration_pav(tmp: str):
+def calibration_pav(tmp: str) -> Iterator[str]:
     """fit_isotonic hands pav one member per run of tie groups with equal
     means; its map must have the bits of pav over every tie group on the
     ranker_regression and daily_refit windows and the ab_test warm-ups."""
@@ -433,7 +434,7 @@ def calibration_pav(tmp: str):
         yield from calibration_differences(os.path.join(CACHE, inputs))
 
 
-def send_log_reader(tmp: str):
+def send_log_reader(tmp: str) -> Iterator[str]:
     """read_log's block-wise array parse must give the oracle's log column
     for column. A `{` in the last line's user_id is valid but fails the byte
     proof, so that copy checks the per-block fallback. Every other copy is
@@ -469,13 +470,14 @@ def main() -> int:
     failed = False
     with tempfile.TemporaryDirectory(prefix="check_ci-") as tmp:
         for name, check in CHECKS:
+            found = []
             try:
-                found = list(check(tmp))
+                found.extend(check(tmp))
             except Fault as exc:
-                found = [str(exc)]
+                found.append(str(exc))
             except Exception as exc:  # one check's error must not stop the others
                 traceback.print_exc()
-                found = [f"{type(exc).__name__}: {exc}"]
+                found.append(f"{type(exc).__name__}: {exc}")
             failed |= bool(found)
             print(f"FAIL {name}: " + "; ".join(found) if found else f"PASS {name}", flush=True)
     return 1 if failed else 0
